@@ -629,6 +629,10 @@ def ensemble_predict(models, inputs):
 # ---------------------------------------------------------------------------
 # gradient-check suite
 
+# Check points keep every ReLU pre-activation and hinge margin this far
+# from its kink, far beyond what an EPS-sized perturbation can move them.
+KINK_CLEARANCE = 100 * gc.EPS
+
 
 def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
     """Finite-difference checks for every layer and head gradient.
@@ -741,7 +745,7 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
     # must keep every margin clear of the kink (finite differences with
     # eps 1e-5 need far less than the 1e-3 slack enforced here).
     margins = head_scores(w, h) * sign
-    while np.min(np.abs(1.0 - margins)) <= 1e-3:
+    while np.min(np.abs(1.0 - margins)) <= KINK_CLEARANCE:
         h = rng.normal(size=(5, d))
         margins = head_scores(w, h) * sign
     l1 = l1svm_head(w, h, sign, c=0.7)
@@ -760,13 +764,16 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
         "l2svm.d_h", lambda: l2svm_head(w, h, sign, c=0.7).loss, h, l2.d_h,
     ))
 
-    # composed network: every parameter of a small mlp under each head
+    # composed network: every parameter of a small mlp under each head,
+    # at inputs redrawn until no ReLU or hinge sits near its kink
     for kind in ("softmax", "l1svm", "l2svm"):
         spec = HeadSpec(kind, k, c=0.7, weight_decay=0.1)
         net_rng = np.random.default_rng(seed + 2)
         net = build_mlp(d, list(hidden_dims), spec, rng=net_rng, init_std=0.5)
         xs = rng.normal(size=(6, d))
         ys = rng.integers(0, k, size=6)
+        while _kink_gap(net, xs, ys) <= KINK_CLEARANCE:
+            xs = rng.normal(size=(6, d))
         net.backprop(xs, ys, train=False)
         for pname, (param, grad) in _named_params(net):
             results.append(gc.check_gradient(
@@ -775,6 +782,21 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
                 param, grad,
             ))
     return results
+
+
+def _kink_gap(net, xs, labels):
+    """Distance from its kink of the nearest ReLU pre-activation in an mlp
+    and, under a margin head, of the nearest hinge margin."""
+    gaps = []
+    h = xs
+    for layer in net.layers:
+        h = layer.forward(h)
+        if isinstance(layer, DenseLayer):  # every dense output feeds a ReLU
+            gaps.append(np.min(np.abs(h)))
+    if net.head_spec.kind != "softmax":
+        sign = encode_targets(labels, net.head_spec.num_classes, "sign")
+        gaps.append(np.min(np.abs(1.0 - head_scores(net.head_weights, h) * sign)))
+    return min(gaps, default=np.inf)
 
 
 def dense_eval(layer, x):

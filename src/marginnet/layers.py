@@ -12,6 +12,12 @@ Conventions:
 
 Gradients of every layer here are verified against central finite
 differences in the test suite.
+
+Convolution is im2col plus one GEMM per product (Chellapilla et al.
+2006): the forward pass lays its receptive fields out as a patch matrix
+[C*k*k, N*Ho*Wo], so the forward output and the filter gradient are each
+a single 2-D matmul, and the input gradient is scattered back (col2im)
+with one small matmul per kernel offset.
 """
 
 from dataclasses import dataclass
@@ -134,6 +140,22 @@ class Conv2dLayer:
     output channel.  Zero padding; ``padding=None`` defaults to k // 2 so
     spatial size is preserved at stride 1.  Output spatial size is
     floor((in + 2*padding - k) / stride) + 1 and must be positive.
+
+    Forward builds the patch tensor [C, k, k, N, Ho, Wo] with one strided
+    slice of the channel-major padded input per kernel offset (a, b), and
+    views it as the patch matrix ``cols`` [C*k*k, N*Ho*Wo].  With
+    ``W = filters.reshape(F, C*k*k)`` and ``d2 = d_out`` as [F, N*Ho*Wo]:
+
+        out       = W @ cols
+        d_filters = d2 @ cols.T
+        d_input   = col2im: for each (a, b), filters[:, :, a, b].T @ d2
+                    is added into the (a, b) strided slice of the padded
+                    input gradient
+
+    so backward never builds a patch-sized d_cols array; ``cols`` is the
+    only patch-sized array, cached from forward to backward.  Results are
+    bit-identical from run to run at a fixed BLAS thread count; a
+    different thread count can change their last bits.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size, padding=None,
@@ -179,16 +201,20 @@ class Conv2dLayer:
         n, _, h, w = x.shape
         ho, wo = self.output_hw(h, w)
         k, p, s = self.kernel_size, self.padding, self.stride
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        # Patch tensor [N, C, k, k, Ho, Wo]: one strided slice per kernel offset.
-        cols = np.empty((n, self.in_channels, k, k, ho, wo), dtype=DTYPE)
+        c, f = self.in_channels, self.out_channels
+        self._cache = None  # free the last patch matrix before building this one
+        # Channel-major view of the padded input, so each kernel offset
+        # fills one [C, N, Ho, Wo] block of the patch tensor [C, k, k, N, Ho, Wo].
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
+        cols = np.empty((c, k, k, n, ho, wo), dtype=DTYPE)
         for a in range(k):
             for b in range(k):
-                cols[:, :, a, b] = xp[:, :, a : a + ho * s : s, b : b + wo * s : s]
-        out = np.einsum("ncabhw,fcab->nfhw", cols, self.filters)
-        out += self.bias[None, :, None, None]
+                cols[:, a, b] = xp[:, :, a : a + ho * s : s, b : b + wo * s : s]
+        cols = cols.reshape(c * k * k, n * ho * wo)
+        out = self.filters.reshape(f, -1) @ cols
+        out += self.bias[:, None]
         self._cache = (cols, x.shape, xp.shape)
-        return out
+        return np.ascontiguousarray(out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3))
 
     def backward(self, d_out):
         if self._cache is None:
@@ -203,14 +229,20 @@ class Conv2dLayer:
                 f"got {d_out.shape}"
             )
         k, p, s = self.kernel_size, self.padding, self.stride
-        self.d_filters = np.einsum("nfhw,ncabhw->fcab", d_out, cols)
+        c, f = self.in_channels, self.out_channels
+        d2 = d_out.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        self.d_filters = (d2 @ cols.T).reshape(self.filters.shape)
         self.d_bias = d_out.sum(axis=(0, 2, 3))
-        d_cols = np.einsum("nfhw,fcab->ncabhw", d_out, self.filters)
+        # col2im one kernel offset at a time: [C, F] @ [F, N*Ho*Wo] lands
+        # in the offset's strided slice, so no patch-sized d_cols exists.
+        taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
         d_xp = np.zeros(xp_shape, dtype=DTYPE)
         for a in range(k):
             for b in range(k):
-                d_xp[:, :, a : a + ho * s : s, b : b + wo * s : s] += d_cols[:, :, a, b]
-        d_input = d_xp[:, :, p : p + h, p : p + w]
+                d_xp[:, :, a : a + ho * s : s, b : b + wo * s : s] += (
+                    taps[a, b] @ d2
+                ).reshape(c, n, ho, wo)
+        d_input = d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
         self._cache = None
         return LayerGradients(d_input, self.d_filters, self.d_bias)
 
@@ -231,16 +263,27 @@ def maxpool2x2(x):
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
         raise ShapeError(f"maxpool expects NCHW input, got shape {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    windows = (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    switches = np.argmax(windows, axis=-1)
-    pooled = np.take_along_axis(windows, switches[..., None], axis=-1)[..., 0]
+    # A knockout over the four strided window views: left against right
+    # in each row, then top row against bottom.  Strict ``>`` keeps the
+    # lower index on ties (and on +-0.0), as argmax does.
+    views = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    right_top = views[1] > views[0]
+    right_bottom = views[3] > views[2]
+    top = np.where(right_top, views[1], views[0])
+    bottom = np.where(right_bottom, views[3], views[2])
+    down = bottom > top
+    pooled = np.where(down, bottom, top)
+    switches = (2 * down + np.where(down, right_bottom, right_top)).astype(np.intp)
+    # ``>`` never selects a NaN, but argmax does: a window holding a NaN
+    # pools to its first NaN.  The max of x is NaN iff x holds one.
+    if np.isnan(np.max(x, initial=-np.inf)):
+        for index in (3, 2, 1, 0):
+            nans = np.isnan(views[index])
+            np.copyto(pooled, views[index], where=nans)
+            np.copyto(switches, index, where=nans)
     return pooled, switches
 
 

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from marginnet.config import ConfigError, parse_config_text
-from marginnet.data import make_blobs
+from marginnet.data import make_blobs, write_idx
 from marginnet.harness import (
     CSV_COLUMNS,
     TrainingDivergedError,
@@ -148,6 +148,49 @@ class TestTrainLoop:
             res_a.network.head_weights, res_b.network.head_weights
         )
         assert res_a.metrics == res_b.metrics
+
+    def test_conv_run_is_bit_deterministic(self, tmp_path):
+        # tiny 8x8 IDX images through the conv stack with augmentation:
+        # im2col, GEMMs, col2im, pooling and the augment draws must all
+        # replay exactly
+        rng = np.random.default_rng(0)
+        for split, n in (("train", 24), ("test", 12)):
+            write_idx(
+                str(tmp_path / f"{split}-images"), str(tmp_path / f"{split}-labels"),
+                rng.integers(0, 256, size=(n, 8, 8)), rng.integers(0, 3, size=n),
+            )
+        text = f"""
+dataset = idx
+data_dir = {tmp_path}
+train_images = train-images
+train_labels = train-labels
+test_images = test-images
+test_labels = test-labels
+arch = conv
+conv_channels = 2, 4
+conv_kernel = 3
+conv_dense = 8
+init_std = 0.1
+augment = true
+max_jitter = 1
+head = l2svm
+svm_c = 0.01
+epochs = 2
+batch_size = 8
+lr_start = 0.01
+seed = 5
+"""
+        runs = [
+            train(parse_config_text(text + f"out_dir = {tmp_path}/{name}\n"))
+            for name in ("conv_a", "conv_b")
+        ]
+        assert runs[0].metrics == runs[1].metrics
+        assert runs[0].updates == runs[1].updates == 6
+        blobs = []
+        for run in runs:
+            with open(os.path.join(run.model_dir, "params.bin"), "rb") as f:
+                blobs.append(f.read())
+        assert blobs[0] == blobs[1]
 
     def test_lower_weight_decay_enters_train_loss(self, tmp_path):
         plain = train(blobs_config(tmp_path, "wd0", epochs=0))
@@ -328,3 +371,13 @@ class TestGradcheckSuite:
     def test_wide_layers_rejected(self):
         with pytest.raises(DomainError):
             gradcheck_suite(hidden_dims=(64,))
+
+    # Seeds whose composed-mlp check points once sat on a ReLU or hinge
+    # kink, plus a plain run of seeds.
+    KINK_SEEDS = (6, 25, 42, 45, 60, 66, 76, 102, 123, 128, 141, 147, 184,
+                  204, 209, 246, 287)
+
+    @pytest.mark.parametrize("seed", sorted(set(KINK_SEEDS) | set(range(30))))
+    def test_passes_at_seed(self, seed):
+        failed = [r.summary() for r in gradcheck_suite(seed=seed) if not r.passed]
+        assert failed == []

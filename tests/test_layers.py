@@ -28,6 +28,72 @@ def _kink_free_normal(rng, shape):
     return x
 
 
+# Reference implementations: the straightforward einsum convolution and
+# the argmax max-pool that the layers module used before its GEMM and
+# strided-view rewrites.  The layers must agree with them.
+
+
+def _reference_conv_patches(x, k, padding, stride):
+    n, c, h, w = x.shape
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, k, k, ho, wo))
+    for a in range(k):
+        for b in range(k):
+            cols[:, :, a, b] = xp[
+                :, :, a : a + ho * stride : stride, b : b + wo * stride : stride
+            ]
+    return cols, xp.shape
+
+
+def _reference_conv_forward(x, filters, bias, padding, stride):
+    cols, _ = _reference_conv_patches(x, filters.shape[-1], padding, stride)
+    out = np.einsum("ncabhw,fcab->nfhw", cols, filters)
+    return out + bias[None, :, None, None]
+
+
+def _reference_conv_backward(x, filters, d_out, padding, stride):
+    """Returns (d_input, d_filters, d_bias)."""
+    k = filters.shape[-1]
+    n, c, h, w = x.shape
+    ho, wo = d_out.shape[2:]
+    cols, xp_shape = _reference_conv_patches(x, k, padding, stride)
+    d_filters = np.einsum("nfhw,ncabhw->fcab", d_out, cols)
+    d_cols = np.einsum("nfhw,fcab->ncabhw", d_out, filters)
+    d_xp = np.zeros(xp_shape)
+    for a in range(k):
+        for b in range(k):
+            d_xp[
+                :, :, a : a + ho * stride : stride, b : b + wo * stride : stride
+            ] += d_cols[:, :, a, b]
+    d_input = d_xp[:, :, padding : padding + h, padding : padding + w]
+    return d_input, d_filters, d_out.sum(axis=(0, 2, 3))
+
+
+def _reference_maxpool2x2(x):
+    n, c, h, w = x.shape
+    windows = (
+        x.reshape(n, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h // 2, w // 2, 4)
+    )
+    switches = np.argmax(windows, axis=-1)
+    pooled = np.take_along_axis(windows, switches[..., None], axis=-1)[..., 0]
+    return pooled, switches
+
+
+# float64 summation-order differences between two correct contractions
+# stay near 1e-15 relative; 1e-12 leaves room without hiding a wrong term.
+REF_RTOL = 1e-12
+
+
+def _assert_matches_reference(got, want):
+    assert got.shape == want.shape
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1.0)
+    npt.assert_allclose(got, want, rtol=REF_RTOL, atol=REF_RTOL * scale)
+
+
 class TestDense:
     def test_worked_forward(self):
         layer = DenseLayer(2, 2)
@@ -128,6 +194,58 @@ class TestConv2d:
         assert gc.check_gradient("d_b", loss, layer.bias, grads.d_bias).passed
         assert gc.check_gradient("d_x", loss, x, grads.d_input).passed
 
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, None])
+    def test_matches_einsum_reference(self, kernel, stride, padding):
+        rng = np.random.default_rng(100 + 10 * kernel + 2 * stride + (padding is None))
+        for _ in range(3):
+            n = int(rng.integers(2, 5))
+            c_in = int(rng.integers(2, 4))
+            c_out = int(rng.integers(1, 4))
+            h = int(rng.integers(kernel, kernel + 6))
+            w = h + int(rng.integers(1, 4))  # never square
+            layer = Conv2dLayer(c_in, c_out, kernel, padding=padding,
+                                stride=stride, rng=rng, init_std=0.5)
+            layer.bias[...] = rng.normal(size=c_out)
+            x = rng.normal(size=(n, c_in, h, w))
+            out = layer.forward(x)
+            _assert_matches_reference(
+                out, _reference_conv_forward(
+                    x, layer.filters, layer.bias, layer.padding, stride
+                )
+            )
+            r = rng.normal(size=out.shape)
+            grads = layer.backward(r)
+            d_input, d_filters, d_bias = _reference_conv_backward(
+                x, layer.filters, r, layer.padding, stride
+            )
+            _assert_matches_reference(grads.d_input, d_input)
+            _assert_matches_reference(grads.d_weights, d_filters)
+            _assert_matches_reference(grads.d_bias, d_bias)
+            assert grads.d_weights is layer.d_filters
+            assert grads.d_bias is layer.d_bias
+
+    def test_strided_batch_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(16)
+        layer = Conv2dLayer(2, 3, 3, stride=2, rng=rng, init_std=0.5)
+        layer.bias[...] = rng.normal(size=3)
+        x = rng.normal(size=(3, 2, 7, 6))
+        out = layer.forward(x)
+        assert out.shape == (3, 3, 4, 3)
+        r = rng.normal(size=out.shape)
+        grads = layer.backward(r)
+
+        def loss():
+            fresh = Conv2dLayer(2, 3, 3, stride=2)
+            fresh.filters[...] = layer.filters
+            fresh.bias[...] = layer.bias
+            return float(np.sum(fresh.forward(x) * r))
+
+        assert gc.check_gradient("d_f", loss, layer.filters, grads.d_weights).passed
+        assert gc.check_gradient("d_b", loss, layer.bias, grads.d_bias).passed
+        assert gc.check_gradient("d_x", loss, x, grads.d_input).passed
+
     def test_bad_geometry_rejected(self):
         layer = Conv2dLayer(1, 1, 5, padding=0)
         with pytest.raises(ShapeError):
@@ -174,6 +292,61 @@ class TestMaxPool:
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
             maxpool2x2(np.zeros((1, 1, 5, 4)))
+
+    @staticmethod
+    def _assert_same_bytes_as_reference(x):
+        pooled, switches = maxpool2x2(x)
+        want_pooled, want_switches = _reference_maxpool2x2(x)
+        assert pooled.dtype == want_pooled.dtype
+        assert switches.dtype == want_switches.dtype
+        assert pooled.shape == want_pooled.shape
+        assert pooled.tobytes() == want_pooled.tobytes()
+        assert switches.tobytes() == want_switches.tobytes()
+
+    def test_matches_argmax_reference_bytewise(self):
+        rng = np.random.default_rng(17)
+        self._assert_same_bytes_as_reference(rng.normal(size=(3, 4, 6, 10)))
+        # few distinct values: ties in most windows, in every position
+        for _ in range(20):
+            shape = (2, 3, 2 * int(rng.integers(1, 5)), 2 * int(rng.integers(1, 5)))
+            self._assert_same_bytes_as_reference(
+                rng.integers(-1, 2, size=shape).astype(float)
+            )
+
+    def test_signed_zeros_and_infinities_match_reference(self):
+        rng = np.random.default_rng(18)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
+        for _ in range(20):
+            self._assert_same_bytes_as_reference(
+                rng.choice(values, size=(2, 2, 4, 6))
+            )
+        # every ordering of +0.0 and -0.0 in one window
+        for bits in range(16):
+            window = [(-0.0 if bits >> i & 1 else 0.0) for i in range(4)]
+            self._assert_same_bytes_as_reference(
+                np.array(window).reshape(1, 1, 2, 2)
+            )
+
+    def test_nan_window_pools_to_its_first_nan(self):
+        rng = np.random.default_rng(19)
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        x[0, 0, 1, 0] = np.nan  # window (0, 0), index 2
+        x[0, 0, 2, 3] = np.nan  # window (1, 1), index 1
+        x[0, 0, 3, 3] = np.nan  # window (1, 1), index 3
+        pooled, switches = maxpool2x2(x)
+        assert np.isnan(pooled[0, 0, 0, 0]) and switches[0, 0, 0, 0] == 2
+        assert np.isnan(pooled[0, 0, 1, 1]) and switches[0, 0, 1, 1] == 1
+        assert pooled[0, 0, 0, 1] == 7.0 and pooled[0, 0, 1, 0] == 13.0
+        self._assert_same_bytes_as_reference(x)
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0])
+        for _ in range(20):
+            self._assert_same_bytes_as_reference(
+                rng.choice(values, size=(2, 2, 4, 4))
+            )
+
+    def test_empty_batch(self):
+        pooled, switches = maxpool2x2(np.zeros((0, 2, 4, 4)))
+        assert pooled.shape == switches.shape == (0, 2, 2, 2)
 
 
 class TestFlatten:
