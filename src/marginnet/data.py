@@ -138,7 +138,8 @@ def load_idx(images_path, labels_path, num_classes=10, split="train"):
             f"{images_path} holds {n} images but {labels_path} holds "
             f"{lbl_dims[0]} labels"
         )
-    inputs = img_data.astype(DTYPE).reshape(n, rows * cols) / 255.0
+    inputs = img_data.astype(DTYPE).reshape(n, rows * cols)
+    inputs /= 255.0
     labels = lbl_data.astype(np.int64)
     return Dataset(inputs, labels, num_classes, split)
 

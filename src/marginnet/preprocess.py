@@ -31,13 +31,15 @@ class PcaModel:
 def pca_fit(x, num_components):
     """Fit PCA by eigendecomposition of the population covariance.
 
-    Deterministic and exactly invariant to row order: rows are sorted
-    into a canonical order before any accumulation, so permuting the
-    input permutes nothing downstream.  Each component's sign is fixed
-    by making its largest-magnitude entry positive (lowest index on
-    magnitude ties).  If the data has rank below ``num_components`` the
-    trailing components span an arbitrary null-space basis; a warning is
-    issued and their variances are ~0.
+    Deterministic and exactly invariant to row order: rows are put into
+    lexicographic order (column 0 first, equal rows kept in input order)
+    before any accumulation, so permuting the input permutes nothing
+    downstream.  Data holding a NaN or an infinity is rejected with
+    :class:`DomainError`.  Each component's sign is fixed by making its
+    largest-magnitude entry positive (lowest index on magnitude ties).
+    If the data has rank below ``num_components`` the trailing
+    components span an arbitrary null-space basis; a warning is issued
+    and their variances are ~0.
     """
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 2:
@@ -52,14 +54,15 @@ def pca_fit(x, num_components):
             f"need more rows than components, got {n} rows for "
             f"{num_components} components"
         )
-    # Canonical row order: float summation is order-sensitive, so sort
-    # rows lexicographically to make the fit permutation-invariant bit
-    # for bit.
-    order = np.lexsort(x.T[::-1])
-    xs = x[order]
+    if not np.isfinite(x).all():
+        raise DomainError("pca input holds a NaN or an infinity")
+    # Float summation is order-sensitive, so the rows are summed in
+    # lexicographic order to make the fit permutation-invariant bit for
+    # bit.  The gather makes a fresh copy, which is centered in place.
+    xs = x[_lexicographic_row_order(x)]
     mean = xs.mean(axis=0)
-    centered = xs - mean
-    cov = (centered.T @ centered) / n
+    xs -= mean
+    cov = (xs.T @ xs) / n
     evals, evecs = np.linalg.eigh(cov)
     evals = evals[::-1][:num_components]
     comps = evecs[:, ::-1][:, :num_components].copy()
@@ -75,6 +78,49 @@ def pca_fit(x, num_components):
             stacklevel=2,
         )
     return PcaModel(mean, comps, np.maximum(evals, 0.0))
+
+
+def _lexicographic_row_order(x):
+    """Permutation that sorts the rows of ``x`` [N, D] lexicographically,
+    column 0 first, with equal rows kept in input order: the permutation
+    ``np.lexsort(x.T[::-1])`` returns, for data without NaN.
+
+    Column by column, only the rows still tied with a neighbour are
+    re-sorted, and only within their tie group; a row that a column
+    separates from its group never moves again.  A column on which no
+    tie group differs costs one gather and one neighbour comparison.
+    Stable sorts keep every tie group in input order, which is where
+    lexsort leaves equal rows.  Ties are tested with ``==``, which puts
+    -0.0 with 0.0 as the sort does but never matches two NaNs.
+    """
+    n = x.shape[0]
+    order = np.empty(n, dtype=np.intp)
+    # The rows still tied, in their current order: their slots in
+    # ``order``, their row ids, and for each neighbouring pair whether
+    # both sit in one tie group.
+    slots = np.arange(n)
+    rows = np.arange(n)
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    # A column on which all rows agree orders nothing.
+    for col in np.flatnonzero((x != x[:1]).any(axis=0)):
+        if rows.size < 2:
+            break
+        key = x[rows, col]
+        if not np.any(same & (key[1:] != key[:-1])):
+            continue
+        group = np.concatenate(([0], np.cumsum(~same)))
+        perm = np.lexsort((key, group))
+        key = key[perm]
+        rows = rows[perm]
+        starts = np.ones(rows.size + 1, dtype=bool)
+        starts[1:-1] = ~same | (key[1:] != key[:-1])
+        alone = starts[:-1] & starts[1:]
+        order[slots[alone]] = rows[alone]
+        tied = ~alone
+        slots, rows = slots[tied], rows[tied]
+        same = ~starts[:-1][tied][1:]
+    order[slots] = rows
+    return order
 
 
 def pca_transform(model, x):
@@ -152,7 +198,9 @@ class PixelStandardizer:
                 f"standardizer fitted on {self.mean.shape[0]} columns, "
                 f"got shape {x.shape}"
             )
-        return (x - self.mean) / self.std
+        out = x - self.mean
+        out /= self.std
+        return out
 
 
 def augment(x, rng, max_jitter=2, mirror=True):

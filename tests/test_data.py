@@ -81,6 +81,18 @@ class TestIdx:
         assert issubclass(IdxTruncatedError, IdxFormatError)
         assert issubclass(IdxCountMismatchError, IdxFormatError)
 
+    def test_scaling_is_bitwise_the_plain_division(self, tmp_path):
+        # every byte value once: the in-place /= 255.0 must give the
+        # same doubles as the out-of-place division
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        labels = np.arange(4, dtype=np.uint8)
+        ip = str(tmp_path / "images-idx3-ubyte")
+        lp = str(tmp_path / "labels-idx1-ubyte")
+        write_idx(ip, lp, images, labels)
+        expected = images.astype(np.float64).reshape(4, 64) / 255.0
+        npt.assert_array_equal(load_idx(ip, lp).inputs.view(np.uint64),
+                               expected.view(np.uint64))
+
     def test_pixels_scaled_to_unit_range(self, idx_pair):
         ip, lp, _, _ = idx_pair
         ds = load_idx(ip, lp)

@@ -1,9 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from marginnet.preprocess import (
     PixelStandardizer,
+    _lexicographic_row_order,
     augment,
     face_normalize,
     pca_fit,
@@ -18,6 +22,56 @@ FACE_1234 = np.array(
     [-67.082039324993691, -22.360679774997897,
      22.360679774997897, 67.082039324993691]
 )
+
+# Few distinct values, signed zeros and infinities, so that rows tie on
+# long prefixes and the two zeros must sort as equal.
+TIE_VALUES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf]
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """[n, d] data whose rows repeat and whose columns are often constant."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    distinct = draw(st.integers(1, n))
+    values = st.sampled_from(TIE_VALUES)
+    base = draw(arrays(np.float64, (distinct, d), elements=values))
+    x = base[draw(arrays(np.intp, n, elements=st.integers(0, distinct - 1)))]
+    constant = draw(arrays(np.bool_, d))
+    x[:, constant] = draw(values)
+    return x
+
+
+def reference_pca_fit(x, num_components):
+    """Reference fit: the canonical order from one np.lexsort over every
+    column, and an out-of-place centered copy."""
+    n = x.shape[0]
+    xs = x[np.lexsort(x.T[::-1])]
+    mean = xs.mean(axis=0)
+    centered = xs - mean
+    cov = (centered.T @ centered) / n
+    evals, evecs = np.linalg.eigh(cov)
+    evals = evals[::-1][:num_components]
+    comps = evecs[:, ::-1][:, :num_components].copy()
+    for j in range(num_components):
+        lead = np.argmax(np.abs(comps[:, j]))
+        if comps[lead, j] < 0:
+            comps[:, j] = -comps[:, j]
+    return mean, comps, np.maximum(evals, 0.0)
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape
+    npt.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(x=tie_heavy_rows())
+@example(x=np.ones((1, 5)))
+@example(x=np.array([[2.0], [1.0], [2.0], [1.0]]))
+@example(x=np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [-0.0, -1.0]]))
+def test_row_order_equals_lexsort(x):
+    npt.assert_array_equal(_lexicographic_row_order(x), np.lexsort(x.T[::-1]))
 
 
 class TestPcaFit:
@@ -89,6 +143,27 @@ class TestPcaFit:
         npt.assert_array_equal(
             model_a.explained_variances, model_b.explained_variances
         )
+
+    def test_bytes_match_full_lexsort_fit_on_pixels(self):
+        # MNIST-like bytes: mostly-zero pixels and repeated rows, so the
+        # canonical order has long ties to refine
+        rng = np.random.default_rng(18)
+        pixels = rng.integers(0, 256, size=(2000, 784), dtype=np.uint8)
+        pixels[rng.random((2000, 784)) < 0.8] = 0
+        pixels[1000:1300] = pixels[rng.integers(0, 1000, 300)]
+        x = pixels / 255.0
+        model = pca_fit(x, 70)
+        mean, comps, evals = reference_pca_fit(x, 70)
+        assert_same_bytes(model.mean, mean)
+        assert_same_bytes(model.components, comps)
+        assert_same_bytes(model.explained_variances, evals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.random.default_rng(19).normal(size=(20, 4))
+        x[7, 2] = bad
+        with pytest.raises(DomainError):
+            pca_fit(x, 2)
 
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(7)
@@ -163,6 +238,12 @@ class TestPixelStandardizer:
         z = s.apply(x)
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         npt.assert_allclose(z.std(axis=0), np.ones(6), rtol=1e-9)
+
+    def test_apply_is_bitwise_the_plain_expression(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(300, 9)) * 4 + 2
+        s = PixelStandardizer().fit(x[:200])
+        assert_same_bytes(s.apply(x), (x - s.mean) / s.std)
 
     def test_apply_before_fit_rejected(self):
         with pytest.raises(DomainError):
