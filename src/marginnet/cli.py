@@ -13,13 +13,17 @@ Every subcommand takes --config (flat key = value text); --seed and
 """
 
 import argparse
+import copy
 import json
 import os
 import sys
 
+import numpy as np
+
 from . import harness
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
+from .serialize import ManifestError
 from .tensor import DomainError, ShapeError
 
 
@@ -91,15 +95,7 @@ def cmd_eval(args):
     if not cfg.model:
         raise ConfigError("eval needs model = <saved model dir> in the config")
     model = harness.load_model(cfg.model)
-    import numpy as np
-
-    data_rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed).spawn(3)[0]
-    )
-    # Preprocessing comes from the saved model, so load raw splits only.
-    raw_cfg = _raw_data_config(cfg)
-    prepared = harness.prepare_data(raw_cfg, data_rng)
-    split = prepared.train if cfg.eval_split == "train" else prepared.test
+    split = _raw_split(cfg)
     rep = harness.cross_objective_eval(model, split)
     line = _report_lines(f"{model.network.head_spec.kind} on {cfg.eval_split}", rep)
     print(line)
@@ -126,16 +122,14 @@ def cmd_eval(args):
     return 0
 
 
-def _raw_data_config(cfg):
-    # Same dataset keys, but no train-time preprocessing: saved models
-    # carry their own fitted transforms.
-    import copy
-
+def _raw_split(cfg):
+    """The configured eval split with no train-time preprocessing: saved
+    models carry their own fitted transforms."""
     raw = copy.deepcopy(cfg)
-    raw.values["standardize"] = False
-    raw.values["pca_dims"] = 0
-    raw.values["augment"] = False
-    return raw
+    raw.values.update(standardize=False, pca_dims=0, augment=False)
+    data_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    prepared = harness.prepare_data(raw, data_rng)
+    return prepared.train if cfg.eval_split == "train" else prepared.test
 
 
 def cmd_gradcheck(args):
@@ -165,14 +159,8 @@ def cmd_ensemble(args):
         raise ConfigError(
             "ensemble needs models = <dir>, <dir>, ... in the config"
         )
-    import numpy as np
-
     models = [harness.load_model(path) for path in cfg.models]
-    data_rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed).spawn(3)[0]
-    )
-    prepared = harness.prepare_data(_raw_data_config(cfg), data_rng)
-    split = prepared.train if cfg.eval_split == "train" else prepared.test
+    split = _raw_split(cfg)
     pred = harness.ensemble_predict(models, split.inputs)
     err = 100.0 * float(np.mean(pred != split.labels))
     member_errs = [
@@ -214,7 +202,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DomainError, ShapeError, IdxFormatError,
+    except (ConfigError, DomainError, ShapeError, IdxFormatError, ManifestError,
             harness.TrainingDivergedError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -211,10 +211,13 @@ def _validate(cfg, origin):
                 f"got {cfg.values[key]!r}"
             )
     # epochs 0 is legal: train() then emits only the initial evaluation row.
-    if cfg.values["epochs"] < 0:
-        raise ConfigError(
-            f"{origin}: epochs must be >= 0, got {cfg.values['epochs']}"
-        )
+    non_negatives = ("epochs", "init_std", "noise_start", "noise_end",
+                     "lower_weight_decay", "train_subset")
+    for key in non_negatives:
+        if not cfg.values[key] >= 0:
+            raise ConfigError(
+                f"{origin}: {key} must be >= 0, got {cfg.values[key]}"
+            )
     positives = ("batch_size", "blobs_train_n", "blobs_test_n")
     for key in positives:
         if cfg.values[key] < 1:
@@ -229,7 +232,7 @@ def head_spec_from_config(cfg):
     try:
         return HeadSpec(
             kind=cfg.head,
-            num_classes=_num_classes(cfg),
+            num_classes=class_count(cfg),
             c=cfg.svm_c,
             weight_decay=cfg.weight_decay,
         )
@@ -237,7 +240,9 @@ def head_spec_from_config(cfg):
         raise ConfigError(str(e)) from None
 
 
-def _num_classes(cfg):
+def class_count(cfg):
+    """Classes in the configured dataset: blobs_classes, or 10 for IDX
+    and CIFAR-10 (what their loaders return)."""
     if cfg.dataset == "blobs":
         return cfg.blobs_classes
     return 10

@@ -172,10 +172,14 @@ CIFAR_RECORD = 1 + 3 * 32 * 32
 
 def load_cifar10(batch_paths, split="train"):
     """Load CIFAR-10 binary batches into a Dataset of [N, 3, 32, 32]
-    images scaled to [0, 1]."""
+    images scaled to [0, 1].
+
+    The float64 images are allocated once and each batch is scaled into
+    its slice, so they exist only once at the peak.
+    """
     if not batch_paths:
         raise DomainError("need at least one batch file")
-    chunks, labels = [], []
+    batches = []
     for path in batch_paths:
         raw = _read_bytes(path)
         if len(raw) == 0 or len(raw) % CIFAR_RECORD:
@@ -183,14 +187,15 @@ def load_cifar10(batch_paths, split="train"):
                 f"{path}: {len(raw)} bytes is not a whole number of "
                 f"{CIFAR_RECORD}-byte records"
             )
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-        labels.append(records[:, 0].astype(np.int64))
-        chunks.append(
-            records[:, 1:].astype(DTYPE).reshape(-1, 3, 32, 32) / 255.0
-        )
-    return Dataset(
-        np.concatenate(chunks), np.concatenate(labels), 10, split
-    )
+        batches.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD))
+    images = np.empty((sum(len(b) for b in batches), 3, 32, 32), dtype=DTYPE)
+    start = 0
+    for b in batches:
+        pixels = b[:, 1:].reshape(-1, 3, 32, 32)
+        np.divide(pixels, 255.0, out=images[start : start + len(b)], dtype=DTYPE)
+        start += len(b)
+    labels = np.concatenate([b[:, 0] for b in batches]).astype(np.int64)
+    return Dataset(images, labels, 10, split)
 
 
 def make_blobs(n, num_classes, dim, separation, rng, split="train"):
@@ -224,28 +229,9 @@ def make_blobs(n, num_classes, dim, separation, rng, split="train"):
     return Dataset(inputs, labels, num_classes, split)
 
 
-@dataclass
-class MinibatchPlan:
-    """One epoch's worth of minibatch index arrays over a shuffled permutation."""
-
-    permutation: np.ndarray
-    batch_size: int
-
-    @property
-    def num_batches(self):
-        return -(-len(self.permutation) // self.batch_size)
-
-    def batches(self):
-        n = len(self.permutation)
-        for start in range(0, n, self.batch_size):
-            yield self.permutation[start : start + self.batch_size]
-
-    def __iter__(self):
-        return self.batches()
-
-
 def minibatches(dataset, batch_size, rng):
-    """Plan one epoch of minibatches over ``dataset`` (a Dataset or a row count).
+    """One epoch of minibatch index arrays over ``dataset`` (a Dataset or
+    a row count), cut from one fresh permutation drawn from ``rng``.
 
     All batches have ``batch_size`` rows except a shorter final batch
     when batch_size does not divide n.  batch_size > n is rejected
@@ -258,23 +244,11 @@ def minibatches(dataset, batch_size, rng):
         raise DomainError(
             f"batch_size {batch_size} exceeds dataset size {n}"
         )
-    return MinibatchPlan(rng.permutation(n), batch_size)
+    permutation = rng.permutation(n)
+    return [permutation[start : start + batch_size]
+            for start in range(0, n, batch_size)]
 
 
 def num_batches(n, batch_size):
     return -(-n // batch_size)
 
-
-def kfold_indices(n, k, rng):
-    """Seeded k-fold partition: returns k (train_idx, val_idx) pairs
-    from one shuffled permutation, fold sizes differing by at most one."""
-    if not 2 <= k <= n:
-        raise DomainError(f"k must be in [2, {n}], got {k}")
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, k)
-    out = []
-    for i in range(k):
-        val = folds[i]
-        train = np.concatenate([folds[j] for j in range(k) if j != i])
-        out.append((train, val))
-    return out

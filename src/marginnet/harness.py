@@ -19,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcheck as gc
-from .config import ConfigError, head_spec_from_config
+from .config import ConfigError, class_count, head_spec_from_config
 from .data import Dataset, load_cifar10, load_idx, make_blobs, minibatches, num_batches
 from .heads import (
     HeadSpec,
+    cross_entropy,
     encode_targets,
     error_rate_pct,
+    head_penalty,
     head_scores,
+    hinge_terms,
     init_head_weights,
     l1svm_head,
     l2svm_head,
@@ -125,19 +128,10 @@ def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None,
         x = inputs[start : start + chunk]
         score_rows.append(head_scores(network.head_weights, network.forward(x)))
     scores = np.concatenate(score_rows)
-    k = spec.num_classes
-    one_hot = encode_targets(labels, k, "one_hot")
-    sign = 2.0 * one_hot - 1.0
-
-    w_nb = network.head_weights.copy()
-    w_nb[-1] = 0.0
-    reg = 0.5 * float(np.sum(w_nb * w_nb))
-
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    xent = -float(np.sum(one_hot * log_probs)) / n
-
-    hinge = np.maximum(1.0 - scores * sign, 0.0)
+    one_hot = encode_targets(labels, spec.num_classes, "one_hot")
+    reg, _ = head_penalty(network.head_weights)
+    xent = cross_entropy(scores, one_hot)
+    hinge = hinge_terms(scores, 2.0 * one_hot - 1.0)
     h1 = float(np.sum(hinge))
     h2 = float(np.sum(hinge * hinge))
 
@@ -150,19 +144,6 @@ def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None,
         hinge_sq_sum=reg + c * h2,
         hinge_sq_mean=reg + c * h2 / n,
     )
-
-
-def stack_penalty(network, lower_weight_decay):
-    """0.5 * wd * sum of squared stack weights (heads excluded)."""
-    if lower_weight_decay <= 0.0:
-        return 0.0
-    total = 0.0
-    for layer in network.layers:
-        if isinstance(layer, DenseLayer):
-            total += float(np.sum(layer.weights**2))
-        elif isinstance(layer, Conv2dLayer):
-            total += float(np.sum(layer.filters**2))
-    return 0.5 * lower_weight_decay * total
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +292,6 @@ def train(cfg, warm_from=None, command="train"):
     prepared = prepare_data(cfg, data_rng)
     train_set, test_set = prepared.train, prepared.test
     spec = head_spec_from_config(cfg)
-    if spec.num_classes != train_set.num_classes:
-        spec = HeadSpec(cfg.head, train_set.num_classes, cfg.svm_c,
-                        cfg.weight_decay)
     net = build_network(cfg, train_set.inputs, spec, init_rng)
     warm_meta = None
     if warm_from is not None:
@@ -345,7 +323,7 @@ def train(cfg, warm_from=None, command="train"):
             "lr": lr_sched.value(updates),
             "noise_std": noise_sched.value(updates),
             "train_loss": train_rep.own_loss(spec.kind)
-            + stack_penalty(net, cfg.lower_weight_decay),
+            + net.stack_penalty(cfg.lower_weight_decay),
             "test_error_pct": test_rep.error_pct,
             "avg_xent": test_rep.avg_xent,
             "hinge_sq_sum": test_rep.hinge_sq_sum,
@@ -535,6 +513,15 @@ def load_model(model_dir):
     return LoadedModel(net, pca, standardizer, meta, model_dir)
 
 
+def _network_and_inputs(model, inputs):
+    """``model`` and ``inputs`` as they are for a Network; for a
+    LoadedModel, its network and the inputs after its saved
+    preprocessing."""
+    if isinstance(model, LoadedModel):
+        return model.network, model.transform(inputs)
+    return model, inputs
+
+
 # ---------------------------------------------------------------------------
 # experiment procedures
 
@@ -547,12 +534,7 @@ def cross_objective_eval(model, dataset, c=None, weight_decay=None):
     configured with, so reports from differently-trained models are
     directly comparable when their configs shared those constants.
     """
-    if isinstance(model, LoadedModel):
-        inputs = model.transform(dataset.inputs)
-        net = model.network
-    else:
-        inputs = dataset.inputs
-        net = model
+    net, inputs = _network_and_inputs(model, dataset.inputs)
     return evaluate_objectives(net, inputs, dataset.labels, c, weight_decay)
 
 
@@ -560,32 +542,10 @@ def warm_start(source_model_dir, cfg, command="warmstart"):
     """Train per ``cfg`` starting from a saved model's parameters.
 
     Hidden layers and head weights all carry over; cfg picks the new
-    objective.  Architectures (and class counts) must match exactly.
+    objective.  Parameter shapes (and class counts) must match exactly,
+    or :class:`ConfigError` is raised.
     """
-    source = load_model(source_model_dir)
-    src_arch = dict(source.meta["arch"])
-    return train(cfg, warm_from=source, command=command) if _arch_compatible(
-        src_arch, cfg
-    ) else _raise_arch_mismatch(src_arch, cfg)
-
-
-def _arch_compatible(src_arch, cfg):
-    if src_arch["kind"] != cfg.arch:
-        return False
-    if cfg.arch == "mlp":
-        return src_arch["hidden_dims"] == list(cfg.hidden_dims)
-    return (
-        src_arch["conv_channels"] == list(cfg.conv_channels)
-        and src_arch["kernel_size"] == cfg.conv_kernel
-        and src_arch["dense_dim"] == cfg.conv_dense
-    )
-
-
-def _raise_arch_mismatch(src_arch, cfg):
-    raise ConfigError(
-        f"warm start architecture mismatch: source {src_arch}, "
-        f"config arch={cfg.arch}"
-    )
+    return train(cfg, warm_from=load_model(source_model_dir), command=command)
 
 
 def ensemble_predict(models, inputs):
@@ -601,14 +561,9 @@ def ensemble_predict(models, inputs):
     kinds = set()
     totals = None
     for m in models:
-        if isinstance(m, LoadedModel):
-            x = m.transform(inputs)
-            net = m.network
-        else:
-            x = inputs
-            net = m
+        net, x = _network_and_inputs(m, inputs)
         kinds.add("softmax" if net.head_spec.kind == "softmax" else "margin")
-        out = head_scores(net.head_weights, net.forward(x))
+        out = net.scores(x)
         if net.head_spec.kind == "softmax":
             out = softmax_probs(out)
         if totals is None:
@@ -653,19 +608,14 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
     x = rng.normal(size=(4, 5))
     r = rng.normal(size=(4, 6))
     dense.forward(x)
-    grads = dense.backward(r)
-    results.append(gc.check_gradient(
-        "dense.d_input", lambda: float(np.sum(dense_eval(dense, x) * r)),
-        x, grads.d_input,
-    ))
-    results.append(gc.check_gradient(
-        "dense.d_weights", lambda: float(np.sum(dense_eval(dense, x) * r)),
-        dense.weights, grads.d_weights,
-    ))
-    results.append(gc.check_gradient(
-        "dense.d_bias", lambda: float(np.sum(dense_eval(dense, x) * r)),
-        dense.bias, grads.d_bias,
-    ))
+    d_x = dense.backward(r)
+    for name, tensor, grad in (("d_input", x, d_x),
+                               ("d_weights", dense.weights, dense.d_weights),
+                               ("d_bias", dense.bias, dense.d_bias)):
+        results.append(gc.check_gradient(
+            f"dense.{name}", lambda: float(np.sum(dense.forward(x) * r)),
+            tensor, grad,
+        ))
 
     # relu, inputs kept away from the kink at 0
     xr = rng.normal(size=(4, 6))
@@ -681,19 +631,14 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
     xc = rng.normal(size=(2, 2, 6, 6))
     rc = rng.normal(size=(2, 3, 6, 6))
     conv.forward(xc)
-    cgrads = conv.backward(rc)
-    results.append(gc.check_gradient(
-        "conv.d_input", lambda: float(np.sum(conv_eval(conv, xc) * rc)),
-        xc, cgrads.d_input,
-    ))
-    results.append(gc.check_gradient(
-        "conv.d_filters", lambda: float(np.sum(conv_eval(conv, xc) * rc)),
-        conv.filters, cgrads.d_weights,
-    ))
-    results.append(gc.check_gradient(
-        "conv.d_bias", lambda: float(np.sum(conv_eval(conv, xc) * rc)),
-        conv.bias, cgrads.d_bias,
-    ))
+    d_xc = conv.backward(rc)
+    for name, tensor, grad in (("d_input", xc, d_xc),
+                               ("d_filters", conv.filters, conv.d_filters),
+                               ("d_bias", conv.bias, conv.d_bias)):
+        results.append(gc.check_gradient(
+            f"conv.{name}", lambda: float(np.sum(conv.forward(xc) * rc)),
+            tensor, grad,
+        ))
 
     # maxpool, distinct entries so the argmax is stable under perturbation
     xm = rng.permutation(2 * 2 * 4 * 4).astype(float).reshape(2, 2, 4, 4)
@@ -775,7 +720,7 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
         while _kink_gap(net, xs, ys) <= KINK_CLEARANCE:
             xs = rng.normal(size=(6, d))
         net.backprop(xs, ys, train=False)
-        for pname, (param, grad) in _named_params(net):
+        for (pname, param), grad in zip(net.named_tensors().items(), net.grads()):
             results.append(gc.check_gradient(
                 f"mlp[{kind}].{pname}",
                 lambda: net.head_output(xs, ys).loss,
@@ -799,41 +744,12 @@ def _kink_gap(net, xs, labels):
     return min(gaps, default=np.inf)
 
 
-def dense_eval(layer, x):
-    # Evaluate without disturbing cached state (fresh throwaway forward).
-    return x @ layer.weights + layer.bias
-
-
-def conv_eval(layer, x):
-    probe = Conv2dLayer(
-        layer.in_channels, layer.out_channels, layer.kernel_size,
-        padding=layer.padding, stride=layer.stride,
-    )
-    probe.filters = layer.filters
-    probe.bias = layer.bias
-    return probe.forward(x)
-
-
-def _named_params(net):
-    names = list(net.named_tensors().items())
-    grads = net.grads()
-    params = net.params()
-    out = []
-    for (name, tensor), param, grad in zip(names, params, grads):
-        assert tensor is param
-        out.append((name, (param, grad)))
-    return out
-
-
 def run_gradcheck(cfg):
     """Config-driven entry point; returns (results, all_passed)."""
     hidden = cfg.hidden_dims if cfg.arch == "mlp" else (8, 8)
     results = gradcheck_suite(
-        hidden_dims=tuple(hidden), num_classes=max(_safe_classes(cfg), 2),
+        hidden_dims=tuple(hidden), num_classes=max(class_count(cfg), 2),
         seed=cfg.seed,
     )
     return results, all(r.passed for r in results)
 
-
-def _safe_classes(cfg):
-    return cfg.blobs_classes if cfg.dataset == "blobs" else 10

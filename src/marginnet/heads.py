@@ -136,11 +136,6 @@ def softmax_probs(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def encode_targets(labels, num_classes, encoding):
     """Encode integer labels [N] as one-hot {0,1} or sign {-1,+1} targets.
 
@@ -164,39 +159,45 @@ def encode_targets(labels, num_classes, encoding):
     raise DomainError(f"unknown target encoding {encoding!r}")
 
 
-def _check_one_hot(targets, n, k):
+def _check_targets(targets, n, k, off):
+    """Targets must be [n, k], 1.0 once per row and ``off`` elsewhere:
+    off 0 is the one-hot encoding, off -1 the sign encoding."""
     targets = np.asarray(targets, dtype=DTYPE)
     if targets.shape != (n, k):
-        raise ShapeError(
-            f"one-hot targets must be [{n}, {k}], got {targets.shape}"
-        )
-    if not (np.all((targets == 0.0) | (targets == 1.0))
-            and np.all(targets.sum(axis=1) == 1.0)):
+        raise ShapeError(f"targets must be [{n}, {k}], got {targets.shape}")
+    on = targets == 1.0
+    if not (np.all(on | (targets == off)) and np.all(on.sum(axis=1) == 1)):
         raise DomainError(
-            "one-hot targets must be 0/1 with exactly one 1 per row"
+            f"targets must be 1/{off:g} with exactly one 1 per row"
         )
     return targets
 
 
-def _check_sign(targets, n, k):
-    targets = np.asarray(targets, dtype=DTYPE)
-    if targets.shape != (n, k):
-        raise ShapeError(
-            f"sign targets must be [{n}, {k}], got {targets.shape}"
-        )
-    if not (np.all(np.abs(targets) == 1.0)
-            and np.all((targets == 1.0).sum(axis=1) == 1)):
-        raise DomainError(
-            "sign targets must be +/-1 with exactly one +1 per row"
-        )
-    return targets
-
-
-def _reg_and_grad(w):
-    # Bias row carries no penalty and no regularizer gradient.
-    w_nb = w.copy()
+def head_penalty(w):
+    """0.5 * ||W_nobias||^2 and its gradient W_nobias: the bias row
+    carries no penalty."""
+    w_nb = np.array(w, dtype=DTYPE)
     w_nb[-1] = 0.0
     return 0.5 * float(np.sum(w_nb * w_nb)), w_nb
+
+
+def cross_entropy(scores, targets_one_hot):
+    """Mean over rows of -log softmax(scores) at the target class."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return -float(np.sum(targets_one_hot * log_probs)) / scores.shape[0]
+
+
+def hinge_terms(scores, targets_sign):
+    """max(1 - margin, 0) per score, with margins M = scores * T."""
+    return np.maximum(1.0 - scores * targets_sign, 0.0)
+
+
+def _head_output(loss, h, w, scores, d_scores, d_w_penalty):
+    # Chain d_scores back through scores = augment(h) @ w.
+    d_w = augment_ones(h).T @ d_scores + d_w_penalty
+    d_h = (d_scores @ w.T)[:, :-1]
+    return HeadOutput(loss, scores, d_w, d_h)
 
 
 def softmax_head(w, h, targets_one_hot, weight_decay=0.0):
@@ -209,15 +210,12 @@ def softmax_head(w, h, targets_one_hot, weight_decay=0.0):
     h = np.asarray(h, dtype=DTYPE)
     scores = head_scores(w, h)
     n, k = scores.shape
-    targets = _check_one_hot(targets_one_hot, n, k)
+    targets = _check_targets(targets_one_hot, n, k, off=0.0)
     w = np.asarray(w, dtype=DTYPE)
-    log_probs = _log_softmax(scores)
-    data_loss = -float(np.sum(targets * log_probs)) / n
-    reg, w_nb = _reg_and_grad(w)
+    reg, w_nb = head_penalty(w)
     d_scores = (softmax_probs(scores) - targets) / n
-    d_w = augment_ones(h).T @ d_scores + weight_decay * w_nb
-    d_h = (d_scores @ w.T)[:, :-1]
-    return HeadOutput(data_loss + weight_decay * reg, scores, d_w, d_h)
+    loss = cross_entropy(scores, targets) + weight_decay * reg
+    return _head_output(loss, h, w, scores, d_scores, weight_decay * w_nb)
 
 
 def _svm_head(w, h, targets_sign, c, squared):
@@ -225,21 +223,18 @@ def _svm_head(w, h, targets_sign, c, squared):
     h = np.asarray(h, dtype=DTYPE)
     scores = head_scores(w, h)
     n, k = scores.shape
-    targets = _check_sign(targets_sign, n, k)
+    targets = _check_targets(targets_sign, n, k, off=-1.0)
     w = np.asarray(w, dtype=DTYPE)
-    margins = scores * targets
-    hinge = np.maximum(1.0 - margins, 0.0)
-    reg, w_nb = _reg_and_grad(w)
+    hinge = hinge_terms(scores, targets)
+    reg, w_nb = head_penalty(w)
     if squared:
         data = float(np.sum(hinge * hinge))
         d_scores = -2.0 * c * targets * hinge
     else:
         data = float(np.sum(hinge))
         # Subgradient choice: exactly-at-margin examples (M == 1) get 0.
-        d_scores = -c * targets * (margins < 1.0)
-    d_w = augment_ones(h).T @ d_scores + w_nb
-    d_h = (d_scores @ w.T)[:, :-1]
-    return HeadOutput(reg + c * data, scores, d_w, d_h)
+        d_scores = -c * targets * (hinge > 0.0)
+    return _head_output(reg + c * data, h, w, scores, d_scores, w_nb)
 
 
 def l1svm_head(w, h, targets_sign, c):

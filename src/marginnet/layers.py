@@ -3,12 +3,16 @@
 Conventions:
     - Dense inputs are [N, in]; image inputs are NCHW ([N, C, H, W]).
     - ``forward(x, train=..., rng=...)`` caches what backward needs;
-      ``backward(d_out)`` consumes that cache and returns a
-      :class:`LayerGradients`.  One outstanding forward per instance:
-      backward clears the cache, and calling it again without a fresh
-      forward raises :class:`LayerStateError`.
-    - Parameter gradients are also kept on the layer (``d_weights`` etc.)
-      so an optimizer can collect them after a backward pass.
+      ``backward(d_out)`` consumes that cache and returns ``d_input``,
+      the gradient with respect to the forward input (same shape).  One
+      outstanding forward per instance: backward clears the cache, and
+      calling it again without a fresh forward raises
+      :class:`LayerStateError`.
+    - ``param_names`` lists a layer's parameter attributes, weight tensor
+      first; backward leaves the gradient of parameter ``p`` in
+      ``d_<p>``.  ``params()`` and ``param_grads()`` return them in that
+      order, so an optimizer can collect them after a backward pass.
+      Parameter-free layers have an empty ``param_names``.
 
 Gradients of every layer here are verified against central finite
 differences in the test suite.
@@ -20,8 +24,6 @@ a single 2-D matmul, and the input gradient is scattered back (col2im)
 with one small matmul per kernel offset.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import DTYPE, DomainError, ShapeError, matmul
@@ -31,17 +33,16 @@ class LayerStateError(RuntimeError):
     """backward() called without a preceding forward() on this instance."""
 
 
-@dataclass
-class LayerGradients:
-    """Gradients produced by one backward pass.
+class Layer:
+    """Base class: ``params()`` and ``param_grads()`` from ``param_names``."""
 
-    ``d_weights`` / ``d_bias`` are None for parameter-free layers.
-    ``d_input`` always matches the forward input's shape.
-    """
+    param_names = ()
 
-    d_input: np.ndarray
-    d_weights: np.ndarray | None = None
-    d_bias: np.ndarray | None = None
+    def params(self):
+        return [getattr(self, name) for name in self.param_names]
+
+    def param_grads(self):
+        return [getattr(self, "d_" + name) for name in self.param_names]
 
 
 def _init_gaussian(rng, shape, std):
@@ -50,8 +51,10 @@ def _init_gaussian(rng, shape, std):
     return rng.normal(0.0, std, size=shape).astype(DTYPE, copy=False)
 
 
-class DenseLayer:
+class DenseLayer(Layer):
     """Affine map x -> x @ W + b with weights [in, out] and bias [out]."""
+
+    param_names = ("weights", "bias")
 
     def __init__(self, n_in, n_out, rng=None, init_std=0.01):
         self.n_in = n_in
@@ -84,13 +87,7 @@ class DenseLayer:
         self.d_bias = d_out.sum(axis=0)
         d_input = matmul(d_out, self.weights.T)
         self._cached_input = None
-        return LayerGradients(d_input, self.d_weights, self.d_bias)
-
-    def params(self):
-        return [self.weights, self.bias]
-
-    def param_grads(self):
-        return [self.d_weights, self.d_bias]
+        return d_input
 
 
 def relu(x):
@@ -110,7 +107,7 @@ def relu_backward(d_out, cached_x):
     return d_out * (cached_x > 0)
 
 
-class ReluLayer:
+class ReluLayer(Layer):
     def __init__(self):
         self._cached_input = None
 
@@ -124,16 +121,10 @@ class ReluLayer:
             raise LayerStateError("relu backward called before forward")
         d_input = relu_backward(d_out, self._cached_input)
         self._cached_input = None
-        return LayerGradients(d_input)
-
-    def params(self):
-        return []
-
-    def param_grads(self):
-        return []
+        return d_input
 
 
-class Conv2dLayer:
+class Conv2dLayer(Layer):
     """2-D cross-correlation (no kernel flip) over NCHW inputs.
 
     Filters are [out_channels, in_channels, k, k] with one bias per
@@ -157,6 +148,8 @@ class Conv2dLayer:
     bit-identical from run to run at a fixed BLAS thread count; a
     different thread count can change their last bits.
     """
+
+    param_names = ("filters", "bias")
 
     def __init__(self, in_channels, out_channels, kernel_size, padding=None,
                  stride=1, rng=None, init_std=0.01):
@@ -244,13 +237,7 @@ class Conv2dLayer:
                 ).reshape(c, n, ho, wo)
         d_input = d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
         self._cache = None
-        return LayerGradients(d_input, self.d_filters, self.d_bias)
-
-    def params(self):
-        return [self.filters, self.bias]
-
-    def param_grads(self):
-        return [self.d_filters, self.d_bias]
+        return d_input
 
 
 def maxpool2x2(x):
@@ -304,7 +291,7 @@ def maxpool_backward(d_out, switches):
     )
 
 
-class MaxPool2x2Layer:
+class MaxPool2x2Layer(Layer):
     def __init__(self):
         self._switches = None
 
@@ -317,16 +304,10 @@ class MaxPool2x2Layer:
             raise LayerStateError("maxpool backward called before forward")
         d_input = maxpool_backward(d_out, self._switches)
         self._switches = None
-        return LayerGradients(d_input)
-
-    def params(self):
-        return []
-
-    def param_grads(self):
-        return []
+        return d_input
 
 
-class FlattenLayer:
+class FlattenLayer(Layer):
     """[N, ...] -> [N, prod(...)], undone on backward."""
 
     def __init__(self):
@@ -342,13 +323,7 @@ class FlattenLayer:
             raise LayerStateError("flatten backward called before forward")
         d_input = np.asarray(d_out, dtype=DTYPE).reshape(self._shape)
         self._shape = None
-        return LayerGradients(d_input)
-
-    def params(self):
-        return []
-
-    def param_grads(self):
-        return []
+        return d_input
 
 
 def dropout(x, rate, train, rng):
@@ -370,7 +345,7 @@ def _check_rate(rate):
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
 
 
-class DropoutLayer:
+class DropoutLayer(Layer):
     def __init__(self, rate):
         _check_rate(rate)
         self.rate = rate
@@ -390,18 +365,12 @@ class DropoutLayer:
     def backward(self, d_out):
         if self._identity:
             self._identity = False
-            return LayerGradients(np.asarray(d_out, dtype=DTYPE))
+            return np.asarray(d_out, dtype=DTYPE)
         if self._mask is None:
             raise LayerStateError("dropout backward called before forward")
         d_input = np.asarray(d_out, dtype=DTYPE) * self._mask
         self._mask = None
-        return LayerGradients(d_input)
-
-    def params(self):
-        return []
-
-    def param_grads(self):
-        return []
+        return d_input
 
 
 def gaussian_noise(x, std, rng):

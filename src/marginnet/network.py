@@ -51,30 +51,33 @@ class Network:
         """Full forward/backward pass; returns the HeadOutput.
 
         Afterwards params()/grads() give aligned lists for an optimizer.
-        ``lower_weight_decay`` adds 0.5*wd*||W||^2 on every stack weight
-        matrix (not biases, not the head) to the loss and gradients.
+        ``lower_weight_decay`` adds :meth:`stack_penalty` to the loss and
+        its gradient to every stack weight tensor.
         """
         h = self.forward(x, train=train, rng=rng)
         out = heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
         self.d_head_weights = out.d_w
         d = out.d_h
         for layer in reversed(self.layers):
-            d = layer.backward(d).d_input
+            d = layer.backward(d)
         if lower_weight_decay > 0.0:
-            extra = 0.0
             for layer in self.layers:
-                if isinstance(layer, DenseLayer):
-                    layer.d_weights += lower_weight_decay * layer.weights
-                    extra += 0.5 * lower_weight_decay * float(
-                        np.sum(layer.weights**2)
-                    )
-                elif isinstance(layer, Conv2dLayer):
-                    layer.d_filters += lower_weight_decay * layer.filters
-                    extra += 0.5 * lower_weight_decay * float(
-                        np.sum(layer.filters**2)
-                    )
-            out.loss += extra
+                if layer.param_names:
+                    d_weight = layer.param_grads()[0]
+                    d_weight += lower_weight_decay * layer.params()[0]
+            out.loss += self.stack_penalty(lower_weight_decay)
         return out
+
+    def stack_penalty(self, lower_weight_decay):
+        """0.5 * wd * the summed squares of every stack weight tensor (the
+        first parameter of each layer; not biases, not the head)."""
+        if lower_weight_decay <= 0.0:
+            return 0.0
+        total = 0.0
+        for layer in self.layers:
+            if layer.param_names:
+                total += float(np.sum(layer.params()[0] ** 2))
+        return 0.5 * lower_weight_decay * total
 
     def params(self):
         out = []
@@ -94,12 +97,8 @@ class Network:
         """Stable name -> parameter array mapping for serialization."""
         out = {}
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, DenseLayer):
-                out[f"layer{i}.weights"] = layer.weights
-                out[f"layer{i}.bias"] = layer.bias
-            elif isinstance(layer, Conv2dLayer):
-                out[f"layer{i}.filters"] = layer.filters
-                out[f"layer{i}.bias"] = layer.bias
+            for name, tensor in zip(layer.param_names, layer.params()):
+                out[f"layer{i}.{name}"] = tensor
         out["head.weights"] = self.head_weights
         return out
 

@@ -23,14 +23,6 @@ class DomainError(ValueError):
     """An argument is outside the operation's domain."""
 
 
-def as_tensor(values, shape=None):
-    """Coerce ``values`` to a float64 array, optionally reshaped."""
-    a = np.asarray(values, dtype=DTYPE)
-    if shape is not None:
-        a = a.reshape(shape)
-    return a
-
-
 def matmul(a, b):
     """Matrix product of two rank-2 tensors.
 
@@ -47,66 +39,12 @@ def matmul(a, b):
     return a @ b
 
 
-def _check_same_shape(op, a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
-
-
-def add(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    _check_same_shape("add", a, b)
-    return a + b
-
-
-def sub(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    _check_same_shape("sub", a, b)
-    return a - b
-
-
-def mul(a, b):
-    """Elementwise (Hadamard) product."""
-    a, b = np.asarray(a), np.asarray(b)
-    _check_same_shape("mul", a, b)
-    return a * b
-
-
-def scale(a, s):
-    """Multiply every element by the scalar ``s``."""
-    return np.asarray(a) * float(s)
-
-
-def max_with_scalar(a, s):
-    """Elementwise ``max(a, s)`` against a scalar (clamp from below)."""
-    return np.maximum(np.asarray(a), float(s))
-
-
-def reduce_sum(a, axis=None):
-    a = np.asarray(a)
-    _check_axis(a, axis)
-    return np.sum(a, axis=axis)
-
-
-def reduce_mean(a, axis=None):
-    a = np.asarray(a)
-    _check_axis(a, axis)
-    return np.mean(a, axis=axis)
-
-
 def argmax(a, axis=-1):
     """Index of the maximum along ``axis``; ties go to the LOWEST index."""
     a = np.asarray(a)
-    _check_axis(a, axis)
-    if a.shape[axis if axis >= 0 else a.ndim + axis] == 0:
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"axis {axis} out of range for shape {a.shape}")
+    if a.shape[axis] == 0:
         raise DomainError("argmax over an empty axis")
     # np.argmax returns the first occurrence, which is the lowest index.
     return np.argmax(a, axis=axis)
-
-
-def _check_axis(a, axis):
-    if axis is None:
-        if a.size == 0:
-            raise DomainError("reduction over an empty tensor")
-        return
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"axis {axis} out of range for shape {a.shape}")

@@ -66,6 +66,13 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_init_std_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "bad.cfg", TINY_BLOBS + "init_std = -1\n"
+                        f"out_dir = {tmp_path}/run\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert "init_std" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "no.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -89,6 +96,16 @@ class TestEval:
         )
         out = capsys.readouterr().out
         assert "error_pct=" in out
+
+    def test_model_dir_without_manifest_exits_2(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        cfg = write_cfg(
+            tmp_path, "eval.cfg",
+            TINY_BLOBS + f"model = {tmp_path}/empty\n"
+            f"out_dir = {tmp_path}/eval\n",
+        )
+        assert main(["eval", "--config", cfg]) == 2
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_eval_needs_a_model(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "eval.cfg",

@@ -53,6 +53,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("epochs = -1\n")
 
+    @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
+                                     "lower_weight_decay", "train_subset"])
+    def test_negative_value_rejected_at_parse_time(self, key):
+        assert getattr(parse_config_text(f"{key} = 0\n"), key) == 0
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"{key} = -1\n", origin="run.cfg")
+        assert key in str(exc.value)
+        assert "run.cfg" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
+                                     "lower_weight_decay"])
+    def test_nan_rejected_at_parse_time(self, key):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"{key} = nan\n")
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 9\nbatch_size = 16\n")

@@ -1,5 +1,6 @@
 import gzip
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,8 +12,6 @@ from marginnet.data import (
     IdxFormatError,
     IdxMagicError,
     IdxTruncatedError,
-    MinibatchPlan,
-    kfold_indices,
     load_cifar10,
     load_idx,
     make_blobs,
@@ -118,6 +117,46 @@ class TestCifar10:
             ds.inputs.reshape(n, 3072), pixels / 255.0
         )
 
+    @staticmethod
+    def _write_batches(tmp_path, count, records):
+        rng = np.random.default_rng(21)
+        paths = []
+        for i in range(count):
+            raw = rng.integers(0, 256, size=(records, 3073), dtype=np.uint8)
+            raw[:, 0] %= 10
+            raw[:256, 1] = np.arange(256)  # every byte value occurs
+            path = str(tmp_path / f"data_batch_{i + 1}.bin")
+            raw.tofile(path)
+            paths.append(path)
+        return paths
+
+    def test_bytes_match_the_per_batch_expression(self, tmp_path):
+        paths = self._write_batches(tmp_path, 2, 300)
+        ds = load_cifar10(paths)
+        records = [np.fromfile(p, dtype=np.uint8).reshape(-1, 3073) for p in paths]
+        expected = np.concatenate([
+            r[:, 1:].astype(np.float64).reshape(-1, 3, 32, 32) / 255.0
+            for r in records
+        ])
+        assert ds.inputs.dtype == np.float64
+        npt.assert_array_equal(ds.inputs.view(np.uint64), expected.view(np.uint64))
+        npt.assert_array_equal(
+            ds.labels, np.concatenate([r[:, 0] for r in records]).astype(np.int64)
+        )
+
+    def test_images_are_held_once_at_the_peak(self, tmp_path):
+        # Two batches of 1000 records make a 49 MB result; scaling each
+        # batch out of place and concatenating would peak near twice that.
+        paths = self._write_batches(tmp_path, 2, 1000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ds = load_cifar10(paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.inputs.nbytes
+
     def test_ragged_file_rejected(self, tmp_path):
         path = str(tmp_path / "bad.bin")
         with open(path, "wb") as f:
@@ -186,21 +225,18 @@ class TestDataset:
 
 class TestMinibatches:
     def test_sizes_with_short_final_batch(self):
-        plan = minibatches(10, 3, np.random.default_rng(6))
-        sizes = [len(b) for b in plan]
-        assert sizes == [3, 3, 3, 1]
-        assert plan.num_batches == 4
+        batches = minibatches(10, 3, np.random.default_rng(6))
+        assert [len(b) for b in batches] == [3, 3, 3, 1]
 
     def test_batches_partition_the_index_range(self):
-        plan = minibatches(23, 5, np.random.default_rng(7))
-        seen = np.concatenate(list(plan.batches()))
+        batches = minibatches(23, 5, np.random.default_rng(7))
+        seen = np.concatenate(batches)
         npt.assert_array_equal(np.sort(seen), np.arange(23))
 
     def test_accepts_dataset_directly(self):
         ds = Dataset(np.zeros((9, 2)), np.zeros(9, dtype=int), num_classes=2)
-        plan = minibatches(ds, 4, np.random.default_rng(8))
-        assert isinstance(plan, MinibatchPlan)
-        assert plan.num_batches == 3
+        batches = minibatches(ds, 4, np.random.default_rng(8))
+        assert [len(b) for b in batches] == [4, 4, 1]
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(DomainError):
@@ -210,22 +246,17 @@ class TestMinibatches:
 
     def test_fresh_permutation_per_epoch(self):
         rng = np.random.default_rng(10)
-        first = minibatches(64, 8, rng).permutation
-        second = minibatches(64, 8, rng).permutation
+        first = np.concatenate(minibatches(64, 8, rng))
+        second = np.concatenate(minibatches(64, 8, rng))
         assert not np.array_equal(first, second)
+
+    def test_batches_cut_the_permutation_drawn_at_call_time(self):
+        batches = minibatches(11, 4, np.random.default_rng(12))
+        permutation = np.random.default_rng(12).permutation(11)
+        npt.assert_array_equal(np.concatenate(batches), permutation)
 
     def test_num_batches_is_ceiling(self):
         assert num_batches(10, 3) == 4
         assert num_batches(9, 3) == 3
         assert num_batches(1, 1) == 1
 
-
-class TestKfold:
-    def test_folds_partition_and_stay_disjoint(self):
-        folds = kfold_indices(17, 4, np.random.default_rng(11))
-        assert len(folds) == 4
-        all_val = np.concatenate([val for _, val in folds])
-        npt.assert_array_equal(np.sort(all_val), np.arange(17))
-        for train, val in folds:
-            assert set(train.tolist()).isdisjoint(val.tolist())
-            assert len(train) + len(val) == 17

@@ -108,14 +108,14 @@ class TestDense:
         x = rng.normal(size=(5, 3))
         r = rng.normal(size=(5, 4))  # fixed projection makes a scalar loss
         layer.forward(x)
-        grads = layer.backward(r)
+        d_x = layer.backward(r)
 
         def loss():
             return float(np.sum((x @ layer.weights + layer.bias) * r))
 
-        assert gc.check_gradient("d_w", loss, layer.weights, grads.d_weights).passed
-        assert gc.check_gradient("d_b", loss, layer.bias, grads.d_bias).passed
-        assert gc.check_gradient("d_x", loss, x, grads.d_input).passed
+        assert gc.check_gradient("d_w", loss, layer.weights, layer.d_weights).passed
+        assert gc.check_gradient("d_b", loss, layer.bias, layer.d_bias).passed
+        assert gc.check_gradient("d_x", loss, x, d_x).passed
 
     def test_backward_without_forward_is_a_state_error(self):
         layer = DenseLayer(2, 2)
@@ -129,9 +129,11 @@ class TestDense:
         x = rng.normal(size=(4, 3))
         r = rng.normal(size=(4, 2))
         layer.forward(x)
-        first = layer.backward(r).d_weights.copy()
+        layer.backward(r)
+        first = layer.d_weights.copy()
         layer.forward(x)
-        second = layer.backward(r).d_weights
+        layer.backward(r)
+        second = layer.d_weights
         npt.assert_array_equal(first, second)
 
 
@@ -182,7 +184,7 @@ class TestConv2d:
         x = rng.normal(size=(1, 2, 6, 6))
         r = rng.normal(size=(1, 3, 6, 6))
         layer.forward(x)
-        grads = layer.backward(r)
+        d_x = layer.backward(r)
 
         def loss():
             fresh = Conv2dLayer(2, 3, 3, padding=1)
@@ -190,9 +192,9 @@ class TestConv2d:
             fresh.bias[...] = layer.bias
             return float(np.sum(fresh.forward(x) * r))
 
-        assert gc.check_gradient("d_f", loss, layer.filters, grads.d_weights).passed
-        assert gc.check_gradient("d_b", loss, layer.bias, grads.d_bias).passed
-        assert gc.check_gradient("d_x", loss, x, grads.d_input).passed
+        assert gc.check_gradient("d_f", loss, layer.filters, layer.d_filters).passed
+        assert gc.check_gradient("d_b", loss, layer.bias, layer.d_bias).passed
+        assert gc.check_gradient("d_x", loss, x, d_x).passed
 
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -216,15 +218,15 @@ class TestConv2d:
                 )
             )
             r = rng.normal(size=out.shape)
-            grads = layer.backward(r)
+            d_x = layer.backward(r)
             d_input, d_filters, d_bias = _reference_conv_backward(
                 x, layer.filters, r, layer.padding, stride
             )
-            _assert_matches_reference(grads.d_input, d_input)
-            _assert_matches_reference(grads.d_weights, d_filters)
-            _assert_matches_reference(grads.d_bias, d_bias)
-            assert grads.d_weights is layer.d_filters
-            assert grads.d_bias is layer.d_bias
+            _assert_matches_reference(d_x, d_input)
+            _assert_matches_reference(layer.d_filters, d_filters)
+            _assert_matches_reference(layer.d_bias, d_bias)
+            d_filters_out, d_bias_out = layer.param_grads()
+            assert d_filters_out is layer.d_filters and d_bias_out is layer.d_bias
 
     def test_strided_batch_backward_matches_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -234,7 +236,7 @@ class TestConv2d:
         out = layer.forward(x)
         assert out.shape == (3, 3, 4, 3)
         r = rng.normal(size=out.shape)
-        grads = layer.backward(r)
+        d_x = layer.backward(r)
 
         def loss():
             fresh = Conv2dLayer(2, 3, 3, stride=2)
@@ -242,9 +244,9 @@ class TestConv2d:
             fresh.bias[...] = layer.bias
             return float(np.sum(fresh.forward(x) * r))
 
-        assert gc.check_gradient("d_f", loss, layer.filters, grads.d_weights).passed
-        assert gc.check_gradient("d_b", loss, layer.bias, grads.d_bias).passed
-        assert gc.check_gradient("d_x", loss, x, grads.d_input).passed
+        assert gc.check_gradient("d_f", loss, layer.filters, layer.d_filters).passed
+        assert gc.check_gradient("d_b", loss, layer.bias, layer.d_bias).passed
+        assert gc.check_gradient("d_x", loss, x, d_x).passed
 
     def test_bad_geometry_rejected(self):
         layer = Conv2dLayer(1, 1, 5, padding=0)
@@ -356,8 +358,7 @@ class TestFlatten:
         layer = FlattenLayer()
         flat = layer.forward(x)
         assert flat.shape == (3, 32)
-        grads = layer.backward(flat)
-        npt.assert_array_equal(grads.d_input, x)
+        npt.assert_array_equal(layer.backward(flat), x)
 
 
 class TestDropout:
@@ -398,9 +399,9 @@ class TestDropout:
         layer = DropoutLayer(0.5)
         x = np.ones((4, 8))
         out = layer.forward(x, train=True, rng=rng)
-        grads = layer.backward(np.ones_like(out))
+        d_x = layer.backward(np.ones_like(out))
         # gradient passes exactly where activations passed, same scaling
-        npt.assert_array_equal(grads.d_input, out)
+        npt.assert_array_equal(d_x, out)
 
 
 class TestGaussianNoise:

@@ -4,26 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginnet.tensor import (
-    DomainError,
-    ShapeError,
-    add,
-    argmax,
-    as_tensor,
-    matmul,
-    max_with_scalar,
-    mul,
-    reduce_mean,
-    reduce_sum,
-    scale,
-    sub,
-)
+from marginnet.tensor import DomainError, ShapeError, argmax, matmul
 
 
 class TestMatmul:
     def test_worked_2x2_times_2x1(self):
-        a = as_tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = as_tensor([[5.0], [6.0]])
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[5.0], [6.0]])
         npt.assert_array_equal(matmul(a, b), [[17.0], [39.0]])
 
     def test_inner_dim_mismatch_names_both_shapes(self):
@@ -71,38 +58,10 @@ def test_matmul_associative_within_1e_9(n, k, m, p, seed):
     npt.assert_allclose(left, right, atol=1e-9)
 
 
-class TestElementwise:
-    def test_add_sub_mul_scale(self):
-        a = as_tensor([[1.0, -2.0], [3.0, 0.0]])
-        b = as_tensor([[0.5, 2.0], [-1.0, 4.0]])
-        npt.assert_array_equal(add(a, b), [[1.5, 0.0], [2.0, 4.0]])
-        npt.assert_array_equal(sub(a, b), [[0.5, -4.0], [4.0, -4.0]])
-        npt.assert_array_equal(mul(a, b), [[0.5, -4.0], [-3.0, 0.0]])
-        npt.assert_array_equal(scale(a, -2.0), [[-2.0, 4.0], [-6.0, 0.0]])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            add(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    def test_max_with_scalar(self):
-        a = as_tensor([-1.0, 0.0, 2.0])
-        npt.assert_array_equal(max_with_scalar(a, 0.0), [0.0, 0.0, 2.0])
-
-    def test_float64_throughout(self):
-        out = add(as_tensor([1]), as_tensor([2]))
-        assert out.dtype == np.float64
-
-
 class TestReductions:
-    def test_reduce_sum_and_mean(self):
-        a = as_tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert reduce_sum(a) == 10.0
-        npt.assert_array_equal(reduce_sum(a, axis=0), [4.0, 6.0])
-        npt.assert_array_equal(reduce_mean(a, axis=1), [1.5, 3.5])
-
     def test_argmax_tie_returns_lowest_index(self):
-        assert argmax(as_tensor([3.0, 1.0, 3.0])) == 0
-        row_ties = as_tensor([[2.0, 2.0, 1.0], [0.0, 5.0, 5.0]])
+        assert argmax(np.array([3.0, 1.0, 3.0])) == 0
+        row_ties = np.array([[2.0, 2.0, 1.0], [0.0, 5.0, 5.0]])
         npt.assert_array_equal(argmax(row_ties, axis=1), [0, 1])
 
     def test_argmax_empty_axis_is_domain_error(self):
@@ -111,10 +70,8 @@ class TestReductions:
         with pytest.raises(DomainError):
             argmax(np.zeros((3, 0)), axis=1)
 
-
-@settings(deadline=None, derandomize=True, max_examples=40)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 20))
-def test_reduce_sum_matches_python_sum(seed, n):
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-10, 10, size=n)
-    npt.assert_allclose(reduce_sum(a), float(sum(a.tolist())), rtol=1e-12)
+    def test_argmax_axis_out_of_range_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            argmax(np.zeros((2, 3)), axis=2)
+        with pytest.raises(ShapeError):
+            argmax(np.zeros((2, 3)), axis=-3)
