@@ -212,7 +212,7 @@ def _validate(cfg, origin):
             )
     # epochs 0 is legal: train() then emits only the initial evaluation row.
     non_negatives = ("epochs", "init_std", "noise_start", "noise_end",
-                     "lower_weight_decay", "train_subset")
+                     "lower_weight_decay", "train_subset", "lr_start", "lr_end")
     for key in non_negatives:
         if not cfg.values[key] >= 0:
             raise ConfigError(

@@ -40,6 +40,7 @@ from .layers import (
     Conv2dLayer,
     DenseLayer,
     dropout,
+    dropout_mask,
     gaussian_noise,
     maxpool2x2,
     maxpool_backward,
@@ -126,7 +127,8 @@ def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None,
     score_rows = []
     for start in range(0, n, chunk):
         x = inputs[start : start + chunk]
-        score_rows.append(head_scores(network.head_weights, network.forward(x)))
+        h = network.forward(x, cache=False)
+        score_rows.append(head_scores(network.head_weights, h))
     scores = np.concatenate(score_rows)
     one_hot = encode_targets(labels, spec.num_classes, "one_hot")
     reg, _ = head_penalty(network.head_weights)
@@ -661,7 +663,7 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
         y = dropout(xd, 0.5, True, np.random.default_rng(seed + 1))
         return float(np.sum(y * rd))
 
-    mask = (np.random.default_rng(seed + 1).random(xd.shape) >= 0.5) / 0.5
+    mask = dropout_mask(xd.shape, 0.5, np.random.default_rng(seed + 1))
     results.append(gc.check_gradient(
         "dropout.d_input", drop_loss, xd, rd * mask,
     ))
@@ -735,7 +737,7 @@ def _kink_gap(net, xs, labels):
     gaps = []
     h = xs
     for layer in net.layers:
-        h = layer.forward(h)
+        h = layer.forward(h, cache=False)
         if isinstance(layer, DenseLayer):  # every dense output feeds a ReLU
             gaps.append(np.min(np.abs(h)))
     if net.head_spec.kind != "softmax":

@@ -2,12 +2,21 @@
 
 Conventions:
     - Dense inputs are [N, in]; image inputs are NCHW ([N, C, H, W]).
-    - ``forward(x, train=..., rng=...)`` caches what backward needs;
-      ``backward(d_out)`` consumes that cache and returns ``d_input``,
-      the gradient with respect to the forward input (same shape).  One
-      outstanding forward per instance: backward clears the cache, and
-      calling it again without a fresh forward raises
+    - ``forward(x, train=..., rng=..., cache=True)`` caches what backward
+      needs; ``backward(d_out)`` consumes that cache and returns
+      ``d_input``, the gradient with respect to the forward input (same
+      shape).  One outstanding forward per instance: backward clears the
+      cache, and calling it again without a fresh forward raises
       :class:`LayerStateError`.
+    - ``cache=False`` is the inference forward (evaluation, scores,
+      predictions): it returns the same bytes as the caching forward at
+      a fixed BLAS thread count, keeps nothing for backward and drops
+      whatever an earlier forward cached, so a following backward raises
+      :class:`LayerStateError` instead of reusing stale state.
+    - Layers with parameters take ``backward(d_out, input_grad=False)``
+      when no gradient is needed below them (the first layer of a
+      stack): parameter gradients are computed as usual, ``d_input`` is
+      skipped and None is returned.
     - ``param_names`` lists a layer's parameter attributes, weight tensor
       first; backward leaves the gradient of parameter ``p`` in
       ``d_<p>``.  ``params()`` and ``param_grads()`` return them in that
@@ -21,7 +30,9 @@ Convolution is im2col plus one GEMM per product (Chellapilla et al.
 2006): the forward pass lays its receptive fields out as a patch matrix
 [C*k*k, N*Ho*Wo], so the forward output and the filter gradient are each
 a single 2-D matmul, and the input gradient is scattered back (col2im)
-with one small matmul per kernel offset.
+with one small matmul per kernel offset.  The inference forward builds
+the same patch columns a few images at a time in one reused buffer, so
+no patch matrix outlives the call.
 """
 
 import numpy as np
@@ -65,16 +76,16 @@ class DenseLayer(Layer):
         self.d_bias = None
         self._cached_input = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, cache=True):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(
                 f"dense layer expects [N, {self.n_in}] input, got {x.shape}"
             )
-        self._cached_input = x
+        self._cached_input = x if cache else None
         return matmul(x, self.weights) + self.bias
 
-    def backward(self, d_out):
+    def backward(self, d_out, input_grad=True):
         if self._cached_input is None:
             raise LayerStateError("dense backward called before forward")
         x = self._cached_input
@@ -85,9 +96,8 @@ class DenseLayer(Layer):
             )
         self.d_weights = matmul(x.T, d_out)
         self.d_bias = d_out.sum(axis=0)
-        d_input = matmul(d_out, self.weights.T)
         self._cached_input = None
-        return d_input
+        return matmul(d_out, self.weights.T) if input_grad else None
 
 
 def relu(x):
@@ -111,9 +121,9 @@ class ReluLayer(Layer):
     def __init__(self):
         self._cached_input = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, cache=True):
         x = np.asarray(x, dtype=DTYPE)
-        self._cached_input = x
+        self._cached_input = x if cache else None
         return relu(x)
 
     def backward(self, d_out):
@@ -122,6 +132,14 @@ class ReluLayer(Layer):
         d_input = relu_backward(d_out, self._cached_input)
         self._cached_input = None
         return d_input
+
+
+# Images per block of the inference conv forward.  With OpenBLAS 0.3.31
+# (Haswell kernels, 1 thread) a GEMM over a column block whose width is a
+# multiple of 8 reproduces the matching columns of the one-GEMM product
+# bit for bit; blocks of 1 or 25 images at 14x14 output (196 and 4,900
+# columns) differ in the last bit.  8 images give 8*Ho*Wo columns.
+IMAGE_BLOCK = 8
 
 
 class Conv2dLayer(Layer):
@@ -147,6 +165,11 @@ class Conv2dLayer(Layer):
     only patch-sized array, cached from forward to backward.  Results are
     bit-identical from run to run at a fixed BLAS thread count; a
     different thread count can change their last bits.
+
+    The inference forward (``cache=False``) fills the patch columns of
+    ``IMAGE_BLOCK`` images at a time into one reused buffer and writes
+    each block's ``W @ cols`` straight into the NCHW output, so it never
+    holds more than one block's patches.
     """
 
     param_names = ("filters", "bias")
@@ -185,7 +208,7 @@ class Conv2dLayer(Layer):
             )
         return ho, wo
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, cache=True):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
@@ -193,23 +216,51 @@ class Conv2dLayer(Layer):
             )
         n, _, h, w = x.shape
         ho, wo = self.output_hw(h, w)
-        k, p, s = self.kernel_size, self.padding, self.stride
-        c, f = self.in_channels, self.out_channels
+        p = self.padding
+        rows = self.in_channels * self.kernel_size**2
+        weights = self.filters.reshape(self.out_channels, rows)
         self._cache = None  # free the last patch matrix before building this one
-        # Channel-major view of the padded input, so each kernel offset
-        # fills one [C, N, Ho, Wo] block of the patch tensor [C, k, k, N, Ho, Wo].
+        # Channel-major view of the padded input: each kernel offset fills
+        # one [C, N, Ho, Wo] block of the patch tensor [C, k, k, N, Ho, Wo].
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
-        cols = np.empty((c, k, k, n, ho, wo), dtype=DTYPE)
-        for a in range(k):
-            for b in range(k):
-                cols[:, a, b] = xp[:, :, a : a + ho * s : s, b : b + wo * s : s]
-        cols = cols.reshape(c * k * k, n * ho * wo)
-        out = self.filters.reshape(f, -1) @ cols
-        out += self.bias[:, None]
-        self._cache = (cols, x.shape, xp.shape)
-        return np.ascontiguousarray(out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3))
+        out = np.empty((n, self.out_channels, ho, wo), dtype=DTYPE)
+        if cache:
+            cols = self._fill_patches(xp, np.empty(rows * n * ho * wo, dtype=DTYPE))
+            self._write_output(weights @ cols, out)
+            self._cache = (cols, x.shape, xp.shape)
+            return out
+        block = min(n, IMAGE_BLOCK)
+        patches = np.empty(rows * block * ho * wo, dtype=DTYPE)
+        product = np.empty(self.out_channels * block * ho * wo, dtype=DTYPE)
+        for start in range(0, n, IMAGE_BLOCK):
+            images = slice(start, start + IMAGE_BLOCK)
+            cols = self._fill_patches(xp[:, images], patches)
+            gemm = product[: self.out_channels * cols.shape[1]]
+            gemm = np.matmul(weights, cols, out=gemm.reshape(self.out_channels, -1))
+            self._write_output(gemm, out[images])
+        return out
 
-    def backward(self, d_out):
+    def _fill_patches(self, xp, buffer):
+        """Lay the receptive fields of the channel-major padded images
+        ``xp`` [C, B, Hp, Wp] out as the patch matrix [C*k*k, B*Ho*Wo],
+        in the front of the flat ``buffer``, and return it."""
+        c, b = xp.shape[:2]
+        k, s = self.kernel_size, self.stride
+        ho = (xp.shape[2] - k) // s + 1
+        wo = (xp.shape[3] - k) // s + 1
+        cols = buffer[: c * k * k * b * ho * wo].reshape(c, k, k, b, ho, wo)
+        for a in range(k):
+            for j in range(k):
+                cols[:, a, j] = xp[:, :, a : a + ho * s : s, j : j + wo * s : s]
+        return cols.reshape(c * k * k, b * ho * wo)
+
+    def _write_output(self, gemm, out):
+        """Add the bias to ``gemm`` [F, B*Ho*Wo] into ``out`` [B, F, Ho, Wo]."""
+        b, f, ho, wo = out.shape
+        np.add(gemm.reshape(f, b, ho, wo).transpose(1, 0, 2, 3),
+               self.bias[:, None, None], out=out)
+
+    def backward(self, d_out, input_grad=True):
         if self._cache is None:
             raise LayerStateError("conv backward called before forward")
         cols, x_shape, xp_shape = self._cache
@@ -226,6 +277,9 @@ class Conv2dLayer(Layer):
         d2 = d_out.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
         self.d_filters = (d2 @ cols.T).reshape(self.filters.shape)
         self.d_bias = d_out.sum(axis=(0, 2, 3))
+        self._cache = None
+        if not input_grad:
+            return None
         # col2im one kernel offset at a time: [C, F] @ [F, N*Ho*Wo] lands
         # in the offset's strided slice, so no patch-sized d_cols exists.
         taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
@@ -235,17 +289,17 @@ class Conv2dLayer(Layer):
                 d_xp[:, :, a : a + ho * s : s, b : b + wo * s : s] += (
                     taps[a, b] @ d2
                 ).reshape(c, n, ho, wo)
-        d_input = d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
-        self._cache = None
-        return d_input
+        return d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
 
 
-def maxpool2x2(x):
+def maxpool2x2(x, switches=True):
     """Max over non-overlapping 2x2 windows, stride 2.
 
     Returns (pooled, switches) where switches holds the flat row-major
     index (0..3) of each window's maximum, ties resolved to the lowest
-    index.  Spatial dims must be even.
+    index.  Spatial dims must be even.  ``switches=False`` (inference)
+    skips them and returns (pooled, None); ``pooled`` is the same either
+    way.
     """
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
@@ -263,15 +317,18 @@ def maxpool2x2(x):
     bottom = np.where(right_bottom, views[3], views[2])
     down = bottom > top
     pooled = np.where(down, bottom, top)
-    switches = (2 * down + np.where(down, right_bottom, right_top)).astype(np.intp)
+    index = None
+    if switches:
+        index = (2 * down + np.where(down, right_bottom, right_top)).astype(np.intp)
     # ``>`` never selects a NaN, but argmax does: a window holding a NaN
     # pools to its first NaN.  The max of x is NaN iff x holds one.
     if np.isnan(np.max(x, initial=-np.inf)):
-        for index in (3, 2, 1, 0):
-            nans = np.isnan(views[index])
-            np.copyto(pooled, views[index], where=nans)
-            np.copyto(switches, index, where=nans)
-    return pooled, switches
+        for i in (3, 2, 1, 0):
+            nans = np.isnan(views[i])
+            np.copyto(pooled, views[i], where=nans)
+            if index is not None:
+                np.copyto(index, i, where=nans)
+    return pooled, index
 
 
 def maxpool_backward(d_out, switches):
@@ -295,8 +352,8 @@ class MaxPool2x2Layer(Layer):
     def __init__(self):
         self._switches = None
 
-    def forward(self, x, train=False, rng=None):
-        pooled, self._switches = maxpool2x2(x)
+    def forward(self, x, train=False, rng=None, cache=True):
+        pooled, self._switches = maxpool2x2(x, switches=cache)
         return pooled
 
     def backward(self, d_out):
@@ -313,9 +370,9 @@ class FlattenLayer(Layer):
     def __init__(self):
         self._shape = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, cache=True):
         x = np.asarray(x, dtype=DTYPE)
-        self._shape = x.shape
+        self._shape = x.shape if cache else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, d_out):
@@ -336,8 +393,13 @@ def dropout(x, rate, train, rng):
     x = np.asarray(x, dtype=DTYPE)
     if not train or rate == 0.0:
         return x
-    mask = rng.random(x.shape) >= rate
-    return x * (mask / (1.0 - rate))
+    return x * dropout_mask(x.shape, rate, rng)
+
+
+def dropout_mask(shape, rate, rng):
+    """The inverted-dropout multiplier: 1/(1-rate) for each unit that
+    survives (one uniform draw per unit, kept when >= ``rate``), else 0."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def _check_rate(rate):
@@ -352,15 +414,13 @@ class DropoutLayer(Layer):
         self._mask = None
         self._identity = False
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, cache=True):
         x = np.asarray(x, dtype=DTYPE)
-        if not train or self.rate == 0.0:
-            self._mask = None
-            self._identity = True
-            return x
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        self._identity = False
-        return x * self._mask
+        identity = not train or self.rate == 0.0
+        mask = None if identity else dropout_mask(x.shape, self.rate, rng)
+        self._identity = cache and identity
+        self._mask = mask if cache else None
+        return x if identity else x * mask
 
     def backward(self, d_out):
         if self._identity:

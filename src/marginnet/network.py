@@ -30,21 +30,25 @@ class Network:
         self.arch = arch  # dict describing how to rebuild the stack
         self.d_head_weights = None
 
-    def forward(self, x, train=False, rng=None):
-        """Run the stack to penultimate activations [N, D]."""
+    def forward(self, x, train=False, rng=None, cache=True):
+        """Run the stack to penultimate activations [N, D].
+
+        ``cache=False`` is the inference forward: no layer keeps what a
+        backward would need (see :mod:`marginnet.layers`).
+        """
         for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng)
+            x = layer.forward(x, train=train, rng=rng, cache=cache)
         return x
 
     def scores(self, x):
-        return heads_mod.head_scores(self.head_weights, self.forward(x))
+        return heads_mod.head_scores(self.head_weights, self.forward(x, cache=False))
 
     def predict(self, x):
         return heads_mod.predict(self.scores(x))
 
     def head_output(self, x, labels, train=False, rng=None):
         """Forward plus head evaluation; no backprop through the stack."""
-        h = self.forward(x, train=train, rng=rng)
+        h = self.forward(x, train=train, rng=rng, cache=False)
         return heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
 
     def backprop(self, x, labels, train=True, rng=None, lower_weight_decay=0.0):
@@ -58,8 +62,11 @@ class Network:
         out = heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
         self.d_head_weights = out.d_w
         d = out.d_h
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             d = layer.backward(d)
+        if self.layers:
+            # Nothing sits below the first layer: skip its input gradient.
+            self.layers[0].backward(d, input_grad=False)
         if lower_weight_decay > 0.0:
             for layer in self.layers:
                 if layer.param_names:

@@ -8,6 +8,9 @@ A saved directory holds:
                     order
 
 Round-trips are exact: float64 bytes in, identical float64 bytes out.
+Each file is written under a temporary name in the same directory and
+moved into place with ``os.replace``, so a reader never sees a partly
+written file.
 """
 
 import json
@@ -31,25 +34,45 @@ def save_tensors(dir_path, tensors, meta=None):
     """Write named tensors and metadata to ``dir_path`` (created if
     needed).  Blob order is the dict's insertion order."""
     os.makedirs(dir_path, exist_ok=True)
-    entries = []
-    blobs = []
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype=DTYPE)
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.astype("<f8", copy=False).tobytes())
+    # Views, not copies, for the C-contiguous float64 arrays models hold.
+    arrays = {
+        name: np.ascontiguousarray(arr, dtype="<f8")
+        for name, arr in tensors.items()
+    }
     manifest = {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
         "dtype": "float64",
         "byte_order": "little",
-        "tensors": entries,
+        "tensors": [
+            {"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()
+        ],
         "meta": meta or {},
     }
-    with open(os.path.join(dir_path, MANIFEST_NAME), "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-    with open(os.path.join(dir_path, BLOB_NAME), "wb") as f:
-        f.write(b"".join(blobs))
+
+    def write_blob(f):
+        for arr in arrays.values():
+            f.write(arr.data)  # straight from the array's buffer, no bytes copy
+
+    def write_manifest(f):
+        f.write(json.dumps(manifest, indent=2).encode() + b"\n")
+
+    _replace_file(os.path.join(dir_path, BLOB_NAME), write_blob)
+    _replace_file(os.path.join(dir_path, MANIFEST_NAME), write_manifest)
+
+
+def _replace_file(path, write):
+    """Call ``write`` on a binary file at a temporary path next to
+    ``path``, then move it over ``path``."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_tensors(dir_path):

@@ -73,6 +73,14 @@ class TestTrain:
         assert "init_std" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_negative_lr_end_exits_2_before_training(self, tmp_path, capsys):
+        # The schedule would only cross zero partway through training.
+        cfg = write_cfg(tmp_path, "bad.cfg", TINY_BLOBS + "lr_start = 0.01\n"
+                        f"lr_end = -0.01\nout_dir = {tmp_path}/run\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert "lr_end" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "no.cfg")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -54,7 +54,8 @@ class TestParsing:
             parse_config_text("epochs = -1\n")
 
     @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
-                                     "lower_weight_decay", "train_subset"])
+                                     "lower_weight_decay", "train_subset",
+                                     "lr_start", "lr_end"])
     def test_negative_value_rejected_at_parse_time(self, key):
         assert getattr(parse_config_text(f"{key} = 0\n"), key) == 0
         with pytest.raises(ConfigError) as exc:
@@ -63,7 +64,7 @@ class TestParsing:
         assert "run.cfg" in str(exc.value)
 
     @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
-                                     "lower_weight_decay"])
+                                     "lower_weight_decay", "lr_start", "lr_end"])
     def test_nan_rejected_at_parse_time(self, key):
         with pytest.raises(ConfigError):
             parse_config_text(f"{key} = nan\n")

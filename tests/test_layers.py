@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +15,9 @@ from marginnet.layers import (
     FlattenLayer,
     LayerStateError,
     MaxPool2x2Layer,
+    ReluLayer,
     dropout,
+    dropout_mask,
     gaussian_noise,
     maxpool2x2,
     maxpool_backward,
@@ -256,6 +263,116 @@ class TestConv2d:
             Conv2dLayer(1, 1, 3).forward(np.zeros((1, 2, 6, 6)))  # channels
 
 
+# Inference (cache-free) conv forward against the caching forward:
+# (in_channels, out_channels, kernel, stride, n, h, w).  The MNIST conv1
+# and conv2 shapes at batch sizes around and past the 8-image block, then
+# kernels 1/3/5 at strides 1/2 on non-square inputs.
+CONV_CASES = (
+    [(1, 32, 5, 1, n, 28, 28) for n in (1, 7, 37, 200)]
+    + [(32, 64, 5, 1, n, 14, 14) for n in (1, 7, 37, 200)]
+    + [(3, 4, k, s, 19, 9, 12) for k in (1, 3, 5) for s in (1, 2)]
+)
+
+
+def conv_forward_both_ways(case):
+    """(caching forward, cache-free forward) of one seeded layer."""
+    c_in, c_out, k, stride, n, h, w = case
+    rng = np.random.default_rng(sum(case))
+    layer = Conv2dLayer(c_in, c_out, k, stride=stride, rng=rng, init_std=0.3)
+    layer.bias[...] = rng.normal(size=c_out)
+    x = rng.normal(size=(n, c_in, h, w))
+    cached = layer.forward(x)
+    return cached, layer.forward(x, cache=False)
+
+
+class TestConvInferenceForward:
+    def test_bytes_match_caching_forward_at_one_blas_thread(self):
+        # BLAS results are only reproducible at a fixed thread count, and
+        # the thread count is fixed when numpy loads, hence a child process.
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.environ.get("PYTHONPATH")
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {here!r})\n"
+            "import test_layers as t\n"
+            "bad = []\n"
+            "for case in t.CONV_CASES:\n"
+            "    cached, free = t.conv_forward_both_ways(case)\n"
+            "    if cached.shape != free.shape or cached.tobytes() != free.tobytes():\n"
+            "        bad.append(case)\n"
+            "print(json.dumps(bad))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == []
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=str)
+    def test_matches_caching_forward_at_default_threads(self, case):
+        cached, free = conv_forward_both_ways(case)
+        assert free.flags.c_contiguous
+        _assert_matches_reference(free, cached)
+
+    def test_caches_no_patch_matrix(self):
+        layer = Conv2dLayer(2, 3, 3)
+        x = np.ones((9, 2, 5, 5))
+        layer.forward(x)
+        assert layer._cache[0].shape == (18, 9 * 25)
+        layer.forward(x, cache=False)
+        assert layer._cache is None
+
+    def test_empty_batch(self):
+        out = Conv2dLayer(2, 3, 3).forward(np.zeros((0, 2, 5, 5)), cache=False)
+        assert out.shape == (0, 3, 5, 5)
+
+
+# One constructor per layer type, with the input shape it takes.
+LAYER_TYPES = {
+    "dense": (lambda rng: DenseLayer(4, 3, rng=rng), (5, 4)),
+    "relu": (lambda rng: ReluLayer(), (5, 4)),
+    "conv": (lambda rng: Conv2dLayer(2, 3, 3, rng=rng), (2, 2, 4, 4)),
+    "maxpool": (lambda rng: MaxPool2x2Layer(), (2, 2, 4, 4)),
+    "flatten": (lambda rng: FlattenLayer(), (2, 2, 4, 4)),
+    "dropout": (lambda rng: DropoutLayer(0.5), (5, 4)),
+}
+
+
+class TestCacheFreeForward:
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("kind", LAYER_TYPES)
+    def test_clears_state_and_keeps_the_output(self, kind, train):
+        make, shape = LAYER_TYPES[kind]
+        rng = np.random.default_rng(20)
+        layer, x = make(rng), rng.normal(size=shape)
+        cached = layer.forward(x, train=train, rng=np.random.default_rng(1))
+        free = layer.forward(x, train=train, rng=np.random.default_rng(1), cache=False)
+        assert free.tobytes() == cached.tobytes()
+        # The earlier caching forward left state; the cache-free one dropped it.
+        with pytest.raises(LayerStateError):
+            layer.backward(np.ones_like(cached))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: (DenseLayer(4, 3, rng=rng, init_std=0.5), (5, 4)),
+        lambda rng: (Conv2dLayer(2, 3, 3, stride=2, rng=rng, init_std=0.5), (3, 2, 7, 6)),
+    ], ids=["dense", "conv"])
+    def test_backward_without_input_grad_keeps_parameter_grads(self, make):
+        rng = np.random.default_rng(22)
+        layer, shape = make(rng)
+        x = rng.normal(size=shape)
+        r = rng.normal(size=layer.forward(x).shape)
+        assert layer.backward(r) is not None
+        want = [g.copy() for g in layer.param_grads()]
+        layer.forward(x)
+        assert layer.backward(r, input_grad=False) is None
+        for got, expected in zip(layer.param_grads(), want):
+            assert got.tobytes() == expected.tobytes()
+        with pytest.raises(LayerStateError):
+            layer.backward(r)
+
+
 class TestMaxPool:
     def test_values_and_switches(self):
         x = np.array(
@@ -350,6 +467,19 @@ class TestMaxPool:
         pooled, switches = maxpool2x2(np.zeros((0, 2, 4, 4)))
         assert pooled.shape == switches.shape == (0, 2, 2, 2)
 
+    def test_switch_free_pooling_matches_bytewise(self):
+        rng = np.random.default_rng(23)
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+        inputs = [rng.normal(size=(3, 4, 6, 10))]
+        inputs += [rng.choice(values, size=(2, 3, 4, 6)) for _ in range(30)]
+        inputs += [rng.choice(values[2:], size=(2, 3, 4, 6)) for _ in range(30)]
+        for x in inputs:
+            pooled, switches = maxpool2x2(x, switches=False)
+            assert switches is None
+            want = maxpool2x2(x)[0]
+            assert pooled.shape == want.shape
+            assert pooled.tobytes() == want.tobytes()
+
 
 class TestFlatten:
     def test_round_trip(self):
@@ -393,6 +523,19 @@ class TestDropout:
             dropout(np.ones(3), 1.0, train=True, rng=rng)
         with pytest.raises(DomainError):
             dropout(np.ones(3), -0.1, train=True, rng=rng)
+
+    def test_layer_and_function_draw_the_same_mask(self):
+        x = np.ones((6, 9))
+        for seed, rate in ((21, 0.2), (22, 0.5)):
+            # The draw both have always made: one uniform per unit.
+            rng = np.random.default_rng(seed)
+            want = (rng.random(x.shape) >= rate) / (1.0 - rate)
+            layer = DropoutLayer(rate)
+            from_layer = layer.forward(x, train=True, rng=np.random.default_rng(seed))
+            from_function = dropout(x, rate, True, np.random.default_rng(seed))
+            helper = dropout_mask(x.shape, rate, np.random.default_rng(seed))
+            for got in (layer._mask, from_layer, from_function, helper):
+                assert got.tobytes() == want.tobytes()
 
     def test_layer_backward_reuses_forward_mask(self):
         rng = np.random.default_rng(12)

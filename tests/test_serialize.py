@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +38,46 @@ class TestRoundTrip:
             manifest = json.load(f)
         assert manifest["tensors"] == [{"name": "w", "shape": [2, 2]}]
         assert manifest["dtype"] == "float64"
+
+
+class TestWrite:
+    def test_blob_is_the_tensor_bytes_in_order(self, tmp_path):
+        rng = np.random.default_rng(1)
+        tensors = {
+            "a": rng.normal(size=(3, 4)),
+            "b": rng.normal(size=(4, 3)).T,  # not C-contiguous
+            "c": np.arange(5),               # not float64
+            "d": np.float64(2.5),            # 0-d
+        }
+        save_tensors(str(tmp_path), tensors)
+        want = b"".join(
+            np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors.values()
+        )
+        assert (tmp_path / BLOB_NAME).read_bytes() == want
+        shapes = [e["shape"] for e in json.loads((tmp_path / MANIFEST_NAME).read_text())["tensors"]]
+        assert shapes == [[3, 4], [3, 4], [5], [1]]
+
+    def test_overwrite_replaces_both_files_and_leaves_no_temporaries(self, tmp_path):
+        save_tensors(str(tmp_path), {"w": np.zeros(3)}, meta={"n": 1})
+        save_tensors(str(tmp_path), {"v": np.ones(2)}, meta={"n": 2})
+        assert sorted(os.listdir(tmp_path)) == sorted([BLOB_NAME, MANIFEST_NAME])
+        loaded, meta = load_tensors(str(tmp_path))
+        assert list(loaded) == ["v"] and meta == {"n": 2}
+
+    def test_writes_without_copying_the_blob(self, tmp_path):
+        # Joining per-tensor byte copies would peak at twice the blob.
+        rng = np.random.default_rng(2)
+        tensors = {f"t{i}": rng.normal(size=(500, 1000)) for i in range(4)}
+        blob_bytes = sum(t.nbytes for t in tensors.values())  # 16 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            save_tensors(str(tmp_path), tensors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < blob_bytes / 4
+        assert os.path.getsize(tmp_path / BLOB_NAME) == blob_bytes
 
 
 class TestValidation:
