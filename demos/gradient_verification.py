@@ -12,11 +12,10 @@ Run: python3 demos/gradient_verification.py
 import numpy as np
 
 from marginnet import gradcheck as gc
-from marginnet.harness import gradcheck_suite
 from marginnet.heads import l1svm_head, l2svm_head
 
 print("=== full-suite check: every layer, every head ===")
-results = gradcheck_suite()
+results = gc.gradcheck_suite()
 for r in results:
     print(" ", r.summary())
 worst = max(r.max_rel_error for r in results)

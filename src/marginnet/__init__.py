@@ -8,14 +8,13 @@ the rest (layers, preprocess, data, optim, gradcheck, serialize).
 
 from .config import ConfigError, parse_config, parse_config_text
 from .data import Dataset, load_cifar10, load_idx, make_blobs, minibatches
-from .gradcheck import GradCheckResult, check_gradient, fd_gradient
+from .gradcheck import GradCheckResult, check_gradient, fd_gradient, gradcheck_suite
 from .harness import (
     ObjectiveReport,
     TrainingDivergedError,
     cross_objective_eval,
     ensemble_predict,
     evaluate_objectives,
-    gradcheck_suite,
     load_model,
     train,
     warm_start,

@@ -23,6 +23,7 @@ import numpy as np
 from . import harness
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
+from .gradcheck import run_gradcheck
 from .serialize import ManifestError
 from .tensor import DomainError, ShapeError
 
@@ -62,14 +63,8 @@ def _load_config(args):
 
 
 def _print_row(row):
-    cells = []
-    for col in harness.CSV_COLUMNS:
-        v = row[col]
-        cells.append(
-            f"{col}={v}" if col in ("epoch", "updates")
-            else f"{col}={harness.format_float(v)}"
-        )
-    print("  ".join(cells))
+    print("  ".join(f"{col}={harness.format_cell(col, row[col])}"
+                    for col in harness.CSV_COLUMNS))
 
 
 def cmd_train(args):
@@ -127,14 +122,14 @@ def _raw_split(cfg):
     models carry their own fitted transforms."""
     raw = copy.deepcopy(cfg)
     raw.values.update(standardize=False, pca_dims=0, augment=False)
-    data_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    data_rng, _, _ = harness.seed_streams(cfg.seed)
     prepared = harness.prepare_data(raw, data_rng)
     return prepared.train if cfg.eval_split == "train" else prepared.test
 
 
 def cmd_gradcheck(args):
     cfg = _load_config(args)
-    results, ok = harness.run_gradcheck(cfg)
+    results, ok = run_gradcheck(cfg)
     for r in results:
         print(r.summary())
     print(f"{sum(r.passed for r in results)}/{len(results)} gradient checks passed")

@@ -5,11 +5,28 @@ analytic backward pass in this library.  Relative error is floored at
 unit scale, so for gradients below 1.0 in magnitude the bound acts as an
 absolute tolerance; finite-difference noise on near-zero entries then
 cannot produce spurious failures.
+
+:func:`check_layer` holds any layer to its forward/backward contract;
+:func:`gradcheck_suite` runs it on each layer type, checks each head and
+a composed network under each head, and is what ``marginnet gradcheck``
+prints.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import class_count
+from .heads import HeadSpec, apply_head, encode_targets, head_scores, init_head_weights
+from .layers import (
+    Conv2dLayer,
+    DenseLayer,
+    DropoutLayer,
+    MaxPool2x2Layer,
+    ReluLayer,
+)
+from .network import build_mlp
+from .tensor import DomainError
 
 EPS = 1e-5
 TOL = 1e-6
@@ -94,3 +111,136 @@ def check_gradient(name, f, x, analytic, eps=EPS, tol=TOL):
     """Check ``analytic`` = dF/dx for the scalar-valued closure ``f``."""
     numeric = fd_gradient(f, x, eps=eps)
     return compare_gradients(name, analytic, numeric, tol=tol)
+
+
+def check_layer(name, layer, x, r, seed=None):
+    """Check a layer's backward against finite differences of
+    ``sum(layer.forward(x) * r)``.
+
+    Runs the layer's own caching forward, then ``backward(r)``, and
+    checks ``d_input`` and then ``d_<p>`` for each ``p`` in
+    ``param_names``; results are named ``<name>.d_input`` and so on.
+    With a ``seed``, every forward runs in training mode on a fresh rng
+    of that seed, so a dropout layer draws the same mask each time.
+    """
+
+    def forward():
+        rng = None if seed is None else np.random.default_rng(seed)
+        return layer.forward(x, train=seed is not None, rng=rng)
+
+    def loss():
+        return float(np.sum(forward() * r))
+
+    forward()
+    checks = [("d_input", x, layer.backward(r))]
+    checks += [("d_" + p, getattr(layer, p), getattr(layer, "d_" + p))
+               for p in layer.param_names]
+    return [check_gradient(f"{name}.{grad_name}", loss, tensor, grad)
+            for grad_name, tensor, grad in checks]
+
+
+# Check points keep every ReLU pre-activation and hinge margin this far
+# from its kink, far beyond what an EPS-sized perturbation can move them.
+KINK_CLEARANCE = 100 * EPS
+
+
+def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
+    """Finite-difference checks for every layer and head gradient.
+
+    Uses tiny shapes so the whole suite runs in well under a minute.
+    Returns a list of GradCheckResult, one per checked array.
+    """
+    for width in hidden_dims:
+        if width > 16:
+            raise DomainError(
+                f"gradient checks want tiny layers (<= 16 units), got {width}"
+            )
+    rng = np.random.default_rng(seed)
+    results = []
+
+    # Each layer is built, then its input x and projection r drawn, in
+    # this order.  ReLU inputs are kept away from the kink at 0, and
+    # max-pool inputs are distinct so no window's argmax moves under EPS.
+    dense = DenseLayer(5, 6, rng=rng, init_std=0.5)
+    results += check_layer("dense", dense, rng.normal(size=(4, 5)),
+                           rng.normal(size=(4, 6)))
+    xr = rng.normal(size=(4, 6))
+    xr = np.where(np.abs(xr) < 0.1, xr + 0.2, xr)
+    results += check_layer("relu", ReluLayer(), xr, rng.normal(size=xr.shape))
+    conv = Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5)
+    results += check_layer("conv", conv, rng.normal(size=(2, 2, 6, 6)),
+                           rng.normal(size=(2, 3, 6, 6)))
+    xm = rng.permutation(2 * 2 * 4 * 4).astype(float).reshape(2, 2, 4, 4)
+    results += check_layer("maxpool", MaxPool2x2Layer(), xm,
+                           rng.normal(size=(2, 2, 2, 2)))
+    xd = rng.normal(size=(4, 6))
+    results += check_layer("dropout", DropoutLayer(0.5), xd,
+                           rng.normal(size=xd.shape), seed=seed + 1)
+
+    # heads; the L1 hinge is non-differentiable at margin 1, so the
+    # margin heads' check point keeps every margin clear of the kink
+    d, k = 4, num_classes
+    specs = [HeadSpec(kind, k, c=0.7, weight_decay=0.1)
+             for kind in ("softmax", "l1svm", "l2svm")]
+    h = rng.normal(size=(5, d))
+    w = init_head_weights(d, k, rng=rng, init_std=0.5)
+    labels = rng.integers(0, k, size=5)
+    for spec in specs:
+        while spec.kind != "softmax" and _hinge_gap(w, h, labels, k) <= KINK_CLEARANCE:
+            h = rng.normal(size=(5, d))
+        out = apply_head(spec, w, h, labels)
+        for grad_name, tensor, grad in (("d_w", w, out.d_w), ("d_h", h, out.d_h)):
+            results.append(check_gradient(
+                f"{spec.kind}.{grad_name}",
+                lambda: apply_head(spec, w, h, labels).loss,
+                tensor, grad,
+            ))
+
+    # composed network: every parameter of a small mlp under each head,
+    # at inputs redrawn until no ReLU or hinge sits near its kink
+    for spec in specs:
+        net_rng = np.random.default_rng(seed + 2)
+        net = build_mlp(d, list(hidden_dims), spec, rng=net_rng, init_std=0.5)
+        xs = rng.normal(size=(6, d))
+        ys = rng.integers(0, k, size=6)
+        while _kink_gap(net, xs, ys) <= KINK_CLEARANCE:
+            xs = rng.normal(size=(6, d))
+        net.backprop(xs, ys, train=False)
+        for (pname, param), grad in zip(net.named_tensors().items(), net.grads()):
+            results.append(check_gradient(
+                f"mlp[{spec.kind}].{pname}",
+                lambda: net.head_output(xs, ys).loss,
+                param, grad,
+            ))
+    return results
+
+
+def _hinge_gap(w, h, labels, num_classes):
+    """Distance from the hinge kink (margin 1) of the nearest margin."""
+    sign = encode_targets(labels, num_classes, "sign")
+    return np.min(np.abs(1.0 - head_scores(w, h) * sign))
+
+
+def _kink_gap(net, xs, labels):
+    """Distance from its kink of the nearest ReLU pre-activation in an mlp
+    and, under a margin head, of the nearest hinge margin."""
+    gaps = []
+    h = xs
+    for layer in net.layers:
+        h = layer.forward(h, cache=False)
+        if isinstance(layer, DenseLayer):  # every dense output feeds a ReLU
+            gaps.append(np.min(np.abs(h)))
+    if net.head_spec.kind != "softmax":
+        gaps.append(_hinge_gap(net.head_weights, h, labels,
+                               net.head_spec.num_classes))
+    return min(gaps, default=np.inf)
+
+
+def run_gradcheck(cfg):
+    """Config-driven entry point; returns (results, all_passed)."""
+    hidden = cfg.hidden_dims if cfg.arch == "mlp" else (8, 8)
+    results = gradcheck_suite(
+        hidden_dims=tuple(hidden), num_classes=max(class_count(cfg), 2),
+        seed=cfg.seed,
+    )
+    return results, all(r.passed for r in results)

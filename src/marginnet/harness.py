@@ -3,11 +3,11 @@
 This module owns the run lifecycle: dataset preparation, the SGD loop
 with schedules and train-time corruption, per-epoch metrics, and the
 procedures layered on trained models (cross-objective evaluation, warm
-starts, ensembles, and the gradient-check suite).
+starts and ensembles).
 
 Determinism: a run's seed feeds a SeedSequence that is split into three
-independent streams (data, init, train), and every random draw in the
-run comes from one of them in a fixed order.  Rerunning with the same
+independent streams (data, init, train; :func:`seed_streams`), and every
+random draw in the run comes from one of them in a fixed order.  Rerunning with the same
 config and seed reproduces the metrics CSV byte for byte.
 """
 
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gradcheck as gc
-from .config import ConfigError, class_count, head_spec_from_config
+from .config import ConfigError, head_spec_from_config
 from .data import Dataset, load_cifar10, load_idx, make_blobs, minibatches, num_batches
 from .heads import (
     HeadSpec,
@@ -29,23 +28,10 @@ from .heads import (
     head_penalty,
     head_scores,
     hinge_terms,
-    init_head_weights,
-    l1svm_head,
-    l2svm_head,
     predict,
-    softmax_head,
     softmax_probs,
 )
-from .layers import (
-    Conv2dLayer,
-    DenseLayer,
-    dropout,
-    dropout_mask,
-    gaussian_noise,
-    maxpool2x2,
-    maxpool_backward,
-    relu,
-)
+from .layers import gaussian_noise
 from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
 from .preprocess import PcaModel, PixelStandardizer, augment, pca_fit, pca_transform
@@ -64,6 +50,9 @@ CSV_COLUMNS = (
     "hinge_sq_mean",
 )
 
+# Counters, written as integers; every other column is a float.
+INT_COLUMNS = ("epoch", "updates")
+
 METRICS_NAME = "metrics.csv"
 RUNMETA_NAME = "runmeta.json"
 MODEL_DIRNAME = "model"
@@ -76,6 +65,19 @@ class TrainingDivergedError(RuntimeError):
 def format_float(value):
     """Canonical float text for metrics: 9 significant digits."""
     return "%.9g" % value
+
+
+def format_cell(col, value):
+    """Canonical text of one metrics value: integer columns verbatim,
+    the rest through :func:`format_float`."""
+    return str(int(value)) if col in INT_COLUMNS else format_float(value)
+
+
+def seed_streams(seed):
+    """The run's (data, init, train) generators, split from one seed."""
+    return tuple(
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
 
 
 @dataclass
@@ -289,8 +291,7 @@ def train(cfg, warm_from=None, command="train"):
     Writes metrics.csv, runmeta.json, and a model/ directory under
     cfg.out_dir; returns everything in a TrainResult.
     """
-    ss = np.random.SeedSequence(cfg.seed)
-    data_rng, init_rng, train_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    data_rng, init_rng, train_rng = seed_streams(cfg.seed)
     prepared = prepare_data(cfg, data_rng)
     train_set, test_set = prepared.train, prepared.test
     spec = head_spec_from_config(cfg)
@@ -419,12 +420,7 @@ def write_metrics_csv(path, rows):
     """Fixed column order, ints verbatim, floats at 9 significant digits."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = row[col]
-            cells.append(str(int(v)) if col in ("epoch", "updates")
-                         else format_float(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(format_cell(col, row[col]) for col in CSV_COLUMNS))
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -435,14 +431,11 @@ def read_metrics_csv(path):
     header = lines[0].split(",")
     if tuple(header) != CSV_COLUMNS:
         raise DomainError(f"{path}: unexpected columns {header}")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = {}
-        for col, cell in zip(CSV_COLUMNS, cells):
-            row[col] = int(cell) if col in ("epoch", "updates") else float(cell)
-        rows.append(row)
-    return rows
+    return [
+        {col: int(cell) if col in INT_COLUMNS else float(cell)
+         for col, cell in zip(CSV_COLUMNS, line.split(","))}
+        for line in lines[1:]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -581,177 +574,3 @@ def ensemble_predict(models, inputs):
             "cannot mix softmax and margin heads in one ensemble"
         )
     return predict(totals / len(models))
-
-
-# ---------------------------------------------------------------------------
-# gradient-check suite
-
-# Check points keep every ReLU pre-activation and hinge margin this far
-# from its kink, far beyond what an EPS-sized perturbation can move them.
-KINK_CLEARANCE = 100 * gc.EPS
-
-
-def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
-    """Finite-difference checks for every layer and head gradient.
-
-    Uses tiny shapes so the whole suite runs in well under a minute.
-    Returns a list of GradCheckResult, one per checked array.
-    """
-    for width in hidden_dims:
-        if width > 16:
-            raise DomainError(
-                f"gradient checks want tiny layers (<= 16 units), got {width}"
-            )
-    rng = np.random.default_rng(seed)
-    results = []
-
-    # dense
-    dense = DenseLayer(5, 6, rng=rng, init_std=0.5)
-    x = rng.normal(size=(4, 5))
-    r = rng.normal(size=(4, 6))
-    dense.forward(x)
-    d_x = dense.backward(r)
-    for name, tensor, grad in (("d_input", x, d_x),
-                               ("d_weights", dense.weights, dense.d_weights),
-                               ("d_bias", dense.bias, dense.d_bias)):
-        results.append(gc.check_gradient(
-            f"dense.{name}", lambda: float(np.sum(dense.forward(x) * r)),
-            tensor, grad,
-        ))
-
-    # relu, inputs kept away from the kink at 0
-    xr = rng.normal(size=(4, 6))
-    xr = np.where(np.abs(xr) < 0.1, xr + 0.2, xr)
-    rr = rng.normal(size=xr.shape)
-    results.append(gc.check_gradient(
-        "relu.d_input", lambda: float(np.sum(relu(xr) * rr)),
-        xr, (xr > 0) * rr,
-    ))
-
-    # conv
-    conv = Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5)
-    xc = rng.normal(size=(2, 2, 6, 6))
-    rc = rng.normal(size=(2, 3, 6, 6))
-    conv.forward(xc)
-    d_xc = conv.backward(rc)
-    for name, tensor, grad in (("d_input", xc, d_xc),
-                               ("d_filters", conv.filters, conv.d_filters),
-                               ("d_bias", conv.bias, conv.d_bias)):
-        results.append(gc.check_gradient(
-            f"conv.{name}", lambda: float(np.sum(conv.forward(xc) * rc)),
-            tensor, grad,
-        ))
-
-    # maxpool, distinct entries so the argmax is stable under perturbation
-    xm = rng.permutation(2 * 2 * 4 * 4).astype(float).reshape(2, 2, 4, 4)
-    rm = rng.normal(size=(2, 2, 2, 2))
-
-    def pool_loss():
-        pooled, _ = maxpool2x2(xm)
-        return float(np.sum(pooled * rm))
-
-    _, switches = maxpool2x2(xm)
-    results.append(gc.check_gradient(
-        "maxpool.d_input", pool_loss, xm, maxpool_backward(rm, switches),
-    ))
-
-    # dropout with a reproducible mask (fresh identically-seeded rng per call)
-    xd = rng.normal(size=(4, 6))
-    rd = rng.normal(size=xd.shape)
-
-    def drop_loss():
-        y = dropout(xd, 0.5, True, np.random.default_rng(seed + 1))
-        return float(np.sum(y * rd))
-
-    mask = dropout_mask(xd.shape, 0.5, np.random.default_rng(seed + 1))
-    results.append(gc.check_gradient(
-        "dropout.d_input", drop_loss, xd, rd * mask,
-    ))
-
-    # heads
-    d, k = 4, num_classes
-    h = rng.normal(size=(5, d))
-    w = init_head_weights(d, k, rng=rng, init_std=0.5)
-    labels = rng.integers(0, k, size=5)
-    one_hot = encode_targets(labels, k, "one_hot")
-    sign = encode_targets(labels, k, "sign")
-
-    sm = softmax_head(w, h, one_hot, weight_decay=0.1)
-    results.append(gc.check_gradient(
-        "softmax.d_w",
-        lambda: softmax_head(w, h, one_hot, weight_decay=0.1).loss,
-        w, sm.d_w,
-    ))
-    results.append(gc.check_gradient(
-        "softmax.d_h",
-        lambda: softmax_head(w, h, one_hot, weight_decay=0.1).loss,
-        h, sm.d_h,
-    ))
-
-    # The L1 hinge is non-differentiable at margin 1, so the check point
-    # must keep every margin clear of the kink (finite differences with
-    # eps 1e-5 need far less than the 1e-3 slack enforced here).
-    margins = head_scores(w, h) * sign
-    while np.min(np.abs(1.0 - margins)) <= KINK_CLEARANCE:
-        h = rng.normal(size=(5, d))
-        margins = head_scores(w, h) * sign
-    l1 = l1svm_head(w, h, sign, c=0.7)
-    results.append(gc.check_gradient(
-        "l1svm.d_w", lambda: l1svm_head(w, h, sign, c=0.7).loss, w, l1.d_w,
-    ))
-    results.append(gc.check_gradient(
-        "l1svm.d_h", lambda: l1svm_head(w, h, sign, c=0.7).loss, h, l1.d_h,
-    ))
-
-    l2 = l2svm_head(w, h, sign, c=0.7)
-    results.append(gc.check_gradient(
-        "l2svm.d_w", lambda: l2svm_head(w, h, sign, c=0.7).loss, w, l2.d_w,
-    ))
-    results.append(gc.check_gradient(
-        "l2svm.d_h", lambda: l2svm_head(w, h, sign, c=0.7).loss, h, l2.d_h,
-    ))
-
-    # composed network: every parameter of a small mlp under each head,
-    # at inputs redrawn until no ReLU or hinge sits near its kink
-    for kind in ("softmax", "l1svm", "l2svm"):
-        spec = HeadSpec(kind, k, c=0.7, weight_decay=0.1)
-        net_rng = np.random.default_rng(seed + 2)
-        net = build_mlp(d, list(hidden_dims), spec, rng=net_rng, init_std=0.5)
-        xs = rng.normal(size=(6, d))
-        ys = rng.integers(0, k, size=6)
-        while _kink_gap(net, xs, ys) <= KINK_CLEARANCE:
-            xs = rng.normal(size=(6, d))
-        net.backprop(xs, ys, train=False)
-        for (pname, param), grad in zip(net.named_tensors().items(), net.grads()):
-            results.append(gc.check_gradient(
-                f"mlp[{kind}].{pname}",
-                lambda: net.head_output(xs, ys).loss,
-                param, grad,
-            ))
-    return results
-
-
-def _kink_gap(net, xs, labels):
-    """Distance from its kink of the nearest ReLU pre-activation in an mlp
-    and, under a margin head, of the nearest hinge margin."""
-    gaps = []
-    h = xs
-    for layer in net.layers:
-        h = layer.forward(h, cache=False)
-        if isinstance(layer, DenseLayer):  # every dense output feeds a ReLU
-            gaps.append(np.min(np.abs(h)))
-    if net.head_spec.kind != "softmax":
-        sign = encode_targets(labels, net.head_spec.num_classes, "sign")
-        gaps.append(np.min(np.abs(1.0 - head_scores(net.head_weights, h) * sign)))
-    return min(gaps, default=np.inf)
-
-
-def run_gradcheck(cfg):
-    """Config-driven entry point; returns (results, all_passed)."""
-    hidden = cfg.hidden_dims if cfg.arch == "mlp" else (8, 8)
-    results = gradcheck_suite(
-        hidden_dims=tuple(hidden), num_classes=max(class_count(cfg), 2),
-        seed=cfg.seed,
-    )
-    return results, all(r.passed for r in results)
-

@@ -23,8 +23,9 @@ Conventions:
       order, so an optimizer can collect them after a backward pass.
       Parameter-free layers have an empty ``param_names``.
 
-Gradients of every layer here are verified against central finite
-differences in the test suite.
+:func:`marginnet.gradcheck.check_layer` checks a layer's backward against
+central finite differences; ``marginnet gradcheck`` runs it on the dense,
+ReLU, conv, max-pool and dropout layers.
 
 Convolution is im2col plus one GEMM per product (Chellapilla et al.
 2006): the forward pass lays its receptive fields out as a patch matrix
@@ -383,33 +384,22 @@ class FlattenLayer(Layer):
         return d_input
 
 
-def dropout(x, rate, train, rng):
-    """Inverted dropout: zero units with probability ``rate`` and scale
-    survivors by 1/(1-rate) at train time; identity in eval mode.
-
-    rate 0 and eval mode return ``x`` unchanged (bitwise identity).
-    """
-    _check_rate(rate)
-    x = np.asarray(x, dtype=DTYPE)
-    if not train or rate == 0.0:
-        return x
-    return x * dropout_mask(x.shape, rate, rng)
-
-
 def dropout_mask(shape, rate, rng):
     """The inverted-dropout multiplier: 1/(1-rate) for each unit that
     survives (one uniform draw per unit, kept when >= ``rate``), else 0."""
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def _check_rate(rate):
-    if not 0.0 <= rate < 1.0:
-        raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-
-
 class DropoutLayer(Layer):
+    """Inverted dropout: zero units with probability ``rate`` and scale
+    survivors by 1/(1-rate) at train time; identity in eval mode.
+
+    rate 0 and eval mode return ``x`` unchanged (bitwise identity).
+    """
+
     def __init__(self, rate):
-        _check_rate(rate)
+        if not 0.0 <= rate < 1.0:
+            raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._mask = None
         self._identity = False

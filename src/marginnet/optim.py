@@ -44,7 +44,6 @@ class SgdMomentum:
             )
         self.momentum = momentum
         self.velocities = None
-        self.step_count = 0
 
     def step(self, params, grads, lr):
         """One in-place update of every parameter array.
@@ -72,4 +71,3 @@ class SgdMomentum:
             v *= self.momentum
             v -= lr * g
             p += v
-        self.step_count += 1

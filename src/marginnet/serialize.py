@@ -14,6 +14,7 @@ written file.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -90,28 +91,25 @@ def load_tensors(dir_path):
             f"{manifest_path}: format {manifest.get('format')!r}, "
             f"expected {FORMAT_TAG!r}"
         )
-    with open(os.path.join(dir_path, BLOB_NAME), "rb") as f:
-        blob = f.read()
     tensors = {}
     offset = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
-            raise ManifestError(
-                f"{BLOB_NAME} holds {len(blob)} bytes; tensor "
-                f"{entry['name']!r} needs bytes up to {offset + nbytes}"
-            )
-        arr = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset
-        ).reshape(shape)
-        tensors[entry["name"]] = arr.astype(DTYPE, copy=True)
-        offset += nbytes
-    if offset != len(blob):
-        raise ManifestError(
-            f"{BLOB_NAME} has {len(blob) - offset} trailing bytes"
-        )
+    with open(os.path.join(dir_path, BLOB_NAME), "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        for entry in manifest["tensors"]:
+            shape = tuple(entry["shape"])
+            nbytes = math.prod(shape) * 8
+            if offset + nbytes > size:
+                raise ManifestError(
+                    f"{BLOB_NAME} holds {size} bytes; tensor "
+                    f"{entry['name']!r} needs bytes up to {offset + nbytes}"
+                )
+            # Straight into the tensor's own array: the blob is never held whole.
+            arr = np.empty(shape, dtype="<f8")
+            f.readinto(arr.reshape(-1).view(np.uint8))
+            tensors[entry["name"]] = arr.astype(DTYPE, copy=False)
+            offset += nbytes
+    if offset != size:
+        raise ManifestError(f"{BLOB_NAME} has {size - offset} trailing bytes")
     return tensors, manifest.get("meta", {})
 
 

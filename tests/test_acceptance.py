@@ -21,10 +21,10 @@ import pytest
 from marginnet import gradcheck as gc
 from marginnet.config import parse_config_text
 from marginnet.data import load_idx, make_blobs, write_idx
+from marginnet.gradcheck import gradcheck_suite
 from marginnet.harness import (
     cross_objective_eval,
     evaluate_objectives,
-    gradcheck_suite,
     load_model,
     prepare_data,
     train,

@@ -2,14 +2,27 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from marginnet.cli import main
+from marginnet.config import parse_config_text
 from marginnet.gradcheck import (
     EPS,
     TOL,
-    compare_gradients,
     check_gradient,
+    check_layer,
+    compare_gradients,
     fd_gradient,
+    gradcheck_suite,
     rel_errors,
+    run_gradcheck,
 )
+from marginnet.layers import (
+    Conv2dLayer,
+    DenseLayer,
+    DropoutLayer,
+    MaxPool2x2Layer,
+    ReluLayer,
+)
+from marginnet.tensor import DomainError
 
 
 class TestFdGradient:
@@ -72,6 +85,103 @@ class TestCompareGradients:
         assert good.passed
         bad = check_gradient("sin", f, x, np.cos(x) * 1.01)
         assert not bad.passed
+
+
+def _scaled_backward(layer_type):
+    """``layer_type.backward`` with its returned gradient scaled by 1.5:
+    wrong wherever the true gradient is nonzero."""
+    backward = layer_type.backward
+
+    def wrong(self, *args, **kwargs):
+        return 1.5 * backward(self, *args, **kwargs)
+
+    return wrong
+
+
+class TestCheckLayer:
+    def test_names_input_then_each_parameter(self):
+        rng = np.random.default_rng(3)
+        dense = DenseLayer(3, 2, rng=rng, init_std=0.5)
+        results = check_layer("fc", dense, rng.normal(size=(4, 3)),
+                              rng.normal(size=(4, 2)))
+        assert [r.name for r in results] == ["fc.d_input", "fc.d_weights", "fc.d_bias"]
+        assert all(r.passed for r in results)
+        conv = Conv2dLayer(2, 2, 3, stride=2, rng=rng, init_std=0.5)
+        results = check_layer("conv", conv, rng.normal(size=(2, 2, 5, 6)),
+                              rng.normal(size=(2, 2, 3, 3)))
+        assert [r.name for r in results] == ["conv.d_input", "conv.d_filters", "conv.d_bias"]
+        assert all(r.passed for r in results)
+
+    def test_seed_fixes_the_dropout_mask(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x, r = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        (result,) = check_layer("drop", DropoutLayer(0.5), x, r, seed=9)
+        assert result.passed
+        # A backward that ignores the mask passes only in eval mode, so
+        # with a seed every forward trains.
+        monkeypatch.setattr(DropoutLayer, "backward", lambda self, d_out: d_out)
+        (result,) = check_layer("drop", DropoutLayer(0.5), x, r, seed=9)
+        assert not result.passed
+        (result,) = check_layer("drop", DropoutLayer(0.5), x, r)
+        assert result.passed
+
+    @pytest.mark.parametrize("make, x_shape, r_shape", [
+        (lambda rng: DenseLayer(3, 2, rng=rng, init_std=0.5), (4, 3), (4, 2)),
+        (lambda rng: Conv2dLayer(1, 2, 3, rng=rng, init_std=0.5), (2, 1, 4, 4), (2, 2, 4, 4)),
+    ], ids=["dense", "conv"])
+    def test_wrong_input_gradient_fails(self, monkeypatch, make, x_shape, r_shape):
+        rng = np.random.default_rng(5)
+        layer = make(rng)
+        monkeypatch.setattr(type(layer), "backward", _scaled_backward(type(layer)))
+        results = check_layer("l", layer, rng.normal(size=x_shape), rng.normal(size=r_shape))
+        # parameter gradients are untouched; only d_input is scaled
+        assert [res.passed for res in results] == [False, True, True]
+
+
+class TestGradcheckSuite:
+    def test_every_gradient_matches(self):
+        results = gradcheck_suite()
+        assert len(results) == 30
+        failed = [r.name for r in results if not r.passed]
+        assert failed == []
+        assert max(r.max_rel_error for r in results) < 1e-6
+
+    def test_run_gradcheck_reports_pass(self):
+        cfg = parse_config_text("hidden_dims = 8, 8\nseed = 0\n")
+        results, ok = run_gradcheck(cfg)
+        assert ok
+        assert len(results) == 30
+
+    def test_wide_layers_rejected(self):
+        with pytest.raises(DomainError):
+            gradcheck_suite(hidden_dims=(64,))
+
+    # Seeds whose composed-mlp check points once sat on a ReLU or hinge
+    # kink, plus a plain run of seeds.
+    KINK_SEEDS = (6, 25, 42, 45, 60, 66, 76, 102, 123, 128, 141, 147, 184,
+                  204, 209, 246, 287)
+
+    @pytest.mark.parametrize("seed", sorted(set(KINK_SEEDS) | set(range(30))))
+    def test_passes_at_seed(self, seed):
+        failed = [r.summary() for r in gradcheck_suite(seed=seed) if not r.passed]
+        assert failed == []
+
+    # The suite checks the layer classes training runs, so a wrong
+    # backward in any of them fails that layer's own check and the CLI.
+    @pytest.mark.parametrize("layer_type, check", [
+        (ReluLayer, "relu.d_input"),
+        (DropoutLayer, "dropout.d_input"),
+        (MaxPool2x2Layer, "maxpool.d_input"),
+    ])
+    def test_wrong_layer_backward_fails_its_check(self, monkeypatch, tmp_path,
+                                                  capsys, layer_type, check):
+        monkeypatch.setattr(layer_type, "backward", _scaled_backward(layer_type))
+        failed = [r.name for r in gradcheck_suite() if not r.passed]
+        assert check in failed
+        cfg = tmp_path / "gc.cfg"
+        cfg.write_text("hidden_dims = 8, 8\n")
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        assert f"FAIL  {check}:" in capsys.readouterr().out
 
 
 def test_default_constants():

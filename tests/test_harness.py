@@ -14,11 +14,9 @@ from marginnet.harness import (
     cross_objective_eval,
     ensemble_predict,
     evaluate_objectives,
-    gradcheck_suite,
     load_model,
     prepare_data,
     read_metrics_csv,
-    run_gradcheck,
     train,
     warm_start,
     write_metrics_csv,
@@ -209,6 +207,7 @@ class TestArtifacts:
         for got, want in zip(rows, l2svm_run.metrics):
             assert got["epoch"] == want["epoch"]
             assert got["updates"] == want["updates"]
+            assert type(got["epoch"]) is int and type(got["updates"]) is int
             for col in CSV_COLUMNS[2:]:
                 assert got[col] == pytest.approx(want[col], rel=1e-8)
         # rewriting what was read reproduces the file byte for byte
@@ -353,31 +352,3 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             ensemble_predict([], ds.inputs)
 
-
-class TestGradcheckSuite:
-    def test_every_gradient_matches(self):
-        results = gradcheck_suite()
-        assert len(results) == 30
-        failed = [r.name for r in results if not r.passed]
-        assert failed == []
-        assert max(r.max_rel_error for r in results) < 1e-6
-
-    def test_run_gradcheck_reports_pass(self):
-        cfg = parse_config_text("hidden_dims = 8, 8\nseed = 0\n")
-        results, ok = run_gradcheck(cfg)
-        assert ok
-        assert len(results) == 30
-
-    def test_wide_layers_rejected(self):
-        with pytest.raises(DomainError):
-            gradcheck_suite(hidden_dims=(64,))
-
-    # Seeds whose composed-mlp check points once sat on a ReLU or hinge
-    # kink, plus a plain run of seeds.
-    KINK_SEEDS = (6, 25, 42, 45, 60, 66, 76, 102, 123, 128, 141, 147, 184,
-                  204, 209, 246, 287)
-
-    @pytest.mark.parametrize("seed", sorted(set(KINK_SEEDS) | set(range(30))))
-    def test_passes_at_seed(self, seed):
-        failed = [r.summary() for r in gradcheck_suite(seed=seed) if not r.passed]
-        assert failed == []

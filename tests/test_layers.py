@@ -16,7 +16,6 @@ from marginnet.layers import (
     LayerStateError,
     MaxPool2x2Layer,
     ReluLayer,
-    dropout,
     dropout_mask,
     gaussian_noise,
     maxpool2x2,
@@ -155,12 +154,9 @@ class TestRelu:
         rng = np.random.default_rng(2)
         x = _kink_free_normal(rng, (6, 5))
         r = rng.normal(size=(6, 5))
-        analytic = relu_backward(r, x)
-
-        def loss():
-            return float(np.sum(relu(x) * r))
-
-        assert gc.check_gradient("relu", loss, x, analytic).passed
+        results = gc.check_layer("relu", ReluLayer(), x, r)
+        assert [res.name for res in results] == ["relu.d_input"]
+        assert results[0].passed
 
 
 class TestConv2d:
@@ -400,13 +396,9 @@ class TestMaxPool:
         # Distinct values keep every window's argmax stable under eps.
         x = rng.permutation(np.arange(2 * 2 * 4 * 4) * 1.0).reshape(2, 2, 4, 4)
         r = rng.normal(size=(2, 2, 2, 2))
-        pooled, switches = maxpool2x2(x)
-        analytic = maxpool_backward(r, switches)
-
-        def loss():
-            return float(np.sum(maxpool2x2(x)[0] * r))
-
-        assert gc.check_gradient("pool", loss, x, analytic).passed
+        results = gc.check_layer("maxpool", MaxPool2x2Layer(), x, r)
+        assert [res.name for res in results] == ["maxpool.d_input"]
+        assert results[0].passed
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
@@ -495,18 +487,18 @@ class TestDropout:
     def test_eval_mode_is_bitwise_identity(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(10, 10))
-        out = dropout(x, 0.4, train=False, rng=rng)
+        out = DropoutLayer(0.4).forward(x, train=False, rng=rng)
         assert out is x or np.array_equal(out, x)
 
     def test_rate_zero_is_identity(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(5, 5))
-        npt.assert_array_equal(dropout(x, 0.0, train=True, rng=rng), x)
+        npt.assert_array_equal(DropoutLayer(0.0).forward(x, train=True, rng=rng), x)
 
     def test_kept_units_scaled_by_inverse_keep_rate(self):
         rng = np.random.default_rng(9)
         x = np.ones((100, 100))
-        out = dropout(x, 0.2, train=True, rng=rng)
+        out = DropoutLayer(0.2).forward(x, train=True, rng=rng)
         kept = out[out != 0.0]
         npt.assert_allclose(kept, 1.0 / 0.8)
 
@@ -514,15 +506,14 @@ class TestDropout:
         # rate 0.2 over 1e5 samples: mean within [0.99, 1.01] of input mean
         rng = np.random.default_rng(10)
         x = np.ones(100_000)
-        out = dropout(x, 0.2, train=True, rng=rng)
+        out = DropoutLayer(0.2).forward(x, train=True, rng=rng)
         assert 0.99 <= out.mean() <= 1.01
 
     def test_rate_domain(self):
-        rng = np.random.default_rng(11)
         with pytest.raises(DomainError):
-            dropout(np.ones(3), 1.0, train=True, rng=rng)
+            DropoutLayer(1.0)
         with pytest.raises(DomainError):
-            dropout(np.ones(3), -0.1, train=True, rng=rng)
+            DropoutLayer(-0.1)
 
     def test_layer_and_function_draw_the_same_mask(self):
         x = np.ones((6, 9))
@@ -532,9 +523,8 @@ class TestDropout:
             want = (rng.random(x.shape) >= rate) / (1.0 - rate)
             layer = DropoutLayer(rate)
             from_layer = layer.forward(x, train=True, rng=np.random.default_rng(seed))
-            from_function = dropout(x, rate, True, np.random.default_rng(seed))
             helper = dropout_mask(x.shape, rate, np.random.default_rng(seed))
-            for got in (layer._mask, from_layer, from_function, helper):
+            for got in (layer._mask, from_layer, helper):
                 assert got.tobytes() == want.tobytes()
 
     def test_layer_backward_reuses_forward_mask(self):

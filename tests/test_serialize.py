@@ -80,6 +80,43 @@ class TestWrite:
         assert os.path.getsize(tmp_path / BLOB_NAME) == blob_bytes
 
 
+class TestRead:
+    def test_loaded_tensors_hold_the_blob_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        tensors = {
+            "a": rng.normal(size=(3, 4)),
+            "b": np.float64(2.5),
+            "empty": np.zeros((0, 3)),
+            "c": rng.normal(size=7),
+        }
+        save_tensors(str(tmp_path), tensors)
+        loaded, _ = load_tensors(str(tmp_path))
+        blob = (tmp_path / BLOB_NAME).read_bytes()
+        assert b"".join(t.tobytes() for t in loaded.values()) == blob
+        assert [t.shape for t in loaded.values()] == [(3, 4), (1,), (0, 3), (7,)]
+        for t in loaded.values():
+            assert t.dtype == np.float64
+            assert t.flags.c_contiguous and t.flags.writeable
+
+    def test_loads_without_holding_the_blob_twice(self, tmp_path):
+        # Reading the blob whole and copying each tensor out of it would
+        # peak at twice the blob.
+        rng = np.random.default_rng(4)
+        tensors = {f"t{i}": rng.normal(size=(500, 1000)) for i in range(4)}
+        blob_bytes = sum(t.nbytes for t in tensors.values())  # 16 MB
+        save_tensors(str(tmp_path), tensors)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loaded, _ = load_tensors(str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * blob_bytes
+        for name, t in tensors.items():
+            assert loaded[name].tobytes() == t.tobytes()
+
+
 class TestValidation:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError):
