@@ -20,7 +20,8 @@ from marginnet.harness import (
     cross_objective_eval,
     ensemble_predict,
     load_model,
-    prepare_data,
+    load_splits,
+    seed_streams,
     train,
     warm_start,
 )
@@ -71,18 +72,14 @@ for name in sorted(os.listdir(results["l2svm"].out_dir)):
     print("  ", name)
 
 print("\n=== cross-objective evaluation of the saved models ===")
-# regenerate the raw data exactly as training did: the first stream
-# spawned from the config seed is the data stream
-raw_cfg = parse_config_text(
-    BASE.replace("standardize = true", "standardize = false")
-    + f"head = softmax\nseed = 0\nout_dir = {workdir}/raw\n"
-)
-data_rng = np.random.default_rng(np.random.SeedSequence(raw_cfg.seed).spawn(3)[0])
-raw = prepare_data(raw_cfg, data_rng)
+# reload the splits the seed-0 runs trained on, from the same data stream
+# but without the fitted preprocessing: each saved model applies its own
+data_rng, _, _ = seed_streams(0)
+_, raw_test = load_splits(parse_config_text(BASE), data_rng)
 print(f"{'model':>8} | {'err%':>5} | {'avg xent':>9} | {'sq hinge sum':>12}")
 for head in ("softmax", "l2svm"):
     model = load_model(results[head].model_dir)
-    rep = cross_objective_eval(model, raw.test, c=0.1, weight_decay=0.001)
+    rep = cross_objective_eval(model, raw_test, c=0.1, weight_decay=0.001)
     print(f"{head:>8} | {rep.error_pct:5.1f} | {rep.avg_xent:9.4f} | "
           f"{rep.hinge_sq_sum:12.4f}")
 print("(each model is best at the objective it trained on)")

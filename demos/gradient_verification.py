@@ -12,7 +12,7 @@ Run: python3 demos/gradient_verification.py
 import numpy as np
 
 from marginnet import gradcheck as gc
-from marginnet.heads import l1svm_head, l2svm_head
+from marginnet.heads import HeadSpec, apply_head
 
 print("=== full-suite check: every layer, every head ===")
 results = gc.gradcheck_suite()
@@ -30,24 +30,27 @@ its slope jumps from -C to 0.  Finite differences see both clearly.
 """)
 
 C = 0.01
-w = np.array([[1.0], [0.0]])  # one feature straight through, bias 0
-sign = np.array([[1.0]])
+# Label 0: class 0's score is the one feature straight through, bias 0.
+# Class 1's score is a bias of -5, a margin of 5 that never contributes.
+w = np.array([[1.0, 0.0], [0.0, -5.0]])
+labels = np.array([0])
 
 
-def fd_slope(margin, head):
+def fd_slope(margin, kind):
+    spec = HeadSpec(kind, 2, c=C)
     h = np.array([[margin]])
-    return float(gc.fd_gradient(lambda: head(w, h, sign, c=C).loss, h)[0, 0])
+    return float(gc.fd_gradient(lambda: apply_head(spec, w, h, labels).loss, h)[0, 0])
 
 
-at_kink_l2 = fd_slope(1.0, l2svm_head)
-at_kink_l1 = fd_slope(1.0, l1svm_head)
+at_kink_l2 = fd_slope(1.0, "l2svm")
+at_kink_l1 = fd_slope(1.0, "l1svm")
 print(f"numeric slope at m=1:  L2 {at_kink_l2:+.3e}   L1 {at_kink_l1:+.3e}")
 print(f"(L2 analytic slope is 0; L1 straddles a kink, FD reports ~-C/2 ="
       f" {-C / 2:+.3e})")
 
 margins = np.arange(0.9, 1.1 + 1e-9, 1e-3)
-for name, head in (("L2", l2svm_head), ("L1", l1svm_head)):
-    slopes = np.array([fd_slope(m, head) for m in margins])
+for name, kind in (("L2", "l2svm"), ("L1", "l1svm")):
+    slopes = np.array([fd_slope(m, kind) for m in margins])
     jump = float(np.abs(np.diff(slopes)).max())
     print(f"{name}: largest slope step across the sweep [0.9, 1.1] "
           f"= {jump:.3e}" + ("  (smooth)" if jump < 1e-4 else "  (kink)"))

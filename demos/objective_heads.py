@@ -15,10 +15,7 @@ from marginnet.heads import (
     apply_head,
     encode_targets,
     head_scores,
-    l1svm_head,
-    l2svm_head,
     predict,
-    softmax_head,
     softmax_probs,
 )
 
@@ -42,8 +39,8 @@ print("scores = [h, 1] @ w:\n", scores.round(4))
 print("argmax predictions:", predict(scores), " true labels:", labels)
 
 section("softmax head: mean cross-entropy")
-one_hot = encode_targets(labels, 3, "one_hot")
-soft = softmax_head(w, h, one_hot, weight_decay=0.001)
+one_hot = encode_targets(labels, 3)
+soft = apply_head(HeadSpec("softmax", 3, weight_decay=0.001), w, h, labels)
 probs = softmax_probs(scores)
 print("probabilities:\n", probs.round(4))
 print("loss (mean xent + 0.5*wd*||w_nobias||^2):", round(soft.loss, 6))
@@ -51,12 +48,12 @@ print("d_scores rows sum to ~0 (prob mass shifts between classes):")
 print(" ", ((probs - one_hot) / len(labels)).sum(axis=1).round(12))
 
 section("margin heads: one-vs-rest hinge on the same scores")
-sign = encode_targets(labels, 3, "sign")
+sign = 2.0 * one_hot - 1.0
 print("sign targets (+1 own class, -1 the rest):\n", sign)
 margins = scores * sign
 print("margins score*sign (want every entry >= 1):\n", margins.round(4))
-l1 = l1svm_head(w, h, sign, c=0.1)
-l2 = l2svm_head(w, h, sign, c=0.1)
+l1 = apply_head(HeadSpec("l1svm", 3, c=0.1), w, h, labels)
+l2 = apply_head(HeadSpec("l2svm", 3, c=0.1), w, h, labels)
 print("L1 loss  0.5*||w_nb||^2 + C*sum max(1-m,0)  :", round(l1.loss, 6))
 print("L2 loss  0.5*||w_nb||^2 + C*sum max(1-m,0)^2:", round(l2.loss, 6))
 
@@ -73,18 +70,14 @@ margins pull not at all.""")
 section("what the regularizer touches")
 bias_only = np.zeros_like(w)
 bias_only[-1] = np.array([5.0, -3.0, 2.0])
-with_wd = softmax_head(bias_only, h, one_hot, weight_decay=1.0)
-no_wd = softmax_head(bias_only, h, one_hot, weight_decay=0.0)
+with_wd = apply_head(HeadSpec("softmax", 3, weight_decay=1.0), bias_only, h, labels)
+no_wd = apply_head(HeadSpec("softmax", 3, weight_decay=0.0), bias_only, h, labels)
 print("bias-only weights, wd=1 vs wd=0 loss:",
       round(with_wd.loss, 9), "vs", round(no_wd.loss, 9),
       "(identical: the bias row is never decayed)")
 
 section("predictions are objective-independent")
-spec_soft = HeadSpec("softmax", 3, weight_decay=0.001)
-spec_l2 = HeadSpec("l2svm", 3, c=0.1)
-out_soft = apply_head(spec_soft, w, h, labels)
-out_l2 = apply_head(spec_l2, w, h, labels)
-same = np.array_equal(predict(out_soft.scores), predict(out_l2.scores))
+same = np.array_equal(predict(soft.scores), predict(l2.scores))
 print("same weights, same scores, same argmax under every head:", same)
 print("""
 Swapping the head therefore changes how a network trains, never how a

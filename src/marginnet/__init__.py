@@ -22,12 +22,10 @@ from .harness import (
 from .heads import (
     HeadOutput,
     HeadSpec,
+    apply_head,
     encode_targets,
     head_scores,
-    l1svm_head,
-    l2svm_head,
     predict,
-    softmax_head,
     softmax_probs,
 )
 from .network import Network, build_convnet, build_mlp
@@ -59,6 +57,7 @@ __all__ = [
     "SgdMomentum",
     "ShapeError",
     "TrainingDivergedError",
+    "apply_head",
     "augment",
     "build_convnet",
     "build_mlp",
@@ -71,8 +70,6 @@ __all__ = [
     "fd_gradient",
     "gradcheck_suite",
     "head_scores",
-    "l1svm_head",
-    "l2svm_head",
     "load_cifar10",
     "load_idx",
     "load_model",
@@ -83,7 +80,6 @@ __all__ = [
     "pca_fit",
     "pca_transform",
     "predict",
-    "softmax_head",
     "softmax_probs",
     "train",
     "warm_start",

@@ -13,7 +13,7 @@ Every subcommand takes --config (flat key = value text); --seed and
 """
 
 import argparse
-import copy
+import dataclasses
 import json
 import os
 import sys
@@ -62,17 +62,17 @@ def _load_config(args):
     return cfg
 
 
-def _print_row(row):
+def _report_run(result):
+    """Print a finished run's last metrics row and where it wrote."""
+    row = result.metrics[-1]
     print("  ".join(f"{col}={harness.format_cell(col, row[col])}"
                     for col in harness.CSV_COLUMNS))
+    print(f"wrote {result.csv_path} and {result.model_dir}")
+    return 0
 
 
 def cmd_train(args):
-    cfg = _load_config(args)
-    result = harness.train(cfg)
-    _print_row(result.metrics[-1])
-    print(f"wrote {result.csv_path} and {result.model_dir}")
-    return 0
+    return _report_run(harness.train(_load_config(args)))
 
 
 def _report_lines(tag, rep):
@@ -102,13 +102,7 @@ def cmd_eval(args):
                 "model": cfg.model,
                 "split": cfg.eval_split,
                 "head": model.network.head_spec.kind,
-                "n": rep.n,
-                "error_pct": rep.error_pct,
-                "avg_xent": rep.avg_xent,
-                "hinge_sum": rep.hinge_sum,
-                "hinge_mean": rep.hinge_mean,
-                "hinge_sq_sum": rep.hinge_sq_sum,
-                "hinge_sq_mean": rep.hinge_sq_mean,
+                **dataclasses.asdict(rep),
             },
             f, indent=2,
         )
@@ -120,11 +114,9 @@ def cmd_eval(args):
 def _raw_split(cfg):
     """The configured eval split with no train-time preprocessing: saved
     models carry their own fitted transforms."""
-    raw = copy.deepcopy(cfg)
-    raw.values.update(standardize=False, pca_dims=0, augment=False)
     data_rng, _, _ = harness.seed_streams(cfg.seed)
-    prepared = harness.prepare_data(raw, data_rng)
-    return prepared.train if cfg.eval_split == "train" else prepared.test
+    train, test = harness.load_splits(cfg, data_rng)
+    return train if cfg.eval_split == "train" else test
 
 
 def cmd_gradcheck(args):
@@ -142,10 +134,7 @@ def cmd_warmstart(args):
         raise ConfigError(
             "warmstart needs source_model = <saved model dir> in the config"
         )
-    result = harness.warm_start(cfg.source_model, cfg)
-    _print_row(result.metrics[-1])
-    print(f"wrote {result.csv_path} and {result.model_dir}")
-    return 0
+    return _report_run(harness.warm_start(cfg.source_model, cfg))
 
 
 def cmd_ensemble(args):

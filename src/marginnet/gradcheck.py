@@ -217,7 +217,7 @@ def gradcheck_suite(hidden_dims=(8, 8), num_classes=3, seed=0):
 
 def _hinge_gap(w, h, labels, num_classes):
     """Distance from the hinge kink (margin 1) of the nearest margin."""
-    sign = encode_targets(labels, num_classes, "sign")
+    sign = 2.0 * encode_targets(labels, num_classes) - 1.0
     return np.min(np.abs(1.0 - head_scores(w, h) * sign))
 
 

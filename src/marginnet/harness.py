@@ -14,7 +14,7 @@ config and seed reproduces the metrics CSV byte for byte.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None,
         h = network.forward(x, cache=False)
         score_rows.append(head_scores(network.head_weights, h))
     scores = np.concatenate(score_rows)
-    one_hot = encode_targets(labels, spec.num_classes, "one_hot")
+    one_hot = encode_targets(labels, spec.num_classes)
     reg, _ = head_penalty(network.head_weights)
     xent = cross_entropy(scores, one_hot)
     hinge = hinge_terms(scores, 2.0 * one_hot - 1.0)
@@ -173,14 +173,10 @@ def _as_images(inputs):
     return inputs.reshape(n, 1, side, side)
 
 
-def prepare_data(cfg, data_rng):
-    """Load, subset, and preprocess the configured dataset.
-
-    Preprocessing order: optional per-pixel standardization (fitted on
-    the training split only), then optional PCA (likewise).  Both fits
-    see only training rows; the test split is transformed with the
-    fitted parameters.
-    """
+def load_splits(cfg, data_rng):
+    """The configured (train, test) splits as loaded, with ``train_subset``
+    applied and no fitted preprocessing: the raw inputs a saved model's
+    :meth:`LoadedModel.transform` expects."""
     if cfg.dataset == "blobs":
         total = cfg.blobs_train_n + cfg.blobs_test_n
         full = make_blobs(
@@ -218,31 +214,48 @@ def prepare_data(cfg, data_rng):
                 f"train_subset {cfg.train_subset} exceeds {train.n} rows"
             )
         train = train.subset(np.arange(cfg.train_subset))
+    return train, test
 
+
+def _preprocess(inputs, standardizer, pca, images):
+    """Standardize, then project, then (``images``) reshape flat rows into
+    1-channel images; a None transform is skipped."""
+    x = inputs
+    if standardizer is not None:
+        x = standardizer.apply(x)
+    if pca is not None:
+        x = pca_transform(pca, x)
+    if images and x.ndim == 2:
+        x = _as_images(x)
+    return x
+
+
+def prepare_data(cfg, data_rng):
+    """Load, subset, and preprocess the configured dataset.
+
+    Preprocessing order: optional per-pixel standardization (fitted on
+    the training split only), then optional PCA (likewise), then, for a
+    convnet, flat rows become images.  Both fits see only training rows;
+    the test split is transformed with the fitted parameters.
+    """
+    train, test = load_splits(cfg, data_rng)
     standardizer = None
     pca = None
+    # Both splits are standardized as soon as the standardizer is fitted:
+    # the PCA fit needs standardized rows, and the raw rows can be freed.
     if cfg.standardize:
         if train.inputs.ndim != 2:
             raise ConfigError("standardize requires flat [N, D] inputs")
         standardizer = PixelStandardizer().fit(train.inputs)
-        train = Dataset(standardizer.apply(train.inputs), train.labels,
-                        train.num_classes, train.split)
-        test = Dataset(standardizer.apply(test.inputs), test.labels,
-                       test.num_classes, test.split)
+        train = replace(train, inputs=standardizer.apply(train.inputs))
+        test = replace(test, inputs=standardizer.apply(test.inputs))
     if cfg.pca_dims:
         if train.inputs.ndim != 2:
             raise ConfigError("pca requires flat [N, D] inputs")
         pca = pca_fit(train.inputs, cfg.pca_dims)
-        train = Dataset(pca_transform(pca, train.inputs), train.labels,
-                        train.num_classes, train.split)
-        test = Dataset(pca_transform(pca, test.inputs), test.labels,
-                       test.num_classes, test.split)
-
-    if cfg.arch == "conv" and train.inputs.ndim == 2:
-        train = Dataset(_as_images(train.inputs), train.labels,
-                        train.num_classes, train.split)
-        test = Dataset(_as_images(test.inputs), test.labels,
-                       test.num_classes, test.split)
+    images = cfg.arch == "conv"
+    train = replace(train, inputs=_preprocess(train.inputs, None, pca, images))
+    test = replace(test, inputs=_preprocess(test.inputs, None, pca, images))
     if cfg.augment and train.inputs.ndim != 4:
         raise ConfigError("augment requires image-shaped [N, C, H, W] inputs")
     return PreparedData(train, test, pca, standardizer)
@@ -474,14 +487,8 @@ class LoadedModel:
 
     def transform(self, inputs):
         """Apply the model's saved preprocessing to raw inputs."""
-        x = inputs
-        if self.standardizer is not None:
-            x = self.standardizer.apply(x)
-        if self.pca is not None:
-            x = pca_transform(self.pca, x)
-        if self.network.arch["kind"] == "conv" and x.ndim == 2:
-            x = _as_images(x)
-        return x
+        return _preprocess(inputs, self.standardizer, self.pca,
+                           self.network.arch["kind"] == "conv")
 
 
 def load_model(model_dir):

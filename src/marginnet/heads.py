@@ -1,5 +1,7 @@
 """Output objectives: softmax cross-entropy and linear-SVM margin heads.
 
+:func:`apply_head` is the one way to evaluate a head: a :class:`HeadSpec`
+names the objective and its constant, and the call takes integer labels.
 All three heads score a batch of penultimate activations h [N, D] with a
 single weight matrix W [(D+1), K] whose last row is the bias (inputs are
 augmented with a constant 1), and they differ only in the loss applied
@@ -10,8 +12,8 @@ the argmax of the raw scores, so heads are drop-in interchangeable at
 inference time.
 
 Losses over a minibatch of size N, writing W_k for column k of W with
-its bias entry excluded from regularization, s = augment(h) @ W,
-margins M = s * T:
+its bias entry excluded from regularization, s = augment(h) @ W, Y the
+one-hot targets, T = 2Y - 1 the sign targets and margins M = s * T:
 
     softmax:  mean_n [ -log p_{y_n} ]  +  0.5 * weight_decay * ||W_nobias||^2
     l1svm:    0.5 * ||W_nobias||^2  +  C * sum_{n,k} max(1 - M_{nk}, 0)
@@ -23,12 +25,13 @@ the gradients below; the softmax data term is a per-example mean.
 Gradients with respect to the scores, used for both d_W and the
 backpropagated d_h:
 
-    softmax:  (p - y) / N
+    softmax:  (p - Y) / N
     l1svm:    -C * T * 1{M < 1}          (0 exactly at M == 1)
     l2svm:    -2 * C * T * max(1 - M, 0)
 
-Every gradient here is validated against central finite differences in
-the test suite.
+The l2svm gradient approaches 0 as a margin approaches 1 from either
+side, so that loss is differentiable everywhere.  Every gradient here is
+validated against central finite differences in the test suite.
 """
 
 from dataclasses import dataclass
@@ -62,7 +65,7 @@ class HeadSpec:
 
     ``c`` is the margin-violation weight for l1svm/l2svm (must be > 0);
     ``weight_decay`` is the softmax L2 weight cost (must be >= 0).  Each
-    is consulted only by its own head kind.
+    is checked here, once, and consulted only by its own head kind.
     """
 
     kind: str
@@ -82,22 +85,12 @@ class HeadSpec:
             )
         if self.dim is not None and self.dim < 1:
             raise DomainError(f"head dim must be positive, got {self.dim}")
-        if self.kind in ("l1svm", "l2svm"):
-            _check_c(self.c)
-        else:
-            _check_weight_decay(self.weight_decay)
-
-
-def _check_c(c):
-    if not c > 0:
-        raise DomainError(f"margin penalty C must be positive, got {c}")
-
-
-def _check_weight_decay(weight_decay):
-    if weight_decay < 0:
-        raise DomainError(
-            f"weight decay must be non-negative, got {weight_decay}"
-        )
+        if self.kind != "softmax" and not self.c > 0:
+            raise DomainError(f"margin penalty C must be positive, got {self.c}")
+        if self.kind == "softmax" and self.weight_decay < 0:
+            raise DomainError(
+                f"weight decay must be non-negative, got {self.weight_decay}"
+            )
 
 
 def init_head_weights(dim, num_classes, rng=None, init_std=0.01):
@@ -136,11 +129,11 @@ def softmax_probs(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def encode_targets(labels, num_classes, encoding):
-    """Encode integer labels [N] as one-hot {0,1} or sign {-1,+1} targets.
+def encode_targets(labels, num_classes):
+    """Encode integer labels [N] as one-hot {0,1} targets [N, num_classes].
 
-    encoding "one_hot" suits the softmax head, "sign" the margin heads.
-    Labels outside [0, num_classes) are rejected.
+    The margin heads' sign targets are ``2 * one_hot - 1``.  Labels
+    outside [0, num_classes) are rejected.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -152,25 +145,7 @@ def encode_targets(labels, num_classes, encoding):
         )
     one_hot = np.zeros((labels.shape[0], num_classes), dtype=DTYPE)
     one_hot[np.arange(labels.shape[0]), labels] = 1.0
-    if encoding == "one_hot":
-        return one_hot
-    if encoding == "sign":
-        return 2.0 * one_hot - 1.0
-    raise DomainError(f"unknown target encoding {encoding!r}")
-
-
-def _check_targets(targets, n, k, off):
-    """Targets must be [n, k], 1.0 once per row and ``off`` elsewhere:
-    off 0 is the one-hot encoding, off -1 the sign encoding."""
-    targets = np.asarray(targets, dtype=DTYPE)
-    if targets.shape != (n, k):
-        raise ShapeError(f"targets must be [{n}, {k}], got {targets.shape}")
-    on = targets == 1.0
-    if not (np.all(on | (targets == off)) and np.all(on.sum(axis=1) == 1)):
-        raise DomainError(
-            f"targets must be 1/{off:g} with exactly one 1 per row"
-        )
-    return targets
+    return one_hot
 
 
 def head_penalty(w):
@@ -193,75 +168,40 @@ def hinge_terms(scores, targets_sign):
     return np.maximum(1.0 - scores * targets_sign, 0.0)
 
 
-def _head_output(loss, h, w, scores, d_scores, d_w_penalty):
+def apply_head(spec, w, h, labels):
+    """Evaluate the head named by ``spec`` on integer labels [N]: the
+    loss, the scores and the exact gradients of the module docstring."""
+    one_hot = encode_targets(labels, spec.num_classes)
+    h = np.asarray(h, dtype=DTYPE)
+    w = np.asarray(w, dtype=DTYPE)
+    scores = head_scores(w, h)
+    n = scores.shape[0]
+    if one_hot.shape != scores.shape:
+        raise ShapeError(
+            f"{one_hot.shape[0]} labels over {spec.num_classes} classes do "
+            f"not match scores {scores.shape}"
+        )
+    reg, w_nb = head_penalty(w)
+    if spec.kind == "softmax":
+        d_scores = (softmax_probs(scores) - one_hot) / n
+        loss = cross_entropy(scores, one_hot) + spec.weight_decay * reg
+        d_w_penalty = spec.weight_decay * w_nb
+    else:
+        sign = 2.0 * one_hot - 1.0
+        hinge = hinge_terms(scores, sign)
+        if spec.kind == "l2svm":
+            data = float(np.sum(hinge * hinge))
+            d_scores = -2.0 * spec.c * sign * hinge
+        else:
+            data = float(np.sum(hinge))
+            # Subgradient choice: exactly-at-margin examples (M == 1) get 0.
+            d_scores = -spec.c * sign * (hinge > 0.0)
+        loss = reg + spec.c * data
+        d_w_penalty = w_nb
     # Chain d_scores back through scores = augment(h) @ w.
     d_w = augment_ones(h).T @ d_scores + d_w_penalty
     d_h = (d_scores @ w.T)[:, :-1]
     return HeadOutput(loss, scores, d_w, d_h)
-
-
-def softmax_head(w, h, targets_one_hot, weight_decay=0.0):
-    """Mean cross-entropy of softmax(scores) plus an L2 weight cost.
-
-    The weight cost 0.5 * weight_decay * ||W_nobias||^2 excludes the
-    bias row.  Data gradient w.r.t. scores is (probs - targets) / N.
-    """
-    _check_weight_decay(weight_decay)
-    h = np.asarray(h, dtype=DTYPE)
-    scores = head_scores(w, h)
-    n, k = scores.shape
-    targets = _check_targets(targets_one_hot, n, k, off=0.0)
-    w = np.asarray(w, dtype=DTYPE)
-    reg, w_nb = head_penalty(w)
-    d_scores = (softmax_probs(scores) - targets) / n
-    loss = cross_entropy(scores, targets) + weight_decay * reg
-    return _head_output(loss, h, w, scores, d_scores, weight_decay * w_nb)
-
-
-def _svm_head(w, h, targets_sign, c, squared):
-    _check_c(c)
-    h = np.asarray(h, dtype=DTYPE)
-    scores = head_scores(w, h)
-    n, k = scores.shape
-    targets = _check_targets(targets_sign, n, k, off=-1.0)
-    w = np.asarray(w, dtype=DTYPE)
-    hinge = hinge_terms(scores, targets)
-    reg, w_nb = head_penalty(w)
-    if squared:
-        data = float(np.sum(hinge * hinge))
-        d_scores = -2.0 * c * targets * hinge
-    else:
-        data = float(np.sum(hinge))
-        # Subgradient choice: exactly-at-margin examples (M == 1) get 0.
-        d_scores = -c * targets * (hinge > 0.0)
-    return _head_output(reg + c * data, h, w, scores, d_scores, w_nb)
-
-
-def l1svm_head(w, h, targets_sign, c):
-    """One-vs-rest hinge loss, summed over the batch:
-    0.5 * ||W_nobias||^2 + C * sum max(1 - margin, 0)."""
-    return _svm_head(w, h, targets_sign, c, squared=False)
-
-
-def l2svm_head(w, h, targets_sign, c):
-    """One-vs-rest squared hinge loss, summed over the batch:
-    0.5 * ||W_nobias||^2 + C * sum max(1 - margin, 0)^2.
-
-    Differentiable everywhere: the gradient -2C * t * max(1 - m, 0)
-    approaches 0 as the margin approaches 1 from either side.
-    """
-    return _svm_head(w, h, targets_sign, c, squared=True)
-
-
-def apply_head(spec, w, h, labels):
-    """Evaluate the head named by ``spec`` on integer labels."""
-    if spec.kind == "softmax":
-        targets = encode_targets(labels, spec.num_classes, "one_hot")
-        return softmax_head(w, h, targets, spec.weight_decay)
-    targets = encode_targets(labels, spec.num_classes, "sign")
-    if spec.kind == "l1svm":
-        return l1svm_head(w, h, targets, spec.c)
-    return l2svm_head(w, h, targets, spec.c)
 
 
 def predict(scores):

@@ -101,38 +101,29 @@ class DenseLayer(Layer):
         return matmul(d_out, self.weights.T) if input_grad else None
 
 
-def relu(x):
-    """max(x, 0), elementwise."""
-    return np.maximum(np.asarray(x, dtype=DTYPE), 0.0)
-
-
-def relu_backward(d_out, cached_x):
-    """Pass d_out where the forward input was > 0; the subgradient at
-    exactly 0 is taken as 0."""
-    d_out = np.asarray(d_out, dtype=DTYPE)
-    cached_x = np.asarray(cached_x)
-    if d_out.shape != cached_x.shape:
-        raise ShapeError(
-            f"relu backward shapes disagree: {d_out.shape} vs {cached_x.shape}"
-        )
-    return d_out * (cached_x > 0)
-
-
 class ReluLayer(Layer):
+    """max(x, 0), elementwise.  Backward passes d_out where the forward
+    input was > 0; the subgradient at exactly 0 is taken as 0."""
+
     def __init__(self):
         self._cached_input = None
 
     def forward(self, x, train=False, rng=None, cache=True):
         x = np.asarray(x, dtype=DTYPE)
         self._cached_input = x if cache else None
-        return relu(x)
+        return np.maximum(x, 0.0)
 
     def backward(self, d_out):
-        if self._cached_input is None:
+        x = self._cached_input
+        if x is None:
             raise LayerStateError("relu backward called before forward")
-        d_input = relu_backward(d_out, self._cached_input)
+        d_out = np.asarray(d_out, dtype=DTYPE)
+        if d_out.shape != x.shape:
+            raise ShapeError(
+                f"relu backward shapes disagree: {d_out.shape} vs {x.shape}"
+            )
         self._cached_input = None
-        return d_input
+        return d_out * (x > 0)
 
 
 # Images per block of the inference conv forward.  With OpenBLAS 0.3.31
@@ -293,76 +284,69 @@ class Conv2dLayer(Layer):
         return d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
 
 
-def maxpool2x2(x, switches=True):
-    """Max over non-overlapping 2x2 windows, stride 2.
-
-    Returns (pooled, switches) where switches holds the flat row-major
-    index (0..3) of each window's maximum, ties resolved to the lowest
-    index.  Spatial dims must be even.  ``switches=False`` (inference)
-    skips them and returns (pooled, None); ``pooled`` is the same either
-    way.
-    """
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool expects NCHW input, got shape {x.shape}")
-    h, w = x.shape[2:]
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    # A knockout over the four strided window views: left against right
-    # in each row, then top row against bottom.  Strict ``>`` keeps the
-    # lower index on ties (and on +-0.0), as argmax does.
-    views = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    right_top = views[1] > views[0]
-    right_bottom = views[3] > views[2]
-    top = np.where(right_top, views[1], views[0])
-    bottom = np.where(right_bottom, views[3], views[2])
-    down = bottom > top
-    pooled = np.where(down, bottom, top)
-    index = None
-    if switches:
-        index = (2 * down + np.where(down, right_bottom, right_top)).astype(np.intp)
-    # ``>`` never selects a NaN, but argmax does: a window holding a NaN
-    # pools to its first NaN.  The max of x is NaN iff x holds one.
-    if np.isnan(np.max(x, initial=-np.inf)):
-        for i in (3, 2, 1, 0):
-            nans = np.isnan(views[i])
-            np.copyto(pooled, views[i], where=nans)
-            if index is not None:
-                np.copyto(index, i, where=nans)
-    return pooled, index
-
-
-def maxpool_backward(d_out, switches):
-    """Route each gradient to its window's argmax position, zeros elsewhere."""
-    d_out = np.asarray(d_out, dtype=DTYPE)
-    if d_out.shape != switches.shape:
-        raise ShapeError(
-            f"maxpool backward shapes disagree: {d_out.shape} vs {switches.shape}"
-        )
-    n, c, ho, wo = d_out.shape
-    d_windows = np.zeros((n, c, ho, wo, 4), dtype=DTYPE)
-    np.put_along_axis(d_windows, switches[..., None], d_out[..., None], axis=-1)
-    return (
-        d_windows.reshape(n, c, ho, wo, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, 2 * ho, 2 * wo)
-    )
-
-
 class MaxPool2x2Layer(Layer):
+    """Max over non-overlapping 2x2 windows, stride 2, of NCHW input
+    with even spatial dims.
+
+    The caching forward keeps the switches: the flat row-major index
+    (0..3) of each window's maximum, ties resolved to the lowest index
+    as argmax does.  Backward routes each gradient to its window's
+    switch position, zeros elsewhere.  The inference forward
+    (``cache=False``) keeps no switches and pools the same bytes.
+    """
+
     def __init__(self):
         self._switches = None
 
     def forward(self, x, train=False, rng=None, cache=True):
-        pooled, self._switches = maxpool2x2(x, switches=cache)
+        x = np.asarray(x, dtype=DTYPE)
+        if x.ndim != 4:
+            raise ShapeError(f"maxpool expects NCHW input, got shape {x.shape}")
+        h, w = x.shape[2:]
+        if h % 2 or w % 2:
+            raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
+        # A knockout over the four strided window views: left against right
+        # in each row, then top row against bottom.  Strict ``>`` keeps the
+        # lower index on ties (and on +-0.0), as argmax does.
+        views = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        right_top = views[1] > views[0]
+        right_bottom = views[3] > views[2]
+        top = np.where(right_top, views[1], views[0])
+        bottom = np.where(right_bottom, views[3], views[2])
+        down = bottom > top
+        pooled = np.where(down, bottom, top)
+        switches = None
+        if cache:
+            switches = (2 * down + np.where(down, right_bottom, right_top)).astype(np.intp)
+        # ``>`` never selects a NaN, but argmax does: a window holding a NaN
+        # pools to its first NaN.  The max of x is NaN iff x holds one.
+        if np.isnan(np.max(x, initial=-np.inf)):
+            for i in (3, 2, 1, 0):
+                nans = np.isnan(views[i])
+                np.copyto(pooled, views[i], where=nans)
+                if switches is not None:
+                    np.copyto(switches, i, where=nans)
+        self._switches = switches
         return pooled
 
     def backward(self, d_out):
-        if self._switches is None:
+        switches = self._switches
+        if switches is None:
             raise LayerStateError("maxpool backward called before forward")
-        d_input = maxpool_backward(d_out, self._switches)
+        d_out = np.asarray(d_out, dtype=DTYPE)
+        if d_out.shape != switches.shape:
+            raise ShapeError(
+                f"maxpool backward shapes disagree: {d_out.shape} vs {switches.shape}"
+            )
         self._switches = None
-        return d_input
+        n, c, ho, wo = d_out.shape
+        d_windows = np.zeros((n, c, ho, wo, 4), dtype=DTYPE)
+        np.put_along_axis(d_windows, switches[..., None], d_out[..., None], axis=-1)
+        return (
+            d_windows.reshape(n, c, ho, wo, 2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, 2 * ho, 2 * wo)
+        )
 
 
 class FlattenLayer(Layer):

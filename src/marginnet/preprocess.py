@@ -165,17 +165,18 @@ def face_normalize(image, target_norm=100.0):
     return target_norm * centered / norms
 
 
+# Floor of a fitted per-column std: constant pixels map to exactly 0
+# instead of NaN.
+STD_FLOOR = 1e-8
+
+
 class PixelStandardizer:
     """Per-column mean/std standardization fitted on training data.
 
-    Uses the population std (divide by N); stds are floored at
-    ``std_floor`` so constant pixels map to exactly 0 instead of NaN.
+    Uses the population std (divide by N), floored at ``STD_FLOOR``.
     """
 
-    def __init__(self, std_floor=1e-8):
-        if std_floor <= 0:
-            raise DomainError(f"std floor must be positive, got {std_floor}")
-        self.std_floor = std_floor
+    def __init__(self):
         self.mean = None
         self.std = None
 
@@ -186,7 +187,7 @@ class PixelStandardizer:
                 f"standardizer expects non-empty [N, D] data, got {x.shape}"
             )
         self.mean = x.mean(axis=0)
-        self.std = np.maximum(x.std(axis=0), self.std_floor)
+        self.std = np.maximum(x.std(axis=0), STD_FLOOR)
         return self
 
     def apply(self, x):

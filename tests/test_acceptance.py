@@ -30,12 +30,7 @@ from marginnet.harness import (
     train,
     warm_start,
 )
-from marginnet.heads import (
-    HeadSpec,
-    l1svm_head,
-    l2svm_head,
-    softmax_probs,
-)
+from marginnet.heads import HeadSpec, apply_head, softmax_probs
 from marginnet.network import build_convnet
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -114,40 +109,53 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_l2_hinge_smoothness():
-    # data term through one score: w = [1, bias 0], t = +1, h = [m].
+    # data term through one score: class 0's column is w = [1, bias 0]
+    # with label 0 (t = +1) and h = [m]; class 1's column is only a
+    # bias of -5, a margin of 5 that never contributes.
     # C = 0.01 keeps finite-difference noise at the margin (C*eps/2)
     # below 1e-6 and the smooth gradient steps (2*C*spacing) below 1e-4,
     # while the L1 kink jump (= C) stays detectably above 1e-4.
     with criterion("criterion 2, L2 hinge smoothness"):
         c = 0.01
-        w = np.array([[1.0], [0.0]])
-        sign = np.array([[1.0]])
+        w = np.array([[1.0, 0.0], [0.0, -5.0]])
+        labels = np.array([0])
 
-        def fd_at(margin, head):
+        def fd_at(margin, kind):
+            spec = HeadSpec(kind, 2, c=c)
             h = np.array([[margin]])
-            return float(
-                gc.fd_gradient(lambda: head(w, h, sign, c=c).loss, h)[0, 0]
-            )
+            return float(gc.fd_gradient(
+                lambda: apply_head(spec, w, h, labels).loss, h
+            )[0, 0])
 
-        at_kink = fd_at(1.0, l2svm_head)
+        at_kink = fd_at(1.0, "l2svm")
         assert abs(at_kink) < 1e-6
 
         margins = np.arange(0.9, 1.1 + 1e-9, 1e-3)
-        l2_grads = np.array([fd_at(m, l2svm_head) for m in margins])
+        l2_grads = np.array([fd_at(m, "l2svm") for m in margins])
         l2_jumps = np.abs(np.diff(l2_grads))
         assert l2_jumps.max() < 1e-4
 
-        l1_grads = np.array([fd_at(m, l1svm_head) for m in margins])
+        l1_grads = np.array([fd_at(m, "l1svm") for m in margins])
         l1_jumps = np.abs(np.diff(l1_grads))
         assert l1_jumps.max() > 1e-4  # the L1 kink the sweep must resolve
 
 
 def test_criterion_03_prediction_equivalence():
+    # every head scores the same weights identically, and the argmax of
+    # those scores is the argmax of their softmax probabilities
     with criterion("criterion 3, prediction equivalence"):
         rng = np.random.default_rng(0)
+        specs = [HeadSpec(kind, 5, c=0.1, weight_decay=0.001)
+                 for kind in ("softmax", "l1svm", "l2svm")]
         mismatches = 0
         for _ in range(1000):
-            scores = rng.normal(size=(16, 5))
+            h = rng.normal(size=(16, 4))
+            w = rng.normal(size=(5, 5))
+            labels = rng.integers(0, 5, size=16)
+            outs = [apply_head(spec, w, h, labels) for spec in specs]
+            scores = outs[0].scores
+            for out in outs[1:]:
+                assert out.scores.tobytes() == scores.tobytes()
             a = np.argmax(softmax_probs(scores), axis=1)
             b = np.argmax(scores, axis=1)
             mismatches += int(np.sum(a != b))

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from marginnet import harness
 from marginnet.cli import main
 
 TINY_BLOBS = """
@@ -120,6 +121,48 @@ class TestEval:
                         TINY_BLOBS + f"out_dir = {tmp_path}/eval\n")
         assert main(["eval", "--config", cfg]) == 2
         assert "model" in capsys.readouterr().err
+
+
+# A convnet over 8x8 blobs images, whose fitted preprocessing runs on
+# flat rows before they become images.
+CONV_BLOBS = """
+dataset = blobs
+blobs_classes = 3
+blobs_dim = 64
+blobs_train_n = 60
+blobs_test_n = 30
+arch = conv
+conv_channels = 2, 2
+conv_kernel = 3
+conv_dense = 8
+head = l2svm
+epochs = 1
+batch_size = 30
+lr_start = 0.001
+"""
+
+
+@pytest.mark.parametrize("preprocess", ["standardize = true", "pca_dims = 16"],
+                         ids=["standardize", "pca"])
+def test_conv_model_evaluates_under_its_training_config(tmp_path, capsys,
+                                                         preprocess):
+    text = CONV_BLOBS + preprocess + "\n"
+    cfg = write_cfg(tmp_path, "t.cfg", text + f"out_dir = {tmp_path}/run\n")
+    assert main(["train", "--config", cfg]) == 0
+    model = f"{tmp_path}/run/model"
+    cfg = write_cfg(tmp_path, "e.cfg", text + f"model = {model}\n"
+                    f"out_dir = {tmp_path}/eval\n")
+    assert main(["eval", "--config", cfg]) == 0
+    cfg = write_cfg(tmp_path, "n.cfg", text + f"models = {model}, {model}\n"
+                    f"out_dir = {tmp_path}/ens\n")
+    assert main(["ensemble", "--config", cfg]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "eval" / "eval.json") as f:
+        report = json.load(f)
+    last = harness.read_metrics_csv(tmp_path / "run" / "metrics.csv")[-1]
+    for col in ("error_pct", "avg_xent", "hinge_sq_sum", "hinge_sq_mean"):
+        logged = last["test_error_pct" if col == "error_pct" else col]
+        assert harness.format_float(report[col]) == harness.format_float(logged)
 
 
 class TestGradcheck:

@@ -15,8 +15,9 @@ from marginnet.harness import (
     ensemble_predict,
     evaluate_objectives,
     load_model,
-    prepare_data,
+    load_splits,
     read_metrics_csv,
+    seed_streams,
     train,
     warm_start,
     write_metrics_csv,
@@ -82,17 +83,30 @@ class TestTrainLoop:
         self, l2svm_run, tmp_path
     ):
         # cross_objective_eval takes raw inputs (the saved model owns its
-        # preprocessing), so regenerate the same blobs without it
+        # preprocessing), so reload the run's splits without it
         model = load_model(l2svm_run.model_dir)
-        raw_cfg = blobs_config(tmp_path, "raw", head="l2svm", svm_c=0.1,
-                               standardize="false")
-        data_rng = np.random.default_rng(
-            np.random.SeedSequence(raw_cfg.seed).spawn(3)[0]
-        )
-        raw = prepare_data(raw_cfg, data_rng)
-        rep = cross_objective_eval(model, raw.train)
+        cfg = blobs_config(tmp_path, "raw", head="l2svm", svm_c=0.1)
+        data_rng, _, _ = seed_streams(cfg.seed)
+        raw_train, _ = load_splits(cfg, data_rng)
+        rep = cross_objective_eval(model, raw_train)
         logged = l2svm_run.metrics[-1]["train_loss"]
         assert rep.own_loss("l2svm") == logged  # same code path, bitwise
+
+    def test_saved_transform_of_raw_splits_is_the_prepared_data(self, tmp_path):
+        # standardize, PCA and the image reshape, fitted in training and
+        # replayed by the saved model on the raw rows, give the same bytes
+        cfg = blobs_config(
+            tmp_path, "conv", blobs_dim=64, epochs=0, pca_dims=16, arch="conv",
+            conv_channels="2, 2", conv_kernel=3, conv_dense=8,
+        )
+        res = train(cfg)
+        model = load_model(res.model_dir)
+        raw = load_splits(cfg, seed_streams(cfg.seed)[0])
+        for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
+            assert split.inputs.shape[1:] == (64,)
+            assert prepared.inputs.shape[1:] == (1, 4, 4)
+            assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
+            npt.assert_array_equal(split.labels, prepared.labels)
 
     def test_random_init_cross_entropy_near_log_k(self, tmp_path):
         cfg = blobs_config(tmp_path, "lnk", epochs=0, blobs_classes=4)

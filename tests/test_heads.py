@@ -13,13 +13,10 @@ from marginnet.heads import (
     error_rate_pct,
     head_scores,
     init_head_weights,
-    l1svm_head,
-    l2svm_head,
     predict,
-    softmax_head,
     softmax_probs,
 )
-from marginnet.tensor import DomainError
+from marginnet.tensor import DomainError, ShapeError
 
 # Softmax of [1, 2, 3], computed once with 50-digit arithmetic and frozen.
 SOFTMAX_123 = np.array(
@@ -53,23 +50,34 @@ class TestSoftmaxProbs:
         npt.assert_allclose(p.sum(), 1.0, rtol=1e-12)
 
 
+def _spec(kind, num_classes=2, c=1.0, weight_decay=0.0):
+    return HeadSpec(kind, num_classes, c=c, weight_decay=weight_decay)
+
+
+# Two classes, one feature straight into class 0's score, bias 0 there.
+# Class 1's score is its bias -5: target -1, margin 5, never violated,
+# so each margin-head loss below is class 0's alone.
+W_ONE_FEATURE = np.array([[1.0, 0.0], [0.0, -5.0]])
+LABEL_0 = np.array([0])
+
+
 class TestSoftmaxHead:
     def test_zero_weights_give_log_k(self):
         w = np.zeros((8, 10))  # dim 7 plus bias row, 10 classes
         h = np.random.default_rng(1).normal(size=(6, 7))
-        one_hot = encode_targets(np.arange(6) % 10, 10, "one_hot")
-        out = softmax_head(w, h, one_hot)
+        out = apply_head(_spec("softmax", 10), w, h, np.arange(6) % 10)
         npt.assert_allclose(out.loss, LN_10, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 4))
         w = init_head_weights(4, 3, rng=rng, init_std=0.5)
-        one_hot = encode_targets(rng.integers(0, 3, size=5), 3, "one_hot")
-        out = softmax_head(w, h, one_hot, weight_decay=0.1)
+        labels = rng.integers(0, 3, size=5)
+        spec = _spec("softmax", 3, weight_decay=0.1)
+        out = apply_head(spec, w, h, labels)
 
         def loss():
-            return softmax_head(w, h, one_hot, weight_decay=0.1).loss
+            return apply_head(spec, w, h, labels).loss
 
         assert gc.check_gradient("d_w", loss, w, out.d_w).passed
         assert gc.check_gradient("d_h", loss, h, out.d_h).passed
@@ -78,9 +86,9 @@ class TestSoftmaxHead:
         w = np.zeros((3, 4))
         w[-1, :] = [5.0, -3.0, 2.0, 0.0]  # bias row only, no real weights
         h = np.random.default_rng(3).normal(size=(2, 2))
-        one_hot = encode_targets(np.array([0, 1]), 4, "one_hot")
-        with_decay = softmax_head(w, h, one_hot, weight_decay=1.0)
-        without = softmax_head(w, h, one_hot, weight_decay=0.0)
+        labels = np.array([0, 1])
+        with_decay = apply_head(_spec("softmax", 4, weight_decay=1.0), w, h, labels)
+        without = apply_head(_spec("softmax", 4, weight_decay=0.0), w, h, labels)
         # bias contributes nothing to the regularizer or its gradient
         npt.assert_allclose(with_decay.loss, without.loss, rtol=0, atol=0)
         npt.assert_array_equal(with_decay.d_w[-1], without.d_w[-1])
@@ -88,20 +96,18 @@ class TestSoftmaxHead:
 
 class TestSvmHeads:
     def test_l2_worked_example(self):
-        # one example, one output column, weights [1, -1], zero bias:
-        # score 0.1, margin 0.1, hinge 0.9, d_score = -2*0.9 = -1.8
-        w = np.array([[1.0], [-1.0], [0.0]])
+        # class 0's weights [1, -1], zero bias: score 0.1, margin 0.1,
+        # hinge 0.9, d_score = -2*0.9 = -1.8; class 1 sits past its margin
+        w = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -5.0]])
         h = np.array([[0.2, 0.1]])
-        sign = np.array([[1.0]])
-        out = l2svm_head(w, h, sign, c=1.0)
+        out = apply_head(_spec("l2svm"), w, h, LABEL_0)
         npt.assert_allclose(out.d_h, [[-1.8, 1.8]], rtol=0, atol=1e-15)
 
     def test_margin_exactly_one_contributes_nothing(self):
-        w = np.array([[1.0], [0.0]])
-        h = np.array([[1.0]])  # score 1.0, margin exactly 1
-        sign = np.array([[1.0]])
-        for head in (l1svm_head, l2svm_head):
-            out = head(w, h, sign, c=3.0)
+        w = np.array([[1.0, 0.0], [0.0, -1.0]])
+        h = np.array([[1.0]])  # scores [1, -1]: both margins exactly 1
+        for kind in ("l1svm", "l2svm"):
+            out = apply_head(_spec(kind, c=3.0), w, h, LABEL_0)
             npt.assert_allclose(out.loss, 0.5)  # pure 0.5 * w^2, no data term
             npt.assert_array_equal(out.d_h, [[0.0]])
 
@@ -109,13 +115,15 @@ class TestSvmHeads:
         rng = np.random.default_rng(3)
         h = rng.normal(size=(5, 4))
         w = init_head_weights(4, 3, rng=rng, init_std=0.5)
-        sign = encode_targets(rng.integers(0, 3, size=5), 3, "sign")
+        labels = rng.integers(0, 3, size=5)
+        sign = 2.0 * encode_targets(labels, 3) - 1.0
         margins = head_scores(w, h) * sign
         assert np.min(np.abs(1.0 - margins)) > 1e-3  # kink clearance
-        out = l1svm_head(w, h, sign, c=0.7)
+        spec = _spec("l1svm", 3, c=0.7)
+        out = apply_head(spec, w, h, labels)
 
         def loss():
-            return l1svm_head(w, h, sign, c=0.7).loss
+            return apply_head(spec, w, h, labels).loss
 
         assert gc.check_gradient("d_w", loss, w, out.d_w).passed
         assert gc.check_gradient("d_h", loss, h, out.d_h).passed
@@ -124,11 +132,12 @@ class TestSvmHeads:
         rng = np.random.default_rng(4)
         h = rng.normal(size=(5, 4))
         w = init_head_weights(4, 3, rng=rng, init_std=0.5)
-        sign = encode_targets(rng.integers(0, 3, size=5), 3, "sign")
-        out = l2svm_head(w, h, sign, c=0.7)
+        labels = rng.integers(0, 3, size=5)
+        spec = _spec("l2svm", 3, c=0.7)
+        out = apply_head(spec, w, h, labels)
 
         def loss():
-            return l2svm_head(w, h, sign, c=0.7).loss
+            return apply_head(spec, w, h, labels).loss
 
         assert gc.check_gradient("d_w", loss, w, out.d_w).passed
         assert gc.check_gradient("d_h", loss, h, out.d_h).passed
@@ -137,75 +146,68 @@ class TestSvmHeads:
         rng = np.random.default_rng(5)
         h = rng.normal(size=(4, 3))
         w = init_head_weights(3, 2, rng=rng, init_std=0.5)
-        sign = encode_targets(np.array([0, 1, 0, 1]), 2, "sign")
+        labels = np.array([0, 1, 0, 1])
         reg = 0.5 * float(np.sum(w[:-1] ** 2))
-        for head in (l1svm_head, l2svm_head):
-            losses = [head(w, h, sign, c=c).loss for c in (1e-2, 1e-5, 1e-9)]
+        for kind in ("l1svm", "l2svm"):
+            losses = [apply_head(_spec(kind, c=c), w, h, labels).loss
+                      for c in (1e-2, 1e-5, 1e-9)]
             assert abs(losses[-1] - reg) < 1e-7
             assert abs(losses[-1] - reg) < abs(losses[0] - reg)
 
     def test_hinge_scales_with_batch_size_not_mean(self):
         # the margin data term is summed over examples, so doubling the
         # batch doubles it
-        w = np.array([[1.0], [0.0]])
-        sign1 = np.array([[1.0]])
+        spec = _spec("l1svm")
         h1 = np.array([[-1.0]])
-        loss1 = l1svm_head(w, h1, sign1, c=1.0).loss
+        loss1 = apply_head(spec, W_ONE_FEATURE, h1, LABEL_0).loss
         h2 = np.vstack([h1, h1])
-        sign2 = np.vstack([sign1, sign1])
-        loss2 = l1svm_head(w, h2, sign2, c=1.0).loss
+        loss2 = apply_head(spec, W_ONE_FEATURE, h2, np.array([0, 0])).loss
         npt.assert_allclose(loss2 - 0.5, 2 * (loss1 - 0.5))
+
+    def test_labels_must_match_the_scores(self):
+        w = np.zeros((3, 2))
+        with pytest.raises(ShapeError):
+            apply_head(_spec("l2svm"), w, np.zeros((2, 2)), LABEL_0)
+        with pytest.raises(ShapeError):
+            apply_head(_spec("softmax", 3), w, np.zeros((1, 2)), LABEL_0)
+
+
+def _violation_costs(v):
+    """(L1, L2) data terms of one class-0 margin 1 - v, i.e. violation v."""
+    h = np.array([[1.0 - v]])
+    return tuple(apply_head(_spec(kind), W_ONE_FEATURE, h, LABEL_0).loss - 0.5
+                 for kind in ("l1svm", "l2svm"))
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(v=st.floats(1e-6, 1 - 1e-6))
 def test_small_violations_cost_l2_less_than_l1(v):
-    w = np.array([[1.0], [0.0]])
-    sign = np.array([[1.0]])
-    h = np.array([[1.0 - v]])  # margin 1 - v, violation v
-    l1 = l1svm_head(w, h, sign, c=1.0).loss - 0.5
-    l2 = l2svm_head(w, h, sign, c=1.0).loss - 0.5
+    l1, l2 = _violation_costs(v)
     assert l2 < l1
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(v=st.floats(1 + 1e-6, 50))
 def test_large_violations_cost_l2_more_than_l1(v):
-    w = np.array([[1.0], [0.0]])
-    sign = np.array([[1.0]])
-    h = np.array([[1.0 - v]])
-    l1 = l1svm_head(w, h, sign, c=1.0).loss - 0.5
-    l2 = l2svm_head(w, h, sign, c=1.0).loss - 0.5
+    l1, l2 = _violation_costs(v)
     assert l2 > l1
 
 
 class TestTargets:
     def test_one_hot_round_trip(self):
         labels = np.array([2, 0, 1, 2])
-        one_hot = encode_targets(labels, 3, "one_hot")
+        one_hot = encode_targets(labels, 3)
         npt.assert_array_equal(np.argmax(one_hot, axis=1), labels)
         npt.assert_array_equal(one_hot.sum(axis=1), np.ones(4))
 
-    def test_sign_round_trip(self):
-        labels = np.array([1, 0])
-        sign = encode_targets(labels, 3, "sign")
-        npt.assert_array_equal(sign, [[-1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
-
     def test_out_of_range_label_rejected(self):
         with pytest.raises(DomainError):
-            encode_targets(np.array([0, 3]), 3, "one_hot")
+            encode_targets(np.array([0, 3]), 3)
         with pytest.raises(DomainError):
-            encode_targets(np.array([-1]), 3, "sign")
-
-    def test_malformed_targets_rejected_by_heads(self):
-        w = np.zeros((3, 2))
-        h = np.zeros((1, 2))
+            encode_targets(np.array([-1]), 3)
         with pytest.raises(DomainError):
-            softmax_head(w, h, np.array([[0.5, 0.5]]))  # not exact one-hot
-        with pytest.raises(DomainError):
-            l1svm_head(w, h, np.array([[1.0, 1.0]]), c=1.0)  # two positives
-        with pytest.raises(DomainError):
-            l2svm_head(w, h, np.array([[0.0, 1.0]]), c=1.0)  # not in {-1,+1}
+            apply_head(_spec("l2svm"), np.zeros((2, 2)), np.zeros((1, 1)),
+                       np.array([2]))
 
 
 class TestPredictionRule:

@@ -18,10 +18,6 @@ from marginnet.layers import (
     ReluLayer,
     dropout_mask,
     gaussian_noise,
-    maxpool2x2,
-    maxpool_backward,
-    relu,
-    relu_backward,
 )
 from marginnet.tensor import DomainError, ShapeError
 
@@ -89,6 +85,18 @@ def _reference_maxpool2x2(x):
     return pooled, switches
 
 
+def _routing(switches):
+    """The input gradient that routes 1.0 from each pooled cell to the
+    window position ``switches`` names, 0.0 elsewhere."""
+    n, c, ho, wo = switches.shape
+    hits = (np.arange(4) == switches[..., None]).astype(float)
+    return (
+        hits.reshape(n, c, ho, wo, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, 2 * ho, 2 * wo)
+    )
+
+
 # float64 summation-order differences between two correct contractions
 # stay near 1e-15 relative; 1e-12 leaves room without hiding a wrong term.
 REF_RTOL = 1e-12
@@ -145,10 +153,17 @@ class TestDense:
 
 class TestRelu:
     def test_values_and_subgradient_zero_at_zero(self):
+        layer = ReluLayer()
         x = np.array([-2.0, 0.0, 3.0])
-        npt.assert_array_equal(relu(x), [0.0, 0.0, 3.0])
-        d = relu_backward(np.ones(3), x)
+        npt.assert_array_equal(layer.forward(x), [0.0, 0.0, 3.0])
+        d = layer.backward(np.ones(3))
         npt.assert_array_equal(d, [0.0, 0.0, 1.0])
+
+    def test_backward_shape_mismatch_rejected(self):
+        layer = ReluLayer()
+        layer.forward(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones((3, 2)))
 
     def test_backward_matches_fd_away_from_kink(self):
         rng = np.random.default_rng(2)
@@ -336,6 +351,17 @@ LAYER_TYPES = {
 }
 
 
+@pytest.mark.parametrize("kind", LAYER_TYPES)
+def test_second_backward_is_a_state_error(kind):
+    make, shape = LAYER_TYPES[kind]
+    rng = np.random.default_rng(21)
+    layer, x = make(rng), rng.normal(size=shape)
+    out = layer.forward(x, train=True, rng=np.random.default_rng(1))
+    layer.backward(np.ones_like(out))
+    with pytest.raises(LayerStateError):
+        layer.backward(np.ones_like(out))
+
+
 class TestCacheFreeForward:
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("kind", LAYER_TYPES)
@@ -369,6 +395,14 @@ class TestCacheFreeForward:
             layer.backward(r)
 
 
+def _pool(x):
+    """A caching pool of ``x``: the pooled output and the gradient that
+    ``backward(ones)`` routes to each window's switch position."""
+    layer = MaxPool2x2Layer()
+    pooled = layer.forward(x)
+    return pooled, layer.backward(np.ones_like(pooled))
+
+
 class TestMaxPool:
     def test_values_and_switches(self):
         x = np.array(
@@ -377,18 +411,25 @@ class TestMaxPool:
                [5.0, 5.0, 7.0, 8.0],
                [5.0, 5.0, 9.0, 6.0]]]]
         )
-        pooled, switches = maxpool2x2(x)
+        pooled, routed = _pool(x)
         npt.assert_array_equal(pooled[0, 0], [[4.0, 0.0], [5.0, 9.0]])
         # constant window ties resolve to the first element (row-major)
-        assert switches[0, 0, 1, 0] == 0
-        assert switches[0, 0, 0, 0] == 3
+        npt.assert_array_equal(
+            routed[0, 0],
+            [[0.0, 0.0, 1.0, 0.0],
+             [0.0, 1.0, 0.0, 0.0],
+             [1.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 1.0, 0.0]],
+        )
 
     def test_backward_routes_to_argmax_only(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        pooled, switches = maxpool2x2(x)
-        d = maxpool_backward(np.ones_like(pooled), switches)
+        layer = MaxPool2x2Layer()
+        r = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        layer.forward(x)
+        d = layer.backward(r)
         expected = np.zeros_like(x)
-        expected[0, 0, 1::2, 1::2] = 1.0  # bottom-right of each window wins
+        expected[0, 0, 1::2, 1::2] = r[0, 0]  # bottom-right of each window wins
         npt.assert_array_equal(d, expected)
 
     def test_backward_matches_fd_with_distinct_windows(self):
@@ -402,17 +443,22 @@ class TestMaxPool:
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2x2(np.zeros((1, 1, 5, 4)))
+            MaxPool2x2Layer().forward(np.zeros((1, 1, 5, 4)))
+
+    def test_backward_shape_mismatch_rejected(self):
+        layer = MaxPool2x2Layer()
+        layer.forward(np.zeros((1, 1, 4, 4)))
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones((1, 1, 4, 4)))
 
     @staticmethod
     def _assert_same_bytes_as_reference(x):
-        pooled, switches = maxpool2x2(x)
+        pooled, routed = _pool(x)
         want_pooled, want_switches = _reference_maxpool2x2(x)
         assert pooled.dtype == want_pooled.dtype
-        assert switches.dtype == want_switches.dtype
         assert pooled.shape == want_pooled.shape
         assert pooled.tobytes() == want_pooled.tobytes()
-        assert switches.tobytes() == want_switches.tobytes()
+        assert routed.tobytes() == _routing(want_switches).tobytes()
 
     def test_matches_argmax_reference_bytewise(self):
         rng = np.random.default_rng(17)
@@ -444,9 +490,10 @@ class TestMaxPool:
         x[0, 0, 1, 0] = np.nan  # window (0, 0), index 2
         x[0, 0, 2, 3] = np.nan  # window (1, 1), index 1
         x[0, 0, 3, 3] = np.nan  # window (1, 1), index 3
-        pooled, switches = maxpool2x2(x)
-        assert np.isnan(pooled[0, 0, 0, 0]) and switches[0, 0, 0, 0] == 2
-        assert np.isnan(pooled[0, 0, 1, 1]) and switches[0, 0, 1, 1] == 1
+        pooled, routed = _pool(x)
+        assert np.isnan(pooled[0, 0, 0, 0]) and routed[0, 0, 1, 0] == 1.0
+        assert np.isnan(pooled[0, 0, 1, 1]) and routed[0, 0, 2, 3] == 1.0
+        assert routed.sum() == 4.0
         assert pooled[0, 0, 0, 1] == 7.0 and pooled[0, 0, 1, 0] == 13.0
         self._assert_same_bytes_as_reference(x)
         values = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0])
@@ -456,8 +503,9 @@ class TestMaxPool:
             )
 
     def test_empty_batch(self):
-        pooled, switches = maxpool2x2(np.zeros((0, 2, 4, 4)))
-        assert pooled.shape == switches.shape == (0, 2, 2, 2)
+        pooled, routed = _pool(np.zeros((0, 2, 4, 4)))
+        assert pooled.shape == (0, 2, 2, 2)
+        assert routed.shape == (0, 2, 4, 4)
 
     def test_switch_free_pooling_matches_bytewise(self):
         rng = np.random.default_rng(23)
@@ -465,10 +513,10 @@ class TestMaxPool:
         inputs = [rng.normal(size=(3, 4, 6, 10))]
         inputs += [rng.choice(values, size=(2, 3, 4, 6)) for _ in range(30)]
         inputs += [rng.choice(values[2:], size=(2, 3, 4, 6)) for _ in range(30)]
+        layer = MaxPool2x2Layer()
         for x in inputs:
-            pooled, switches = maxpool2x2(x, switches=False)
-            assert switches is None
-            want = maxpool2x2(x)[0]
+            pooled = layer.forward(x, cache=False)
+            want = layer.forward(x)
             assert pooled.shape == want.shape
             assert pooled.tobytes() == want.tobytes()
 

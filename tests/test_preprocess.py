@@ -230,6 +230,10 @@ class TestPixelStandardizer:
         out = s.apply(train)
         npt.assert_array_equal(out[:, 1], [0.0, 0.0])
 
+    def test_tiny_std_is_floored(self):
+        s = PixelStandardizer().fit(np.array([[0.0], [2e-12]]))
+        npt.assert_array_equal(s.std, [1e-8])
+
     def test_train_moments_after_transform(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(200, 6)) * 3 + 5
