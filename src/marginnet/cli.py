@@ -24,6 +24,7 @@ from . import harness
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
 from .gradcheck import run_gradcheck
+from .heads import error_rate_pct
 from .serialize import ManifestError
 from .tensor import DomainError, ShapeError
 
@@ -145,11 +146,12 @@ def cmd_ensemble(args):
         )
     models = [harness.load_model(path) for path in cfg.models]
     split = _raw_split(cfg)
-    pred = harness.ensemble_predict(models, split.inputs)
+    # One transform and forward per member serves both the member
+    # errors and the vote.
+    scores = harness.member_scores(models, split.inputs)
+    member_errs = [error_rate_pct(s, split.labels) for s in scores]
+    pred = harness.ensemble_vote(models, scores)
     err = 100.0 * float(np.mean(pred != split.labels))
-    member_errs = [
-        harness.cross_objective_eval(m, split).error_pct for m in models
-    ]
     for path, e in zip(cfg.models, member_errs):
         print(f"member {path}: error_pct={harness.format_float(e)}")
     print(

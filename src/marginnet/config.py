@@ -13,6 +13,7 @@ The parsed RunConfig remembers where each value came from ("config",
 that provenance for run metadata.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .tensor import DomainError
@@ -212,11 +213,24 @@ def _validate(cfg, origin):
             )
     # epochs 0 is legal: train() then emits only the initial evaluation row.
     non_negatives = ("epochs", "init_std", "noise_start", "noise_end",
-                     "lower_weight_decay", "train_subset", "lr_start", "lr_end")
+                     "lower_weight_decay", "train_subset", "lr_start", "lr_end",
+                     "max_jitter")
     for key in non_negatives:
         if not cfg.values[key] >= 0:
             raise ConfigError(
                 f"{origin}: {key} must be >= 0, got {cfg.values[key]}"
+            )
+    # Checked for every head: evaluation reports both objective families,
+    # each with its own constant, whichever head trains.
+    if not 0 <= cfg.values["weight_decay"] < math.inf:
+        raise ConfigError(
+            f"{origin}: weight_decay must be finite and >= 0, "
+            f"got {cfg.values['weight_decay']}"
+        )
+    for key in ("svm_c", "blobs_separation"):
+        if not 0 < cfg.values[key] < math.inf:
+            raise ConfigError(
+                f"{origin}: {key} must be finite and > 0, got {cfg.values[key]}"
             )
     positives = ("batch_size", "blobs_train_n", "blobs_test_n")
     for key in positives:

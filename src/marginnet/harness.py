@@ -219,12 +219,14 @@ def load_splits(cfg, data_rng):
 
 def _preprocess(inputs, standardizer, pca, images):
     """Standardize, then project, then (``images``) reshape flat rows into
-    1-channel images; a None transform is skipped."""
+    1-channel images; a None transform is skipped.  A standardizer
+    followed by a PCA runs as one row-blocked pass (:func:`pca_transform`)
+    that never builds the standardized rows."""
     x = inputs
-    if standardizer is not None:
-        x = standardizer.apply(x)
     if pca is not None:
-        x = pca_transform(pca, x)
+        x = pca_transform(pca, x, standardizer)
+    elif standardizer is not None:
+        x = standardizer.apply(x)
     if images and x.ndim == 2:
         x = _as_images(x)
     return x
@@ -236,26 +238,27 @@ def prepare_data(cfg, data_rng):
     Preprocessing order: optional per-pixel standardization (fitted on
     the training split only), then optional PCA (likewise), then, for a
     convnet, flat rows become images.  Both fits see only training rows;
-    the test split is transformed with the fitted parameters.
+    the test split is transformed from its raw rows with the fitted
+    parameters, as a saved model's :meth:`LoadedModel.transform` does.
     """
     train, test = load_splits(cfg, data_rng)
     standardizer = None
     pca = None
-    # Both splits are standardized as soon as the standardizer is fitted:
-    # the PCA fit needs standardized rows, and the raw rows can be freed.
+    # The training split is standardized as soon as the standardizer is
+    # fitted: the PCA fit needs standardized rows.
     if cfg.standardize:
         if train.inputs.ndim != 2:
             raise ConfigError("standardize requires flat [N, D] inputs")
         standardizer = PixelStandardizer().fit(train.inputs)
         train = replace(train, inputs=standardizer.apply(train.inputs))
-        test = replace(test, inputs=standardizer.apply(test.inputs))
     if cfg.pca_dims:
         if train.inputs.ndim != 2:
             raise ConfigError("pca requires flat [N, D] inputs")
         pca = pca_fit(train.inputs, cfg.pca_dims)
     images = cfg.arch == "conv"
     train = replace(train, inputs=_preprocess(train.inputs, None, pca, images))
-    test = replace(test, inputs=_preprocess(test.inputs, None, pca, images))
+    test = replace(test, inputs=_preprocess(test.inputs, standardizer, pca,
+                                            images))
     if cfg.augment and train.inputs.ndim != 4:
         raise ConfigError("augment requires image-shaped [N, C, H, W] inputs")
     return PreparedData(train, test, pca, standardizer)
@@ -550,22 +553,28 @@ def warm_start(source_model_dir, cfg, command="warmstart"):
     return train(cfg, warm_from=load_model(source_model_dir), command=command)
 
 
-def ensemble_predict(models, inputs):
-    """Average member outputs, then argmax.
+def member_scores(models, inputs):
+    """Each model's head scores [N, K] on raw ``inputs``, in order; each
+    LoadedModel applies its own saved preprocessing once."""
+    return [net.scores(x) for net, x in
+            (_network_and_inputs(m, inputs) for m in models)]
+
+
+def ensemble_vote(models, scores):
+    """Average the members' ``scores`` (from :func:`member_scores`), then
+    argmax.
 
     Softmax members contribute probabilities, margin members raw
     scores; mixing the two families in one ensemble is rejected since
-    their outputs live on different scales.  ``inputs`` are raw; each
-    LoadedModel applies its own saved preprocessing.
+    their outputs live on different scales.
     """
     if not models:
         raise DomainError("ensemble needs at least one model")
     kinds = set()
     totals = None
-    for m in models:
-        net, x = _network_and_inputs(m, inputs)
+    for m, out in zip(models, scores):
+        net = m.network if isinstance(m, LoadedModel) else m
         kinds.add("softmax" if net.head_spec.kind == "softmax" else "margin")
-        out = net.scores(x)
         if net.head_spec.kind == "softmax":
             out = softmax_probs(out)
         if totals is None:
@@ -581,3 +590,9 @@ def ensemble_predict(models, inputs):
             "cannot mix softmax and margin heads in one ensemble"
         )
     return predict(totals / len(models))
+
+
+def ensemble_predict(models, inputs):
+    """Average member outputs on raw ``inputs``, then argmax: the vote of
+    :func:`ensemble_vote` over :func:`member_scores`."""
+    return ensemble_vote(models, member_scores(models, inputs))

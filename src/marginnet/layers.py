@@ -84,7 +84,9 @@ class DenseLayer(Layer):
                 f"dense layer expects [N, {self.n_in}] input, got {x.shape}"
             )
         self._cached_input = x if cache else None
-        return matmul(x, self.weights) + self.bias
+        out = matmul(x, self.weights)
+        out += self.bias
+        return out
 
     def backward(self, d_out, input_grad=True):
         if self._cached_input is None:

@@ -2,10 +2,13 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from marginnet import harness
 from marginnet.cli import main
+from marginnet.config import parse_config
+from marginnet.network import Network
 
 TINY_BLOBS = """
 dataset = blobs
@@ -66,6 +69,17 @@ class TestTrain:
         cfg = write_cfg(tmp_path, "bad.cfg", "epochz = 3\n")
         assert main(["train", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["head = softmax\nsvm_c = -1",
+                                     "weight_decay = inf",
+                                     "blobs_separation = inf",
+                                     "max_jitter = -1"])
+    def test_bad_constant_exits_2_before_any_data(self, tmp_path, capsys, bad):
+        cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + bad + "\n"
+                        + f"out_dir = {tmp_path}/run\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_negative_init_std_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "bad.cfg", TINY_BLOBS + "init_std = -1\n"
@@ -198,22 +212,29 @@ class TestWarmstart:
         assert "source_model" in capsys.readouterr().err
 
 
+def train_members(tmp_path, extra=""):
+    """Train two TINY_BLOBS members at seeds 1 and 2 and write the
+    config of their ensemble; returns its path and the model dirs."""
+    model_dirs = []
+    for seed in (1, 2):
+        cfg = write_cfg(
+            tmp_path, f"m{seed}.cfg",
+            TINY_BLOBS.replace("seed = 1", f"seed = {seed}") + extra
+            + f"out_dir = {tmp_path}/m{seed}\n",
+        )
+        assert main(["train", "--config", cfg]) == 0
+        model_dirs.append(f"{tmp_path}/m{seed}/model")
+    cfg = write_cfg(
+        tmp_path, "ens.cfg",
+        TINY_BLOBS + f"models = {model_dirs[0]}, {model_dirs[1]}\n"
+        f"out_dir = {tmp_path}/ens\n",
+    )
+    return cfg, model_dirs
+
+
 class TestEnsemble:
     def test_averages_members_and_writes_report(self, tmp_path, capsys):
-        model_dirs = []
-        for seed in (1, 2):
-            cfg = write_cfg(
-                tmp_path, f"m{seed}.cfg",
-                TINY_BLOBS.replace("seed = 1", f"seed = {seed}")
-                + f"out_dir = {tmp_path}/m{seed}\n",
-            )
-            assert main(["train", "--config", cfg]) == 0
-            model_dirs.append(f"{tmp_path}/m{seed}/model")
-        cfg = write_cfg(
-            tmp_path, "ens.cfg",
-            TINY_BLOBS + f"models = {model_dirs[0]}, {model_dirs[1]}\n"
-            f"out_dir = {tmp_path}/ens\n",
-        )
+        cfg, _ = train_members(tmp_path)
         rc = main(["ensemble", "--config", cfg])
         out = capsys.readouterr().out
         assert rc == 0
@@ -223,6 +244,32 @@ class TestEnsemble:
         assert len(report["member_error_pct"]) == 2
         assert "ensemble_error_pct" in report
         assert "member" in out
+
+    def test_each_member_is_transformed_and_forwarded_once(self, tmp_path,
+                                                           capsys, monkeypatch):
+        cfg, model_dirs = train_members(tmp_path, "pca_dims = 2\n")
+        calls = {"transform": 0, "forward": 0}
+        for owner, name in ((harness.LoadedModel, "transform"),
+                            (Network, "forward")):
+            def counted(*args, _original=getattr(owner, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        assert main(["ensemble", "--config", cfg]) == 0
+        assert calls == {"transform": 2, "forward": 2}
+        monkeypatch.undo()
+        # the member errors and the vote are those of the per-model entry points
+        with open(tmp_path / "ens" / "ensemble.json") as f:
+            report = json.load(f)
+        models = [harness.load_model(d) for d in model_dirs]
+        parsed = parse_config(cfg)
+        split = harness.load_splits(parsed, harness.seed_streams(parsed.seed)[0])[1]
+        assert report["member_error_pct"] == [
+            harness.cross_objective_eval(m, split).error_pct for m in models
+        ]
+        pred = harness.ensemble_predict(models, split.inputs)
+        assert report["ensemble_error_pct"] == 100.0 * float(np.mean(pred != split.labels))
 
     def test_needs_member_list(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ens.cfg",

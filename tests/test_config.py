@@ -55,7 +55,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
                                      "lower_weight_decay", "train_subset",
-                                     "lr_start", "lr_end"])
+                                     "lr_start", "lr_end", "weight_decay",
+                                     "max_jitter"])
     def test_negative_value_rejected_at_parse_time(self, key):
         assert getattr(parse_config_text(f"{key} = 0\n"), key) == 0
         with pytest.raises(ConfigError) as exc:
@@ -64,10 +65,31 @@ class TestParsing:
         assert "run.cfg" in str(exc.value)
 
     @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
-                                     "lower_weight_decay", "lr_start", "lr_end"])
+                                     "lower_weight_decay", "lr_start", "lr_end",
+                                     "weight_decay", "svm_c", "blobs_separation"])
     def test_nan_rejected_at_parse_time(self, key):
         with pytest.raises(ConfigError):
             parse_config_text(f"{key} = nan\n")
+
+    @pytest.mark.parametrize("key", ["weight_decay", "svm_c", "blobs_separation"])
+    def test_infinite_value_rejected_at_parse_time(self, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"{key} = inf\n")
+        assert key in str(exc.value)
+
+    @pytest.mark.parametrize("head", ["softmax", "l1svm", "l2svm"])
+    @pytest.mark.parametrize("key", ["svm_c", "blobs_separation"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_positive_constants_checked_for_every_head(self, head, key, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"head = {head}\n{key} = {value}\n")
+        assert key in str(exc.value)
+
+    @pytest.mark.parametrize("head", ["softmax", "l1svm", "l2svm"])
+    def test_weight_decay_checked_for_every_head(self, head):
+        assert parse_config_text(f"head = {head}\nweight_decay = 0\n").weight_decay == 0
+        with pytest.raises(ConfigError):
+            parse_config_text(f"head = {head}\nweight_decay = -1\n")
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -13,9 +13,11 @@ from marginnet.harness import (
     TrainingDivergedError,
     cross_objective_eval,
     ensemble_predict,
+    ensemble_vote,
     evaluate_objectives,
     load_model,
     load_splits,
+    member_scores,
     read_metrics_csv,
     seed_streams,
     train,
@@ -107,6 +109,17 @@ class TestTrainLoop:
             assert prepared.inputs.shape[1:] == (1, 4, 4)
             assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
             npt.assert_array_equal(split.labels, prepared.labels)
+
+    def test_fused_transform_of_raw_rows_is_the_prepared_data(self, tmp_path):
+        # the saved model standardizes and projects raw rows in one pass;
+        # the prepared training split was standardized, then projected
+        cfg = blobs_config(tmp_path, "fused", blobs_dim=40, epochs=0, pca_dims=6)
+        res = train(cfg)
+        model = load_model(res.model_dir)
+        raw = load_splits(cfg, seed_streams(cfg.seed)[0])
+        for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
+            assert prepared.inputs.shape[1:] == (6,)
+            assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
 
     def test_random_init_cross_entropy_near_log_k(self, tmp_path):
         cfg = blobs_config(tmp_path, "lnk", epochs=0, blobs_classes=4)
@@ -360,6 +373,15 @@ class TestEnsemble:
         _, soft = self._members("softmax", 1)
         with pytest.raises(DomainError):
             ensemble_predict([members[0], soft[0]], ds.inputs)
+
+    def test_vote_over_member_scores_is_ensemble_predict(self):
+        ds, members = self._members("l1svm", 3)
+        scores = member_scores(members, ds.inputs)
+        assert [s.tobytes() for s in scores] == [
+            m.scores(ds.inputs).tobytes() for m in members
+        ]
+        npt.assert_array_equal(ensemble_vote(members, scores),
+                               ensemble_predict(members, ds.inputs))
 
     def test_empty_ensemble_rejected(self):
         ds, _ = self._members("l2svm", 1)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,8 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from marginnet.preprocess import (
+    PcaModel,
     PixelStandardizer,
     _lexicographic_row_order,
+    _row_blocks,
     augment,
     face_normalize,
     pca_fit,
@@ -189,6 +197,102 @@ class TestPcaFit:
             pca_transform(model, np.zeros((3, 5)))
         with pytest.raises(ShapeError):
             pca_inverse_transform(model, np.zeros((3, 3)))
+
+
+# Shapes on which the row-blocked transform must reproduce the one-GEMM
+# formula: input widths, component counts, and row counts around the
+# 512-row block and its multiples.  At width 3072 the rows stop at 3000,
+# which already spans several blocks and a remainder at every component
+# count; 10000 rows there would hold 245 MB per copy.
+TRANSFORM_DIMS = (70, 784, 3072)
+TRANSFORM_COMPONENTS = (1, 2, 3, 4, 5, 8, 16, 40, 70)
+TRANSFORM_ROWS = (0, 1, 17, 511, 512, 513, 1023, 1024, 1025, 2000, 3000, 10000)
+WIDE_ROWS_CAP = 3000
+
+
+def transform_both_ways(dims=TRANSFORM_DIMS):
+    """Yield ((d, k, n, standardized), reference, fused) over the grid,
+    where reference is the unblocked formula and fused is
+    :func:`pca_transform` with the standardizer passed through."""
+    for d in dims:
+        rng = np.random.default_rng(d)
+        rows = [n for n in TRANSFORM_ROWS if d < 3072 or n <= WIDE_ROWS_CAP]
+        raw = rng.normal(3.0, 2.0, size=(max(rows), d))
+        standardizer = PixelStandardizer().fit(raw[:500])
+        for k in TRANSFORM_COMPONENTS:
+            comps = np.linalg.qr(rng.normal(size=(d, k)))[0].copy()
+            pca = PcaModel(rng.normal(size=d) * 0.1, comps, np.ones(k))
+            for n in rows:
+                x = raw[:n]
+                for s in (None, standardizer):
+                    ref = ((x if s is None else s.apply(x)) - pca.mean) @ pca.components
+                    yield (d, k, n, s is not None), ref, pca_transform(pca, x, s)
+
+
+class TestRowBlockedTransform:
+    def test_bytes_match_unblocked_formula_at_one_blas_thread(self):
+        # BLAS results are only reproducible at a fixed thread count, and
+        # the thread count is fixed when numpy loads, hence a child process.
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.environ.get("PYTHONPATH")
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {here!r})\n"
+            "import test_preprocess as t\n"
+            "bad = [case for case, ref, got in t.transform_both_ways()\n"
+            "       if ref.shape != got.shape or ref.tobytes() != got.tobytes()]\n"
+            "print(json.dumps(bad))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == []
+
+    def test_matches_unblocked_formula_at_default_threads(self):
+        for case, ref, got in transform_both_ways(TRANSFORM_DIMS[:2]):
+            assert got.shape == ref.shape, case
+            npt.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=str(case))
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 10000])
+    @pytest.mark.parametrize("k,d", [(1, 784), (2, 70), (3, 784), (70, 784)])
+    def test_blocks_cover_rows_in_order(self, n, k, d):
+        blocks = _row_blocks(n, k, d)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        for a, b in zip(blocks, blocks[1:]):
+            assert a.stop == b.start
+        sizes = [b.stop - b.start for b in blocks]
+        if k == 1:
+            assert len(blocks) == 1
+        # every block but the last has one size; the last absorbs the
+        # remainder, so it is never shorter than the others
+        assert len(set(sizes[:-1])) <= 1
+        assert sizes[-1] >= max(sizes[:-1], default=0)
+        assert all(s * k * d > 10**6 for s in sizes[:-1])
+
+    def test_peak_memory_is_a_fraction_of_the_input(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(10000, 784))
+        standardizer = PixelStandardizer().fit(x[:1000])
+        comps = np.linalg.qr(rng.normal(size=(784, 70)))[0].copy()
+        pca = PcaModel(np.zeros(784), comps, np.ones(70))
+        tracemalloc.start()
+        try:
+            pca_transform(pca, x, standardizer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * x.nbytes
+
+    def test_standardizer_checked_before_projection(self):
+        pca = pca_fit(np.random.default_rng(4).normal(size=(20, 4)), 2)
+        with pytest.raises(DomainError):
+            pca_transform(pca, np.zeros((3, 4)), PixelStandardizer())
+        standardizer = PixelStandardizer().fit(np.ones((5, 5)))
+        with pytest.raises(ShapeError):
+            pca_transform(pca, np.zeros((3, 4)), standardizer)
 
 
 class TestFaceNormalize:
