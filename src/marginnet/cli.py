@@ -14,7 +14,6 @@ Every subcommand takes --config (flat key = value text); --seed and
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -25,7 +24,7 @@ from .config import ConfigError, parse_config
 from .data import IdxFormatError
 from .gradcheck import run_gradcheck
 from .heads import error_rate_pct
-from .serialize import ManifestError
+from .serialize import ManifestError, json_text, write_text
 from .tensor import DomainError, ShapeError
 
 
@@ -97,17 +96,12 @@ def cmd_eval(args):
     print(line)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "eval.json")
-    with open(out_path, "w") as f:
-        json.dump(
-            {
-                "model": cfg.model,
-                "split": cfg.eval_split,
-                "head": model.network.head_spec.kind,
-                **dataclasses.asdict(rep),
-            },
-            f, indent=2,
-        )
-        f.write("\n")
+    write_text(out_path, json_text({
+        "model": cfg.model,
+        "split": cfg.eval_split,
+        "head": model.network.head_spec.kind,
+        **dataclasses.asdict(rep),
+    }))
     print(f"wrote {out_path}")
     return 0
 
@@ -160,17 +154,12 @@ def cmd_ensemble(args):
     )
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "ensemble.json")
-    with open(out_path, "w") as f:
-        json.dump(
-            {
-                "models": list(cfg.models),
-                "split": cfg.eval_split,
-                "member_error_pct": member_errs,
-                "ensemble_error_pct": err,
-            },
-            f, indent=2,
-        )
-        f.write("\n")
+    write_text(out_path, json_text({
+        "models": list(cfg.models),
+        "split": cfg.eval_split,
+        "member_error_pct": member_errs,
+        "ensemble_error_pct": err,
+    }))
     print(f"wrote {out_path}")
     return 0
 

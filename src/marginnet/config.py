@@ -211,33 +211,27 @@ def _validate(cfg, origin):
                 f"{origin}: {key} must be one of {choices}, "
                 f"got {cfg.values[key]!r}"
             )
-    # epochs 0 is legal: train() then emits only the initial evaluation row.
-    non_negatives = ("epochs", "init_std", "noise_start", "noise_end",
-                     "lower_weight_decay", "train_subset", "lr_start", "lr_end",
-                     "max_jitter")
-    for key in non_negatives:
-        if not cfg.values[key] >= 0:
-            raise ConfigError(
-                f"{origin}: {key} must be >= 0, got {cfg.values[key]}"
-            )
-    # Checked for every head: evaluation reports both objective families,
-    # each with its own constant, whichever head trains.
-    if not 0 <= cfg.values["weight_decay"] < math.inf:
-        raise ConfigError(
-            f"{origin}: weight_decay must be finite and >= 0, "
-            f"got {cfg.values['weight_decay']}"
-        )
-    for key in ("svm_c", "blobs_separation"):
-        if not 0 < cfg.values[key] < math.inf:
-            raise ConfigError(
-                f"{origin}: {key} must be finite and > 0, got {cfg.values[key]}"
-            )
-    positives = ("batch_size", "blobs_train_n", "blobs_test_n")
-    for key in positives:
-        if cfg.values[key] < 1:
-            raise ConfigError(
-                f"{origin}: {key} must be positive, got {cfg.values[key]}"
-            )
+    # Each key group and its rule.  epochs 0 is legal: train() then emits
+    # only the initial evaluation row.  weight_decay and svm_c are checked
+    # for every head: evaluation reports both objective families, each
+    # with its own constant, whichever head trains.
+    rules = (
+        (("epochs", "train_subset", "max_jitter"), ">= 0", lambda v: v >= 0),
+        (("weight_decay", "init_std", "noise_start", "noise_end",
+          "lower_weight_decay", "lr_start", "lr_end"),
+         "finite and >= 0", lambda v: 0 <= v < math.inf),
+        (("svm_c", "blobs_separation"), "finite and > 0",
+         lambda v: 0 < v < math.inf),
+        (("momentum", "conv_dropout"), "in [0, 1)", lambda v: 0 <= v < 1),
+        (("batch_size", "blobs_train_n", "blobs_test_n"), "positive",
+         lambda v: v >= 1),
+    )
+    for keys, rule, holds in rules:
+        for key in keys:
+            if not holds(cfg.values[key]):
+                raise ConfigError(
+                    f"{origin}: {key} must be {rule}, got {cfg.values[key]}"
+                )
 
 
 def head_spec_from_config(cfg):

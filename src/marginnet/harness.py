@@ -11,7 +11,6 @@ random draw in the run comes from one of them in a fixed order.  Rerunning with 
 config and seed reproduces the metrics CSV byte for byte.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from .heads import (
     encode_targets,
     error_rate_pct,
     head_penalty,
-    head_scores,
+    head_scores,  # unused here; perfbench/spans.py wraps harness.head_scores
     hinge_terms,
     predict,
     softmax_probs,
@@ -35,7 +34,7 @@ from .layers import gaussian_noise
 from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
 from .preprocess import PcaModel, PixelStandardizer, augment, pca_fit, pca_transform
-from .serialize import assign_tensor, load_tensors, save_tensors
+from .serialize import json_text, load_tensors, save_tensors, write_text
 from .tensor import DomainError, ShapeError
 
 CSV_COLUMNS = (
@@ -110,9 +109,9 @@ class ObjectiveReport:
         raise DomainError(f"unknown head kind {kind!r}")
 
 
-def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None,
-                        chunk=2000):
-    """Score a network on both objective families at once.
+def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None):
+    """Score a network on both objective families at once, from the
+    scores of :meth:`Network.scores`.
 
     ``c`` / ``weight_decay`` default to the network's own HeadSpec
     constants, so an svm-trained model's cross-entropy is evaluated
@@ -126,12 +125,7 @@ def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None,
     n = inputs.shape[0]
     if n == 0:
         raise DomainError("cannot evaluate on an empty split")
-    score_rows = []
-    for start in range(0, n, chunk):
-        x = inputs[start : start + chunk]
-        h = network.forward(x, cache=False)
-        score_rows.append(head_scores(network.head_weights, h))
-    scores = np.concatenate(score_rows)
+    scores = network.scores(inputs)
     one_hot = encode_targets(labels, spec.num_classes)
     reg, _ = head_penalty(network.head_weights)
     xent = cross_entropy(scores, one_hot)
@@ -314,8 +308,16 @@ def train(cfg, warm_from=None, command="train"):
     net = build_network(cfg, train_set.inputs, spec, init_rng)
     warm_meta = None
     if warm_from is not None:
+        # Every parameter carries over, head weights included: a warm start
+        # changes the objective, not the function computed at step 0.  The
+        # names must match exactly: a deeper source has every tensor, shapes
+        # included, that a shallower target has.
+        source = warm_from.network.named_tensors()
+        names = list(net.named_tensors())
         try:
-            _copy_stack(warm_from.network, net)
+            if list(source) != names:
+                raise ShapeError(f"parameter tensors {list(source)} vs {names}")
+            net.assign_tensors(source)
         except ShapeError as e:
             raise ConfigError(f"warm start architecture mismatch: {e}") from None
         warm_meta = {
@@ -391,45 +393,9 @@ def train(cfg, warm_from=None, command="train"):
         "updates": updates,
         "final": rows[-1],
     }
-    with open(os.path.join(cfg.out_dir, RUNMETA_NAME), "w") as f:
-        json.dump(runmeta, f, indent=2, default=_json_default)
-        f.write("\n")
+    write_text(os.path.join(cfg.out_dir, RUNMETA_NAME), json_text(runmeta))
     return TrainResult(net, rows, cfg.out_dir, csv_path, model_dir,
                        prepared, updates)
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
-def _copy_stack(source, target):
-    # Every parameter carries over, head weights included: a warm start
-    # changes the objective, not the function computed at step 0.
-    src_layers = [l for l in source.layers if l.params()]
-    dst_layers = [l for l in target.layers if l.params()]
-    if len(src_layers) != len(dst_layers):
-        raise ShapeError(
-            f"warm start stacks disagree: {len(src_layers)} vs "
-            f"{len(dst_layers)} parameterized layers"
-        )
-    for src, dst in zip(src_layers, dst_layers):
-        for sp, dp in zip(src.params(), dst.params()):
-            if sp.shape != dp.shape:
-                raise ShapeError(
-                    f"warm start parameter shapes disagree: {sp.shape} "
-                    f"vs {dp.shape}"
-                )
-            dp[...] = sp
-    if source.head_weights.shape != target.head_weights.shape:
-        raise ShapeError(
-            f"warm start head shapes disagree: {source.head_weights.shape} "
-            f"vs {target.head_weights.shape}"
-        )
-    target.head_weights[...] = source.head_weights
 
 
 def write_metrics_csv(path, rows):
@@ -437,8 +403,7 @@ def write_metrics_csv(path, rows):
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(format_cell(col, row[col]) for col in CSV_COLUMNS))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_metrics_csv(path):
@@ -500,10 +465,7 @@ def load_model(model_dir):
     spec = HeadSpec(head["kind"], head["num_classes"], head["c"],
                     head["weight_decay"])
     net = build_from_arch(meta["arch"], spec)
-    for name, target in net.named_tensors().items():
-        if name not in tensors:
-            raise ShapeError(f"saved model is missing tensor {name!r}")
-        assign_tensor(target, tensors[name], name)
+    net.assign_tensors(tensors)  # the preprocessing tensors are not parameters
     pca = None
     if meta.get("preprocess", {}).get("pca"):
         pca = PcaModel(

@@ -27,13 +27,14 @@ Conventions:
 central finite differences; ``marginnet gradcheck`` runs it on the dense,
 ReLU, conv, max-pool and dropout layers.
 
-Convolution is im2col plus one GEMM per product (Chellapilla et al.
-2006): the forward pass lays its receptive fields out as a patch matrix
-[C*k*k, N*Ho*Wo], so the forward output and the filter gradient are each
-a single 2-D matmul, and the input gradient is scattered back (col2im)
-with one small matmul per kernel offset.  The inference forward builds
-the same patch columns a few images at a time in one reused buffer, so
-no patch matrix outlives the call.
+Convolution is im2col plus GEMM (Chellapilla et al. 2006): the forward
+pass lays its receptive fields out as a patch matrix [C*k*k, N*Ho*Wo]
+and multiplies it a few images at a time straight into the output; the
+filter gradient is a single 2-D matmul over the whole patch matrix, and
+the input gradient is scattered back (col2im) with one small matmul per
+kernel offset.  The caching forward keeps every block's patches in one
+matrix for backward; the inference forward refills one reused block
+buffer, so no patch matrix outlives the call.
 """
 
 import numpy as np
@@ -128,10 +129,11 @@ class ReluLayer(Layer):
         return d_out * (x > 0)
 
 
-# Images per block of the inference conv forward.  With OpenBLAS 0.3.31
-# (Haswell kernels, 1 thread) a GEMM over a column block whose width is a
-# multiple of 8 reproduces the matching columns of the one-GEMM product
-# bit for bit; blocks of 1 or 25 images at 14x14 output (196 and 4,900
+# Images per block of the conv forward, caching or not.  With OpenBLAS
+# 0.3.31 (Haswell kernels, 1 thread) a GEMM over a column block whose
+# width is a multiple of 8 reproduces the matching columns of the one-GEMM
+# product bit for bit, also when the block is a strided slice of a wider
+# patch matrix; blocks of 1 or 25 images at 14x14 output (196 and 4,900
 # columns) differ in the last bit.  8 images give 8*Ho*Wo columns.
 IMAGE_BLOCK = 8
 
@@ -155,15 +157,16 @@ class Conv2dLayer(Layer):
                     is added into the (a, b) strided slice of the padded
                     input gradient
 
-    so backward never builds a patch-sized d_cols array; ``cols`` is the
-    only patch-sized array, cached from forward to backward.  Results are
-    bit-identical from run to run at a fixed BLAS thread count; a
-    different thread count can change their last bits.
-
-    The inference forward (``cache=False``) fills the patch columns of
-    ``IMAGE_BLOCK`` images at a time into one reused buffer and writes
-    each block's ``W @ cols`` straight into the NCHW output, so it never
-    holds more than one block's patches.
+    Both forwards run one loop over ``IMAGE_BLOCK`` images: each block's
+    patches are filled, multiplied by ``W`` into one reused product
+    buffer and written (plus the bias) straight into the NCHW output, so
+    no [F, N*Ho*Wo] product exists.  The caching forward fills each block
+    into its images' slice of one kept patch tensor, which backward reads
+    as ``cols``; the inference forward (``cache=False``) refills one
+    reused block buffer and keeps nothing.  Backward never builds a
+    patch-sized d_cols array, so ``cols`` is the only patch-sized array.
+    Results are bit-identical from run to run at a fixed BLAS thread
+    count; a different thread count can change their last bits.
     """
 
     param_names = ("filters", "bias")
@@ -210,43 +213,39 @@ class Conv2dLayer(Layer):
             )
         n, _, h, w = x.shape
         ho, wo = self.output_hw(h, w)
-        p = self.padding
-        rows = self.in_channels * self.kernel_size**2
-        weights = self.filters.reshape(self.out_channels, rows)
+        c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
+        weights = self.filters.reshape(f, c * k * k)
         self._cache = None  # free the last patch matrix before building this one
         # Channel-major view of the padded input: each kernel offset fills
-        # one [C, N, Ho, Wo] block of the patch tensor [C, k, k, N, Ho, Wo].
+        # one [C, B, Ho, Wo] block of the patch tensor [C, k, k, B, Ho, Wo].
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
-        out = np.empty((n, self.out_channels, ho, wo), dtype=DTYPE)
-        if cache:
-            cols = self._fill_patches(xp, np.empty(rows * n * ho * wo, dtype=DTYPE))
-            self._write_output(weights @ cols, out)
-            self._cache = (cols, x.shape, xp.shape)
-            return out
+        out = np.empty((n, f, ho, wo), dtype=DTYPE)
         block = min(n, IMAGE_BLOCK)
-        patches = np.empty(rows * block * ho * wo, dtype=DTYPE)
-        product = np.empty(self.out_channels * block * ho * wo, dtype=DTYPE)
+        # The caching forward keeps every block's patches, at its images'
+        # place in one tensor; the inference forward reuses one block's.
+        patches = np.empty((c, k, k, n if cache else block, ho, wo), dtype=DTYPE)
+        product = np.empty(f * block * ho * wo, dtype=DTYPE)
         for start in range(0, n, IMAGE_BLOCK):
-            images = slice(start, start + IMAGE_BLOCK)
-            cols = self._fill_patches(xp[:, images], patches)
-            gemm = product[: self.out_channels * cols.shape[1]]
-            gemm = np.matmul(weights, cols, out=gemm.reshape(self.out_channels, -1))
-            self._write_output(gemm, out[images])
+            stop = min(start + IMAGE_BLOCK, n)
+            place = slice(start, stop) if cache else slice(0, stop - start)
+            cols = self._fill_patches(xp[:, start:stop], patches[:, :, :, place])
+            gemm = product[: f * cols.shape[1]].reshape(f, -1)
+            self._write_output(np.matmul(weights, cols, out=gemm), out[start:stop])
+        if cache:
+            self._cache = (patches.reshape(c * k * k, n * ho * wo), x.shape, xp.shape)
         return out
 
-    def _fill_patches(self, xp, buffer):
+    def _fill_patches(self, xp, patches):
         """Lay the receptive fields of the channel-major padded images
-        ``xp`` [C, B, Hp, Wp] out as the patch matrix [C*k*k, B*Ho*Wo],
-        in the front of the flat ``buffer``, and return it."""
-        c, b = xp.shape[:2]
-        k, s = self.kernel_size, self.stride
-        ho = (xp.shape[2] - k) // s + 1
-        wo = (xp.shape[3] - k) // s + 1
-        cols = buffer[: c * k * k * b * ho * wo].reshape(c, k, k, b, ho, wo)
+        ``xp`` [C, B, Hp, Wp] out in ``patches`` [C, k, k, B, Ho, Wo] and
+        return them as the patch matrix [C*k*k, B*Ho*Wo]: a view, strided
+        when ``patches`` is one block of a larger tensor."""
+        c, k, _, b, ho, wo = patches.shape
+        s = self.stride
         for a in range(k):
             for j in range(k):
-                cols[:, a, j] = xp[:, :, a : a + ho * s : s, j : j + wo * s : s]
-        return cols.reshape(c * k * k, b * ho * wo)
+                patches[:, a, j] = xp[:, :, a : a + ho * s : s, j : j + wo * s : s]
+        return patches.reshape(c * k * k, b * ho * wo)
 
     def _write_output(self, gemm, out):
         """Add the bias to ``gemm`` [F, B*Ho*Wo] into ``out`` [B, F, Ho, Wo]."""

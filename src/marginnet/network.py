@@ -19,7 +19,11 @@ from .layers import (
     MaxPool2x2Layer,
     ReluLayer,
 )
-from .tensor import DomainError, ShapeError
+from .serialize import assign_tensor
+from .tensor import DTYPE, DomainError, ShapeError
+
+# Rows per chunk of Network.scores; see there for why 2,000.
+SCORE_CHUNK = 2000
 
 
 class Network:
@@ -41,7 +45,25 @@ class Network:
         return x
 
     def scores(self, x):
-        return heads_mod.head_scores(self.head_weights, self.forward(x, cache=False))
+        """Head scores [N, K] of ``x``: the inference forward and the head
+        on consecutive ``SCORE_CHUNK``-row chunks (the last may be short).
+
+        Evaluation (every ``metrics.csv`` row, ``marginnet eval``),
+        ``predict`` and the ensembles all score here, so they agree byte
+        for byte and need one chunk's activations, not the split's.  The
+        last bits depend on the chunk size, because a 2,000-row head
+        product can fall under OpenBLAS's small-matrix cutoff where the
+        whole split's does not; 2,000 is the partition evaluation has
+        always used, which keeps ``metrics.csv`` bytes unchanged.
+        """
+        x = np.asarray(x)
+        n = x.shape[0]
+        out = np.empty((n, self.head_weights.shape[1]), dtype=DTYPE)
+        for start in range(0, max(n, 1), SCORE_CHUNK):  # empty x is shape-checked too
+            rows = slice(start, start + SCORE_CHUNK)
+            h = self.forward(x[rows], cache=False)
+            out[rows] = heads_mod.head_scores(self.head_weights, h)
+        return out
 
     def predict(self, x):
         return heads_mod.predict(self.scores(x))
@@ -108,6 +130,16 @@ class Network:
                 out[f"layer{i}.{name}"] = tensor
         out["head.weights"] = self.head_weights
         return out
+
+    def assign_tensors(self, tensors):
+        """Copy each parameter from ``tensors`` (name -> array, named as
+        :meth:`named_tensors` names them) in place, shapes checked.  A
+        missing name raises :class:`ShapeError`; names that are not
+        parameters of this network are ignored."""
+        for name, target in self.named_tensors().items():
+            if name not in tensors:
+                raise ShapeError(f"missing tensor {name!r}")
+            assign_tensor(target, tensors[name], name)
 
     def head_meta(self):
         s = self.head_spec

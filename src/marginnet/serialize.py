@@ -10,7 +10,9 @@ A saved directory holds:
 Round-trips are exact: float64 bytes in, identical float64 bytes out.
 Each file is written under a temporary name in the same directory and
 moved into place with ``os.replace``, so a reader never sees a partly
-written file.
+written file; :func:`write_text` gives the other run artifacts
+(``metrics.csv``, ``runmeta.json``, ``eval.json``, ``ensemble.json``)
+the same guarantee.
 """
 
 import json
@@ -55,16 +57,31 @@ def save_tensors(dir_path, tensors, meta=None):
         for arr in arrays.values():
             f.write(arr.data)  # straight from the array's buffer, no bytes copy
 
-    def write_manifest(f):
-        f.write(json.dumps(manifest, indent=2).encode() + b"\n")
-
     _replace_file(os.path.join(dir_path, BLOB_NAME), write_blob)
-    _replace_file(os.path.join(dir_path, MANIFEST_NAME), write_manifest)
+    write_text(os.path.join(dir_path, MANIFEST_NAME), json_text(manifest))
+
+
+def json_text(obj):
+    """The JSON text of every JSON artifact: indented by 2, with a
+    trailing newline; numpy scalars are written as Python numbers."""
+    return json.dumps(obj, indent=2, default=_json_default) + "\n"
+
+
+def _json_default(value):
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
+    raise TypeError(f"not JSON serializable: {type(value)}")
+
+
+def write_text(path, text):
+    """Write ``text`` to ``path`` atomically, as UTF-8."""
+    _replace_file(path, lambda f: f.write(text.encode()))
 
 
 def _replace_file(path, write):
     """Call ``write`` on a binary file at a temporary path next to
-    ``path``, then move it over ``path``."""
+    ``path``, then move it over ``path``.  Every file a run writes goes
+    through here."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:

@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from marginnet import harness
+from marginnet import harness, serialize
 from marginnet.cli import main
 from marginnet.config import parse_config
 from marginnet.network import Network
@@ -73,7 +73,8 @@ class TestTrain:
     @pytest.mark.parametrize("bad", ["head = softmax\nsvm_c = -1",
                                      "weight_decay = inf",
                                      "blobs_separation = inf",
-                                     "max_jitter = -1"])
+                                     "max_jitter = -1",
+                                     "noise_start = inf"])
     def test_bad_constant_exits_2_before_any_data(self, tmp_path, capsys, bad):
         cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + bad + "\n"
                         + f"out_dir = {tmp_path}/run\n")
@@ -276,6 +277,22 @@ class TestEnsemble:
                         TINY_BLOBS + f"out_dir = {tmp_path}/ens\n")
         assert main(["ensemble", "--config", cfg]) == 2
         assert "models" in capsys.readouterr().err
+
+
+def test_every_artifact_is_written_atomically(tmp_path, capsys, monkeypatch):
+    written = []
+    replace = serialize._replace_file
+    monkeypatch.setattr(serialize, "_replace_file",
+                        lambda path, write: written.append(path) or replace(path, write))
+    cfg, model_dirs = train_members(tmp_path)
+    assert main(["ensemble", "--config", cfg]) == 0
+    cfg = write_cfg(tmp_path, "eval.cfg", TINY_BLOBS + f"model = {model_dirs[0]}\n"
+                    f"out_dir = {tmp_path}/eval\n")
+    assert main(["eval", "--config", cfg]) == 0
+    artifacts = [str(p) for p in tmp_path.rglob("*")
+                 if p.is_file() and p.suffix != ".cfg"]
+    assert len(artifacts) == 10
+    assert sorted(written) == sorted(artifacts)
 
 
 @pytest.mark.skipif(shutil.which("marginnet") is None,

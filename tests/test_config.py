@@ -56,7 +56,7 @@ class TestParsing:
     @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
                                      "lower_weight_decay", "train_subset",
                                      "lr_start", "lr_end", "weight_decay",
-                                     "max_jitter"])
+                                     "max_jitter", "momentum", "conv_dropout"])
     def test_negative_value_rejected_at_parse_time(self, key):
         assert getattr(parse_config_text(f"{key} = 0\n"), key) == 0
         with pytest.raises(ConfigError) as exc:
@@ -66,15 +66,26 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", ["init_std", "noise_start", "noise_end",
                                      "lower_weight_decay", "lr_start", "lr_end",
-                                     "weight_decay", "svm_c", "blobs_separation"])
+                                     "weight_decay", "svm_c", "blobs_separation",
+                                     "momentum", "conv_dropout"])
     def test_nan_rejected_at_parse_time(self, key):
         with pytest.raises(ConfigError):
             parse_config_text(f"{key} = nan\n")
 
-    @pytest.mark.parametrize("key", ["weight_decay", "svm_c", "blobs_separation"])
+    @pytest.mark.parametrize("key", ["weight_decay", "svm_c", "blobs_separation",
+                                     "init_std", "noise_start", "noise_end",
+                                     "lower_weight_decay", "lr_start", "lr_end",
+                                     "momentum", "conv_dropout"])
     def test_infinite_value_rejected_at_parse_time(self, key):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(f"{key} = inf\n")
+        assert key in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["momentum", "conv_dropout"])
+    def test_rate_of_one_rejected_at_parse_time(self, key):
+        assert getattr(parse_config_text(f"{key} = 0.99\n"), key) == 0.99
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"{key} = 1.0\n")
         assert key in str(exc.value)
 
     @pytest.mark.parametrize("head", ["softmax", "l1svm", "l2svm"])

@@ -331,6 +331,14 @@ class TestWarmStart:
         cfg = blobs_config(tmp_path, "warmbad", hidden_dims="8, 8")
         with pytest.raises(ConfigError):
             warm_start(l2svm_run.model_dir, cfg)
+        # A deeper source holds every tensor of a shallower target, with
+        # the same shapes (the head's included); both directions fail.
+        deep = train(blobs_config(tmp_path, "deep", hidden_dims="16, 16", epochs=0))
+        with pytest.raises(ConfigError, match="architecture mismatch"):
+            warm_start(deep.model_dir, blobs_config(tmp_path, "warmshallow"))
+        with pytest.raises(ConfigError, match="architecture mismatch"):
+            warm_start(l2svm_run.model_dir,
+                       blobs_config(tmp_path, "warmdeep", hidden_dims="16, 16"))
 
     def test_continued_training_moves_the_weights(self, l2svm_run, tmp_path):
         cfg = blobs_config(tmp_path, "warmgo", head="softmax", epochs=2)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import pytest
 
 from marginnet import gradcheck as gc
 from marginnet.layers import (
+    IMAGE_BLOCK,
     Conv2dLayer,
     DenseLayer,
     DropoutLayer,
@@ -338,6 +340,28 @@ class TestConvInferenceForward:
     def test_empty_batch(self):
         out = Conv2dLayer(2, 3, 3).forward(np.zeros((0, 2, 5, 5)), cache=False)
         assert out.shape == (0, 3, 5, 5)
+
+
+def test_caching_forward_builds_no_product_temporary():
+    # conv-mnist's conv1 at batch 200: beyond the kept patches, the output
+    # and the padded input, only one image block's product buffer is
+    # allowed.  A one-GEMM forward adds an output-sized [F, N*Ho*Wo]
+    # product (40 MB here).
+    rng = np.random.default_rng(4)
+    layer = Conv2dLayer(1, 32, 5, rng=rng)
+    x = rng.normal(size=(200, 1, 28, 28))
+    tracemalloc.start()
+    try:
+        out = layer.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    patches = layer._cache[0]
+    assert patches.shape == (25, 200 * 28 * 28)
+    padded = x.nbytes * 32 * 32 // (28 * 28)
+    block_product = out.nbytes * IMAGE_BLOCK // 200
+    slack = block_product + 1_000_000
+    assert peak < patches.nbytes + out.nbytes + padded + slack
 
 
 # One constructor per layer type, with the input shape it takes.

@@ -1,13 +1,19 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from marginnet import gradcheck as gc
-from marginnet.harness import ensemble_predict, evaluate_objectives
+from marginnet import network
+from marginnet.harness import ensemble_predict, evaluate_objectives, member_scores
 from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.layers import LayerStateError
 from marginnet.network import build_convnet, build_mlp
+from marginnet.tensor import ShapeError
 
 WD = 0.3
 
@@ -61,12 +67,13 @@ def _eval_net(arch):
 @pytest.mark.parametrize("arch", ["mlp", "conv"])
 @pytest.mark.parametrize("call", ["evaluate_objectives", "scores", "predict",
                                   "head_output", "ensemble_predict"])
-def test_forward_only_calls_leave_no_backward_state(arch, call):
+def test_forward_only_calls_leave_no_backward_state(arch, call, monkeypatch):
     net, x = _eval_net(arch)
     labels = np.arange(x.shape[0]) % 3
+    monkeypatch.setattr(network, "SCORE_CHUNK", 4)  # several chunks per call
     net.forward(x)  # a caching forward leaves state in every layer
     if call == "evaluate_objectives":
-        evaluate_objectives(net, x, labels, chunk=4)
+        evaluate_objectives(net, x, labels)
     elif call == "head_output":
         net.head_output(x, labels)
     elif call == "ensemble_predict":
@@ -76,6 +83,13 @@ def test_forward_only_calls_leave_no_backward_state(arch, call):
     for layer in net.layers:
         with pytest.raises(LayerStateError):
             layer.backward(np.zeros(1))
+
+
+def test_scores_of_an_empty_batch_are_still_shape_checked():
+    net = build_mlp(5, [4], HeadSpec("l2svm", 3))
+    assert net.scores(np.zeros((0, 5))).shape == (0, 3)
+    with pytest.raises(ShapeError):
+        net.scores(np.zeros((0, 7)))
 
 
 def test_scores_retain_no_activations():
@@ -94,3 +108,63 @@ def test_scores_retain_no_activations():
     finally:
         tracemalloc.stop()
     assert after - before < 1_000_000
+
+
+# Scores of an MLP 5 -> [64] -> 4 classes on 4,000 rows, by every route,
+# against the head run on the two 2,000-row chunks of evaluation.  The
+# chunk's head product falls under OpenBLAS's small-matrix cutoff and the
+# whole split's does not, so scoring the split at once changes last bits.
+SCORE_ROUTES = """
+import json
+import numpy as np
+from marginnet import harness
+from marginnet.heads import HeadSpec, head_scores
+from marginnet.network import build_mlp
+
+rng = np.random.default_rng(12)
+net = build_mlp(5, [64], HeadSpec("l2svm", 4), rng=rng, init_std=0.5)
+x = rng.normal(size=(4000, 5))
+want = np.concatenate([
+    head_scores(net.head_weights, net.forward(x[s : s + 2000], cache=False))
+    for s in (0, 2000)
+])
+voted = []
+vote = harness.ensemble_vote
+harness.ensemble_vote = lambda models, scores: voted.extend(scores) or vote(models, scores)
+harness.ensemble_predict([net], x)
+routes = {"member_scores": harness.member_scores([net], x)[0],
+          "ensemble_predict": voted[0], "scores": net.scores(x)}
+print(json.dumps([name for name, got in routes.items()
+                  if got.tobytes() != want.tobytes()]))
+"""
+
+
+def test_every_route_scores_in_evaluation_chunks_at_one_blas_thread():
+    # BLAS results are only reproducible at a fixed thread count, and the
+    # thread count is fixed when numpy loads, hence a child process.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", SCORE_ROUTES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == []
+
+
+def test_member_scores_memory_is_bounded_by_the_chunk():
+    spec = HeadSpec("l2svm", 3, c=0.1)
+    rng = np.random.default_rng(13)
+    net = build_convnet((1, 12, 12), [2, 4], 3, 16, 0.0, spec, rng=rng, init_std=0.1)
+    x = rng.normal(size=(5 * network.SCORE_CHUNK // 2, 1, 12, 12))
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            member_scores([net], x[:rows])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(len(x)) < 1.2 * peak(network.SCORE_CHUNK)
