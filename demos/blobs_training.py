@@ -25,26 +25,11 @@ from marginnet.harness import (
     train,
     warm_start,
 )
+from marginnet.recipes import BLOBS
 
 workdir = tempfile.mkdtemp(prefix="blobs_demo_")
 
-BASE = """
-dataset = blobs
-blobs_train_n = 100
-blobs_test_n = 100
-blobs_classes = 4
-blobs_dim = 2
-blobs_separation = 20.0
-standardize = true
-hidden_dims = 32
-weight_decay = 0.001
-svm_c = 0.1
-epochs = 200
-batch_size = 25
-momentum = 0.9
-lr_start = 0.02
-lr_end = 0.0
-"""
+BASE = BLOBS + "blobs_classes = 4\n"
 
 
 def run(base, head, seed, tag, epochs=None):
@@ -79,7 +64,7 @@ _, raw_test = load_splits(parse_config_text(BASE), data_rng)
 print(f"{'model':>8} | {'err%':>5} | {'avg xent':>9} | {'sq hinge sum':>12}")
 for head in ("softmax", "l2svm"):
     model = load_model(results[head].model_dir)
-    rep = cross_objective_eval(model, raw_test, c=0.1, weight_decay=0.001)
+    rep = cross_objective_eval(model, raw_test)
     print(f"{head:>8} | {rep.error_pct:5.1f} | {rep.avg_xent:9.4f} | "
           f"{rep.hinge_sq_sum:12.4f}")
 print("(each model is best at the objective it trained on)")

@@ -1,15 +1,18 @@
 """The headline experiment: softmax vs L2-SVM output layers on MNIST.
 
-With the official IDX files on disk this runs the desk-scale recipe
-(PCA-70, two 256-unit hidden layers, 60 epochs, five seeds per head,
-roughly 15-20 minutes of CPU) and prints the per-seed test errors, the
-head-to-head mean gap, and a cross-objective table.  Without the files
-it prints download instructions and runs the identical pipeline on a
-small synthetic stand-in so every step is still shown working.
+With the official IDX files on disk this runs the desk-scale recipe,
+``marginnet.recipes.DESK`` (PCA-70, two 256-unit hidden layers, 60
+epochs, five seeds per head, roughly 15-20 minutes of CPU), and prints
+the per-seed test errors, the head-to-head mean gap, and a
+cross-objective table.  The files are looked up by
+``recipes.find_mnist``: $MNIST_DIR first, then data/mnist/.  Without
+them it prints download instructions and runs the same recipe, shrunk
+by one block of overrides, on a small synthetic stand-in so every step
+is still shown working.
 
 Run: python3 demos/mnist_recipe.py
-The full-scale recipe (hours of CPU) is printed at the end; pass
---full to actually run it.
+Pass --full to run the full-scale recipe, ``recipes.FULL``, instead
+(hours of CPU; needs the official files).
 """
 
 import os
@@ -21,30 +24,9 @@ import numpy as np
 from marginnet.config import parse_config_text
 from marginnet.data import load_idx, make_blobs, write_idx
 from marginnet.harness import cross_objective_eval, load_model, train
+from marginnet.recipes import DESK, FULL, MNIST_FILES, find_mnist, mnist_data
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-FILES = {
-    "train_images": ("train-images-idx3-ubyte.gz", "train-images-idx3-ubyte"),
-    "train_labels": ("train-labels-idx1-ubyte.gz", "train-labels-idx1-ubyte"),
-    "test_images": ("t10k-images-idx3-ubyte.gz", "t10k-images-idx3-ubyte"),
-    "test_labels": ("t10k-labels-idx1-ubyte.gz", "t10k-labels-idx1-ubyte"),
-}
-
-
-def find_mnist():
-    roots = [os.environ["MNIST_DIR"]] if os.environ.get("MNIST_DIR") else []
-    roots.append(os.path.join(REPO_ROOT, "data", "mnist"))
-    for root in roots:
-        found = {}
-        for key, names in FILES.items():
-            for name in names:
-                if os.path.isfile(os.path.join(root, name)):
-                    found[key] = name
-                    break
-        if len(found) == len(FILES):
-            return root, found
-    return None
 
 
 def synthetic_stand_in():
@@ -64,7 +46,7 @@ Running the identical pipeline on a synthetic stand-in instead.
     images = x.astype(np.uint8).reshape(-1, 28, 28)
     labels = ds.labels.astype(np.uint8)
     root = tempfile.mkdtemp(prefix="standin_mnist_")
-    names = {k: v[1] for k, v in FILES.items()}
+    names = {k: v[1] for k, v in MNIST_FILES.items()}
     write_idx(os.path.join(root, names["train_images"]),
               os.path.join(root, names["train_labels"]),
               images[:1000], labels[:1000])
@@ -74,47 +56,27 @@ Running the identical pipeline on a synthetic stand-in instead.
     return root, names
 
 
-found = find_mnist()
+found = find_mnist(os.path.join(REPO_ROOT, "data", "mnist"))
 real = found is not None
 root, names = found if real else synthetic_stand_in()
 workdir = tempfile.mkdtemp(prefix="mnist_demo_")
 
-# the desk-scale recipe; the synthetic stand-in shrinks (and cools:
-# the full learning rate diverges on its very different pixel
-# statistics) it down to seconds
-subset = 10000 if real else 0
-pca = 70 if real else 20
-hidden = "256, 256" if real else "64"
-epochs = 60 if real else 15
-lr = 0.1 if real else 0.02
+# the synthetic stand-in shrinks (and cools: the full learning rate
+# diverges on its very different pixel statistics) the desk-scale
+# recipe down to seconds by overriding five of its keys
+STAND_IN = "" if real else """
+train_subset = 0
+pca_dims = 20
+hidden_dims = 64
+epochs = 15
+lr_start = 0.02
+"""
 seeds = (0, 1, 2, 3, 4) if real else (0, 1)
 
 
 def recipe(head, seed, out_dir, full=False):
-    return f"""
-dataset = idx
-data_dir = {root}
-train_images = {names['train_images']}
-train_labels = {names['train_labels']}
-test_images = {names['test_images']}
-test_labels = {names['test_labels']}
-train_subset = {0 if full else subset}
-pca_dims = {pca}
-hidden_dims = {('512, 512' if full else hidden)}
-init_std = 0.1
-head = {head}
-svm_c = 0.01
-weight_decay = 0.001
-epochs = {(400 if full else epochs)}
-batch_size = 200
-momentum = 0.9
-lr_start = {(0.1 if full else lr)}
-lr_end = 0.0
-noise_start = {(1.0 if full else 0.3)}
-noise_end = 0.0
-seed = {seed}
-out_dir = {out_dir}
-"""
+    return (mnist_data(root, names) + (FULL if full else DESK + STAND_IN)
+            + f"head = {head}\nseed = {seed}\nout_dir = {out_dir}\n")
 
 
 if "--full" in sys.argv:
@@ -154,7 +116,7 @@ raw_test = load_idx(os.path.join(root, names["test_images"]),
 print(f"{'model':>8} | {'err%':>6} | {'avg xent':>9} | {'sq hinge sum':>12}")
 for head in ("softmax", "l2svm"):
     model = load_model(runs[head, 0].model_dir)
-    rep = cross_objective_eval(model, raw_test, c=0.01, weight_decay=0.001)
+    rep = cross_objective_eval(model, raw_test)
     print(f"{head:>8} | {rep.error_pct:6.2f} | {rep.avg_xent:9.4f} | "
           f"{rep.hinge_sq_sum:12.2f}")
 print("""

@@ -3,7 +3,8 @@ objectives (softmax cross-entropy, L1-SVM hinge, L2-SVM squared hinge).
 
 The public surface re-exported here covers the everyday path: build a
 network, pick a head, train it, compare objectives.  Submodules hold
-the rest (layers, preprocess, data, optim, gradcheck, serialize).
+the rest (layers, preprocess, data, optim, gradcheck, serialize,
+recipes).
 """
 
 from .config import ConfigError, parse_config, parse_config_text

@@ -109,19 +109,15 @@ class ObjectiveReport:
         raise DomainError(f"unknown head kind {kind!r}")
 
 
-def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None):
+def evaluate_objectives(network, inputs, labels):
     """Score a network on both objective families at once, from the
     scores of :meth:`Network.scores`.
 
-    ``c`` / ``weight_decay`` default to the network's own HeadSpec
-    constants, so an svm-trained model's cross-entropy is evaluated
-    with the weight decay it would have trained under, and vice versa.
+    Both families use the network's own HeadSpec constants, so an
+    svm-trained model's cross-entropy is evaluated with the weight decay
+    it would have trained under, and vice versa.
     """
     spec = network.head_spec
-    if c is None:
-        c = spec.c
-    if weight_decay is None:
-        weight_decay = spec.weight_decay
     n = inputs.shape[0]
     if n == 0:
         raise DomainError("cannot evaluate on an empty split")
@@ -136,11 +132,11 @@ def evaluate_objectives(network, inputs, labels, c=None, weight_decay=None):
     return ObjectiveReport(
         n=n,
         error_pct=error_rate_pct(scores, labels),
-        avg_xent=xent + weight_decay * reg,
-        hinge_sum=reg + c * h1,
-        hinge_mean=reg + c * h1 / n,
-        hinge_sq_sum=reg + c * h2,
-        hinge_sq_mean=reg + c * h2 / n,
+        avg_xent=xent + spec.weight_decay * reg,
+        hinge_sum=reg + spec.c * h1,
+        hinge_mean=reg + spec.c * h1 / n,
+        hinge_sq_sum=reg + spec.c * h2,
+        hinge_sq_mean=reg + spec.c * h2 / n,
     )
 
 
@@ -493,16 +489,16 @@ def _network_and_inputs(model, inputs):
 # experiment procedures
 
 
-def cross_objective_eval(model, dataset, c=None, weight_decay=None):
+def cross_objective_eval(model, dataset):
     """Evaluate one model under every objective family on one split.
 
     ``model`` is a Network or LoadedModel (the latter applies its saved
-    preprocessing first).  Constants default to the ones the model was
+    preprocessing first).  The constants are the ones the model was
     configured with, so reports from differently-trained models are
     directly comparable when their configs shared those constants.
     """
     net, inputs = _network_and_inputs(model, dataset.inputs)
-    return evaluate_objectives(net, inputs, dataset.labels, c, weight_decay)
+    return evaluate_objectives(net, inputs, dataset.labels)
 
 
 def warm_start(source_model_dir, cfg, command="warmstart"):

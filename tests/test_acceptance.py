@@ -6,8 +6,9 @@ any ``pytest tests/test_acceptance.py`` run.  Criteria that need the
 official MNIST files skip with download instructions when the files
 are not on disk; nothing is fetched from the network here.
 
-MNIST discovery order: $MNIST_DIR, then <repo>/data/mnist.  Both .gz
-and uncompressed IDX file names are accepted.
+The recipes come from ``marginnet.recipes``, and so does MNIST
+discovery: ``recipes.find_mnist`` looks in $MNIST_DIR, then
+<repo>/data/mnist, and accepts both .gz and uncompressed IDX file names.
 """
 
 import contextlib
@@ -32,45 +33,18 @@ from marginnet.harness import (
 )
 from marginnet.heads import HeadSpec, apply_head, softmax_probs
 from marginnet.network import build_convnet
+from marginnet.recipes import (
+    BLOBS,
+    DESK,
+    FULL,
+    MNIST_HELP,
+    find_mnist,
+    mnist_data,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-MNIST_HELP = (
-    "official MNIST files not found; place train-images-idx3-ubyte.gz, "
-    "train-labels-idx1-ubyte.gz, t10k-images-idx3-ubyte.gz, "
-    "t10k-labels-idx1-ubyte.gz (gzipped or not) in $MNIST_DIR or "
-    "<repo>/data/mnist. They are mirrored at "
-    "https://storage.googleapis.com/cvdf-datasets/mnist/ and "
-    "https://ossci-datasets.s3.amazonaws.com/mnist/"
-)
-
-_MNIST_NAMES = {
-    "train_images": ("train-images-idx3-ubyte.gz", "train-images-idx3-ubyte"),
-    "train_labels": ("train-labels-idx1-ubyte.gz", "train-labels-idx1-ubyte"),
-    "test_images": ("t10k-images-idx3-ubyte.gz", "t10k-images-idx3-ubyte"),
-    "test_labels": ("t10k-labels-idx1-ubyte.gz", "t10k-labels-idx1-ubyte"),
-}
-
-
-def find_mnist():
-    """Return {key: (dir, filename)} for the four MNIST files, or None."""
-    roots = []
-    if os.environ.get("MNIST_DIR"):
-        roots.append(os.environ["MNIST_DIR"])
-    roots.append(os.path.join(REPO_ROOT, "data", "mnist"))
-    for root in roots:
-        found = {}
-        for key, names in _MNIST_NAMES.items():
-            for name in names:
-                if os.path.isfile(os.path.join(root, name)):
-                    found[key] = name
-                    break
-        if len(found) == len(_MNIST_NAMES):
-            return root, found
-    return None
-
-
-MNIST = find_mnist()
+MNIST = find_mnist(os.path.join(REPO_ROOT, "data", "mnist"))
 
 
 CHECKLIST = []  # printed by conftest's terminal-summary hook
@@ -162,24 +136,6 @@ def test_criterion_03_prediction_equivalence():
         assert mismatches == 0
 
 
-BLOBS_RECIPE = """
-dataset = blobs
-blobs_train_n = 100
-blobs_test_n = 100
-blobs_dim = 2
-blobs_separation = 20.0
-standardize = true
-hidden_dims = 32
-weight_decay = 0.001
-svm_c = 0.1
-epochs = 200
-batch_size = 25
-momentum = 0.9
-lr_start = 0.02
-lr_end = 0.0
-"""
-
-
 def test_criterion_04_separable_oracle_training(tmp_path):
     with criterion("criterion 4, separable-oracle training"):
         started = time.monotonic()
@@ -188,7 +144,7 @@ def test_criterion_04_separable_oracle_training(tmp_path):
             for k in (2, 4):
                 for seed in range(5):
                     cfg = parse_config_text(
-                        BLOBS_RECIPE
+                        BLOBS
                         + f"head = {head}\nblobs_classes = {k}\n"
                         f"seed = {seed}\n"
                         f"out_dir = {tmp_path}/{head}_{k}_{seed}\n"
@@ -249,32 +205,9 @@ def test_topology_smoke_conv_stack():
 DESK_SEEDS = (0, 1, 2, 3, 4)
 
 
-def desk_config_text(head, seed, out_dir):
-    root, names = MNIST
-    return f"""
-dataset = idx
-data_dir = {root}
-train_images = {names['train_images']}
-train_labels = {names['train_labels']}
-test_images = {names['test_images']}
-test_labels = {names['test_labels']}
-train_subset = 10000
-pca_dims = 70
-hidden_dims = 256, 256
-init_std = 0.1
-head = {head}
-svm_c = 0.01
-weight_decay = 0.001
-epochs = 60
-batch_size = 200
-momentum = 0.9
-lr_start = 0.1
-lr_end = 0.0
-noise_start = 0.3
-noise_end = 0.0
-seed = {seed}
-out_dir = {out_dir}
-"""
+def desk_config_text(head, seed, out_dir, recipe=DESK):
+    return (mnist_data(*MNIST) + recipe
+            + f"head = {head}\nseed = {seed}\nout_dir = {out_dir}\n")
 
 
 class DeskRuns:
@@ -346,13 +279,9 @@ def test_criterion_06_full_recipe(tmp_path):
             pytest.skip(MNIST_HELP)
         finals = {}
         for head in ("softmax", "l2svm"):
-            cfg = parse_config_text(
-                desk_config_text(head, 0, f"{tmp_path}/{head}_full")
-                .replace("train_subset = 10000", "train_subset = 0")
-                .replace("hidden_dims = 256, 256", "hidden_dims = 512, 512")
-                .replace("epochs = 60", "epochs = 400")
-                .replace("noise_start = 0.3", "noise_start = 1.0")
-            )
+            cfg = parse_config_text(desk_config_text(
+                head, 0, f"{tmp_path}/{head}_full", recipe=FULL
+            ))
             finals[head] = train(cfg).metrics[-1]["test_error_pct"]
         _report(f"    softmax {finals['softmax']:.2f}%  "
                 f"l2svm {finals['l2svm']:.2f}%")
@@ -369,14 +298,10 @@ def test_criterion_07_cross_objective_pattern(desk_runs):
         for seed in DESK_SEEDS:
             soft = load_model(runs["softmax", seed].model_dir)
             svm = load_model(runs["l2svm", seed].model_dir)
-            # evaluate both models under both objectives with the recipe
-            # constants, so the comparison is about the models alone
-            rep_soft = cross_objective_eval(
-                soft, raw_test, c=0.01, weight_decay=0.001
-            )
-            rep_svm = cross_objective_eval(
-                svm, raw_test, c=0.01, weight_decay=0.001
-            )
+            # both models carry the recipe's constants, so the
+            # comparison is about the models alone
+            rep_soft = cross_objective_eval(soft, raw_test)
+            rep_svm = cross_objective_eval(svm, raw_test)
             if (rep_soft.avg_xent < rep_svm.avg_xent
                     and rep_svm.hinge_sq_sum < rep_soft.hinge_sq_sum):
                 hits += 1

@@ -28,6 +28,15 @@ class TestParsing:
         assert cfg.sources["head"] == "config"
         assert cfg.sources["momentum"] == "default"
 
+    def test_repeated_key_keeps_its_last_value(self):
+        # how a caller overrides one key of a recipe: append a line
+        cfg = parse_config_text(
+            "epochs = 60\nbatch_size = 100\nepochs = 400\nbatch_size = 200\n"
+        )
+        assert cfg.epochs == 400
+        assert cfg.batch_size == 200  # the default, still set by config
+        assert cfg.sources["epochs"] == cfg.sources["batch_size"] == "config"
+
     def test_unknown_key_is_a_hard_error_with_location(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text("epochz = 3\n", origin="run.cfg")
