@@ -24,22 +24,22 @@ import numpy as np
 from marginnet.config import parse_config_text
 from marginnet.data import load_idx, make_blobs, write_idx
 from marginnet.harness import cross_objective_eval, load_model, train
-from marginnet.recipes import DESK, FULL, MNIST_FILES, find_mnist, mnist_data
+from marginnet.recipes import (
+    DESK,
+    FULL,
+    MNIST_FILES,
+    MNIST_HELP,
+    find_mnist,
+    mnist_data,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def synthetic_stand_in():
     """28x28 uint8 images of well-separated 784-dim blobs."""
-    print("""official MNIST files not found.  To run the real recipe, place
-  train-images-idx3-ubyte.gz   train-labels-idx1-ubyte.gz
-  t10k-images-idx3-ubyte.gz    t10k-labels-idx1-ubyte.gz
-(gzipped or not) in $MNIST_DIR or data/mnist/.  Mirrors:
-  https://storage.googleapis.com/cvdf-datasets/mnist/
-  https://ossci-datasets.s3.amazonaws.com/mnist/
-
-Running the identical pipeline on a synthetic stand-in instead.
-""")
+    print(MNIST_HELP)
+    print("\nRunning the identical pipeline on a synthetic stand-in instead.\n")
     ds = make_blobs(1200, 10, 784, 40.0, np.random.default_rng(0))
     x = ds.inputs
     x = (x - x.min()) / (x.max() - x.min()) * 255.0

@@ -1,21 +1,15 @@
-"""The input pipeline: standardization, PCA, per-image normalization.
+"""The input pipeline: per-column standardization, then PCA.
 
-All three transforms are fitted on (or defined without) training data
-only and stored with the model, so evaluation-time inputs always pass
-through exactly the transform training saw.
+Both transforms are fitted on training data only and stored with the
+model, so evaluation-time inputs always pass through exactly the
+transform training saw.
 
 Run: python3 demos/preprocessing.py
 """
 
 import numpy as np
 
-from marginnet.preprocess import (
-    PixelStandardizer,
-    face_normalize,
-    pca_fit,
-    pca_inverse_transform,
-    pca_transform,
-)
+from marginnet.preprocess import PixelStandardizer, pca_fit, pca_transform
 
 rng = np.random.default_rng(0)
 
@@ -37,23 +31,9 @@ model = pca_fit(data, 6)
 print("explained variance by component:",
       [f"{v:.1f}" for v in model.explained_variances])
 proj = pca_transform(model, data)
-back = pca_inverse_transform(model, proj)
+back = proj @ model.components.T + model.mean  # back to the 50 raw dims
 rel = np.linalg.norm(back - data) / np.linalg.norm(data)
 print(f"6 of 50 dims keep the data to {100 * (1 - rel):.2f}% "
       f"(relative reconstruction error {rel:.1e})")
 print("""(training on PCA projections is what makes 784-pixel images cheap:
 the published recipes keep 70 components)""")
-
-print("=== per-image normalization for illumination-varying data ===")
-faces = rng.uniform(0, 255, size=(4, 64))
-dim = faces * np.array([[0.2], [0.5], [1.0], [2.0]])  # same faces, new lights
-normed = face_normalize(dim)
-print("row spans before:", np.ptp(dim, axis=1).round(1), "(peak-to-peak)")
-print("row norms after: ", np.linalg.norm(normed, axis=1).round(9))
-pair = face_normalize(faces)
-drift = np.abs(normed - pair).max()
-print(f"brightness-scaled copies normalize to the same vector "
-      f"(max difference {drift:.1e})")
-print("""
-Zero-mean plus fixed norm removes global brightness and contrast, the
-two nuisance factors that dominate raw face pixels.""")

@@ -35,7 +35,6 @@ from .preprocess import (
     PcaModel,
     PixelStandardizer,
     augment,
-    face_normalize,
     pca_fit,
     pca_transform,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "encode_targets",
     "ensemble_predict",
     "evaluate_objectives",
-    "face_normalize",
     "fd_gradient",
     "gradcheck_suite",
     "head_scores",

@@ -223,8 +223,14 @@ def _validate(cfg, origin):
         (("svm_c", "blobs_separation"), "finite and > 0",
          lambda v: 0 < v < math.inf),
         (("momentum", "conv_dropout"), "in [0, 1)", lambda v: 0 <= v < 1),
-        (("batch_size", "blobs_train_n", "blobs_test_n"), "positive",
-         lambda v: v >= 1),
+        (("batch_size", "blobs_train_n", "blobs_test_n", "conv_dense"),
+         "positive", lambda v: v >= 1),
+        (("conv_kernel",), "odd and positive (stride 1, same padding)",
+         lambda v: v >= 1 and v % 2 == 1),
+        (("hidden_dims",), "a list of positive widths",
+         lambda v: all(w >= 1 for w in v)),
+        (("conv_channels",), "a non-empty list of positive widths",
+         lambda v: bool(v) and all(w >= 1 for w in v)),
     )
     for keys, rule, holds in rules:
         for key in keys:

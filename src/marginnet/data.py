@@ -119,8 +119,9 @@ def _parse_idx(raw, path, expected_magic, expected_ndim):
     return dims, data
 
 
-def load_idx(images_path, labels_path, num_classes=10, split="train"):
-    """Load an images/labels IDX pair into a Dataset.
+def load_idx(images_path, labels_path, split="train"):
+    """Load an images/labels IDX pair into a 10-class Dataset (the MNIST
+    digits).
 
     Images come out flat [N, rows*cols], scaled to [0, 1] by /255.
     Distinct errors separate a wrong magic, a truncated payload, and an
@@ -141,7 +142,7 @@ def load_idx(images_path, labels_path, num_classes=10, split="train"):
     inputs = img_data.astype(DTYPE).reshape(n, rows * cols)
     inputs /= 255.0
     labels = lbl_data.astype(np.int64)
-    return Dataset(inputs, labels, num_classes, split)
+    return Dataset(inputs, labels, 10, split)
 
 
 def write_idx(images_path, labels_path, images_u8, labels):
@@ -229,15 +230,14 @@ def make_blobs(n, num_classes, dim, separation, rng, split="train"):
     return Dataset(inputs, labels, num_classes, split)
 
 
-def minibatches(dataset, batch_size, rng):
-    """One epoch of minibatch index arrays over ``dataset`` (a Dataset or
-    a row count), cut from one fresh permutation drawn from ``rng``.
+def minibatches(n, batch_size, rng):
+    """One epoch of minibatch index arrays over ``n`` rows, cut from one
+    fresh permutation drawn from ``rng``.
 
     All batches have ``batch_size`` rows except a shorter final batch
     when batch_size does not divide n.  batch_size > n is rejected
     rather than silently shrunk.
     """
-    n = dataset.n if isinstance(dataset, Dataset) else int(dataset)
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
     if batch_size > n:

@@ -476,29 +476,21 @@ def load_model(model_dir):
     return LoadedModel(net, pca, standardizer, meta, model_dir)
 
 
-def _network_and_inputs(model, inputs):
-    """``model`` and ``inputs`` as they are for a Network; for a
-    LoadedModel, its network and the inputs after its saved
-    preprocessing."""
-    if isinstance(model, LoadedModel):
-        return model.network, model.transform(inputs)
-    return model, inputs
-
-
 # ---------------------------------------------------------------------------
 # experiment procedures
 
 
 def cross_objective_eval(model, dataset):
-    """Evaluate one model under every objective family on one split.
+    """Evaluate a LoadedModel under every objective family on one split
+    of raw inputs, after the model's saved preprocessing.
 
-    ``model`` is a Network or LoadedModel (the latter applies its saved
-    preprocessing first).  The constants are the ones the model was
-    configured with, so reports from differently-trained models are
-    directly comparable when their configs shared those constants.
+    The constants are the ones the model was configured with, so reports
+    from differently-trained models are directly comparable when their
+    configs shared those constants.  A bare Network on prepared inputs
+    goes to :func:`evaluate_objectives` directly.
     """
-    net, inputs = _network_and_inputs(model, dataset.inputs)
-    return evaluate_objectives(net, inputs, dataset.labels)
+    return evaluate_objectives(model.network, model.transform(dataset.inputs),
+                               dataset.labels)
 
 
 def warm_start(source_model_dir, cfg, command="warmstart"):
@@ -512,10 +504,9 @@ def warm_start(source_model_dir, cfg, command="warmstart"):
 
 
 def member_scores(models, inputs):
-    """Each model's head scores [N, K] on raw ``inputs``, in order; each
-    LoadedModel applies its own saved preprocessing once."""
-    return [net.scores(x) for net, x in
-            (_network_and_inputs(m, inputs) for m in models)]
+    """Each LoadedModel's head scores [N, K] on raw ``inputs``, in order;
+    each applies its own saved preprocessing once."""
+    return [m.network.scores(m.transform(inputs)) for m in models]
 
 
 def ensemble_vote(models, scores):
@@ -531,9 +522,9 @@ def ensemble_vote(models, scores):
     kinds = set()
     totals = None
     for m, out in zip(models, scores):
-        net = m.network if isinstance(m, LoadedModel) else m
-        kinds.add("softmax" if net.head_spec.kind == "softmax" else "margin")
-        if net.head_spec.kind == "softmax":
+        kind = m.network.head_spec.kind
+        kinds.add("softmax" if kind == "softmax" else "margin")
+        if kind == "softmax":
             out = softmax_probs(out)
         if totals is None:
             totals = out
@@ -551,6 +542,6 @@ def ensemble_vote(models, scores):
 
 
 def ensemble_predict(models, inputs):
-    """Average member outputs on raw ``inputs``, then argmax: the vote of
-    :func:`ensemble_vote` over :func:`member_scores`."""
+    """Average the LoadedModels' outputs on raw ``inputs``, then argmax:
+    the vote of :func:`ensemble_vote` over :func:`member_scores`."""
     return ensemble_vote(models, member_scores(models, inputs))

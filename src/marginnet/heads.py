@@ -72,7 +72,6 @@ class HeadSpec:
     num_classes: int
     c: float = 0.01
     weight_decay: float = 0.0
-    dim: int | None = None  # penultimate width, recorded when known
 
     def __post_init__(self):
         if self.kind not in HEAD_KINDS:
@@ -83,8 +82,6 @@ class HeadSpec:
             raise DomainError(
                 f"need at least 2 classes, got {self.num_classes}"
             )
-        if self.dim is not None and self.dim < 1:
-            raise DomainError(f"head dim must be positive, got {self.dim}")
         if self.kind != "softmax" and not self.c > 0:
             raise DomainError(f"margin penalty C must be positive, got {self.c}")
         if self.kind == "softmax" and self.weight_decay < 0:

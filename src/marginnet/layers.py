@@ -27,14 +27,16 @@ Conventions:
 central finite differences; ``marginnet gradcheck`` runs it on the dense,
 ReLU, conv, max-pool and dropout layers.
 
-Convolution is im2col plus GEMM (Chellapilla et al. 2006): the forward
-pass lays its receptive fields out as a patch matrix [C*k*k, N*Ho*Wo]
-and multiplies it a few images at a time straight into the output; the
-filter gradient is a single 2-D matmul over the whole patch matrix, and
-the input gradient is scattered back (col2im) with one small matmul per
-kernel offset.  The caching forward keeps every block's patches in one
-matrix for backward; the inference forward refills one reused block
-buffer, so no patch matrix outlives the call.
+Convolution is im2col plus GEMM (Chellapilla et al. 2006) at one
+geometry, stride 1 with "same" padding for an odd kernel k, so a conv
+layer keeps the spatial size and the 2x2 max-pool halves it.  The
+forward pass lays its receptive fields out as a patch matrix
+[C*k*k, N*H*W] and multiplies it a few images at a time straight into
+the output; the filter gradient is a single 2-D matmul over the whole
+patch matrix, and the input gradient is scattered back (col2im) with one
+small matmul per kernel offset.  The caching forward keeps every block's
+patches in one matrix for backward; the inference forward refills one
+reused block buffer, so no patch matrix outlives the call.
 """
 
 import numpy as np
@@ -134,33 +136,34 @@ class ReluLayer(Layer):
 # width is a multiple of 8 reproduces the matching columns of the one-GEMM
 # product bit for bit, also when the block is a strided slice of a wider
 # patch matrix; blocks of 1 or 25 images at 14x14 output (196 and 4,900
-# columns) differ in the last bit.  8 images give 8*Ho*Wo columns.
+# columns) differ in the last bit.  8 images give 8*H*W columns.
 IMAGE_BLOCK = 8
 
 
 class Conv2dLayer(Layer):
-    """2-D cross-correlation (no kernel flip) over NCHW inputs.
+    """2-D cross-correlation (no kernel flip) over NCHW inputs, stride 1
+    with ``k // 2`` zero padding on each side, so the output has the
+    input's spatial size.
 
     Filters are [out_channels, in_channels, k, k] with one bias per
-    output channel.  Zero padding; ``padding=None`` defaults to k // 2 so
-    spatial size is preserved at stride 1.  Output spatial size is
-    floor((in + 2*padding - k) / stride) + 1 and must be positive.
+    output channel.  The kernel size k must be odd: an even kernel has
+    no centre, and "same" padding would need one more row on one side.
 
-    Forward builds the patch tensor [C, k, k, N, Ho, Wo] with one strided
-    slice of the channel-major padded input per kernel offset (a, b), and
-    views it as the patch matrix ``cols`` [C*k*k, N*Ho*Wo].  With
-    ``W = filters.reshape(F, C*k*k)`` and ``d2 = d_out`` as [F, N*Ho*Wo]:
+    Forward builds the patch tensor [C, k, k, N, H, W] with one slice of
+    the channel-major padded input per kernel offset (a, b), and views
+    it as the patch matrix ``cols`` [C*k*k, N*H*W].  With
+    ``K = filters.reshape(F, C*k*k)`` and ``d2 = d_out`` as [F, N*H*W]:
 
-        out       = W @ cols
+        out       = K @ cols
         d_filters = d2 @ cols.T
         d_input   = col2im: for each (a, b), filters[:, :, a, b].T @ d2
-                    is added into the (a, b) strided slice of the padded
-                    input gradient
+                    is added into the (a, b) slice of the padded input
+                    gradient
 
     Both forwards run one loop over ``IMAGE_BLOCK`` images: each block's
-    patches are filled, multiplied by ``W`` into one reused product
+    patches are filled, multiplied by ``K`` into one reused product
     buffer and written (plus the bias) straight into the NCHW output, so
-    no [F, N*Ho*Wo] product exists.  The caching forward fills each block
+    no [F, N*H*W] product exists.  The caching forward fills each block
     into its images' slice of one kept patch tensor, which backward reads
     as ``cols``; the inference forward (``cache=False``) refills one
     reused block buffer and keeps nothing.  Backward never builds a
@@ -171,21 +174,16 @@ class Conv2dLayer(Layer):
 
     param_names = ("filters", "bias")
 
-    def __init__(self, in_channels, out_channels, kernel_size, padding=None,
-                 stride=1, rng=None, init_std=0.01):
-        if kernel_size < 1:
-            raise DomainError(f"kernel size must be positive, got {kernel_size}")
-        if stride < 1:
-            raise DomainError(f"stride must be positive, got {stride}")
-        if padding is None:
-            padding = kernel_size // 2
-        if padding < 0:
-            raise DomainError(f"padding must be non-negative, got {padding}")
+    def __init__(self, in_channels, out_channels, kernel_size, rng=None,
+                 init_std=0.01):
+        if kernel_size < 1 or kernel_size % 2 == 0:
+            raise DomainError(
+                f"kernel size must be odd and positive, got {kernel_size}"
+            )
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.padding = padding
-        self.stride = stride
+        self.padding = kernel_size // 2
         self.filters = _init_gaussian(
             rng, (out_channels, in_channels, kernel_size, kernel_size), init_std
         )
@@ -195,15 +193,8 @@ class Conv2dLayer(Layer):
         self._cache = None
 
     def output_hw(self, h, w):
-        k, p, s = self.kernel_size, self.padding, self.stride
-        ho = (h + 2 * p - k) // s + 1
-        wo = (w + 2 * p - k) // s + 1
-        if ho <= 0 or wo <= 0:
-            raise ShapeError(
-                f"conv output size {ho}x{wo} not positive for input {h}x{w}, "
-                f"kernel {k}, padding {p}, stride {s}"
-            )
-        return ho, wo
+        """Output spatial size of an h x w input: the same, h x w."""
+        return h, w
 
     def forward(self, x, train=False, rng=None, cache=True):
         x = np.asarray(x, dtype=DTYPE)
@@ -212,19 +203,18 @@ class Conv2dLayer(Layer):
                 f"conv expects [N, {self.in_channels}, H, W] input, got {x.shape}"
             )
         n, _, h, w = x.shape
-        ho, wo = self.output_hw(h, w)
         c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
         weights = self.filters.reshape(f, c * k * k)
         self._cache = None  # free the last patch matrix before building this one
         # Channel-major view of the padded input: each kernel offset fills
-        # one [C, B, Ho, Wo] block of the patch tensor [C, k, k, B, Ho, Wo].
+        # one [C, B, H, W] block of the patch tensor [C, k, k, B, H, W].
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
-        out = np.empty((n, f, ho, wo), dtype=DTYPE)
+        out = np.empty((n, f, h, w), dtype=DTYPE)
         block = min(n, IMAGE_BLOCK)
         # The caching forward keeps every block's patches, at its images'
         # place in one tensor; the inference forward reuses one block's.
-        patches = np.empty((c, k, k, n if cache else block, ho, wo), dtype=DTYPE)
-        product = np.empty(f * block * ho * wo, dtype=DTYPE)
+        patches = np.empty((c, k, k, n if cache else block, h, w), dtype=DTYPE)
+        product = np.empty(f * block * h * w, dtype=DTYPE)
         for start in range(0, n, IMAGE_BLOCK):
             stop = min(start + IMAGE_BLOCK, n)
             place = slice(start, stop) if cache else slice(0, stop - start)
@@ -232,25 +222,24 @@ class Conv2dLayer(Layer):
             gemm = product[: f * cols.shape[1]].reshape(f, -1)
             self._write_output(np.matmul(weights, cols, out=gemm), out[start:stop])
         if cache:
-            self._cache = (patches.reshape(c * k * k, n * ho * wo), x.shape, xp.shape)
+            self._cache = (patches.reshape(c * k * k, n * h * w), x.shape, xp.shape)
         return out
 
     def _fill_patches(self, xp, patches):
         """Lay the receptive fields of the channel-major padded images
-        ``xp`` [C, B, Hp, Wp] out in ``patches`` [C, k, k, B, Ho, Wo] and
-        return them as the patch matrix [C*k*k, B*Ho*Wo]: a view, strided
+        ``xp`` [C, B, H+k-1, W+k-1] out in ``patches`` [C, k, k, B, H, W]
+        and return them as the patch matrix [C*k*k, B*H*W]: a view, strided
         when ``patches`` is one block of a larger tensor."""
-        c, k, _, b, ho, wo = patches.shape
-        s = self.stride
+        c, k, _, b, h, w = patches.shape
         for a in range(k):
             for j in range(k):
-                patches[:, a, j] = xp[:, :, a : a + ho * s : s, j : j + wo * s : s]
-        return patches.reshape(c * k * k, b * ho * wo)
+                patches[:, a, j] = xp[:, :, a : a + h, j : j + w]
+        return patches.reshape(c * k * k, b * h * w)
 
     def _write_output(self, gemm, out):
-        """Add the bias to ``gemm`` [F, B*Ho*Wo] into ``out`` [B, F, Ho, Wo]."""
-        b, f, ho, wo = out.shape
-        np.add(gemm.reshape(f, b, ho, wo).transpose(1, 0, 2, 3),
+        """Add the bias to ``gemm`` [F, B*H*W] into ``out`` [B, F, H, W]."""
+        b, f, h, w = out.shape
+        np.add(gemm.reshape(f, b, h, w).transpose(1, 0, 2, 3),
                self.bias[:, None, None], out=out)
 
     def backward(self, d_out, input_grad=True):
@@ -258,30 +247,29 @@ class Conv2dLayer(Layer):
             raise LayerStateError("conv backward called before forward")
         cols, x_shape, xp_shape = self._cache
         n, _, h, w = x_shape
-        ho, wo = self.output_hw(h, w)
         d_out = np.asarray(d_out, dtype=DTYPE)
-        if d_out.shape != (n, self.out_channels, ho, wo):
+        if d_out.shape != (n, self.out_channels, h, w):
             raise ShapeError(
-                f"conv backward expects {(n, self.out_channels, ho, wo)}, "
+                f"conv backward expects {(n, self.out_channels, h, w)}, "
                 f"got {d_out.shape}"
             )
-        k, p, s = self.kernel_size, self.padding, self.stride
+        k, p = self.kernel_size, self.padding
         c, f = self.in_channels, self.out_channels
-        d2 = d_out.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        d2 = d_out.transpose(1, 0, 2, 3).reshape(f, n * h * w)
         self.d_filters = (d2 @ cols.T).reshape(self.filters.shape)
         self.d_bias = d_out.sum(axis=(0, 2, 3))
         self._cache = None
         if not input_grad:
             return None
-        # col2im one kernel offset at a time: [C, F] @ [F, N*Ho*Wo] lands
-        # in the offset's strided slice, so no patch-sized d_cols exists.
+        # col2im one kernel offset at a time: [C, F] @ [F, N*H*W] lands
+        # in the offset's slice, so no patch-sized d_cols exists.
         taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
         d_xp = np.zeros(xp_shape, dtype=DTYPE)
         for a in range(k):
             for b in range(k):
-                d_xp[:, :, a : a + ho * s : s, b : b + wo * s : s] += (
+                d_xp[:, :, a : a + h, b : b + w] += (
                     taps[a, b] @ d2
-                ).reshape(c, n, ho, wo)
+                ).reshape(c, n, h, w)
         return d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
 
 

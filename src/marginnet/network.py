@@ -6,8 +6,6 @@ swapping the HeadSpec (and its weight matrix) changes the training
 objective but nothing about the stack or the prediction rule.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import heads as heads_mod
@@ -163,7 +161,6 @@ def build_mlp(input_dim, hidden_dims, head_spec, rng=None, init_std=0.01):
         layers.append(DenseLayer(d, width, rng=rng, init_std=init_std))
         layers.append(ReluLayer())
         d = width
-    head_spec = replace(head_spec, dim=int(d))
     head_w = heads_mod.init_head_weights(
         d, head_spec.num_classes, rng=rng, init_std=init_std
     )
@@ -181,9 +178,15 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
     """Conv-ReLU-pool blocks, then flatten -> dense penultimate layer
     with ReLU and dropout on top of it.
 
-    input_shape is (C, H, W); each block halves the spatial dims, so H
-    and W must be divisible by 2**len(conv_channels).
+    input_shape is (C, H, W); each block keeps the spatial dims through
+    its conv and halves them in its pool, so H and W must be divisible
+    by 2**len(conv_channels).  There must be at least one block.
     """
+    if not conv_channels:
+        raise DomainError("a convnet needs at least one conv block")
+    for width in (*conv_channels, dense_dim):
+        if width < 1:
+            raise DomainError(f"layer width must be positive, got {width}")
     c, h, w = input_shape
     factor = 2 ** len(conv_channels)
     if h % factor or w % factor:
@@ -204,7 +207,6 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
     layers.append(DenseLayer(flat, dense_dim, rng=rng, init_std=init_std))
     layers.append(ReluLayer())
     layers.append(DropoutLayer(dropout_rate))
-    head_spec = replace(head_spec, dim=int(dense_dim))
     head_w = heads_mod.init_head_weights(
         dense_dim, head_spec.num_classes, rng=rng, init_std=init_std
     )

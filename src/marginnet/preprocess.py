@@ -1,5 +1,5 @@
-"""Input preprocessing: PCA, per-image normalization, per-pixel
-standardization, and train-time augmentation.
+"""Input preprocessing: PCA, per-pixel standardization, and train-time
+augmentation.
 
 Everything here is deterministic given its inputs (and the rng handed
 to :func:`augment`); fitted transforms are plain dataclasses of arrays
@@ -181,37 +181,6 @@ def pca_transform(model, x, standardizer=None):
             b -= model.mean
         np.matmul(b, model.components, out=out[rows])
     return out
-
-
-def pca_inverse_transform(model, z):
-    """Map projections back: z @ components.T + mean (lossy below full rank)."""
-    z = np.asarray(z, dtype=DTYPE)
-    k = model.components.shape[1]
-    if z.ndim != 2 or z.shape[1] != k:
-        raise ShapeError(
-            f"pca inverse expects [N, {k}] projections, got shape {z.shape}"
-        )
-    return z @ model.components.T + model.mean
-
-
-def face_normalize(image, target_norm=100.0):
-    """Per-image normalization: subtract the image's own mean, then
-    scale the centered vector to the target Euclidean norm.
-
-    Operates on the last axis, so a batch [N, D] normalizes each row.
-    Constant images (centered norm ~ 0) have no defined direction and
-    are rejected.
-    """
-    x = np.asarray(image, dtype=DTYPE)
-    if x.ndim == 0:
-        raise ShapeError("face normalization needs at least a vector")
-    centered = x - x.mean(axis=-1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=-1, keepdims=True)
-    if np.any(norms <= 1e-12):
-        raise DomainError(
-            "constant image has no direction to normalize"
-        )
-    return target_norm * centered / norms
 
 
 # Floor of a fitted per-column std: constant pixels map to exactly 0

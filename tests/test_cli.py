@@ -74,7 +74,14 @@ class TestTrain:
                                      "weight_decay = inf",
                                      "blobs_separation = inf",
                                      "max_jitter = -1",
-                                     "noise_start = inf"])
+                                     "noise_start = inf",
+                                     "hidden_dims = 8, 0",
+                                     "arch = conv\nconv_channels = 0, 2",
+                                     "arch = conv\nconv_channels = -1, 2",
+                                     "arch = conv\nconv_channels =",
+                                     "arch = conv\nconv_dense = -5",
+                                     "arch = conv\nconv_dense = 0",
+                                     "arch = conv\nconv_kernel = 4"])
     def test_bad_constant_exits_2_before_any_data(self, tmp_path, capsys, bad):
         cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + bad + "\n"
                         + f"out_dir = {tmp_path}/run\n")

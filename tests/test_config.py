@@ -105,6 +105,29 @@ class TestParsing:
             parse_config_text(f"head = {head}\n{key} = {value}\n")
         assert key in str(exc.value)
 
+    @pytest.mark.parametrize("text", ["conv_channels = 0, 2",
+                                      "conv_channels = -1, 2",
+                                      "conv_channels =",
+                                      "conv_kernel = 4",
+                                      "conv_kernel = 0",
+                                      "conv_kernel = -3",
+                                      "conv_dense = 0",
+                                      "conv_dense = -5",
+                                      "hidden_dims = 8, 0",
+                                      "hidden_dims = -1"])
+    def test_bad_architecture_rejected_at_parse_time(self, text):
+        key = text.split("=")[0].strip()
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"arch = conv\n{text}\n", origin="run.cfg")
+        assert key in str(exc.value)
+        assert "run.cfg" in str(exc.value)
+
+    def test_good_architecture_accepted(self):
+        cfg = parse_config_text("conv_channels = 1\nconv_kernel = 1\n"
+                                "conv_dense = 1\nhidden_dims =\n")
+        assert (cfg.conv_channels, cfg.conv_kernel, cfg.conv_dense,
+                cfg.hidden_dims) == ([1], 1, 1, [])
+
     @pytest.mark.parametrize("head", ["softmax", "l1svm", "l2svm"])
     def test_weight_decay_checked_for_every_head(self, head):
         assert parse_config_text(f"head = {head}\nweight_decay = 0\n").weight_decay == 0

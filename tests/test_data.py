@@ -38,6 +38,7 @@ class TestIdx:
         ip, lp, images, labels = idx_pair
         ds = load_idx(ip, lp)
         assert ds.inputs.shape == (7, 4)
+        assert ds.num_classes == 10
         npt.assert_array_equal(ds.labels, labels)
         npt.assert_array_equal(ds.inputs, images.reshape(7, 4) / 255.0)
 
@@ -232,11 +233,6 @@ class TestMinibatches:
         batches = minibatches(23, 5, np.random.default_rng(7))
         seen = np.concatenate(batches)
         npt.assert_array_equal(np.sort(seen), np.arange(23))
-
-    def test_accepts_dataset_directly(self):
-        ds = Dataset(np.zeros((9, 2)), np.zeros(9, dtype=int), num_classes=2)
-        batches = minibatches(ds, 4, np.random.default_rng(8))
-        assert [len(b) for b in batches] == [4, 4, 1]
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(DomainError):

@@ -106,9 +106,9 @@ class TestCheckLayer:
                               rng.normal(size=(4, 2)))
         assert [r.name for r in results] == ["fc.d_input", "fc.d_weights", "fc.d_bias"]
         assert all(r.passed for r in results)
-        conv = Conv2dLayer(2, 2, 3, stride=2, rng=rng, init_std=0.5)
+        conv = Conv2dLayer(2, 2, 3, rng=rng, init_std=0.5)
         results = check_layer("conv", conv, rng.normal(size=(2, 2, 5, 6)),
-                              rng.normal(size=(2, 2, 3, 3)))
+                              rng.normal(size=(2, 2, 5, 6)))
         assert [r.name for r in results] == ["conv.d_input", "conv.d_filters", "conv.d_bias"]
         assert all(r.passed for r in results)
 

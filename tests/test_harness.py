@@ -10,6 +10,7 @@ from marginnet.config import ConfigError, parse_config_text
 from marginnet.data import make_blobs, write_idx
 from marginnet.harness import (
     CSV_COLUMNS,
+    LoadedModel,
     TrainingDivergedError,
     cross_objective_eval,
     ensemble_predict,
@@ -305,11 +306,14 @@ class TestArtifacts:
 
 
 class TestCrossObjectiveEval:
-    def test_error_is_objective_independent(self, l2svm_run):
+    def test_error_is_objective_independent(self, l2svm_run, tmp_path):
+        # the raw test split: the saved model standardizes it itself
         model = load_model(l2svm_run.model_dir)
-        test_set = l2svm_run.prepared.test
-        rep = cross_objective_eval(model, test_set)
-        assert rep.n == test_set.n
+        cfg = blobs_config(tmp_path, "raw", head="l2svm", svm_c=0.1)
+        _, raw_test = load_splits(cfg, seed_streams(cfg.seed)[0])
+        rep = cross_objective_eval(model, raw_test)
+        assert rep.n == raw_test.n
+        assert rep.error_pct == l2svm_run.metrics[-1]["test_error_pct"]
 
     def test_empty_split_rejected(self, l2svm_run):
         rng = np.random.default_rng(1)
@@ -372,13 +376,13 @@ class TestEnsemble:
             net = build_mlp(2, [8], spec,
                             rng=np.random.default_rng(seed0 + s),
                             init_std=0.1)
-            members.append(net)
+            members.append(LoadedModel(net, None, None, {}, ""))
         return ds, members
 
     def test_singleton_matches_plain_predict(self):
         ds, (net,) = self._members("l2svm", 1)
         npt.assert_array_equal(
-            ensemble_predict([net], ds.inputs), net.predict(ds.inputs)
+            ensemble_predict([net], ds.inputs), net.network.predict(ds.inputs)
         )
 
     def test_duplicated_member_changes_nothing(self):
@@ -398,7 +402,7 @@ class TestEnsemble:
         ds, members = self._members("l1svm", 3)
         scores = member_scores(members, ds.inputs)
         assert [s.tobytes() for s in scores] == [
-            m.scores(ds.inputs).tobytes() for m in members
+            m.network.scores(ds.inputs).tobytes() for m in members
         ]
         npt.assert_array_equal(ensemble_vote(members, scores),
                                ensemble_predict(members, ds.inputs))

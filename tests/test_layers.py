@@ -37,40 +37,36 @@ def _kink_free_normal(rng, shape):
 # strided-view rewrites.  The layers must agree with them.
 
 
-def _reference_conv_patches(x, k, padding, stride):
+def _reference_conv_patches(x, k, padding):
     n, c, h, w = x.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
+    ho = h + 2 * padding - k + 1
+    wo = w + 2 * padding - k + 1
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((n, c, k, k, ho, wo))
     for a in range(k):
         for b in range(k):
-            cols[:, :, a, b] = xp[
-                :, :, a : a + ho * stride : stride, b : b + wo * stride : stride
-            ]
+            cols[:, :, a, b] = xp[:, :, a : a + ho, b : b + wo]
     return cols, xp.shape
 
 
-def _reference_conv_forward(x, filters, bias, padding, stride):
-    cols, _ = _reference_conv_patches(x, filters.shape[-1], padding, stride)
+def _reference_conv_forward(x, filters, bias, padding):
+    cols, _ = _reference_conv_patches(x, filters.shape[-1], padding)
     out = np.einsum("ncabhw,fcab->nfhw", cols, filters)
     return out + bias[None, :, None, None]
 
 
-def _reference_conv_backward(x, filters, d_out, padding, stride):
+def _reference_conv_backward(x, filters, d_out, padding):
     """Returns (d_input, d_filters, d_bias)."""
     k = filters.shape[-1]
     n, c, h, w = x.shape
     ho, wo = d_out.shape[2:]
-    cols, xp_shape = _reference_conv_patches(x, k, padding, stride)
+    cols, xp_shape = _reference_conv_patches(x, k, padding)
     d_filters = np.einsum("nfhw,ncabhw->fcab", d_out, cols)
     d_cols = np.einsum("nfhw,fcab->ncabhw", d_out, filters)
     d_xp = np.zeros(xp_shape)
     for a in range(k):
         for b in range(k):
-            d_xp[
-                :, :, a : a + ho * stride : stride, b : b + wo * stride : stride
-            ] += d_cols[:, :, a, b]
+            d_xp[:, :, a : a + ho, b : b + wo] += d_cols[:, :, a, b]
     d_input = d_xp[:, :, padding : padding + h, padding : padding + w]
     return d_input, d_filters, d_out.sum(axis=(0, 2, 3))
 
@@ -178,36 +174,48 @@ class TestRelu:
 
 class TestConv2d:
     def test_ones_filter_counts_window(self):
-        # 3x3 ones input, one 2x2 ones filter, stride 1, padding 0
-        layer = Conv2dLayer(1, 1, 2, padding=0)
+        # 3x3 ones input, one 3x3 ones filter, padding 1: each output
+        # counts the input cells its window covers.
+        layer = Conv2dLayer(1, 1, 3)
         layer.filters[...] = 1.0
         out = layer.forward(np.ones((1, 1, 3, 3)))
-        npt.assert_array_equal(out, np.full((1, 1, 2, 2), 4.0))
+        npt.assert_array_equal(out[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_delta_filter_crops_input(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 1, 6, 6))
-        layer = Conv2dLayer(1, 1, 3, padding=0)
+        layer = Conv2dLayer(1, 1, 3)
         layer.filters[...] = 0.0
         layer.filters[0, 0, 0, 0] = 1.0  # kernel origin only
         out = layer.forward(x)
-        npt.assert_array_equal(out[0, 0], x[0, 0, :4, :4])
+        # Output (i, j) reads padded (i, j), which is input (i-1, j-1).
+        npt.assert_array_equal(out[0, 0, 1:, 1:], x[0, 0, :5, :5])
+        npt.assert_array_equal(out[0, 0, 0], 0.0)
+        npt.assert_array_equal(out[0, 0, :, 0], 0.0)
 
-    def test_default_padding_preserves_spatial_dims(self):
-        layer = Conv2dLayer(2, 3, 3)
-        out = layer.forward(np.zeros((2, 2, 8, 8)))
-        assert out.shape == (2, 3, 8, 8)
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_default_padding_preserves_spatial_dims(self, kernel):
+        layer = Conv2dLayer(2, 3, kernel)
+        assert layer.padding == kernel // 2
+        out = layer.forward(np.zeros((2, 2, 8, 11)))
+        assert out.shape == (2, 3, 8, 11)
+        assert layer.output_hw(8, 11) == (8, 11)
+
+    @pytest.mark.parametrize("kernel", [0, 2, 4])
+    def test_even_kernel_rejected(self, kernel):
+        with pytest.raises(DomainError):
+            Conv2dLayer(1, 1, kernel)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        layer = Conv2dLayer(2, 3, 3, padding=1, rng=rng, init_std=0.5)
+        layer = Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5)
         x = rng.normal(size=(1, 2, 6, 6))
         r = rng.normal(size=(1, 3, 6, 6))
         layer.forward(x)
         d_x = layer.backward(r)
 
         def loss():
-            fresh = Conv2dLayer(2, 3, 3, padding=1)
+            fresh = Conv2dLayer(2, 3, 3)
             fresh.filters[...] = layer.filters
             fresh.bias[...] = layer.bias
             return float(np.sum(fresh.forward(x) * r))
@@ -217,30 +225,27 @@ class TestConv2d:
         assert gc.check_gradient("d_x", loss, x, d_x).passed
 
     @pytest.mark.parametrize("kernel", [1, 3, 5])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, None])
-    def test_matches_einsum_reference(self, kernel, stride, padding):
-        rng = np.random.default_rng(100 + 10 * kernel + 2 * stride + (padding is None))
+    def test_matches_einsum_reference(self, kernel):
+        rng = np.random.default_rng(103 + 10 * kernel)
         for _ in range(3):
             n = int(rng.integers(2, 5))
             c_in = int(rng.integers(2, 4))
             c_out = int(rng.integers(1, 4))
             h = int(rng.integers(kernel, kernel + 6))
             w = h + int(rng.integers(1, 4))  # never square
-            layer = Conv2dLayer(c_in, c_out, kernel, padding=padding,
-                                stride=stride, rng=rng, init_std=0.5)
+            layer = Conv2dLayer(c_in, c_out, kernel, rng=rng, init_std=0.5)
             layer.bias[...] = rng.normal(size=c_out)
             x = rng.normal(size=(n, c_in, h, w))
             out = layer.forward(x)
             _assert_matches_reference(
                 out, _reference_conv_forward(
-                    x, layer.filters, layer.bias, layer.padding, stride
+                    x, layer.filters, layer.bias, layer.padding
                 )
             )
             r = rng.normal(size=out.shape)
             d_x = layer.backward(r)
             d_input, d_filters, d_bias = _reference_conv_backward(
-                x, layer.filters, r, layer.padding, stride
+                x, layer.filters, r, layer.padding
             )
             _assert_matches_reference(d_x, d_input)
             _assert_matches_reference(layer.d_filters, d_filters)
@@ -248,50 +253,30 @@ class TestConv2d:
             d_filters_out, d_bias_out = layer.param_grads()
             assert d_filters_out is layer.d_filters and d_bias_out is layer.d_bias
 
-    def test_strided_batch_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(16)
-        layer = Conv2dLayer(2, 3, 3, stride=2, rng=rng, init_std=0.5)
-        layer.bias[...] = rng.normal(size=3)
-        x = rng.normal(size=(3, 2, 7, 6))
-        out = layer.forward(x)
-        assert out.shape == (3, 3, 4, 3)
-        r = rng.normal(size=out.shape)
-        d_x = layer.backward(r)
-
-        def loss():
-            fresh = Conv2dLayer(2, 3, 3, stride=2)
-            fresh.filters[...] = layer.filters
-            fresh.bias[...] = layer.bias
-            return float(np.sum(fresh.forward(x) * r))
-
-        assert gc.check_gradient("d_f", loss, layer.filters, layer.d_filters).passed
-        assert gc.check_gradient("d_b", loss, layer.bias, layer.d_bias).passed
-        assert gc.check_gradient("d_x", loss, x, d_x).passed
-
     def test_bad_geometry_rejected(self):
-        layer = Conv2dLayer(1, 1, 5, padding=0)
+        layer = Conv2dLayer(1, 1, 3)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 1, 3, 3)))  # kernel larger than input
+            layer.forward(np.zeros((1, 2, 6, 6)))  # channels
         with pytest.raises(ShapeError):
-            Conv2dLayer(1, 1, 3).forward(np.zeros((1, 2, 6, 6)))  # channels
+            layer.forward(np.zeros((1, 6, 6)))  # not NCHW
 
 
 # Inference (cache-free) conv forward against the caching forward:
-# (in_channels, out_channels, kernel, stride, n, h, w).  The MNIST conv1
-# and conv2 shapes at batch sizes around and past the 8-image block, then
-# kernels 1/3/5 at strides 1/2 on non-square inputs.
+# (in_channels, out_channels, kernel, n, h, w).  The MNIST conv1 and
+# conv2 shapes at batch sizes around and past the 8-image block, then
+# kernels 1/3/5 on a non-square input.
 CONV_CASES = (
-    [(1, 32, 5, 1, n, 28, 28) for n in (1, 7, 37, 200)]
-    + [(32, 64, 5, 1, n, 14, 14) for n in (1, 7, 37, 200)]
-    + [(3, 4, k, s, 19, 9, 12) for k in (1, 3, 5) for s in (1, 2)]
+    [(1, 32, 5, n, 28, 28) for n in (1, 7, 37, 200)]
+    + [(32, 64, 5, n, 14, 14) for n in (1, 7, 37, 200)]
+    + [(3, 4, k, 19, 9, 12) for k in (1, 3, 5)]
 )
 
 
 def conv_forward_both_ways(case):
     """(caching forward, cache-free forward) of one seeded layer."""
-    c_in, c_out, k, stride, n, h, w = case
+    c_in, c_out, k, n, h, w = case
     rng = np.random.default_rng(sum(case))
-    layer = Conv2dLayer(c_in, c_out, k, stride=stride, rng=rng, init_std=0.3)
+    layer = Conv2dLayer(c_in, c_out, k, rng=rng, init_std=0.3)
     layer.bias[...] = rng.normal(size=c_out)
     x = rng.normal(size=(n, c_in, h, w))
     cached = layer.forward(x)
@@ -402,7 +387,7 @@ class TestCacheFreeForward:
 
     @pytest.mark.parametrize("make", [
         lambda rng: (DenseLayer(4, 3, rng=rng, init_std=0.5), (5, 4)),
-        lambda rng: (Conv2dLayer(2, 3, 3, stride=2, rng=rng, init_std=0.5), (3, 2, 7, 6)),
+        lambda rng: (Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5), (3, 2, 7, 6)),
     ], ids=["dense", "conv"])
     def test_backward_without_input_grad_keeps_parameter_grads(self, make):
         rng = np.random.default_rng(22)

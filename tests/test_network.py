@@ -9,11 +9,16 @@ import pytest
 
 from marginnet import gradcheck as gc
 from marginnet import network
-from marginnet.harness import ensemble_predict, evaluate_objectives, member_scores
+from marginnet.harness import (
+    LoadedModel,
+    ensemble_predict,
+    evaluate_objectives,
+    member_scores,
+)
 from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.layers import LayerStateError
 from marginnet.network import build_convnet, build_mlp
-from marginnet.tensor import ShapeError
+from marginnet.tensor import DomainError, ShapeError
 
 WD = 0.3
 
@@ -77,12 +82,27 @@ def test_forward_only_calls_leave_no_backward_state(arch, call, monkeypatch):
     elif call == "head_output":
         net.head_output(x, labels)
     elif call == "ensemble_predict":
-        ensemble_predict([net, net], x)
+        member = LoadedModel(net, None, None, {}, "")
+        ensemble_predict([member, member], x)
     else:
         getattr(net, call)(x)
     for layer in net.layers:
         with pytest.raises(LayerStateError):
             layer.backward(np.zeros(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: build_mlp(4, [5, 0], spec),
+    lambda spec: build_convnet((1, 8, 8), [], 3, 5, 0.0, spec),
+    lambda spec: build_convnet((1, 8, 8), [2, 0], 3, 5, 0.0, spec),
+    lambda spec: build_convnet((1, 8, 8), [2, -1], 3, 5, 0.0, spec),
+    lambda spec: build_convnet((1, 8, 8), [2, 3], 3, 0, 0.0, spec),
+    lambda spec: build_convnet((1, 8, 8), [2, 3], 4, 5, 0.0, spec),
+], ids=["mlp-width-0", "no-conv-block", "conv-width-0", "conv-width-neg",
+        "dense-0", "even-kernel"])
+def test_builders_reject_bad_architectures(build):
+    with pytest.raises(DomainError):
+        build(HeadSpec("l2svm", 3))
 
 
 def test_scores_of_an_empty_batch_are_still_shape_checked():
@@ -128,11 +148,12 @@ want = np.concatenate([
     head_scores(net.head_weights, net.forward(x[s : s + 2000], cache=False))
     for s in (0, 2000)
 ])
+member = harness.LoadedModel(net, None, None, {}, "")
 voted = []
 vote = harness.ensemble_vote
 harness.ensemble_vote = lambda models, scores: voted.extend(scores) or vote(models, scores)
-harness.ensemble_predict([net], x)
-routes = {"member_scores": harness.member_scores([net], x)[0],
+harness.ensemble_predict([member], x)
+routes = {"member_scores": harness.member_scores([member], x)[0],
           "ensemble_predict": voted[0], "scores": net.scores(x)}
 print(json.dumps([name for name, got in routes.items()
                   if got.tobytes() != want.tobytes()]))
@@ -158,11 +179,12 @@ def test_member_scores_memory_is_bounded_by_the_chunk():
     rng = np.random.default_rng(13)
     net = build_convnet((1, 12, 12), [2, 4], 3, 16, 0.0, spec, rng=rng, init_std=0.1)
     x = rng.normal(size=(5 * network.SCORE_CHUNK // 2, 1, 12, 12))
+    member = LoadedModel(net, None, None, {}, "")
 
     def peak(rows):
         tracemalloc.start()
         try:
-            member_scores([net], x[:rows])
+            member_scores([member], x[:rows])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

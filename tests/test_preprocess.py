@@ -17,19 +17,10 @@ from marginnet.preprocess import (
     _lexicographic_row_order,
     _row_blocks,
     augment,
-    face_normalize,
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
 )
 from marginnet.tensor import DomainError, ShapeError
-
-# face_normalize([1, 2, 3, 4]) with target norm 100, frozen from
-# 50-digit arithmetic: centered [-1.5, -0.5, 0.5, 1.5], norm sqrt(5).
-FACE_1234 = np.array(
-    [-67.082039324993691, -22.360679774997897,
-     22.360679774997897, 67.082039324993691]
-)
 
 # Few distinct values, signed zeros and infinities, so that rows tie on
 # long prefixes and the two zeros must sort as equal.
@@ -118,7 +109,7 @@ class TestPcaFit:
         x = rng.normal(size=(64, 7)) @ rng.normal(size=(7, 7)) + rng.normal(size=7)
         model = pca_fit(x, 7)
         z = pca_transform(model, x)
-        back = pca_inverse_transform(model, z)
+        back = z @ model.components.T + model.mean
         npt.assert_allclose(back, x, rtol=0, atol=1e-8)
         # rigid map: pairwise distances survive the projection
         d_orig = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
@@ -195,8 +186,6 @@ class TestPcaFit:
         model = pca_fit(x, 2)
         with pytest.raises(ShapeError):
             pca_transform(model, np.zeros((3, 5)))
-        with pytest.raises(ShapeError):
-            pca_inverse_transform(model, np.zeros((3, 3)))
 
 
 # Shapes on which the row-blocked transform must reproduce the one-GEMM
@@ -293,31 +282,6 @@ class TestRowBlockedTransform:
         standardizer = PixelStandardizer().fit(np.ones((5, 5)))
         with pytest.raises(ShapeError):
             pca_transform(pca, np.zeros((3, 4)), standardizer)
-
-
-class TestFaceNormalize:
-    def test_frozen_reference_values(self):
-        out = face_normalize(np.array([1.0, 2.0, 3.0, 4.0]))
-        npt.assert_allclose(out, FACE_1234, rtol=0, atol=1e-12)
-        assert abs(np.linalg.norm(out) - 100.0) < 1e-9
-
-    def test_batch_rows_normalized_independently(self):
-        x = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 10.0, 0.0]])
-        out = face_normalize(x)
-        npt.assert_allclose(out[0], FACE_1234, rtol=0, atol=1e-12)
-        npt.assert_allclose(np.linalg.norm(out, axis=1), [100.0, 100.0],
-                            rtol=0, atol=1e-9)
-
-    def test_idempotent_up_to_scale(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=17) * 40 + 3
-        once = face_normalize(x)
-        twice = face_normalize(once)
-        npt.assert_allclose(twice, once, rtol=0, atol=1e-9)
-
-    def test_constant_image_rejected(self):
-        with pytest.raises(DomainError):
-            face_normalize(np.full(9, 3.7))
 
 
 class TestPixelStandardizer:
