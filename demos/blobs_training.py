@@ -23,7 +23,6 @@ from marginnet.harness import (
     load_splits,
     seed_streams,
     train,
-    warm_start,
 )
 from marginnet.recipes import BLOBS
 
@@ -72,12 +71,12 @@ print("(each model is best at the objective it trained on)")
 print("\n=== warm start: swap the objective, keep the network ===")
 # same seed as the source run, so the data stream is identical and the
 # only thing that changes is the objective
-swapped = warm_start(
-    results["l2svm"].model_dir,
+src = load_model(results["l2svm"].model_dir)
+swapped = train(
     parse_config_text(BASE + f"head = softmax\nseed = 0\nepochs = 0\n"
                       f"out_dir = {workdir}/swap0\n"),
+    warm_from=src,
 )
-src = load_model(results["l2svm"].model_dir)
 test_inputs = swapped.prepared.test.inputs
 same = np.array_equal(
     swapped.network.predict(test_inputs), src.network.predict(test_inputs)
@@ -85,10 +84,10 @@ same = np.array_equal(
 print("epochs=0 softmax warm start of the l2svm model predicts "
       f"identically to its source: {same}")
 
-cont = warm_start(
-    results["l2svm"].model_dir,
+cont = train(
     parse_config_text(BASE + f"head = softmax\nseed = 0\nepochs = 20\n"
                       f"out_dir = {workdir}/swap20\n"),
+    warm_from=src,
 )
 print(f"after 20 softmax epochs from that start: test_error "
       f"{cont.metrics[-1]['test_error_pct']:.1f}%  "

@@ -18,7 +18,6 @@ from .harness import (
     evaluate_objectives,
     load_model,
     train,
-    warm_start,
 )
 from .heads import (
     HeadOutput,
@@ -81,5 +80,4 @@ __all__ = [
     "predict",
     "softmax_probs",
     "train",
-    "warm_start",
 ]

@@ -62,12 +62,12 @@ def _load_config(args):
     return cfg
 
 
-def _report_run(result):
+def _report_run(state):
     """Print a finished run's last metrics row and where it wrote."""
-    row = result.metrics[-1]
+    row = state.metrics[-1]
     print("  ".join(f"{col}={harness.format_cell(col, row[col])}"
                     for col in harness.CSV_COLUMNS))
-    print(f"wrote {result.csv_path} and {result.model_dir}")
+    print(f"wrote {state.csv_path} and {state.model_dir}")
     return 0
 
 
@@ -129,7 +129,8 @@ def cmd_warmstart(args):
         raise ConfigError(
             "warmstart needs source_model = <saved model dir> in the config"
         )
-    return _report_run(harness.warm_start(cfg.source_model, cfg))
+    source = harness.load_model(cfg.source_model)
+    return _report_run(harness.train(cfg, warm_from=source))
 
 
 def cmd_ensemble(args):

@@ -16,6 +16,7 @@ that provenance for run metadata.
 import math
 from dataclasses import dataclass, field
 
+from .data import IMAGE_CLASSES
 from .tensor import DomainError
 
 
@@ -255,8 +256,9 @@ def head_spec_from_config(cfg):
 
 
 def class_count(cfg):
-    """Classes in the configured dataset: blobs_classes, or 10 for IDX
-    and CIFAR-10 (what their loaders return)."""
+    """Classes in the configured dataset: blobs_classes, or the
+    :data:`~marginnet.data.IMAGE_CLASSES` its IDX and CIFAR-10 loaders
+    return."""
     if cfg.dataset == "blobs":
         return cfg.blobs_classes
-    return 10
+    return IMAGE_CLASSES

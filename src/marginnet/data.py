@@ -25,6 +25,9 @@ LABELS_MAGIC = 2049
 
 SPLITS = ("train", "val", "test")
 
+# Classes of every IDX (MNIST digits) and CIFAR-10 dataset.
+IMAGE_CLASSES = 10
+
 
 class IdxFormatError(ValueError):
     """Base for malformed IDX input."""
@@ -120,8 +123,8 @@ def _parse_idx(raw, path, expected_magic, expected_ndim):
 
 
 def load_idx(images_path, labels_path, split="train"):
-    """Load an images/labels IDX pair into a 10-class Dataset (the MNIST
-    digits).
+    """Load an images/labels IDX pair into an :data:`IMAGE_CLASSES`-class
+    Dataset (the MNIST digits).
 
     Images come out flat [N, rows*cols], scaled to [0, 1] by /255.
     Distinct errors separate a wrong magic, a truncated payload, and an
@@ -142,7 +145,7 @@ def load_idx(images_path, labels_path, split="train"):
     inputs = img_data.astype(DTYPE).reshape(n, rows * cols)
     inputs /= 255.0
     labels = lbl_data.astype(np.int64)
-    return Dataset(inputs, labels, 10, split)
+    return Dataset(inputs, labels, IMAGE_CLASSES, split)
 
 
 def write_idx(images_path, labels_path, images_u8, labels):
@@ -196,7 +199,7 @@ def load_cifar10(batch_paths, split="train"):
         np.divide(pixels, 255.0, out=images[start : start + len(b)], dtype=DTYPE)
         start += len(b)
     labels = np.concatenate([b[:, 0] for b in batches]).astype(np.int64)
-    return Dataset(images, labels, 10, split)
+    return Dataset(images, labels, IMAGE_CLASSES, split)
 
 
 def make_blobs(n, num_classes, dim, separation, rng, split="train"):

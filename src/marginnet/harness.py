@@ -34,7 +34,7 @@ from .layers import gaussian_noise
 from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
 from .preprocess import PcaModel, PixelStandardizer, augment, pca_fit, pca_transform
-from .serialize import json_text, load_tensors, save_tensors, write_text
+from .serialize import ManifestError, json_text, load_tensors, save_tensors, write_text
 from .tensor import DomainError, ShapeError
 
 CSV_COLUMNS = (
@@ -276,17 +276,85 @@ def build_network(cfg, train_inputs, head_spec, init_rng):
 
 
 @dataclass
-class TrainResult:
+class TrainState:
+    """A run between epochs: :func:`train` builds it and writes its
+    artifacts to ``csv_path`` and ``model_dir``; :func:`run_epochs` advances it."""
+
     network: Network
+    optimizer: SgdMomentum
+    rng: np.random.Generator  # the train stream: batch order, corruption, dropout
+    prepared: PreparedData
     metrics: list
+    epoch: int  # finished epochs
+    updates: int
     out_dir: str
     csv_path: str
     model_dir: str
-    prepared: PreparedData
-    updates: int
 
 
-def train(cfg, warm_from=None, command="train"):
+def run_epochs(cfg, state):
+    """The epoch loop: append each metrics row to ``state.metrics`` and
+    yield it, first the epoch-0 row of a fresh state, then one row per
+    epoch up to ``cfg.epochs``.  A consumer that stops after a row
+    leaves ``state`` exactly at that epoch's end."""
+    net = state.network
+    train_set, test_set = state.prepared.train, state.prepared.test
+    n = train_set.n
+    batches_per_epoch = num_batches(n, cfg.batch_size)
+    # epochs=0 is a pure evaluation run; the schedules still need a
+    # nonzero span to report their starting values in the metrics row.
+    sched_span = max(cfg.epochs * batches_per_epoch, 1)
+    lr_sched = LinearSchedule(cfg.lr_start, cfg.lr_end, sched_span)
+    noise_sched = LinearSchedule(cfg.noise_start, cfg.noise_end, sched_span)
+
+    def metrics_row():
+        train_rep = evaluate_objectives(net, train_set.inputs, train_set.labels)
+        test_rep = evaluate_objectives(net, test_set.inputs, test_set.labels)
+        state.metrics.append({
+            "epoch": state.epoch,
+            "updates": state.updates,
+            "lr": lr_sched.value(state.updates),
+            "noise_std": noise_sched.value(state.updates),
+            "train_loss": train_rep.own_loss(net.head_spec.kind)
+            + net.stack_penalty(cfg.lower_weight_decay),
+            "test_error_pct": test_rep.error_pct,
+            "avg_xent": test_rep.avg_xent,
+            "hinge_sq_sum": test_rep.hinge_sq_sum,
+            "hinge_sq_mean": test_rep.hinge_sq_mean,
+        })
+        return state.metrics[-1]
+
+    if not state.metrics:
+        yield metrics_row()
+    for epoch in range(state.epoch + 1, cfg.epochs + 1):
+        for b, idx in enumerate(minibatches(n, cfg.batch_size, state.rng)):
+            x = train_set.inputs[idx]
+            y = train_set.labels[idx]
+            if cfg.augment:
+                x = augment(x, state.rng, cfg.max_jitter, cfg.mirror)
+            noise_std = noise_sched.value(state.updates)
+            if noise_std > 0.0:
+                x = gaussian_noise(x, noise_std, state.rng)
+            # Overflow here is not a numpy bug but a diverging run; the
+            # isfinite check below turns it into a diagnosable abort.
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = net.backprop(
+                    x, y, train=True, rng=state.rng,
+                    lower_weight_decay=cfg.lower_weight_decay,
+                )
+            if not np.isfinite(out.loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss {out.loss} at epoch {epoch}, "
+                    f"minibatch {b + 1} of {batches_per_epoch} "
+                    f"(update {state.updates + 1})"
+                )
+            state.optimizer.step(net.grads(), lr_sched.value(state.updates))
+            state.updates += 1
+        state.epoch = epoch
+        yield metrics_row()
+
+
+def train(cfg, warm_from=None):
     """Run the full training loop described by ``cfg``.
 
     ``warm_from`` is a LoadedModel whose parameters (hidden layers and
@@ -295,14 +363,12 @@ def train(cfg, warm_from=None, command="train"):
     predicts exactly what the source model predicts.
 
     Writes metrics.csv, runmeta.json, and a model/ directory under
-    cfg.out_dir; returns everything in a TrainResult.
+    cfg.out_dir; returns the finished TrainState.
     """
     data_rng, init_rng, train_rng = seed_streams(cfg.seed)
     prepared = prepare_data(cfg, data_rng)
-    train_set, test_set = prepared.train, prepared.test
     spec = head_spec_from_config(cfg)
-    net = build_network(cfg, train_set.inputs, spec, init_rng)
-    warm_meta = None
+    net = build_network(cfg, prepared.train.inputs, spec, init_rng)
     if warm_from is not None:
         # Every parameter carries over, head weights included: a warm start
         # changes the objective, not the function computed at step 0.  The
@@ -316,82 +382,31 @@ def train(cfg, warm_from=None, command="train"):
             net.assign_tensors(source)
         except ShapeError as e:
             raise ConfigError(f"warm start architecture mismatch: {e}") from None
-        warm_meta = {
-            "source": warm_from.source_dir,
-            "source_head": warm_from.network.head_spec.kind,
-        }
 
-    opt = SgdMomentum(cfg.momentum)
-    n = train_set.n
-    batches_per_epoch = num_batches(n, cfg.batch_size)
-    total_updates = cfg.epochs * batches_per_epoch
-    # epochs=0 is a pure evaluation run; the schedules still need a
-    # nonzero span to report their starting values in the metrics row.
-    sched_span = max(total_updates, 1)
-    lr_sched = LinearSchedule(cfg.lr_start, cfg.lr_end, sched_span)
-    noise_sched = LinearSchedule(cfg.noise_start, cfg.noise_end, sched_span)
-
-    def metrics_row(epoch, updates):
-        train_rep = evaluate_objectives(net, train_set.inputs, train_set.labels)
-        test_rep = evaluate_objectives(net, test_set.inputs, test_set.labels)
-        return {
-            "epoch": epoch,
-            "updates": updates,
-            "lr": lr_sched.value(updates),
-            "noise_std": noise_sched.value(updates),
-            "train_loss": train_rep.own_loss(spec.kind)
-            + net.stack_penalty(cfg.lower_weight_decay),
-            "test_error_pct": test_rep.error_pct,
-            "avg_xent": test_rep.avg_xent,
-            "hinge_sq_sum": test_rep.hinge_sq_sum,
-            "hinge_sq_mean": test_rep.hinge_sq_mean,
-        }
-
-    rows = [metrics_row(0, 0)]
-    updates = 0
-    for epoch in range(1, cfg.epochs + 1):
-        for b, idx in enumerate(minibatches(n, cfg.batch_size, train_rng)):
-            x = train_set.inputs[idx]
-            y = train_set.labels[idx]
-            if cfg.augment:
-                x = augment(x, train_rng, cfg.max_jitter, cfg.mirror)
-            noise_std = noise_sched.value(updates)
-            if noise_std > 0.0:
-                x = gaussian_noise(x, noise_std, train_rng)
-            # Overflow here is not a numpy bug but a diverging run; the
-            # isfinite check below turns it into a diagnosable abort.
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = net.backprop(
-                    x, y, train=True, rng=train_rng,
-                    lower_weight_decay=cfg.lower_weight_decay,
-                )
-            if not np.isfinite(out.loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss {out.loss} at epoch {epoch}, "
-                    f"minibatch {b + 1} of {batches_per_epoch} "
-                    f"(update {updates + 1})"
-                )
-            opt.step(net.params(), net.grads(), lr_sched.value(updates))
-            updates += 1
-        rows.append(metrics_row(epoch, updates))
-
+    state = TrainState(
+        net, SgdMomentum(net.params(), cfg.momentum), train_rng, prepared,
+        [], 0, 0, cfg.out_dir, os.path.join(cfg.out_dir, METRICS_NAME),
+        os.path.join(cfg.out_dir, MODEL_DIRNAME),
+    )
+    for _ in run_epochs(cfg, state):
+        pass
     os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, METRICS_NAME)
-    write_metrics_csv(csv_path, rows)
-    model_dir = os.path.join(cfg.out_dir, MODEL_DIRNAME)
-    save_model(model_dir, net, prepared, config_echo=cfg.echo())
+    write_metrics_csv(state.csv_path, state.metrics)
+    save_model(state.model_dir, net, prepared, config_echo=cfg.echo())
     runmeta = {
-        "command": command,
+        "command": "train" if warm_from is None else "warmstart",
         "config": cfg.echo(),
         "head": net.head_meta(),
         "arch": net.arch,
-        "warm_start": warm_meta,
-        "updates": updates,
-        "final": rows[-1],
+        "warm_start": None if warm_from is None else {
+            "source": warm_from.source_dir,
+            "source_head": warm_from.network.head_spec.kind,
+        },
+        "updates": state.updates,
+        "final": state.metrics[-1],
     }
     write_text(os.path.join(cfg.out_dir, RUNMETA_NAME), json_text(runmeta))
-    return TrainResult(net, rows, cfg.out_dir, csv_path, model_dir,
-                       prepared, updates)
+    return state
 
 
 def write_metrics_csv(path, rows):
@@ -457,10 +472,16 @@ class LoadedModel:
 
 def load_model(model_dir):
     tensors, meta = load_tensors(model_dir)
-    head = meta["head"]
-    spec = HeadSpec(head["kind"], head["num_classes"], head["c"],
-                    head["weight_decay"])
-    net = build_from_arch(meta["arch"], spec)
+    try:
+        head = meta["head"]
+        spec = HeadSpec(head["kind"], head["num_classes"], head["c"],
+                        head["weight_decay"])
+        net = build_from_arch(meta["arch"], spec)
+    except (KeyError, TypeError) as e:
+        raise ManifestError(
+            f"{model_dir}: manifest meta has no usable head and arch "
+            f"({type(e).__name__}: {e})"
+        ) from None
     net.assign_tensors(tensors)  # the preprocessing tensors are not parameters
     pca = None
     if meta.get("preprocess", {}).get("pca"):
@@ -491,16 +512,6 @@ def cross_objective_eval(model, dataset):
     """
     return evaluate_objectives(model.network, model.transform(dataset.inputs),
                                dataset.labels)
-
-
-def warm_start(source_model_dir, cfg, command="warmstart"):
-    """Train per ``cfg`` starting from a saved model's parameters.
-
-    Hidden layers and head weights all carry over; cfg picks the new
-    objective.  Parameter shapes (and class counts) must match exactly,
-    or :class:`ConfigError` is raised.
-    """
-    return train(cfg, warm_from=load_model(source_model_dir), command=command)
 
 
 def member_scores(models, inputs):

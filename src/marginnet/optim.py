@@ -5,9 +5,9 @@ Update rule per parameter array:
     v <- momentum * v - lr * grad
     p <- p + v
 
-Velocities start at zero and are matched to parameters by list
-position, so the caller must pass the same parameter list (same order,
-same array objects) on every step.  Parameters are updated in place.
+The optimizer binds its parameter arrays when built and gives each a
+zero velocity; a step takes their gradients in the same order and
+updates the bound arrays in place.
 """
 
 import numpy as np
@@ -37,37 +37,32 @@ class LinearSchedule:
 
 
 class SgdMomentum:
-    def __init__(self, momentum=0.9):
+    def __init__(self, params, momentum=0.9):
         if not 0.0 <= momentum < 1.0:
             raise DomainError(
                 f"momentum must be in [0, 1), got {momentum}"
             )
         self.momentum = momentum
-        self.velocities = None
+        self.params = list(params)
+        # np.zeros leaves the pages unwritten until the first step: unlike
+        # zeros_like, it adds nothing to a one-update run's backprop peak.
+        self.velocities = [np.zeros(p.shape, dtype=DTYPE) for p in self.params]
 
-    def step(self, params, grads, lr):
-        """One in-place update of every parameter array.
+    def step(self, grads, lr):
+        """One in-place update of every bound parameter array.
 
         lr may vary between calls (schedules); velocities persist.
         """
         if lr < 0:
             raise DomainError(f"learning rate must be non-negative, got {lr}")
-        if len(params) != len(grads):
+        if len(grads) != len(self.params):
             raise ShapeError(
-                f"{len(params)} params vs {len(grads)} grads"
+                f"optimizer tracks {len(self.params)} params, got {len(grads)} grads"
             )
-        if self.velocities is None:
-            self.velocities = [np.zeros_like(p, dtype=DTYPE) for p in params]
-        if len(self.velocities) != len(params):
-            raise ShapeError(
-                f"optimizer tracks {len(self.velocities)} params, got {len(params)}"
-            )
-        for p, g, v in zip(params, grads, self.velocities):
+        for p, g, v in zip(self.params, grads, self.velocities):
             g = np.asarray(g, dtype=DTYPE)
-            if p.shape != g.shape or p.shape != v.shape:
-                raise ShapeError(
-                    f"param {p.shape}, grad {g.shape}, velocity {v.shape} disagree"
-                )
+            if p.shape != g.shape:
+                raise ShapeError(f"param {p.shape} and grad {g.shape} disagree")
             v *= self.momentum
             v -= lr * g
             p += v

@@ -27,6 +27,13 @@ MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
 FORMAT_TAG = "marginnet-tensors"
 FORMAT_VERSION = 1
+# The manifest fields every reader checks, with the one value each may hold.
+HEADER = {
+    "format": FORMAT_TAG,
+    "version": FORMAT_VERSION,
+    "dtype": "float64",
+    "byte_order": "little",
+}
 
 
 class ManifestError(ValueError):
@@ -43,10 +50,7 @@ def save_tensors(dir_path, tensors, meta=None):
         for name, arr in tensors.items()
     }
     manifest = {
-        "format": FORMAT_TAG,
-        "version": FORMAT_VERSION,
-        "dtype": "float64",
-        "byte_order": "little",
+        **HEADER,
         "tensors": [
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()
         ],
@@ -103,11 +107,7 @@ def load_tensors(dir_path):
         raise ManifestError(f"no {MANIFEST_NAME} in {dir_path}") from None
     except json.JSONDecodeError as e:
         raise ManifestError(f"{manifest_path}: invalid JSON ({e})") from None
-    if manifest.get("format") != FORMAT_TAG:
-        raise ManifestError(
-            f"{manifest_path}: format {manifest.get('format')!r}, "
-            f"expected {FORMAT_TAG!r}"
-        )
+    _check_manifest(manifest, manifest_path)
     tensors = {}
     offset = 0
     with open(os.path.join(dir_path, BLOB_NAME), "rb") as f:
@@ -128,6 +128,30 @@ def load_tensors(dir_path):
     if offset != size:
         raise ManifestError(f"{BLOB_NAME} has {size - offset} trailing bytes")
     return tensors, manifest.get("meta", {})
+
+
+def _check_manifest(manifest, path):
+    """Raise :class:`ManifestError` unless ``manifest`` has the header
+    :func:`save_tensors` writes and a list of tensor entries, each a
+    string name and a list of non-negative integer dimensions."""
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path}: not a JSON object")
+    for key, expected in HEADER.items():
+        if manifest.get(key) != expected:
+            raise ManifestError(
+                f"{path}: {key} {manifest.get(key)!r}, expected {expected!r}"
+            )
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise ManifestError(f"{path}: tensors {entries!r}, expected a list")
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise ManifestError(
+                f"{path}: tensor entry {entry!r} needs a string name and a "
+                f"list of non-negative integer dimensions"
+            )
 
 
 def assign_tensor(target, source, name):

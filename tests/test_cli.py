@@ -138,6 +138,30 @@ class TestEval:
         assert main(["eval", "--config", cfg]) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m.pop("tensors"),
+        lambda m: m["meta"].pop("arch"),
+        lambda m: m["meta"].pop("head"),
+        lambda m: m["tensors"][0].update(shape=["x"]),
+        lambda m: m["tensors"][0].update(shape=[-1, 2]),
+        lambda m: m.update(dtype="float32"),
+    ], ids=["no-tensors", "no-arch", "no-head", "shape-x", "shape-negative",
+            "float32"])
+    def test_corrupt_manifest_exits_2(self, tmp_path, trained_model, capsys,
+                                      corrupt):
+        path = f"{trained_model}/{serialize.MANIFEST_NAME}"
+        with open(path) as f:
+            manifest = json.load(f)
+        corrupt(manifest)
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        cfg = write_cfg(tmp_path, "eval.cfg", TINY_BLOBS
+                        + f"model = {trained_model}\nout_dir = {tmp_path}/eval\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_eval_needs_a_model(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "eval.cfg",
                         TINY_BLOBS + f"out_dir = {tmp_path}/eval\n")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from marginnet.config import (
@@ -7,6 +8,8 @@ from marginnet.config import (
     parse_config,
     parse_config_text,
 )
+from marginnet.data import write_idx
+from marginnet.harness import load_splits, seed_streams
 
 
 class TestParsing:
@@ -191,3 +194,19 @@ class TestHeadSpec:
         spec = head_spec_from_config(cfg)
         assert spec.kind == "l1svm"
         assert spec.c == 0.5
+
+    def test_idx_class_count_is_what_the_loader_returns(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for split in ("train", "test"):
+            write_idx(str(tmp_path / f"{split}-images"),
+                      str(tmp_path / f"{split}-labels"),
+                      rng.integers(0, 256, size=(6, 4, 4)),
+                      rng.integers(0, 3, size=6))
+        cfg = parse_config_text(
+            f"dataset = idx\ndata_dir = {tmp_path}\n"
+            "train_images = train-images\ntrain_labels = train-labels\n"
+            "test_images = test-images\ntest_labels = test-labels\n"
+        )
+        train, test = load_splits(cfg, seed_streams(cfg.seed)[0])
+        assert head_spec_from_config(cfg).num_classes == train.num_classes
+        assert test.num_classes == train.num_classes

@@ -6,12 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from marginnet.config import ConfigError, parse_config_text
-from marginnet.data import make_blobs, write_idx
+from marginnet.config import ConfigError, head_spec_from_config, parse_config_text
+from marginnet.data import make_blobs, num_batches, write_idx
 from marginnet.harness import (
     CSV_COLUMNS,
     LoadedModel,
     TrainingDivergedError,
+    TrainState,
+    build_network,
     cross_objective_eval,
     ensemble_predict,
     ensemble_vote,
@@ -19,14 +21,16 @@ from marginnet.harness import (
     load_model,
     load_splits,
     member_scores,
+    prepare_data,
     read_metrics_csv,
+    run_epochs,
     seed_streams,
     train,
-    warm_start,
     write_metrics_csv,
 )
 from marginnet.heads import HeadSpec
 from marginnet.network import build_mlp
+from marginnet.optim import SgdMomentum
 from marginnet.tensor import DomainError
 
 BLOBS_BASE = """
@@ -305,6 +309,41 @@ class TestArtifacts:
         )
 
 
+def fresh_state(cfg):
+    """The state ``train`` builds for ``cfg`` before its first epoch."""
+    data_rng, init_rng, train_rng = seed_streams(cfg.seed)
+    prepared = prepare_data(cfg, data_rng)
+    net = build_network(cfg, prepared.train.inputs, head_spec_from_config(cfg),
+                        init_rng)
+    return TrainState(net, SgdMomentum(net.params(), cfg.momentum), train_rng,
+                      prepared, [], 0, 0, cfg.out_dir, "", "")
+
+
+class TestRunEpochs:
+    def test_epoch_0_row_first_then_one_row_per_epoch(self, tmp_path):
+        cfg = blobs_config(tmp_path, "rows", epochs=3)
+        state = fresh_state(cfg)
+        rows = list(run_epochs(cfg, state))
+        assert [row["epoch"] for row in rows] == [0, 1, 2, 3]
+        assert rows == state.metrics == train(cfg).metrics
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_a_consumer_that_stops_after_row_k_leaves_epoch_k(self, tmp_path, k):
+        cfg = blobs_config(tmp_path, "stop", epochs=3)
+        state = fresh_state(cfg)
+        for row in run_epochs(cfg, state):
+            if row["epoch"] == k:
+                break
+        per_epoch = num_batches(cfg.blobs_train_n, cfg.batch_size)
+        assert (state.epoch, state.updates) == (k, k * per_epoch)
+        assert len(state.metrics) == k + 1
+        # The stopped state carries everything the rest of the run needs:
+        # resuming it yields the remaining rows of the uninterrupted run.
+        assert [row["epoch"] for row in run_epochs(cfg, state)] == list(
+            range(k + 1, 4))
+        assert state.metrics == train(cfg).metrics
+
+
 class TestCrossObjectiveEval:
     def test_error_is_objective_independent(self, l2svm_run, tmp_path):
         # the raw test split: the saved model standardizes it itself
@@ -327,7 +366,7 @@ class TestWarmStart:
         self, l2svm_run, tmp_path
     ):
         cfg = blobs_config(tmp_path, "warm0", head="softmax", epochs=0)
-        res = warm_start(l2svm_run.model_dir, cfg)
+        res = train(cfg, warm_from=load_model(l2svm_run.model_dir))
         x = l2svm_run.prepared.test.inputs
         npt.assert_array_equal(
             res.network.predict(x), l2svm_run.network.predict(x)
@@ -335,7 +374,7 @@ class TestWarmStart:
 
     def test_warm_start_tagged_in_runmeta(self, l2svm_run, tmp_path):
         cfg = blobs_config(tmp_path, "warmtag", head="softmax", epochs=1)
-        res = warm_start(l2svm_run.model_dir, cfg)
+        res = train(cfg, warm_from=load_model(l2svm_run.model_dir))
         with open(os.path.join(res.out_dir, "runmeta.json")) as f:
             meta = json.load(f)
         assert meta["warm_start"]["source_head"] == "l2svm"
@@ -346,19 +385,20 @@ class TestWarmStart:
     ):
         cfg = blobs_config(tmp_path, "warmbad", hidden_dims="8, 8")
         with pytest.raises(ConfigError):
-            warm_start(l2svm_run.model_dir, cfg)
+            train(cfg, warm_from=load_model(l2svm_run.model_dir))
         # A deeper source holds every tensor of a shallower target, with
         # the same shapes (the head's included); both directions fail.
         deep = train(blobs_config(tmp_path, "deep", hidden_dims="16, 16", epochs=0))
         with pytest.raises(ConfigError, match="architecture mismatch"):
-            warm_start(deep.model_dir, blobs_config(tmp_path, "warmshallow"))
+            train(blobs_config(tmp_path, "warmshallow"),
+                  warm_from=load_model(deep.model_dir))
         with pytest.raises(ConfigError, match="architecture mismatch"):
-            warm_start(l2svm_run.model_dir,
-                       blobs_config(tmp_path, "warmdeep", hidden_dims="16, 16"))
+            train(blobs_config(tmp_path, "warmdeep", hidden_dims="16, 16"),
+                  warm_from=load_model(l2svm_run.model_dir))
 
     def test_continued_training_moves_the_weights(self, l2svm_run, tmp_path):
         cfg = blobs_config(tmp_path, "warmgo", head="softmax", epochs=2)
-        res = warm_start(l2svm_run.model_dir, cfg)
+        res = train(cfg, warm_from=load_model(l2svm_run.model_dir))
         assert not np.array_equal(
             res.network.head_weights, l2svm_run.network.head_weights
         )

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from marginnet.heads import HeadSpec
+from marginnet.network import build_mlp
 from marginnet.optim import LinearSchedule, SgdMomentum
 from marginnet.tensor import DomainError, ShapeError
 
@@ -11,10 +13,10 @@ class TestSgdMomentum:
         rng = np.random.default_rng(0)
         theta = rng.normal(size=(3, 2))
         expected = theta.copy()
-        opt = SgdMomentum(momentum=0.0)
+        opt = SgdMomentum([theta], momentum=0.0)
         for _ in range(4):
             g = rng.normal(size=(3, 2))
-            opt.step([theta], [g], lr=0.05)
+            opt.step([g], lr=0.05)
             expected -= 0.05 * g
             npt.assert_allclose(theta, expected, rtol=0, atol=1e-15)
 
@@ -22,28 +24,29 @@ class TestSgdMomentum:
         # momentum 0.9, lr 0.1, grad 1: v walks -0.1, -0.19, -0.271, ...
         theta = np.array([0.0])
         g = np.array([1.0])
-        opt = SgdMomentum(momentum=0.9)
-        opt.step([theta], [g], lr=0.1)
+        opt = SgdMomentum([theta], momentum=0.9)
+        npt.assert_array_equal(opt.velocities[0], [0.0])
+        opt.step([g], lr=0.1)
         npt.assert_allclose(opt.velocities[0], [-0.1])
-        opt.step([theta], [g], lr=0.1)
+        opt.step([g], lr=0.1)
         npt.assert_allclose(opt.velocities[0], [-0.19])
         npt.assert_allclose(theta, [-0.29])
 
     def test_zero_lr_decays_velocity_geometrically(self):
         theta = np.array([0.0])
-        opt = SgdMomentum(momentum=0.5)
-        opt.step([theta], [np.array([1.0])], lr=1.0)  # v = -1
+        opt = SgdMomentum([theta], momentum=0.5)
+        opt.step([np.array([1.0])], lr=1.0)  # v = -1
         for k in range(1, 5):
-            opt.step([theta], [np.array([1.0])], lr=0.0)
+            opt.step([np.array([1.0])], lr=0.0)
             npt.assert_allclose(opt.velocities[0], [-(0.5**k)])
 
     @pytest.mark.parametrize("momentum", [0.0, 0.3, 0.6, 0.9, 0.95])
     def test_quadratic_bowl_converges(self, momentum):
         # minimize 0.5 * theta^2 from theta = 1; gradient is theta itself
         theta = np.array([1.0])
-        opt = SgdMomentum(momentum=momentum)
+        opt = SgdMomentum([theta], momentum=momentum)
         for _ in range(2000):
-            opt.step([theta], [theta.copy()], lr=0.1)
+            opt.step([theta.copy()], lr=0.1)
             if abs(theta[0]) < 1e-6:
                 break
         assert abs(theta[0]) < 1e-6
@@ -54,41 +57,53 @@ class TestSgdMomentum:
         rng = np.random.default_rng(1)
         a1, b1 = rng.normal(size=4), rng.normal(size=(2, 3))
         a2, b2 = a1.copy(), b1.copy()
-        joint = SgdMomentum(momentum=0.9)
-        sep_a, sep_b = SgdMomentum(momentum=0.9), SgdMomentum(momentum=0.9)
+        joint = SgdMomentum([a1, b1], momentum=0.9)
+        sep_a, sep_b = SgdMomentum([a2], momentum=0.9), SgdMomentum([b2], momentum=0.9)
         for _ in range(5):
             ga, gb = rng.normal(size=4), rng.normal(size=(2, 3))
-            joint.step([a1, b1], [ga, gb], lr=0.07)
-            sep_a.step([a2], [ga], lr=0.07)
-            sep_b.step([b2], [gb], lr=0.07)
+            joint.step([ga, gb], lr=0.07)
+            sep_a.step([ga], lr=0.07)
+            sep_b.step([gb], lr=0.07)
         npt.assert_array_equal(a1, a2)
         npt.assert_array_equal(b1, b2)
 
     def test_updates_happen_in_place(self):
         theta = np.zeros(2)
         alias = theta
-        SgdMomentum(0.0).step([theta], [np.ones(2)], lr=1.0)
+        SgdMomentum([theta], 0.0).step([np.ones(2)], lr=1.0)
         npt.assert_array_equal(alias, [-1.0, -1.0])
+
+    def test_steps_move_the_network_parameters_it_was_built_on(self):
+        spec = HeadSpec("l2svm", 3, c=0.1, weight_decay=0.001)
+        net = build_mlp(4, [5], spec, rng=np.random.default_rng(2), init_std=0.1)
+        params = net.params()
+        before = [p.copy() for p in params]
+        opt = SgdMomentum(params, 0.9)
+        net.backprop(np.random.default_rng(3).normal(size=(6, 4)),
+                     np.arange(6) % 3)
+        opt.step(net.grads(), lr=0.5)
+        for p, q, old in zip(net.params(), params, before):
+            assert p is q
+            assert not np.array_equal(p, old)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            SgdMomentum(momentum=1.0)
+            SgdMomentum([], momentum=1.0)
         with pytest.raises(DomainError):
-            SgdMomentum(momentum=-0.1)
-        opt = SgdMomentum(0.9)
+            SgdMomentum([], momentum=-0.1)
+        opt = SgdMomentum([np.zeros(2)], 0.9)
         with pytest.raises(DomainError):
-            opt.step([np.zeros(2)], [np.zeros(2)], lr=-0.1)
+            opt.step([np.zeros(2)], lr=-0.1)
         with pytest.raises(ShapeError):
-            opt.step([np.zeros(2)], [np.zeros(3)], lr=0.1)
+            opt.step([np.zeros(3)], lr=0.1)
         with pytest.raises(ShapeError):
-            opt.step([np.zeros(2)], [np.zeros(2), np.zeros(2)], lr=0.1)
+            opt.step([np.zeros(2), np.zeros(2)], lr=0.1)
 
     def test_param_count_must_stay_stable(self):
-        opt = SgdMomentum(0.9)
-        a, b = np.zeros(2), np.zeros(3)
-        opt.step([a, b], [np.ones(2), np.ones(3)], lr=0.1)
+        opt = SgdMomentum([np.zeros(2), np.zeros(3)], 0.9)
+        opt.step([np.ones(2), np.ones(3)], lr=0.1)
         with pytest.raises(ShapeError):
-            opt.step([a], [np.ones(2)], lr=0.1)
+            opt.step([np.ones(2)], lr=0.1)
 
 
 class TestLinearSchedule:

@@ -1,0 +1,91 @@
+"""Train the four byte-identity gate configs and print their artifact hashes.
+
+    python3 tools/gate_bytes.py
+
+A refactor counts as "same behaviour" when every gate config still
+writes a byte-identical ``metrics.csv`` and ``model/params.bin``.  Each
+config trains in its own temporary directory with the library from the
+``src/`` beside this directory; one line per config gives the first 16
+hex digits of the SHA-256 of ``metrics.csv`` and of ``params.bin``.
+
+The bytes depend on the OpenBLAS kernel the CPU gets, so the hashes are
+compared between two checkouts on one machine, not against constants
+in a test.  The BLAS thread count is pinned to 1 before numpy loads:
+the conv GEMMs round differently at other thread counts.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from marginnet.config import parse_config_text  # noqa: E402
+from marginnet.harness import train  # noqa: E402
+
+# Blobs, standardized and PCA-projected, under a 256-256 MLP.
+MLP = """
+blobs_classes = 10
+blobs_dim = 70
+blobs_train_n = 2000
+blobs_test_n = 1000
+standardize = true
+pca_dims = 40
+hidden_dims = 256, 256
+init_std = 0.1
+svm_c = 0.001
+noise_start = 0.3
+noise_end = 0.3
+epochs = 3
+lr_start = 0.01
+"""
+
+# Blobs as 1x8x8 images under a small convnet with dropout and augment.
+CONV = """
+blobs_classes = 4
+blobs_dim = 64
+blobs_train_n = 400
+blobs_test_n = 200
+arch = conv
+conv_channels = 2, 4
+conv_kernel = 3
+conv_dense = 16
+conv_dropout = 0.2
+augment = true
+max_jitter = 1
+head = l2svm
+svm_c = 0.01
+init_std = 0.1
+lower_weight_decay = 0.01
+epochs = 3
+batch_size = 50
+lr_start = 0.01
+"""
+
+GATES = (
+    MLP + "head = l2svm\n",
+    MLP + "head = softmax\nlower_weight_decay = 0.01\n",
+    MLP + "head = l1svm\nlower_weight_decay = 0.05\n",
+    CONV,
+)
+
+
+def sha16(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()[:16]
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="gate_bytes_") as tmp:
+        for i, text in enumerate(GATES, start=1):
+            state = train(parse_config_text(
+                text + f"out_dir = {os.path.join(tmp, str(i))}\n"))
+            print(f"{i} {sha16(state.csv_path)}/"
+                  f"{sha16(os.path.join(state.model_dir, 'params.bin'))}")
+
+
+if __name__ == "__main__":
+    main()
