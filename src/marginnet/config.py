@@ -7,16 +7,22 @@ Rules:
       warnings, so typos cannot silently fall back to defaults
     - values are typed (int/float/bool/str/int list); conversion
       failures are errors naming the key and the offending text
+    - every value is held to its key's rule, whether it came from a
+      config line or a post-parse override, before any run starts
 
-The parsed RunConfig remembers where each value came from ("config",
-"default", or "cli" for post-parse overrides), and ``echo()`` returns
-that provenance for run metadata.
+Each key has one ``SCHEMA`` row: its converter, default, rule and the
+origin of its default.  The parsed RunConfig remembers where each value
+came from ("config", "default", or "cli" for post-parse overrides), and
+``echo()`` returns that provenance for run metadata.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .data import IMAGE_CLASSES
+from .heads import HEAD_KINDS, HeadSpec
 from .tensor import DomainError
 
 
@@ -33,13 +39,6 @@ def _to_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _to_int_list(text):
-    t = text.strip()
-    if not t:
-        return []
-    return [int(part.strip()) for part in t.split(",")]
-
-
 def _to_str_list(text):
     t = text.strip()
     if not t:
@@ -47,82 +46,112 @@ def _to_str_list(text):
     return [part.strip() for part in t.split(",")]
 
 
-# key -> (type converter, default).  This table is the whole schema.
+def _to_int_list(text):
+    return [int(part) for part in _to_str_list(text)]
+
+
+# Rules: (text, predicate) pairs.  A key's value must satisfy its rule's
+# predicate, and an error says the key "must be <text>".
+ANY = ("anything", lambda v: True)
+
+
+def at_least(low):
+    return (f">= {low}", lambda v: v >= low)
+
+
+def one_of(*choices):
+    return (f"one of {choices}", lambda v: v in choices)
+
+
+FINITE_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+FINITE_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
+ODD_KERNEL = ("odd and positive (stride 1, same padding)",
+              lambda v: v >= 1 and v % 2 == 1)
+WIDTHS = ("a list of positive widths", lambda v: all(w >= 1 for w in v))
+CHANNELS = ("a non-empty list of positive widths",
+            lambda v: bool(v) and all(w >= 1 for w in v))
+
+# Where a key's default comes from: "recipe" if it restates the
+# published training recipe this library reproduces, "artifact" if it
+# is an implementation choice the recipe is silent on (momentum,
+# init_std, max_jitter, ...).  The echo reports it so run metadata
+# keeps the two apart.
+RECIPE, ARTIFACT = "recipe", "artifact"
+
+
+class Key(NamedTuple):
+    """One SCHEMA row: the whole description of a config key."""
+
+    convert: Callable
+    default: object
+    rule: tuple
+    origin: str = ARTIFACT
+
+
+# key -> Key.  This table is the whole schema.  epochs 0 is legal:
+# train() then emits only the initial evaluation row.  weight_decay and
+# svm_c are checked for every head: evaluation reports both objective
+# families, each with its own constant, whichever head trains.
 SCHEMA = {
     # data
-    "dataset": (str, "blobs"),           # blobs | idx | cifar10
-    "data_dir": (str, "data/mnist"),
-    "train_images": (str, "train-images-idx3-ubyte.gz"),
-    "train_labels": (str, "train-labels-idx1-ubyte.gz"),
-    "test_images": (str, "t10k-images-idx3-ubyte.gz"),
-    "test_labels": (str, "t10k-labels-idx1-ubyte.gz"),
-    "cifar_train_batches": (_to_str_list, []),
-    "cifar_test_batches": (_to_str_list, []),
-    "train_subset": (int, 0),            # 0 = use everything
-    "blobs_train_n": (int, 200),
-    "blobs_test_n": (int, 200),
-    "blobs_classes": (int, 2),
-    "blobs_dim": (int, 2),
-    "blobs_separation": (float, 20.0),
+    "dataset": Key(str, "blobs", one_of("blobs", "idx", "cifar10")),
+    "data_dir": Key(str, "data/mnist", ANY),
+    "train_images": Key(str, "train-images-idx3-ubyte.gz", ANY),
+    "train_labels": Key(str, "train-labels-idx1-ubyte.gz", ANY),
+    "test_images": Key(str, "t10k-images-idx3-ubyte.gz", ANY),
+    "test_labels": Key(str, "t10k-labels-idx1-ubyte.gz", ANY),
+    "cifar_train_batches": Key(_to_str_list, [], ANY),
+    "cifar_test_batches": Key(_to_str_list, [], ANY),
+    "train_subset": Key(int, 0, at_least(0)),           # 0 = use everything
+    "blobs_train_n": Key(int, 200, at_least(1)),
+    "blobs_test_n": Key(int, 200, at_least(1)),
+    "blobs_classes": Key(int, 2, at_least(2)),
+    "blobs_dim": Key(int, 2, at_least(1)),
+    "blobs_separation": Key(float, 20.0, FINITE_POSITIVE),
     # preprocessing
-    "pca_dims": (int, 0),                # 0 = off
-    "standardize": (_to_bool, False),
-    "augment": (_to_bool, False),
-    "max_jitter": (int, 2),
-    "mirror": (_to_bool, True),
+    "pca_dims": Key(int, 0, at_least(0)),               # 0 = off
+    "standardize": Key(_to_bool, False, ANY),
+    "augment": Key(_to_bool, False, ANY),
+    "max_jitter": Key(int, 2, at_least(0)),
+    "mirror": Key(_to_bool, True, ANY, RECIPE),
     # architecture
-    "arch": (str, "mlp"),                # mlp | conv
-    "hidden_dims": (_to_int_list, [256, 256]),
-    "conv_channels": (_to_int_list, [32, 64]),
-    "conv_kernel": (int, 5),
-    "conv_dense": (int, 3072),
-    "conv_dropout": (float, 0.2),
-    "init_std": (float, 0.01),
+    "arch": Key(str, "mlp", one_of("mlp", "conv")),
+    "hidden_dims": Key(_to_int_list, [256, 256], WIDTHS),
+    "conv_channels": Key(_to_int_list, [32, 64], CHANNELS, RECIPE),
+    "conv_kernel": Key(int, 5, ODD_KERNEL, RECIPE),
+    "conv_dense": Key(int, 3072, at_least(1), RECIPE),
+    "conv_dropout": Key(float, 0.2, RATE, RECIPE),
+    "init_std": Key(float, 0.01, FINITE_NON_NEGATIVE),
     # objective
-    "head": (str, "softmax"),            # softmax | l1svm | l2svm
-    "svm_c": (float, 0.01),
-    "weight_decay": (float, 0.001),
-    "lower_weight_decay": (float, 0.0),
+    "head": Key(str, "softmax", one_of(*HEAD_KINDS)),
+    "svm_c": Key(float, 0.01, FINITE_POSITIVE),
+    "weight_decay": Key(float, 0.001, FINITE_NON_NEGATIVE, RECIPE),
+    "lower_weight_decay": Key(float, 0.0, FINITE_NON_NEGATIVE),
     # optimization
-    "epochs": (int, 10),
-    "batch_size": (int, 200),
-    "momentum": (float, 0.9),
-    "lr_start": (float, 0.1),
-    "lr_end": (float, 0.0),
-    "noise_start": (float, 0.0),
-    "noise_end": (float, 0.0),
+    "epochs": Key(int, 10, at_least(0)),
+    "batch_size": Key(int, 200, at_least(1), RECIPE),
+    "momentum": Key(float, 0.9, RATE),
+    "lr_start": Key(float, 0.1, FINITE_NON_NEGATIVE, RECIPE),
+    "lr_end": Key(float, 0.0, FINITE_NON_NEGATIVE, RECIPE),
+    "noise_start": Key(float, 0.0, FINITE_NON_NEGATIVE),
+    "noise_end": Key(float, 0.0, FINITE_NON_NEGATIVE),
     # run control
-    "seed": (int, 0),
-    "out_dir": (str, "runs/run"),
-    "eval_split": (str, "test"),         # train | test
+    "seed": Key(int, 0, at_least(0)),
+    "out_dir": Key(str, "runs/run", ANY),
+    "eval_split": Key(str, "test", one_of("train", "test")),
     # model references (eval / warmstart / ensemble)
-    "model": (str, ""),
-    "source_model": (str, ""),
-    "models": (_to_str_list, []),
+    "model": Key(str, "", ANY),
+    "source_model": Key(str, "", ANY),
+    "models": Key(_to_str_list, [], ANY),
 }
 
-_CHOICES = {
-    "dataset": ("blobs", "idx", "cifar10"),
-    "arch": ("mlp", "conv"),
-    "head": ("softmax", "l1svm", "l2svm"),
-    "eval_split": ("train", "test"),
-}
 
-# Defaults whose values come straight from the published training recipe
-# this library reproduces.  Every other default (momentum, init_std,
-# max_jitter, ...) is an implementation choice the recipe is silent on,
-# and the echo tags it "artifact" so run metadata keeps the two apart.
-RECIPE_DEFAULTS = frozenset({
-    "lr_start",
-    "lr_end",
-    "weight_decay",
-    "batch_size",
-    "conv_channels",
-    "conv_kernel",
-    "conv_dense",
-    "conv_dropout",
-    "mirror",
-})
+def _check(key, value, origin):
+    """Hold ``value`` to ``key``'s rule; raise ConfigError if it fails."""
+    text, holds = SCHEMA[key].rule
+    if not holds(value):
+        raise ConfigError(f"{origin}: {key} must be {text}, got {value!r}")
 
 
 @dataclass
@@ -137,33 +166,29 @@ class RunConfig:
             raise AttributeError(name) from None
 
     def override(self, key, value):
-        """Post-parse override (CLI flags); key must be in the schema."""
+        """Post-parse override (CLI flags); key must be in the schema, and
+        the value is held to the same rule as a config line."""
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
+        _check(key, value, "--" + key.replace("_", "-"))
         self.values[key] = value
         self.sources[key] = "cli"
 
     def echo(self):
-        """key -> {value, source, default_origin} for every schema key.
-
-        default_origin says what the *default* for that key is: "recipe"
-        if the shipped default restates the published training recipe,
-        "artifact" if it is an implementation choice.
-        """
+        """key -> {value, source, default_origin} for every schema key;
+        default_origin is the key's SCHEMA origin."""
         return {
             key: {
                 "value": self.values[key],
                 "source": self.sources[key],
-                "default_origin": (
-                    "recipe" if key in RECIPE_DEFAULTS else "artifact"
-                ),
+                "default_origin": row.origin,
             }
-            for key in SCHEMA
+            for key, row in SCHEMA.items()
         }
 
 
 def default_config():
-    values = {key: default for key, (_, default) in SCHEMA.items()}
+    values = {key: row.default for key, row in SCHEMA.items()}
     sources = {key: "default" for key in SCHEMA}
     return RunConfig(values, sources)
 
@@ -182,9 +207,8 @@ def parse_config_text(text, origin="<string>"):
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
-        converter, _ = SCHEMA[key]
         try:
-            value = converter(value_text.strip())
+            value = SCHEMA[key].convert(value_text.strip())
         except ValueError as e:
             raise ConfigError(
                 f"{origin}:{lineno}: bad value for {key!r}: "
@@ -192,7 +216,8 @@ def parse_config_text(text, origin="<string>"):
             ) from None
         cfg.values[key] = value
         cfg.sources[key] = "config"
-    _validate(cfg, origin)
+    for key, value in cfg.values.items():
+        _check(key, value, origin)
     return cfg
 
 
@@ -205,45 +230,7 @@ def parse_config(path):
     return parse_config_text(text, origin=str(path))
 
 
-def _validate(cfg, origin):
-    for key, choices in _CHOICES.items():
-        if cfg.values[key] not in choices:
-            raise ConfigError(
-                f"{origin}: {key} must be one of {choices}, "
-                f"got {cfg.values[key]!r}"
-            )
-    # Each key group and its rule.  epochs 0 is legal: train() then emits
-    # only the initial evaluation row.  weight_decay and svm_c are checked
-    # for every head: evaluation reports both objective families, each
-    # with its own constant, whichever head trains.
-    rules = (
-        (("epochs", "train_subset", "max_jitter"), ">= 0", lambda v: v >= 0),
-        (("weight_decay", "init_std", "noise_start", "noise_end",
-          "lower_weight_decay", "lr_start", "lr_end"),
-         "finite and >= 0", lambda v: 0 <= v < math.inf),
-        (("svm_c", "blobs_separation"), "finite and > 0",
-         lambda v: 0 < v < math.inf),
-        (("momentum", "conv_dropout"), "in [0, 1)", lambda v: 0 <= v < 1),
-        (("batch_size", "blobs_train_n", "blobs_test_n", "conv_dense"),
-         "positive", lambda v: v >= 1),
-        (("conv_kernel",), "odd and positive (stride 1, same padding)",
-         lambda v: v >= 1 and v % 2 == 1),
-        (("hidden_dims",), "a list of positive widths",
-         lambda v: all(w >= 1 for w in v)),
-        (("conv_channels",), "a non-empty list of positive widths",
-         lambda v: bool(v) and all(w >= 1 for w in v)),
-    )
-    for keys, rule, holds in rules:
-        for key in keys:
-            if not holds(cfg.values[key]):
-                raise ConfigError(
-                    f"{origin}: {key} must be {rule}, got {cfg.values[key]}"
-                )
-
-
 def head_spec_from_config(cfg):
-    from .heads import HeadSpec
-
     try:
         return HeadSpec(
             kind=cfg.head,

@@ -483,17 +483,21 @@ def load_model(model_dir):
             f"({type(e).__name__}: {e})"
         ) from None
     net.assign_tensors(tensors)  # the preprocessing tensors are not parameters
-    pca = None
-    if meta.get("preprocess", {}).get("pca"):
-        pca = PcaModel(
-            tensors["pca.mean"], tensors["pca.components"],
-            tensors["pca.explained_variances"],
-        )
-    standardizer = None
-    if meta.get("preprocess", {}).get("standardize"):
-        standardizer = PixelStandardizer()
-        standardizer.mean = tensors["standardizer.mean"]
-        standardizer.std = tensors["standardizer.std"]
+    preprocess = meta.get("preprocess", {})
+    pca = standardizer = None
+    try:
+        if preprocess.get("pca"):
+            pca = PcaModel(tensors["pca.mean"], tensors["pca.components"],
+                           tensors["pca.explained_variances"])
+        if preprocess.get("standardize"):
+            standardizer = PixelStandardizer()
+            standardizer.mean = tensors["standardizer.mean"]
+            standardizer.std = tensors["standardizer.std"]
+    except KeyError as e:
+        raise ManifestError(
+            f"{model_dir}: manifest meta.preprocess names a step whose "
+            f"tensor {e} is missing"
+        ) from None
     return LoadedModel(net, pca, standardizer, meta, model_dir)
 
 

@@ -9,6 +9,7 @@ from marginnet import harness, serialize
 from marginnet.cli import main
 from marginnet.config import parse_config
 from marginnet.network import Network
+from marginnet.recipes import BLOBS
 
 TINY_BLOBS = """
 dataset = blobs
@@ -81,12 +82,25 @@ class TestTrain:
                                      "arch = conv\nconv_channels =",
                                      "arch = conv\nconv_dense = -5",
                                      "arch = conv\nconv_dense = 0",
-                                     "arch = conv\nconv_kernel = 4"])
+                                     "arch = conv\nconv_kernel = 4",
+                                     "seed = -1",
+                                     "pca_dims = -1",
+                                     "blobs_classes = 1",
+                                     "blobs_dim = 0"])
     def test_bad_constant_exits_2_before_any_data(self, tmp_path, capsys, bad):
         cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + bad + "\n"
                         + f"out_dir = {tmp_path}/run\n")
         assert main(["train", "--config", cfg]) == 2
         assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_flag_is_checked_like_a_config_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "t.cfg",
+                        TINY_BLOBS + f"out_dir = {tmp_path}/run\n")
+        assert main(["train", "--config", cfg, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--seed" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_negative_init_std_exits_2(self, tmp_path, capsys):
@@ -145,8 +159,13 @@ class TestEval:
         lambda m: m["tensors"][0].update(shape=["x"]),
         lambda m: m["tensors"][0].update(shape=[-1, 2]),
         lambda m: m.update(dtype="float32"),
+        # a model saved without PCA whose manifest claims one
+        lambda m: m["meta"]["preprocess"].update(pca=True),
+        # a standardizing model whose standardizer tensors are gone
+        lambda m: [e.update(name="x" + e["name"]) for e in m["tensors"]
+                   if e["name"].startswith("standardizer.")],
     ], ids=["no-tensors", "no-arch", "no-head", "shape-x", "shape-negative",
-            "float32"])
+            "float32", "pca-without-tensors", "standardize-without-tensors"])
     def test_corrupt_manifest_exits_2(self, tmp_path, trained_model, capsys,
                                       corrupt):
         path = f"{trained_model}/{serialize.MANIFEST_NAME}"
@@ -219,6 +238,12 @@ class TestGradcheck:
         assert rc == 0
         assert "30/30 gradient checks passed" in out
         assert "l2svm.d_w" in out
+
+    def test_runs_on_a_shipped_recipe(self, tmp_path, capsys):
+        # BLOBS has 32-wide hidden layers; the suite checks its own 8-8 mlp
+        cfg = write_cfg(tmp_path, "blobs.cfg", BLOBS)
+        assert main(["gradcheck", "--config", cfg]) == 0
+        assert "30/30 gradient checks passed" in capsys.readouterr().out
 
 
 class TestWarmstart:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginnet.config import (
+    SCHEMA,
     ConfigError,
     default_config,
     head_spec_from_config,
@@ -125,6 +128,15 @@ class TestParsing:
         assert key in str(exc.value)
         assert "run.cfg" in str(exc.value)
 
+    @pytest.mark.parametrize("text", ["seed = -1", "pca_dims = -1",
+                                      "blobs_classes = 1", "blobs_dim = 0"])
+    def test_data_and_seed_keys_checked_at_parse_time(self, text):
+        key = text.split("=")[0].strip()
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text + "\n", origin="run.cfg")
+        assert key in str(exc.value)
+        assert "run.cfg" in str(exc.value)
+
     def test_good_architecture_accepted(self):
         cfg = parse_config_text("conv_channels = 1\nconv_kernel = 1\n"
                                 "conv_dense = 1\nhidden_dims =\n")
@@ -170,6 +182,13 @@ class TestEcho:
         }
         assert echo["epochs"]["source"] == "config"
 
+    def test_override_is_held_to_the_key_rule(self):
+        cfg = default_config()
+        with pytest.raises(ConfigError) as exc:
+            cfg.override("seed", -1)
+        assert "--seed" in str(exc.value) and "seed must be" in str(exc.value)
+        assert (cfg.seed, cfg.sources["seed"]) == (0, "default")
+
     def test_override_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
             default_config().override("learning_rate", 0.1)
@@ -210,3 +229,24 @@ class TestHeadSpec:
         train, test = load_splits(cfg, seed_streams(cfg.seed)[0])
         assert head_spec_from_config(cfg).num_classes == train.num_classes
         assert test.num_classes == train.num_classes
+
+
+# One line of config text: no character str.splitlines() breaks on.
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                    max_size=12)
+VALUE_TEXT = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    LINE_TEXT,
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(key=st.sampled_from(sorted(SCHEMA)), value=VALUE_TEXT)
+def test_any_single_line_either_fails_as_config_error_or_can_run(key, value):
+    try:
+        cfg = parse_config_text(f"{key} = {value}\n")
+    except ConfigError:
+        return
+    seed_streams(cfg.seed)
+    head_spec_from_config(cfg)

@@ -1,6 +1,6 @@
 import pytest
 
-from marginnet.config import RECIPE_DEFAULTS, SCHEMA, parse_config_text
+from marginnet.config import RECIPE, SCHEMA, parse_config_text
 from marginnet.recipes import DESK, FULL, MNIST_FILES, find_mnist, mnist_data
 
 
@@ -9,7 +9,8 @@ def test_recipe_defaults_restate_the_paper_recipes(recipe):
     # runmeta.json tags these defaults "recipe", which holds only while
     # the recipes set them to the schema default
     cfg = parse_config_text(recipe)
-    pinned = {key for key in RECIPE_DEFAULTS if cfg.sources[key] == "config"}
+    pinned = {key for key, row in SCHEMA.items()
+              if row.origin == RECIPE and cfg.sources[key] == "config"}
     assert {"weight_decay", "batch_size", "lr_start", "lr_end"} <= pinned
     for key in pinned:
         assert cfg.values[key] == SCHEMA[key][1], key
