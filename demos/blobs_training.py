@@ -24,7 +24,7 @@ from marginnet.harness import (
     seed_streams,
     train,
 )
-from marginnet.recipes import BLOBS
+from marginnet.recipes import BLOBS, mnist_data
 
 workdir = tempfile.mkdtemp(prefix="blobs_demo_")
 
@@ -112,23 +112,10 @@ write_idx(os.path.join(idx_dir, "train-img"),
 write_idx(os.path.join(idx_dir, "test-img"),
           os.path.join(idx_dir, "test-lab"), pixels[200:], labels[200:])
 
-FROZEN = f"""
-dataset = idx
-data_dir = {idx_dir}
-train_images = train-img
-train_labels = train-lab
-test_images = test-img
-test_labels = test-lab
-standardize = true
-hidden_dims = 32
-weight_decay = 0.001
-svm_c = 0.1
-epochs = 200
-batch_size = 25
-momentum = 0.9
-lr_start = 0.02
-lr_end = 0.0
-"""
+FROZEN = BLOBS + mnist_data(idx_dir, {
+    "train_images": "train-img", "train_labels": "train-lab",
+    "test_images": "test-img", "test_labels": "test-lab",
+})
 
 members = [
     load_model(run(FROZEN, "l2svm", seed=s, tag=f"member{s}",

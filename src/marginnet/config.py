@@ -16,6 +16,7 @@ came from ("config", "default", or "cli" for post-parse overrides), and
 ``echo()`` returns that provenance for run metadata.
 """
 
+import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -188,7 +189,9 @@ class RunConfig:
 
 
 def default_config():
-    values = {key: row.default for key, row in SCHEMA.items()}
+    """A RunConfig of every key's default, each a copy: appending to a
+    list value leaves SCHEMA and later configs alone."""
+    values = {key: copy.copy(row.default) for key, row in SCHEMA.items()}
     sources = {key: "default" for key in SCHEMA}
     return RunConfig(values, sources)
 

@@ -4,7 +4,8 @@ Supported sources:
     - IDX image/label file pairs (the classic big-endian binary layout:
       a 4-byte magic, big-endian u32 dimension sizes, then raw unsigned
       bytes).  Gzipped files are detected by their 1f 8b prefix and
-      decompressed transparently.  Pixels are scaled to [0, 1].
+      decompressed transparently; a truncated or corrupt gzip stream is
+      an :class:`IdxFormatError`.  Pixels are scaled to [0, 1].
     - CIFAR-10 binary batches (per record: 1 label byte then 3072 pixel
       bytes, channel-major 3x32x32).
     - Synthetic Gaussian blobs with well-separated, balanced classes.
@@ -14,6 +15,7 @@ disk.
 """
 
 import gzip
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,13 +89,17 @@ class Dataset:
 
 
 def _read_bytes(path):
+    """The bytes of ``path``, gunzipped when they start with 1f 8b."""
     with open(path, "rb") as f:
         head = f.read(2)
         f.seek(0)
-        if head == b"\x1f\x8b":
+        if head != b"\x1f\x8b":
+            return f.read()
+        try:
             with gzip.open(f) as g:
                 return g.read()
-        return f.read()
+        except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+            raise IdxFormatError(f"{path}: corrupt gzip stream: {e}") from None
 
 
 def _parse_idx(raw, path, expected_magic, expected_ndim):

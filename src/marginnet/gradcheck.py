@@ -112,20 +112,19 @@ def check_gradient(name, f, x, analytic, eps=EPS, tol=TOL):
     return compare_gradients(name, analytic, numeric, tol=tol)
 
 
-def check_layer(name, layer, x, r, seed=None):
+def check_layer(name, layer, x, r, seed=0):
     """Check a layer's backward against finite differences of
-    ``sum(layer.forward(x) * r)``.
+    ``sum(layer.forward(x, train=True) * r)``.
 
-    Runs the layer's own caching forward, then ``backward(r)``, and
+    Runs the layer's own training forward, then ``backward(r)``, and
     checks ``d_input`` and then ``d_<p>`` for each ``p`` in
     ``param_names``; results are named ``<name>.d_input`` and so on.
-    With a ``seed``, every forward runs in training mode on a fresh rng
-    of that seed, so a dropout layer draws the same mask each time.
+    Every forward gets a fresh rng of ``seed``, so a dropout layer draws
+    the same mask each time.
     """
 
     def forward():
-        rng = None if seed is None else np.random.default_rng(seed)
-        return layer.forward(x, train=seed is not None, rng=rng)
+        return layer.forward(x, train=True, rng=np.random.default_rng(seed))
 
     def loss():
         return float(np.sum(forward() * r))
@@ -200,7 +199,7 @@ def gradcheck_suite(num_classes=3, seed=0):
         ys = rng.integers(0, k, size=6)
         while _kink_gap(net, xs, ys) <= KINK_CLEARANCE:
             xs = rng.normal(size=(6, d))
-        net.backprop(xs, ys, train=False)
+        net.backprop(xs, ys)
         for (pname, param), grad in zip(net.named_tensors().items(), net.grads()):
             results.append(check_gradient(
                 f"mlp[{spec.kind}].{pname}",
@@ -222,7 +221,7 @@ def _kink_gap(net, xs, labels):
     gaps = []
     h = xs
     for layer in net.layers:
-        h = layer.forward(h, cache=False)
+        h = layer.forward(h)
         if isinstance(layer, DenseLayer):  # every dense output feeds a ReLU
             gaps.append(np.min(np.abs(h)))
     if net.head_spec.kind != "softmax":

@@ -339,7 +339,7 @@ def run_epochs(cfg, state):
             # isfinite check below turns it into a diagnosable abort.
             with np.errstate(over="ignore", invalid="ignore"):
                 out = net.backprop(
-                    x, y, train=True, rng=state.rng,
+                    x, y, rng=state.rng,
                     lower_weight_decay=cfg.lower_weight_decay,
                 )
             if not np.isfinite(out.loss):

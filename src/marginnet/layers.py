@@ -2,17 +2,20 @@
 
 Conventions:
     - Dense inputs are [N, in]; image inputs are NCHW ([N, C, H, W]).
-    - ``forward(x, train=..., rng=..., cache=True)`` caches what backward
-      needs; ``backward(d_out)`` consumes that cache and returns
-      ``d_input``, the gradient with respect to the forward input (same
-      shape).  One outstanding forward per instance: backward clears the
-      cache, and calling it again without a fresh forward raises
-      :class:`LayerStateError`.
-    - ``cache=False`` is the inference forward (evaluation, scores,
-      predictions): it returns the same bytes as the caching forward at
-      a fixed BLAS thread count, keeps nothing for backward and drops
-      whatever an earlier forward cached, so a following backward raises
-      :class:`LayerStateError` instead of reusing stale state.
+    - ``forward(x, train=False, rng=None)`` has one mode flag.
+      ``train=True`` is the training forward: the layer keeps what its
+      backward needs, and dropout draws its mask from ``rng``.
+      ``backward(d_out)`` consumes that state and returns ``d_input``,
+      the gradient with respect to the forward input (same shape).  One
+      outstanding training forward per instance: backward clears the
+      state, and calling it again without a fresh training forward
+      raises :class:`LayerStateError`.
+    - ``train=False``, the default, is the inference forward
+      (evaluation, scores, predictions): dropout is the identity, every
+      other layer returns the same bytes as its training forward at a
+      fixed BLAS thread count, and the layer keeps nothing.  It drops
+      whatever an earlier training forward kept, so a following backward
+      raises :class:`LayerStateError` instead of reusing stale state.
     - Layers with parameters take ``backward(d_out, input_grad=False)``
       when no gradient is needed below them (the first layer of a
       stack): parameter gradients are computed as usual, ``d_input`` is
@@ -34,9 +37,9 @@ forward pass lays its receptive fields out as a patch matrix
 [C*k*k, N*H*W] and multiplies it a few images at a time straight into
 the output; the filter gradient is a single 2-D matmul over the whole
 patch matrix, and the input gradient is scattered back (col2im) with one
-small matmul per kernel offset.  The caching forward keeps every block's
-patches in one matrix for backward; the inference forward refills one
-reused block buffer, so no patch matrix outlives the call.
+small matmul per kernel offset.  The training forward keeps every
+block's patches in one matrix for backward; the inference forward
+refills one reused block buffer, so no patch matrix outlives the call.
 """
 
 import numpy as np
@@ -80,13 +83,13 @@ class DenseLayer(Layer):
         self.d_bias = None
         self._cached_input = None
 
-    def forward(self, x, train=False, rng=None, cache=True):
+    def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(
                 f"dense layer expects [N, {self.n_in}] input, got {x.shape}"
             )
-        self._cached_input = x if cache else None
+        self._cached_input = x if train else None
         out = matmul(x, self.weights)
         out += self.bias
         return out
@@ -113,9 +116,9 @@ class ReluLayer(Layer):
     def __init__(self):
         self._cached_input = None
 
-    def forward(self, x, train=False, rng=None, cache=True):
+    def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
-        self._cached_input = x if cache else None
+        self._cached_input = x if train else None
         return np.maximum(x, 0.0)
 
     def backward(self, d_out):
@@ -131,12 +134,12 @@ class ReluLayer(Layer):
         return d_out * (x > 0)
 
 
-# Images per block of the conv forward, caching or not.  With OpenBLAS
-# 0.3.31 (Haswell kernels, 1 thread) a GEMM over a column block whose
-# width is a multiple of 8 reproduces the matching columns of the one-GEMM
-# product bit for bit, also when the block is a strided slice of a wider
-# patch matrix; blocks of 1 or 25 images at 14x14 output (196 and 4,900
-# columns) differ in the last bit.  8 images give 8*H*W columns.
+# Images per block of the conv forward, training or inference.  With
+# OpenBLAS 0.3.31 (Haswell kernels, 1 thread) a GEMM over a column block
+# whose width is a multiple of 8 reproduces the matching columns of the
+# one-GEMM product bit for bit, also when the block is a strided slice of
+# a wider patch matrix; blocks of 1 or 25 images at 14x14 output (196 and
+# 4,900 columns) differ in the last bit.  8 images give 8*H*W columns.
 IMAGE_BLOCK = 8
 
 
@@ -163,9 +166,9 @@ class Conv2dLayer(Layer):
     Both forwards run one loop over ``IMAGE_BLOCK`` images: each block's
     patches are filled, multiplied by ``K`` into one reused product
     buffer and written (plus the bias) straight into the NCHW output, so
-    no [F, N*H*W] product exists.  The caching forward fills each block
+    no [F, N*H*W] product exists.  The training forward fills each block
     into its images' slice of one kept patch tensor, which backward reads
-    as ``cols``; the inference forward (``cache=False``) refills one
+    as ``cols``; the inference forward (``train=False``) refills one
     reused block buffer and keeps nothing.  Backward never builds a
     patch-sized d_cols array, so ``cols`` is the only patch-sized array.
     Results are bit-identical from run to run at a fixed BLAS thread
@@ -196,7 +199,7 @@ class Conv2dLayer(Layer):
         """Output spatial size of an h x w input: the same, h x w."""
         return h, w
 
-    def forward(self, x, train=False, rng=None, cache=True):
+    def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
@@ -211,17 +214,17 @@ class Conv2dLayer(Layer):
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
         out = np.empty((n, f, h, w), dtype=DTYPE)
         block = min(n, IMAGE_BLOCK)
-        # The caching forward keeps every block's patches, at its images'
+        # The training forward keeps every block's patches, at its images'
         # place in one tensor; the inference forward reuses one block's.
-        patches = np.empty((c, k, k, n if cache else block, h, w), dtype=DTYPE)
+        patches = np.empty((c, k, k, n if train else block, h, w), dtype=DTYPE)
         product = np.empty(f * block * h * w, dtype=DTYPE)
         for start in range(0, n, IMAGE_BLOCK):
             stop = min(start + IMAGE_BLOCK, n)
-            place = slice(start, stop) if cache else slice(0, stop - start)
+            place = slice(start, stop) if train else slice(0, stop - start)
             cols = self._fill_patches(xp[:, start:stop], patches[:, :, :, place])
             gemm = product[: f * cols.shape[1]].reshape(f, -1)
             self._write_output(np.matmul(weights, cols, out=gemm), out[start:stop])
-        if cache:
+        if train:
             self._cache = (patches.reshape(c * k * k, n * h * w), x.shape, xp.shape)
         return out
 
@@ -277,17 +280,17 @@ class MaxPool2x2Layer(Layer):
     """Max over non-overlapping 2x2 windows, stride 2, of NCHW input
     with even spatial dims.
 
-    The caching forward keeps the switches: the flat row-major index
+    The training forward keeps the switches: the flat row-major index
     (0..3) of each window's maximum, ties resolved to the lowest index
     as argmax does.  Backward routes each gradient to its window's
     switch position, zeros elsewhere.  The inference forward
-    (``cache=False``) keeps no switches and pools the same bytes.
+    (``train=False``) keeps no switches and pools the same bytes.
     """
 
     def __init__(self):
         self._switches = None
 
-    def forward(self, x, train=False, rng=None, cache=True):
+    def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects NCHW input, got shape {x.shape}")
@@ -305,7 +308,7 @@ class MaxPool2x2Layer(Layer):
         down = bottom > top
         pooled = np.where(down, bottom, top)
         switches = None
-        if cache:
+        if train:
             switches = (2 * down + np.where(down, right_bottom, right_top)).astype(np.intp)
         # ``>`` never selects a NaN, but argmax does: a window holding a NaN
         # pools to its first NaN.  The max of x is NaN iff x holds one.
@@ -344,9 +347,9 @@ class FlattenLayer(Layer):
     def __init__(self):
         self._shape = None
 
-    def forward(self, x, train=False, rng=None, cache=True):
+    def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
-        self._shape = x.shape if cache else None
+        self._shape = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, d_out):
@@ -364,10 +367,12 @@ def dropout_mask(shape, rate, rng):
 
 
 class DropoutLayer(Layer):
-    """Inverted dropout: zero units with probability ``rate`` and scale
-    survivors by 1/(1-rate) at train time; identity in eval mode.
+    """Inverted dropout: the training forward zeros units with
+    probability ``rate`` and scales survivors by 1/(1-rate); the
+    inference forward is the identity.
 
-    rate 0 and eval mode return ``x`` unchanged (bitwise identity).
+    rate 0 and the inference forward return ``x`` unchanged (bitwise
+    identity).
     """
 
     def __init__(self, rate):
@@ -375,15 +380,16 @@ class DropoutLayer(Layer):
             raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._mask = None
-        self._identity = False
+        self._identity = False  # a training forward at rate 0
 
-    def forward(self, x, train=False, rng=None, cache=True):
+    def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
-        identity = not train or self.rate == 0.0
-        mask = None if identity else dropout_mask(x.shape, self.rate, rng)
-        self._identity = cache and identity
-        self._mask = mask if cache else None
-        return x if identity else x * mask
+        self._identity = train and self.rate == 0.0
+        self._mask = None
+        if not train or self._identity:
+            return x
+        self._mask = dropout_mask(x.shape, self.rate, rng)
+        return x * self._mask
 
     def backward(self, d_out):
         if self._identity:

@@ -32,19 +32,22 @@ class Network:
         self.arch = arch  # dict describing how to rebuild the stack
         self.d_head_weights = None
 
-    def forward(self, x, train=False, rng=None, cache=True):
+    def forward(self, x, train=False, rng=None):
         """Run the stack to penultimate activations [N, D].
 
-        ``cache=False`` is the inference forward: no layer keeps what a
-        backward would need (see :mod:`marginnet.layers`).
+        ``train=True`` is the training forward: every layer keeps what
+        its backward needs, and dropout draws its masks from ``rng``.
+        The default is the inference forward: dropout is the identity
+        and no layer keeps anything (see :mod:`marginnet.layers`).
         """
         for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng, cache=cache)
+            x = layer.forward(x, train=train, rng=rng)
         return x
 
     def scores(self, x):
-        """Head scores [N, K] of ``x``: the inference forward and the head
-        on consecutive ``SCORE_CHUNK``-row chunks (the last may be short).
+        """Head scores [N, K] of ``x``: the inference forward
+        (``train=False``: no dropout, nothing kept) and the head on
+        consecutive ``SCORE_CHUNK``-row chunks (the last may be short).
 
         Evaluation (every ``metrics.csv`` row, ``marginnet eval``),
         ``predict`` and the ensembles all score here, so they agree byte
@@ -59,26 +62,28 @@ class Network:
         out = np.empty((n, self.head_weights.shape[1]), dtype=DTYPE)
         for start in range(0, max(n, 1), SCORE_CHUNK):  # empty x is shape-checked too
             rows = slice(start, start + SCORE_CHUNK)
-            h = self.forward(x[rows], cache=False)
+            h = self.forward(x[rows])
             out[rows] = heads_mod.head_scores(self.head_weights, h)
         return out
 
     def predict(self, x):
         return heads_mod.predict(self.scores(x))
 
-    def head_output(self, x, labels, train=False, rng=None):
-        """Forward plus head evaluation; no backprop through the stack."""
-        h = self.forward(x, train=train, rng=rng, cache=False)
+    def head_output(self, x, labels):
+        """The inference forward plus head evaluation; no backprop
+        through the stack."""
+        h = self.forward(x)
         return heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
 
-    def backprop(self, x, labels, train=True, rng=None, lower_weight_decay=0.0):
-        """Full forward/backward pass; returns the HeadOutput.
+    def backprop(self, x, labels, rng=None, lower_weight_decay=0.0):
+        """The training forward (dropout draws from ``rng``) and the full
+        backward pass; returns the HeadOutput.
 
         Afterwards params()/grads() give aligned lists for an optimizer.
         ``lower_weight_decay`` adds :meth:`stack_penalty` to the loss and
         its gradient to every stack weight tensor.
         """
-        h = self.forward(x, train=train, rng=rng)
+        h = self.forward(x, train=True, rng=rng)
         out = heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
         self.d_head_weights = out.d_w
         d = out.d_h

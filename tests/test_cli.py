@@ -1,3 +1,4 @@
+import gzip
 import json
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from marginnet import harness, serialize
 from marginnet.cli import main
 from marginnet.config import parse_config
+from marginnet.data import write_idx
 from marginnet.network import Network
 from marginnet.recipes import BLOBS
 
@@ -116,6 +118,26 @@ class TestTrain:
                         f"lr_end = -0.01\nout_dir = {tmp_path}/run\n")
         assert main(["train", "--config", cfg]) == 2
         assert "lr_end" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_truncated_gzip_idx_exits_2(self, tmp_path, capsys):
+        images = np.zeros((4, 2, 2), dtype=np.uint8)
+        write_idx(str(tmp_path / "img"), str(tmp_path / "lab"), images,
+                  np.arange(4) % 2)
+        for name in ("img", "lab"):
+            packed = gzip.compress((tmp_path / name).read_bytes(), mtime=0)
+            (tmp_path / (name + ".gz")).write_bytes(packed)
+        packed = (tmp_path / "img.gz").read_bytes()
+        (tmp_path / "img.gz").write_bytes(packed[: len(packed) // 2])
+        cfg = write_cfg(tmp_path, "idx.cfg", (
+            f"dataset = idx\ndata_dir = {tmp_path}\n"
+            "train_images = img.gz\ntrain_labels = lab.gz\n"
+            "test_images = img.gz\ntest_labels = lab.gz\n"
+            f"hidden_dims = 4\nout_dir = {tmp_path}/run\n"))
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "img.gz" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):

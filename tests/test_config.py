@@ -160,6 +160,16 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.cfg"))
 
+    def test_list_defaults_are_copied_into_each_config(self):
+        cfg = default_config()
+        for key, row in SCHEMA.items():
+            if isinstance(row.default, list):
+                assert cfg.values[key] is not row.default, key
+        cfg.hidden_dims.append(7)
+        assert SCHEMA["hidden_dims"].default == [256, 256]
+        assert default_config().hidden_dims == [256, 256]
+        assert parse_config_text("").hidden_dims == [256, 256]
+
 
 class TestEcho:
     def test_distinguishes_recipe_defaults_from_artifact_defaults(self):

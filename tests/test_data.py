@@ -53,6 +53,22 @@ class TestIdx:
         npt.assert_array_equal(ds_gz.inputs, ds_plain.inputs)
         npt.assert_array_equal(ds_gz.labels, ds_plain.labels)
 
+    @pytest.mark.parametrize("corrupt", ["truncated", "crc-flipped", "bad-block"])
+    def test_corrupt_gzip_is_a_format_error(self, idx_pair, tmp_path, corrupt):
+        ip, lp, _, _ = idx_pair
+        with open(ip, "rb") as f:
+            raw = bytearray(gzip.compress(f.read(), mtime=0))
+        if corrupt == "truncated":
+            raw = raw[: len(raw) // 2]
+        elif corrupt == "crc-flipped":
+            raw[-8] ^= 0xFF  # the trailer's CRC-32 starts 8 bytes from the end
+        else:
+            raw[10] = 0xFF  # the first deflate block: reserved block type 3
+        bad = tmp_path / "bad-images.gz"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(IdxFormatError, match="bad-images.gz"):
+            load_idx(str(bad), lp)
+
     def test_swapped_files_hit_magic_error(self, idx_pair):
         ip, lp, _, _ = idx_pair
         with pytest.raises(IdxMagicError):

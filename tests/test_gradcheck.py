@@ -116,13 +116,15 @@ class TestCheckLayer:
         x, r = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
         (result,) = check_layer("drop", DropoutLayer(0.5), x, r, seed=9)
         assert result.passed
-        # A backward that ignores the mask passes only in eval mode, so
-        # with a seed every forward trains.
+        (result,) = check_layer("drop", DropoutLayer(0.5), x, r)
+        assert result.passed
+        # A backward that ignores the mask would pass an identity forward,
+        # so every forward trains, with the default seed too.
         monkeypatch.setattr(DropoutLayer, "backward", lambda self, d_out: d_out)
         (result,) = check_layer("drop", DropoutLayer(0.5), x, r, seed=9)
         assert not result.passed
         (result,) = check_layer("drop", DropoutLayer(0.5), x, r)
-        assert result.passed
+        assert not result.passed
 
     @pytest.mark.parametrize("make, x_shape, r_shape", [
         (lambda rng: DenseLayer(3, 2, rng=rng, init_std=0.5), (4, 3), (4, 2)),

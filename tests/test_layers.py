@@ -119,7 +119,7 @@ class TestDense:
         layer = DenseLayer(3, 4, rng=rng, init_std=0.5)
         x = rng.normal(size=(5, 3))
         r = rng.normal(size=(5, 4))  # fixed projection makes a scalar loss
-        layer.forward(x)
+        layer.forward(x, train=True)
         d_x = layer.backward(r)
 
         def loss():
@@ -140,10 +140,10 @@ class TestDense:
         layer = DenseLayer(3, 2, rng=rng, init_std=0.1)
         x = rng.normal(size=(4, 3))
         r = rng.normal(size=(4, 2))
-        layer.forward(x)
+        layer.forward(x, train=True)
         layer.backward(r)
         first = layer.d_weights.copy()
-        layer.forward(x)
+        layer.forward(x, train=True)
         layer.backward(r)
         second = layer.d_weights
         npt.assert_array_equal(first, second)
@@ -153,13 +153,13 @@ class TestRelu:
     def test_values_and_subgradient_zero_at_zero(self):
         layer = ReluLayer()
         x = np.array([-2.0, 0.0, 3.0])
-        npt.assert_array_equal(layer.forward(x), [0.0, 0.0, 3.0])
+        npt.assert_array_equal(layer.forward(x, train=True), [0.0, 0.0, 3.0])
         d = layer.backward(np.ones(3))
         npt.assert_array_equal(d, [0.0, 0.0, 1.0])
 
     def test_backward_shape_mismatch_rejected(self):
         layer = ReluLayer()
-        layer.forward(np.zeros((2, 3)))
+        layer.forward(np.zeros((2, 3)), train=True)
         with pytest.raises(ShapeError):
             layer.backward(np.ones((3, 2)))
 
@@ -211,7 +211,7 @@ class TestConv2d:
         layer = Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5)
         x = rng.normal(size=(1, 2, 6, 6))
         r = rng.normal(size=(1, 3, 6, 6))
-        layer.forward(x)
+        layer.forward(x, train=True)
         d_x = layer.backward(r)
 
         def loss():
@@ -236,7 +236,7 @@ class TestConv2d:
             layer = Conv2dLayer(c_in, c_out, kernel, rng=rng, init_std=0.5)
             layer.bias[...] = rng.normal(size=c_out)
             x = rng.normal(size=(n, c_in, h, w))
-            out = layer.forward(x)
+            out = layer.forward(x, train=True)
             _assert_matches_reference(
                 out, _reference_conv_forward(
                     x, layer.filters, layer.bias, layer.padding
@@ -261,7 +261,7 @@ class TestConv2d:
             layer.forward(np.zeros((1, 6, 6)))  # not NCHW
 
 
-# Inference (cache-free) conv forward against the caching forward:
+# Inference conv forward against the training (caching) forward:
 # (in_channels, out_channels, kernel, n, h, w).  The MNIST conv1 and
 # conv2 shapes at batch sizes around and past the 8-image block, then
 # kernels 1/3/5 on a non-square input.
@@ -273,14 +273,14 @@ CONV_CASES = (
 
 
 def conv_forward_both_ways(case):
-    """(caching forward, cache-free forward) of one seeded layer."""
+    """(training forward, inference forward) of one seeded layer."""
     c_in, c_out, k, n, h, w = case
     rng = np.random.default_rng(sum(case))
     layer = Conv2dLayer(c_in, c_out, k, rng=rng, init_std=0.3)
     layer.bias[...] = rng.normal(size=c_out)
     x = rng.normal(size=(n, c_in, h, w))
-    cached = layer.forward(x)
-    return cached, layer.forward(x, cache=False)
+    trained = layer.forward(x, train=True)
+    return trained, layer.forward(x)
 
 
 class TestConvInferenceForward:
@@ -298,8 +298,8 @@ class TestConvInferenceForward:
             "import test_layers as t\n"
             "bad = []\n"
             "for case in t.CONV_CASES:\n"
-            "    cached, free = t.conv_forward_both_ways(case)\n"
-            "    if cached.shape != free.shape or cached.tobytes() != free.tobytes():\n"
+            "    trained, free = t.conv_forward_both_ways(case)\n"
+            "    if trained.shape != free.shape or trained.tobytes() != free.tobytes():\n"
             "        bad.append(case)\n"
             "print(json.dumps(bad))\n"
         )
@@ -310,20 +310,20 @@ class TestConvInferenceForward:
 
     @pytest.mark.parametrize("case", CONV_CASES, ids=str)
     def test_matches_caching_forward_at_default_threads(self, case):
-        cached, free = conv_forward_both_ways(case)
+        trained, free = conv_forward_both_ways(case)
         assert free.flags.c_contiguous
-        _assert_matches_reference(free, cached)
+        _assert_matches_reference(free, trained)
 
     def test_caches_no_patch_matrix(self):
         layer = Conv2dLayer(2, 3, 3)
         x = np.ones((9, 2, 5, 5))
-        layer.forward(x)
+        layer.forward(x, train=True)
         assert layer._cache[0].shape == (18, 9 * 25)
-        layer.forward(x, cache=False)
+        layer.forward(x)
         assert layer._cache is None
 
     def test_empty_batch(self):
-        out = Conv2dLayer(2, 3, 3).forward(np.zeros((0, 2, 5, 5)), cache=False)
+        out = Conv2dLayer(2, 3, 3).forward(np.zeros((0, 2, 5, 5)))
         assert out.shape == (0, 3, 5, 5)
 
 
@@ -337,7 +337,7 @@ def test_caching_forward_builds_no_product_temporary():
     x = rng.normal(size=(200, 1, 28, 28))
     tracemalloc.start()
     try:
-        out = layer.forward(x)
+        out = layer.forward(x, train=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -375,15 +375,19 @@ class TestCacheFreeForward:
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("kind", LAYER_TYPES)
     def test_clears_state_and_keeps_the_output(self, kind, train):
+        # ``train`` is the mode of the forward before the inference one.
         make, shape = LAYER_TYPES[kind]
         rng = np.random.default_rng(20)
         layer, x = make(rng), rng.normal(size=shape)
-        cached = layer.forward(x, train=train, rng=np.random.default_rng(1))
-        free = layer.forward(x, train=train, rng=np.random.default_rng(1), cache=False)
-        assert free.tobytes() == cached.tobytes()
-        # The earlier caching forward left state; the cache-free one dropped it.
+        earlier = layer.forward(x, train=train, rng=np.random.default_rng(1))
+        free = layer.forward(x)
+        # Only dropout's training forward differs from the inference one,
+        # which passes its input through.
+        want = x if kind == "dropout" else earlier
+        assert free.tobytes() == want.tobytes()
+        # Whatever the earlier forward kept, the inference forward dropped.
         with pytest.raises(LayerStateError):
-            layer.backward(np.ones_like(cached))
+            layer.backward(np.ones_like(free))
 
     @pytest.mark.parametrize("make", [
         lambda rng: (DenseLayer(4, 3, rng=rng, init_std=0.5), (5, 4)),
@@ -393,10 +397,10 @@ class TestCacheFreeForward:
         rng = np.random.default_rng(22)
         layer, shape = make(rng)
         x = rng.normal(size=shape)
-        r = rng.normal(size=layer.forward(x).shape)
+        r = rng.normal(size=layer.forward(x, train=True).shape)
         assert layer.backward(r) is not None
         want = [g.copy() for g in layer.param_grads()]
-        layer.forward(x)
+        layer.forward(x, train=True)
         assert layer.backward(r, input_grad=False) is None
         for got, expected in zip(layer.param_grads(), want):
             assert got.tobytes() == expected.tobytes()
@@ -405,10 +409,10 @@ class TestCacheFreeForward:
 
 
 def _pool(x):
-    """A caching pool of ``x``: the pooled output and the gradient that
+    """A training pool of ``x``: the pooled output and the gradient that
     ``backward(ones)`` routes to each window's switch position."""
     layer = MaxPool2x2Layer()
-    pooled = layer.forward(x)
+    pooled = layer.forward(x, train=True)
     return pooled, layer.backward(np.ones_like(pooled))
 
 
@@ -435,7 +439,7 @@ class TestMaxPool:
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         layer = MaxPool2x2Layer()
         r = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        layer.forward(x)
+        layer.forward(x, train=True)
         d = layer.backward(r)
         expected = np.zeros_like(x)
         expected[0, 0, 1::2, 1::2] = r[0, 0]  # bottom-right of each window wins
@@ -456,7 +460,7 @@ class TestMaxPool:
 
     def test_backward_shape_mismatch_rejected(self):
         layer = MaxPool2x2Layer()
-        layer.forward(np.zeros((1, 1, 4, 4)))
+        layer.forward(np.zeros((1, 1, 4, 4)), train=True)
         with pytest.raises(ShapeError):
             layer.backward(np.ones((1, 1, 4, 4)))
 
@@ -524,8 +528,8 @@ class TestMaxPool:
         inputs += [rng.choice(values[2:], size=(2, 3, 4, 6)) for _ in range(30)]
         layer = MaxPool2x2Layer()
         for x in inputs:
-            pooled = layer.forward(x, cache=False)
-            want = layer.forward(x)
+            pooled = layer.forward(x)
+            want = layer.forward(x, train=True)
             assert pooled.shape == want.shape
             assert pooled.tobytes() == want.tobytes()
 
@@ -535,7 +539,7 @@ class TestFlatten:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 2, 4, 4))
         layer = FlattenLayer()
-        flat = layer.forward(x)
+        flat = layer.forward(x, train=True)
         assert flat.shape == (3, 32)
         npt.assert_array_equal(layer.backward(flat), x)
 

@@ -40,7 +40,9 @@ def test_backprop_with_lower_weight_decay_matches_finite_differences(arch, kind)
     y = rng.integers(0, 3, size=x.shape[0])
 
     def loss(wd=WD):
-        return net.backprop(x, y, train=False, lower_weight_decay=wd).loss
+        # A fresh rng per call: the conv net's dropout draws one mask.
+        return net.backprop(x, y, rng=np.random.default_rng(6),
+                            lower_weight_decay=wd).loss
 
     # The decay term is in the loss, summed over the stack weight tensors
     # only (dense weights and conv filters; no biases, no head).
@@ -76,7 +78,8 @@ def test_forward_only_calls_leave_no_backward_state(arch, call, monkeypatch):
     net, x = _eval_net(arch)
     labels = np.arange(x.shape[0]) % 3
     monkeypatch.setattr(network, "SCORE_CHUNK", 4)  # several chunks per call
-    net.forward(x)  # a caching forward leaves state in every layer
+    # a training forward leaves state in every layer
+    net.forward(x, train=True, rng=np.random.default_rng(1))
     if call == "evaluate_objectives":
         evaluate_objectives(net, x, labels)
     elif call == "head_output":
@@ -145,7 +148,7 @@ rng = np.random.default_rng(12)
 net = build_mlp(5, [64], HeadSpec("l2svm", 4), rng=rng, init_std=0.5)
 x = rng.normal(size=(4000, 5))
 want = np.concatenate([
-    head_scores(net.head_weights, net.forward(x[s : s + 2000], cache=False))
+    head_scores(net.head_weights, net.forward(x[s : s + 2000]))
     for s in (0, 2000)
 ])
 member = harness.LoadedModel(net, None, None, {}, "")

@@ -1,4 +1,5 @@
-"""Train the four byte-identity gate configs and print their artifact hashes.
+"""Train the four byte-identity gate configs and print their artifact
+hashes, then hash the gradient-check report.
 
     python3 tools/gate_bytes.py
 
@@ -6,7 +7,9 @@ A refactor counts as "same behaviour" when every gate config still
 writes a byte-identical ``metrics.csv`` and ``model/params.bin``.  Each
 config trains in its own temporary directory with the library from the
 ``src/`` beside this directory; one line per config gives the first 16
-hex digits of the SHA-256 of ``metrics.csv`` and of ``params.bin``.
+hex digits of the SHA-256 of ``metrics.csv`` and of ``params.bin``.  A
+last line gives the same digits of ``marginnet gradcheck``'s stdout for
+each of the configs ``seed = 0``, ``42`` and ``123``.
 
 The bytes depend on the OpenBLAS kernel the CPU gets, so the hashes are
 compared between two checkouts on one machine, not against constants
@@ -14,7 +17,9 @@ in a test.  The BLAS thread count is pinned to 1 before numpy loads:
 the conv GEMMs round differently at other thread counts.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -23,6 +28,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+from marginnet.cli import main as cli_main  # noqa: E402
 from marginnet.config import parse_config_text  # noqa: E402
 from marginnet.harness import train  # noqa: E402
 
@@ -72,10 +78,24 @@ GATES = (
     CONV,
 )
 
+GRADCHECK_SEEDS = (0, 42, 123)
 
-def sha16(path):
+
+def sha16(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def file_sha16(path):
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()[:16]
+        return sha16(f.read())
+
+
+def gradcheck_sha16(config_path):
+    """sha16 of what ``marginnet gradcheck --config config_path`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(["gradcheck", "--config", config_path])
+    return sha16(out.getvalue().encode())
 
 
 def main():
@@ -83,8 +103,15 @@ def main():
         for i, text in enumerate(GATES, start=1):
             state = train(parse_config_text(
                 text + f"out_dir = {os.path.join(tmp, str(i))}\n"))
-            print(f"{i} {sha16(state.csv_path)}/"
-                  f"{sha16(os.path.join(state.model_dir, 'params.bin'))}")
+            print(f"{i} {file_sha16(state.csv_path)}/"
+                  f"{file_sha16(os.path.join(state.model_dir, 'params.bin'))}")
+        digests = []
+        for seed in GRADCHECK_SEEDS:
+            path = os.path.join(tmp, f"gradcheck_{seed}.cfg")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(f"seed = {seed}\n")
+            digests.append(gradcheck_sha16(path))
+        print("gradcheck " + "/".join(digests))
 
 
 if __name__ == "__main__":
