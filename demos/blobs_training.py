@@ -21,7 +21,6 @@ from marginnet.harness import (
     ensemble_predict,
     load_model,
     load_splits,
-    seed_streams,
     train,
 )
 from marginnet.recipes import BLOBS, mnist_data
@@ -56,10 +55,9 @@ for name in sorted(os.listdir(results["l2svm"].out_dir)):
     print("  ", name)
 
 print("\n=== cross-objective evaluation of the saved models ===")
-# reload the splits the seed-0 runs trained on, from the same data stream
+# reload the splits the seed-0 runs trained on (BASE's default seed is 0)
 # but without the fitted preprocessing: each saved model applies its own
-data_rng, _, _ = seed_streams(0)
-_, raw_test = load_splits(parse_config_text(BASE), data_rng)
+_, raw_test = load_splits(parse_config_text(BASE))
 print(f"{'model':>8} | {'err%':>5} | {'avg xent':>9} | {'sq hinge sum':>12}")
 for head in ("softmax", "l2svm"):
     model = load_model(results[head].model_dir)
@@ -70,13 +68,13 @@ print("(each model is best at the objective it trained on)")
 
 print("\n=== warm start: swap the objective, keep the network ===")
 # same seed as the source run, so the data stream is identical and the
-# only thing that changes is the objective
+# only thing that changes is the objective; source_model names the saved
+# model whose parameters the run starts from
+WARM = (BASE + "head = softmax\nseed = 0\n"
+        f"source_model = {results['l2svm'].model_dir}\n")
 src = load_model(results["l2svm"].model_dir)
 swapped = train(
-    parse_config_text(BASE + f"head = softmax\nseed = 0\nepochs = 0\n"
-                      f"out_dir = {workdir}/swap0\n"),
-    warm_from=src,
-)
+    parse_config_text(WARM + f"epochs = 0\nout_dir = {workdir}/swap0\n"))
 test_inputs = swapped.prepared.test.inputs
 same = np.array_equal(
     swapped.network.predict(test_inputs), src.network.predict(test_inputs)
@@ -85,10 +83,7 @@ print("epochs=0 softmax warm start of the l2svm model predicts "
       f"identically to its source: {same}")
 
 cont = train(
-    parse_config_text(BASE + f"head = softmax\nseed = 0\nepochs = 20\n"
-                      f"out_dir = {workdir}/swap20\n"),
-    warm_from=src,
-)
+    parse_config_text(WARM + f"epochs = 20\nout_dir = {workdir}/swap20\n"))
 print(f"after 20 softmax epochs from that start: test_error "
       f"{cont.metrics[-1]['test_error_pct']:.1f}%  "
       f"(training resumed under the new objective, nothing was reset)")

@@ -129,8 +129,8 @@ about, not just by how much.""")
 print("""
 the same experiments from the command line:
   marginnet train     --config desk_l2svm.cfg
+  marginnet train     --config desk_soft.cfg    # + source_model = <run>/model
   marginnet eval      --config desk_l2svm.cfg   # + model = <run>/model
-  marginnet warmstart --config desk_soft.cfg    # + source_model = <run>/model
   marginnet ensemble  --config desk_l2svm.cfg   # + models = <run1>/model, <run2>/model
   marginnet gradcheck --config desk_l2svm.cfg""")
 print(f"\n(run artifacts left in {workdir} for inspection)")

@@ -1,11 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands:
-    train      fit a model per the config; writes metrics.csv, a model/
-               directory, and runmeta.json under --out-dir
+    train      fit a model per the config, warm-started from source_model
+               if it is set; writes metrics.csv, a model/ directory, and
+               runmeta.json under --out-dir
     eval       evaluate a saved model under every objective family
     gradcheck  finite-difference checks for all layer and head gradients
-    warmstart  train with the hidden stack initialized from a saved model
     ensemble   average several saved models' outputs and report error
 
 Every subcommand takes --config (flat key = value text); --seed and
@@ -43,10 +43,9 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("train", "train a model from scratch"),
+        ("train", "train a model, from scratch or from source_model"),
         ("eval", "cross-objective evaluation of a saved model"),
         ("gradcheck", "finite-difference gradient verification"),
-        ("warmstart", "train with a saved model's hidden stack"),
         ("ensemble", "average saved models and report test error"),
     ):
         _add_common(subs.add_parser(name, help=help_text))
@@ -62,17 +61,14 @@ def _load_config(args):
     return cfg
 
 
-def _report_run(state):
-    """Print a finished run's last metrics row and where it wrote."""
+def cmd_train(args):
+    """Train, then print the last metrics row and where the run wrote."""
+    state = harness.train(_load_config(args))
     row = state.metrics[-1]
     print("  ".join(f"{col}={harness.format_cell(col, row[col])}"
                     for col in harness.CSV_COLUMNS))
     print(f"wrote {state.csv_path} and {state.model_dir}")
     return 0
-
-
-def cmd_train(args):
-    return _report_run(harness.train(_load_config(args)))
 
 
 def _report_lines(tag, rep):
@@ -109,8 +105,7 @@ def cmd_eval(args):
 def _raw_split(cfg):
     """The configured eval split with no train-time preprocessing: saved
     models carry their own fitted transforms."""
-    data_rng, _, _ = harness.seed_streams(cfg.seed)
-    train, test = harness.load_splits(cfg, data_rng)
+    train, test = harness.load_splits(cfg)
     return train if cfg.eval_split == "train" else test
 
 
@@ -121,16 +116,6 @@ def cmd_gradcheck(args):
         print(r.summary())
     print(f"{sum(r.passed for r in results)}/{len(results)} gradient checks passed")
     return 0 if ok else 1
-
-
-def cmd_warmstart(args):
-    cfg = _load_config(args)
-    if not cfg.source_model:
-        raise ConfigError(
-            "warmstart needs source_model = <saved model dir> in the config"
-        )
-    source = harness.load_model(cfg.source_model)
-    return _report_run(harness.train(cfg, warm_from=source))
 
 
 def cmd_ensemble(args):
@@ -169,7 +154,6 @@ _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "gradcheck": cmd_gradcheck,
-    "warmstart": cmd_warmstart,
     "ensemble": cmd_ensemble,
 }
 

@@ -141,7 +141,8 @@ SCHEMA = {
     "seed": Key(int, 0, at_least(0)),
     "out_dir": Key(str, "runs/run", ANY),
     "eval_split": Key(str, "test", one_of("train", "test")),
-    # model references (eval / warmstart / ensemble)
+    # model references: eval reads model, ensemble reads models, and
+    # train warm-starts from source_model when it is set
     "model": Key(str, "", ANY),
     "source_model": Key(str, "", ANY),
     "models": Key(_to_str_list, [], ANY),

@@ -2,8 +2,9 @@
 
 This module owns the run lifecycle: dataset preparation, the SGD loop
 with schedules and train-time corruption, per-epoch metrics, and the
-procedures layered on trained models (cross-objective evaluation, warm
-starts and ensembles).
+procedures layered on trained models (cross-objective evaluation and
+ensembles).  A run is a function of its config alone; a warm start is
+its ``source_model`` key.
 
 Determinism: a run's seed feeds a SeedSequence that is split into three
 independent streams (data, init, train; :func:`seed_streams`), and every
@@ -163,15 +164,16 @@ def _as_images(inputs):
     return inputs.reshape(n, 1, side, side)
 
 
-def load_splits(cfg, data_rng):
+def load_splits(cfg):
     """The configured (train, test) splits as loaded, with ``train_subset``
     applied and no fitted preprocessing: the raw inputs a saved model's
-    :meth:`LoadedModel.transform` expects."""
+    :meth:`LoadedModel.transform` expects.  Blobs are drawn from the data
+    stream of ``cfg.seed``; the IDX and CIFAR-10 files need no generator."""
     if cfg.dataset == "blobs":
         total = cfg.blobs_train_n + cfg.blobs_test_n
         full = make_blobs(
             total, cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation,
-            data_rng,
+            seed_streams(cfg.seed)[0],
         )
         train = full.subset(np.arange(cfg.blobs_train_n))
         test = full.subset(
@@ -222,8 +224,9 @@ def _preprocess(inputs, standardizer, pca, images):
     return x
 
 
-def prepare_data(cfg, data_rng):
-    """Load, subset, and preprocess the configured dataset.
+def prepare_data(cfg):
+    """Load, subset (:func:`load_splits`), and preprocess the configured
+    dataset.
 
     Preprocessing order: optional per-pixel standardization (fitted on
     the training split only), then optional PCA (likewise), then, for a
@@ -231,7 +234,7 @@ def prepare_data(cfg, data_rng):
     the test split is transformed from its raw rows with the fitted
     parameters, as a saved model's :meth:`LoadedModel.transform` does.
     """
-    train, test = load_splits(cfg, data_rng)
+    train, test = load_splits(cfg)
     standardizer = None
     pca = None
     # The training split is standardized as soon as the standardizer is
@@ -354,32 +357,34 @@ def run_epochs(cfg, state):
         yield metrics_row()
 
 
-def train(cfg, warm_from=None):
+def train(cfg):
     """Run the full training loop described by ``cfg``.
 
-    ``warm_from`` is a LoadedModel whose parameters (hidden layers and
-    head weights alike) seed this run's network.  Only the objective
-    changes, so before the first update the warm-started network
-    predicts exactly what the source model predicts.
+    With ``source_model`` set, the saved model there is loaded before any
+    data, and its parameters (hidden layers and head weights alike) seed
+    this run's network: a warm start.  Only the objective changes, so
+    before the first update the warm-started network predicts exactly
+    what the source model predicts.
 
     Writes metrics.csv, runmeta.json, and a model/ directory under
     cfg.out_dir; returns the finished TrainState.
     """
-    data_rng, init_rng, train_rng = seed_streams(cfg.seed)
-    prepared = prepare_data(cfg, data_rng)
+    source = load_model(cfg.source_model) if cfg.source_model else None
+    _, init_rng, train_rng = seed_streams(cfg.seed)
+    prepared = prepare_data(cfg)
     spec = head_spec_from_config(cfg)
     net = build_network(cfg, prepared.train.inputs, spec, init_rng)
-    if warm_from is not None:
+    if source is not None:
         # Every parameter carries over, head weights included: a warm start
         # changes the objective, not the function computed at step 0.  The
         # names must match exactly: a deeper source has every tensor, shapes
         # included, that a shallower target has.
-        source = warm_from.network.named_tensors()
+        tensors = source.network.named_tensors()
         names = list(net.named_tensors())
         try:
-            if list(source) != names:
-                raise ShapeError(f"parameter tensors {list(source)} vs {names}")
-            net.assign_tensors(source)
+            if list(tensors) != names:
+                raise ShapeError(f"parameter tensors {list(tensors)} vs {names}")
+            net.assign_tensors(tensors)
         except ShapeError as e:
             raise ConfigError(f"warm start architecture mismatch: {e}") from None
 
@@ -394,13 +399,12 @@ def train(cfg, warm_from=None):
     write_metrics_csv(state.csv_path, state.metrics)
     save_model(state.model_dir, net, prepared, config_echo=cfg.echo())
     runmeta = {
-        "command": "train" if warm_from is None else "warmstart",
         "config": cfg.echo(),
         "head": net.head_meta(),
         "arch": net.arch,
-        "warm_start": None if warm_from is None else {
-            "source": warm_from.source_dir,
-            "source_head": warm_from.network.head_spec.kind,
+        "warm_start": None if source is None else {
+            "source": cfg.source_model,
+            "source_head": source.network.head_spec.kind,
         },
         "updates": state.updates,
         "final": state.metrics[-1],
@@ -462,7 +466,6 @@ class LoadedModel:
     pca: PcaModel | None
     standardizer: PixelStandardizer | None
     meta: dict
-    source_dir: str
 
     def transform(self, inputs):
         """Apply the model's saved preprocessing to raw inputs."""
@@ -471,19 +474,31 @@ class LoadedModel:
 
 
 def load_model(model_dir):
+    """Rebuild the model saved in ``model_dir``.  A manifest whose meta
+    cannot rebuild it (a head, arch or preprocess entry of the wrong type,
+    value or shape) raises :class:`ManifestError`."""
     tensors, meta = load_tensors(model_dir)
     try:
-        head = meta["head"]
-        spec = HeadSpec(head["kind"], head["num_classes"], head["c"],
-                        head["weight_decay"])
-        net = build_from_arch(meta["arch"], spec)
-    except (KeyError, TypeError) as e:
+        head, arch = meta["head"], meta["arch"]
+        if not isinstance(arch, dict):
+            raise TypeError(f"arch is {arch!r}, not an object")
+        # Evaluation reports both objective families, so both constants
+        # must be numbers whichever head the model has.
+        spec = HeadSpec(head["kind"], head["num_classes"], float(head["c"]),
+                        float(head["weight_decay"]))
+        net = build_from_arch(arch, spec)
+    except (KeyError, TypeError, ValueError) as e:
         raise ManifestError(
             f"{model_dir}: manifest meta has no usable head and arch "
             f"({type(e).__name__}: {e})"
         ) from None
     net.assign_tensors(tensors)  # the preprocessing tensors are not parameters
     preprocess = meta.get("preprocess", {})
+    if not isinstance(preprocess, dict):
+        raise ManifestError(
+            f"{model_dir}: manifest meta.preprocess is {preprocess!r}, "
+            f"not an object"
+        )
     pca = standardizer = None
     try:
         if preprocess.get("pca"):
@@ -498,7 +513,7 @@ def load_model(model_dir):
             f"{model_dir}: manifest meta.preprocess names a step whose "
             f"tensor {e} is missing"
         ) from None
-    return LoadedModel(net, pca, standardizer, meta, model_dir)
+    return LoadedModel(net, pca, standardizer, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from marginnet.harness import (
     cross_objective_eval,
     evaluate_objectives,
     load_model,
-    prepare_data,
     train,
 )
 from marginnet.heads import HeadSpec, apply_head, softmax_probs
@@ -315,13 +314,13 @@ def test_criterion_08_warm_start_drift(desk_runs, tmp_path):
             (runs["l2svm", s] for s in DESK_SEEDS),
             key=lambda r: r.metrics[-1]["test_error_pct"],
         )
-        source = load_model(best.model_dir)
         drifted = 0
         for seed in (10, 11, 12, 13, 14):
             cfg = parse_config_text(
                 desk_config_text("softmax", seed, f"{tmp_path}/warm_{seed}")
+                + f"source_model = {best.model_dir}\n"
             )
-            res = train(cfg, warm_from=source)
+            res = train(cfg)
             start_err = res.metrics[0]["test_error_pct"]
             end_err = res.metrics[-1]["test_error_pct"]
             if end_err >= start_err:

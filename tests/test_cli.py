@@ -1,10 +1,15 @@
+import contextlib
 import gzip
+import io
 import json
 import shutil
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginnet import harness, serialize
 from marginnet.cli import main
@@ -29,18 +34,41 @@ seed = 1
 """
 
 
+# A convnet over 8x8 blobs images, whose fitted preprocessing runs on
+# flat rows before they become images.
+CONV_BLOBS = """
+dataset = blobs
+blobs_classes = 3
+blobs_dim = 64
+blobs_train_n = 60
+blobs_test_n = 30
+arch = conv
+conv_channels = 2, 2
+conv_kernel = 3
+conv_dense = 8
+head = l2svm
+epochs = 1
+batch_size = 30
+lr_start = 0.001
+"""
+
+
 def write_cfg(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
 
 
-@pytest.fixture
-def trained_model(tmp_path):
-    cfg = write_cfg(tmp_path, "train.cfg",
-                    TINY_BLOBS + f"out_dir = {tmp_path}/src\n")
+def train_model(tmp_path, text):
+    """Train ``text`` into ``tmp_path/src``; returns its model dir."""
+    cfg = write_cfg(tmp_path, "train.cfg", text + f"out_dir = {tmp_path}/src\n")
     assert main(["train", "--config", cfg]) == 0
     return f"{tmp_path}/src/model"
+
+
+@pytest.fixture
+def trained_model(tmp_path):
+    return train_model(tmp_path, TINY_BLOBS)
 
 
 class TestTrain:
@@ -174,30 +202,41 @@ class TestEval:
         assert main(["eval", "--config", cfg]) == 2
         assert "manifest.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda m: m.pop("tensors"),
-        lambda m: m["meta"].pop("arch"),
-        lambda m: m["meta"].pop("head"),
-        lambda m: m["tensors"][0].update(shape=["x"]),
-        lambda m: m["tensors"][0].update(shape=[-1, 2]),
-        lambda m: m.update(dtype="float32"),
+    @pytest.mark.parametrize("base, corrupt", [
+        (TINY_BLOBS, lambda m: m.pop("tensors")),
+        (TINY_BLOBS, lambda m: m["meta"].pop("arch")),
+        (TINY_BLOBS, lambda m: m["meta"].pop("head")),
+        (TINY_BLOBS, lambda m: m["tensors"][0].update(shape=["x"])),
+        (TINY_BLOBS, lambda m: m["tensors"][0].update(shape=[-1, 2])),
+        (TINY_BLOBS, lambda m: m.update(dtype="float32")),
         # a model saved without PCA whose manifest claims one
-        lambda m: m["meta"]["preprocess"].update(pca=True),
+        (TINY_BLOBS, lambda m: m["meta"]["preprocess"].update(pca=True)),
         # a standardizing model whose standardizer tensors are gone
-        lambda m: [e.update(name="x" + e["name"]) for e in m["tensors"]
-                   if e["name"].startswith("standardizer.")],
+        (TINY_BLOBS, lambda m: [e.update(name="x" + e["name"])
+                                for e in m["tensors"]
+                                if e["name"].startswith("standardizer.")]),
+        (TINY_BLOBS, lambda m: m["meta"].update(preprocess=None)),
+        (TINY_BLOBS, lambda m: m["meta"].update(preprocess=[])),
+        (TINY_BLOBS, lambda m: m["meta"].update(preprocess="pca")),
+        (TINY_BLOBS, lambda m: m["meta"].update(arch=[])),
+        # an l2svm head's weight decay is unused in training but
+        # evaluation reports cross-entropy with it
+        (TINY_BLOBS, lambda m: m["meta"]["head"].update(weight_decay="x")),
+        (CONV_BLOBS, lambda m: m["meta"]["arch"].update(input_shape=[1, 8])),
     ], ids=["no-tensors", "no-arch", "no-head", "shape-x", "shape-negative",
-            "float32", "pca-without-tensors", "standardize-without-tensors"])
-    def test_corrupt_manifest_exits_2(self, tmp_path, trained_model, capsys,
-                                      corrupt):
-        path = f"{trained_model}/{serialize.MANIFEST_NAME}"
+            "float32", "pca-without-tensors", "standardize-without-tensors",
+            "preprocess-null", "preprocess-list", "preprocess-string",
+            "arch-list", "weight-decay-string", "conv-input-shape-2d"])
+    def test_corrupt_manifest_exits_2(self, tmp_path, capsys, base, corrupt):
+        model = train_model(tmp_path, base)
+        path = f"{model}/{serialize.MANIFEST_NAME}"
         with open(path) as f:
             manifest = json.load(f)
         corrupt(manifest)
         with open(path, "w") as f:
             json.dump(manifest, f)
-        cfg = write_cfg(tmp_path, "eval.cfg", TINY_BLOBS
-                        + f"model = {trained_model}\nout_dir = {tmp_path}/eval\n")
+        cfg = write_cfg(tmp_path, "eval.cfg", base
+                        + f"model = {model}\nout_dir = {tmp_path}/eval\n")
         capsys.readouterr()
         assert main(["eval", "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -210,23 +249,104 @@ class TestEval:
         assert "model" in capsys.readouterr().err
 
 
-# A convnet over 8x8 blobs images, whose fitted preprocessing runs on
-# flat rows before they become images.
-CONV_BLOBS = """
-dataset = blobs
-blobs_classes = 3
-blobs_dim = 64
-blobs_train_n = 60
-blobs_test_n = 30
-arch = conv
-conv_channels = 2, 2
-conv_kernel = 3
-conv_dense = 8
-head = l2svm
-epochs = 1
-batch_size = 30
-lr_start = 0.001
-"""
+# What a corrupted manifest entry may become.  Dimensions stay small:
+# building a network from meta.arch allocates before any shape check.
+MANIFEST_VALUES = st.one_of(
+    st.sampled_from([None, True, -1, 0, 2.5, "x", [], {}]),
+    st.integers(1, 64),
+)
+
+
+def key_paths(node, path=()):
+    """Every key path in a JSON tree, the root's () included; the config
+    echo under meta.config, which loading never reads, counts as one leaf."""
+    yield path
+    if path == ("meta", "config"):
+        return
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from key_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def pca_model(tmp_path_factory):
+    """A tiny standardizing, PCA-projecting model, trained once."""
+    return train_model(tmp_path_factory.mktemp("pca_model"),
+                       TINY_BLOBS + "pca_dims = 2\n")
+
+
+def read_saved(model):
+    """A saved model's manifest (parsed) and blob bytes."""
+    with open(f"{model}/{serialize.MANIFEST_NAME}") as f:
+        manifest = json.load(f)
+    with open(f"{model}/{serialize.BLOB_NAME}", "rb") as f:
+        return manifest, f.read()
+
+
+def eval_copy(model, manifest, blob):
+    """Save ``manifest`` and ``blob`` as a copy of ``model``, run
+    ``marginnet eval`` on it in-process and return its exit code.  An
+    exit code of 2 must come with an error line and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copied = f"{tmp}/model"
+        shutil.copytree(model, copied)
+        with open(f"{copied}/{serialize.MANIFEST_NAME}", "w") as f:
+            json.dump(manifest, f)
+        with open(f"{copied}/{serialize.BLOB_NAME}", "wb") as f:
+            f.write(blob)
+        cfg = f"{tmp}/eval.cfg"
+        with open(cfg, "w") as f:
+            f.write(TINY_BLOBS + f"pca_dims = 2\nmodel = {copied}\n"
+                    f"out_dir = {tmp}/eval\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["eval", "--config", cfg])
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+    return rc
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(data=st.data())
+def test_any_corrupted_manifest_exits_0_or_2(pca_model, data):
+    manifest, blob = read_saved(pca_model)
+    # Half the draws go to meta, whose few paths the tensor entries
+    # would otherwise outnumber.
+    paths = list(key_paths(manifest))
+    path = data.draw(st.one_of(
+        st.sampled_from([p for p in paths if p[:1] == ("meta",)]),
+        st.sampled_from([p for p in paths if p[:1] != ("meta",)]),
+    ), label="key path")
+    delete = bool(path) and data.draw(st.booleans(), label="delete")
+    value = None if delete else data.draw(MANIFEST_VALUES, label="value")
+    if not path:
+        manifest = value
+    else:
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    assert eval_copy(pca_model, manifest, blob) in (0, 2)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(data=st.data())
+def test_a_truncated_or_extended_blob_exits_2(pca_model, data):
+    manifest, blob = read_saved(pca_model)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=16), label="appended")
+    assert eval_copy(pca_model, manifest, blob) == 2
 
 
 @pytest.mark.parametrize("preprocess", ["standardize = true", "pca_dims = 16"],
@@ -277,18 +397,48 @@ class TestWarmstart:
             + f"source_model = {trained_model}\n"
             f"out_dir = {tmp_path}/warm\n",
         )
-        rc = main(["warmstart", "--config", cfg])
+        rc = main(["train", "--config", cfg])
         assert rc == 0
         with open(tmp_path / "warm" / "runmeta.json") as f:
             meta = json.load(f)
-        assert meta["warm_start"]["source_head"] == "l2svm"
+        assert meta["warm_start"] == {"source": trained_model,
+                                      "source_head": "l2svm"}
+        assert meta["config"]["source_model"]["value"] == trained_model
         assert meta["head"]["kind"] == "softmax"
 
-    def test_needs_source_model(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "warm.cfg",
-                        TINY_BLOBS + f"out_dir = {tmp_path}/warm\n")
-        assert main(["warmstart", "--config", cfg]) == 2
-        assert "source_model" in capsys.readouterr().err
+    def test_zero_epochs_keep_the_source_parameters(self, tmp_path,
+                                                    trained_model, capsys):
+        cfg = write_cfg(
+            tmp_path, "warm.cfg",
+            TINY_BLOBS.replace("head = l2svm", "head = softmax")
+            .replace("epochs = 5", "epochs = 0")
+            + f"source_model = {trained_model}\n"
+            f"out_dir = {tmp_path}/warm\n",
+        )
+        assert main(["train", "--config", cfg]) == 0
+        blob = serialize.BLOB_NAME
+        assert ((tmp_path / "warm" / "model" / blob).read_bytes()
+                == open(f"{trained_model}/{blob}", "rb").read())
+
+    def test_missing_source_model_exits_2_before_any_output(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(harness, "prepare_data", lambda cfg: pytest.fail(
+            "data loaded before the source model"))
+        cfg = write_cfg(tmp_path, "warm.cfg", TINY_BLOBS
+                        + f"source_model = {tmp_path}/nowhere\n"
+                        f"out_dir = {tmp_path}/warm\n")
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nowhere" in err
+        assert not (tmp_path / "warm").exists()
+
+    def test_warmstart_is_not_a_subcommand(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "warm.cfg", TINY_BLOBS)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["warmstart", "--config", cfg])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'warmstart'" in capsys.readouterr().err
 
 
 def train_members(tmp_path, extra=""):
@@ -342,8 +492,7 @@ class TestEnsemble:
         with open(tmp_path / "ens" / "ensemble.json") as f:
             report = json.load(f)
         models = [harness.load_model(d) for d in model_dirs]
-        parsed = parse_config(cfg)
-        split = harness.load_splits(parsed, harness.seed_streams(parsed.seed)[0])[1]
+        split = harness.load_splits(parse_config(cfg))[1]
         assert report["member_error_pct"] == [
             harness.cross_objective_eval(m, split).error_pct for m in models
         ]

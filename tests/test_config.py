@@ -236,7 +236,7 @@ class TestHeadSpec:
             "train_images = train-images\ntrain_labels = train-labels\n"
             "test_images = test-images\ntest_labels = test-labels\n"
         )
-        train, test = load_splits(cfg, seed_streams(cfg.seed)[0])
+        train, test = load_splits(cfg)
         assert head_spec_from_config(cfg).num_classes == train.num_classes
         assert test.num_classes == train.num_classes
 

@@ -93,8 +93,7 @@ class TestTrainLoop:
         # preprocessing), so reload the run's splits without it
         model = load_model(l2svm_run.model_dir)
         cfg = blobs_config(tmp_path, "raw", head="l2svm", svm_c=0.1)
-        data_rng, _, _ = seed_streams(cfg.seed)
-        raw_train, _ = load_splits(cfg, data_rng)
+        raw_train, _ = load_splits(cfg)
         rep = cross_objective_eval(model, raw_train)
         logged = l2svm_run.metrics[-1]["train_loss"]
         assert rep.own_loss("l2svm") == logged  # same code path, bitwise
@@ -108,7 +107,7 @@ class TestTrainLoop:
         )
         res = train(cfg)
         model = load_model(res.model_dir)
-        raw = load_splits(cfg, seed_streams(cfg.seed)[0])
+        raw = load_splits(cfg)
         for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
             assert split.inputs.shape[1:] == (64,)
             assert prepared.inputs.shape[1:] == (1, 4, 4)
@@ -121,7 +120,7 @@ class TestTrainLoop:
         cfg = blobs_config(tmp_path, "fused", blobs_dim=40, epochs=0, pca_dims=6)
         res = train(cfg)
         model = load_model(res.model_dir)
-        raw = load_splits(cfg, seed_streams(cfg.seed)[0])
+        raw = load_splits(cfg)
         for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
             assert prepared.inputs.shape[1:] == (6,)
             assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
@@ -283,7 +282,8 @@ class TestArtifacts:
         }
         assert echo["momentum"]["source"] == "config"
         assert meta["head"]["kind"] == "l2svm"
-        assert meta["command"] == "train"
+        assert set(meta) == {"config", "head", "arch", "warm_start",
+                             "updates", "final"}
         assert meta["warm_start"] is None
 
     def test_model_manifest_names_head_and_config(self, l2svm_run):
@@ -311,8 +311,8 @@ class TestArtifacts:
 
 def fresh_state(cfg):
     """The state ``train`` builds for ``cfg`` before its first epoch."""
-    data_rng, init_rng, train_rng = seed_streams(cfg.seed)
-    prepared = prepare_data(cfg, data_rng)
+    _, init_rng, train_rng = seed_streams(cfg.seed)
+    prepared = prepare_data(cfg)
     net = build_network(cfg, prepared.train.inputs, head_spec_from_config(cfg),
                         init_rng)
     return TrainState(net, SgdMomentum(net.params(), cfg.momentum), train_rng,
@@ -349,7 +349,7 @@ class TestCrossObjectiveEval:
         # the raw test split: the saved model standardizes it itself
         model = load_model(l2svm_run.model_dir)
         cfg = blobs_config(tmp_path, "raw", head="l2svm", svm_c=0.1)
-        _, raw_test = load_splits(cfg, seed_streams(cfg.seed)[0])
+        _, raw_test = load_splits(cfg)
         rep = cross_objective_eval(model, raw_test)
         assert rep.n == raw_test.n
         assert rep.error_pct == l2svm_run.metrics[-1]["test_error_pct"]
@@ -365,40 +365,48 @@ class TestWarmStart:
     def test_zero_epoch_warm_start_predicts_like_the_source(
         self, l2svm_run, tmp_path
     ):
-        cfg = blobs_config(tmp_path, "warm0", head="softmax", epochs=0)
-        res = train(cfg, warm_from=load_model(l2svm_run.model_dir))
+        cfg = blobs_config(tmp_path, "warm0", head="softmax", epochs=0,
+                           source_model=l2svm_run.model_dir)
+        res = train(cfg)
         x = l2svm_run.prepared.test.inputs
         npt.assert_array_equal(
             res.network.predict(x), l2svm_run.network.predict(x)
         )
 
     def test_warm_start_tagged_in_runmeta(self, l2svm_run, tmp_path):
-        cfg = blobs_config(tmp_path, "warmtag", head="softmax", epochs=1)
-        res = train(cfg, warm_from=load_model(l2svm_run.model_dir))
+        cfg = blobs_config(tmp_path, "warmtag", head="softmax", epochs=1,
+                           source_model=l2svm_run.model_dir)
+        res = train(cfg)
         with open(os.path.join(res.out_dir, "runmeta.json")) as f:
             meta = json.load(f)
-        assert meta["warm_start"]["source_head"] == "l2svm"
-        assert meta["command"] == "warmstart"
+        assert meta["warm_start"] == {"source": l2svm_run.model_dir,
+                                      "source_head": "l2svm"}
+        assert meta["config"]["source_model"] == {
+            "value": l2svm_run.model_dir, "source": "config",
+            "default_origin": "artifact",
+        }
 
     def test_architecture_mismatch_is_a_config_error(
         self, l2svm_run, tmp_path
     ):
-        cfg = blobs_config(tmp_path, "warmbad", hidden_dims="8, 8")
+        cfg = blobs_config(tmp_path, "warmbad", hidden_dims="8, 8",
+                           source_model=l2svm_run.model_dir)
         with pytest.raises(ConfigError):
-            train(cfg, warm_from=load_model(l2svm_run.model_dir))
+            train(cfg)
         # A deeper source holds every tensor of a shallower target, with
         # the same shapes (the head's included); both directions fail.
         deep = train(blobs_config(tmp_path, "deep", hidden_dims="16, 16", epochs=0))
         with pytest.raises(ConfigError, match="architecture mismatch"):
-            train(blobs_config(tmp_path, "warmshallow"),
-                  warm_from=load_model(deep.model_dir))
+            train(blobs_config(tmp_path, "warmshallow",
+                               source_model=deep.model_dir))
         with pytest.raises(ConfigError, match="architecture mismatch"):
-            train(blobs_config(tmp_path, "warmdeep", hidden_dims="16, 16"),
-                  warm_from=load_model(l2svm_run.model_dir))
+            train(blobs_config(tmp_path, "warmdeep", hidden_dims="16, 16",
+                               source_model=l2svm_run.model_dir))
 
     def test_continued_training_moves_the_weights(self, l2svm_run, tmp_path):
-        cfg = blobs_config(tmp_path, "warmgo", head="softmax", epochs=2)
-        res = train(cfg, warm_from=load_model(l2svm_run.model_dir))
+        cfg = blobs_config(tmp_path, "warmgo", head="softmax", epochs=2,
+                           source_model=l2svm_run.model_dir)
+        res = train(cfg)
         assert not np.array_equal(
             res.network.head_weights, l2svm_run.network.head_weights
         )
@@ -416,7 +424,7 @@ class TestEnsemble:
             net = build_mlp(2, [8], spec,
                             rng=np.random.default_rng(seed0 + s),
                             init_std=0.1)
-            members.append(LoadedModel(net, None, None, {}, ""))
+            members.append(LoadedModel(net, None, None, {}))
         return ds, members
 
     def test_singleton_matches_plain_predict(self):

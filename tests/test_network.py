@@ -85,7 +85,7 @@ def test_forward_only_calls_leave_no_backward_state(arch, call, monkeypatch):
     elif call == "head_output":
         net.head_output(x, labels)
     elif call == "ensemble_predict":
-        member = LoadedModel(net, None, None, {}, "")
+        member = LoadedModel(net, None, None, {})
         ensemble_predict([member, member], x)
     else:
         getattr(net, call)(x)
@@ -151,7 +151,7 @@ want = np.concatenate([
     head_scores(net.head_weights, net.forward(x[s : s + 2000]))
     for s in (0, 2000)
 ])
-member = harness.LoadedModel(net, None, None, {}, "")
+member = harness.LoadedModel(net, None, None, {})
 voted = []
 vote = harness.ensemble_vote
 harness.ensemble_vote = lambda models, scores: voted.extend(scores) or vote(models, scores)
@@ -182,7 +182,7 @@ def test_member_scores_memory_is_bounded_by_the_chunk():
     rng = np.random.default_rng(13)
     net = build_convnet((1, 12, 12), [2, 4], 3, 16, 0.0, spec, rng=rng, init_std=0.1)
     x = rng.normal(size=(5 * network.SCORE_CHUNK // 2, 1, 12, 12))
-    member = LoadedModel(net, None, None, {}, "")
+    member = LoadedModel(net, None, None, {})
 
     def peak(rows):
         tracemalloc.start()

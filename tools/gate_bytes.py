@@ -1,4 +1,4 @@
-"""Train the four byte-identity gate configs and print their artifact
+"""Train the byte-identity gate configs and print their artifact
 hashes, then hash the gradient-check report.
 
     python3 tools/gate_bytes.py
@@ -7,9 +7,11 @@ A refactor counts as "same behaviour" when every gate config still
 writes a byte-identical ``metrics.csv`` and ``model/params.bin``.  Each
 config trains in its own temporary directory with the library from the
 ``src/`` beside this directory; one line per config gives the first 16
-hex digits of the SHA-256 of ``metrics.csv`` and of ``params.bin``.  A
-last line gives the same digits of ``marginnet gradcheck``'s stdout for
-each of the configs ``seed = 0``, ``42`` and ``123``.
+hex digits of the SHA-256 of ``metrics.csv`` and of ``params.bin``.
+Gates 1-4 train from scratch; gate 5 warm-starts a 2-epoch softmax run
+from gate 1's model through ``source_model``.  A last line gives the
+same digits of ``marginnet gradcheck``'s stdout for each of the configs
+``seed = 0``, ``42`` and ``123``.
 
 The bytes depend on the OpenBLAS kernel the CPU gets, so the hashes are
 compared between two checkouts on one machine, not against constants
@@ -76,6 +78,9 @@ GATES = (
     MLP + "head = softmax\nlower_weight_decay = 0.01\n",
     MLP + "head = l1svm\nlower_weight_decay = 0.05\n",
     CONV,
+    # {tmp} is the directory the gates train under: gate 1 wrote {tmp}/1.
+    MLP.replace("epochs = 3", "epochs = 2")
+    + "head = softmax\nsource_model = {tmp}/1/model\n",
 )
 
 GRADCHECK_SEEDS = (0, 42, 123)
@@ -102,7 +107,8 @@ def main():
     with tempfile.TemporaryDirectory(prefix="gate_bytes_") as tmp:
         for i, text in enumerate(GATES, start=1):
             state = train(parse_config_text(
-                text + f"out_dir = {os.path.join(tmp, str(i))}\n"))
+                text.replace("{tmp}", tmp)
+                + f"out_dir = {os.path.join(tmp, str(i))}\n"))
             print(f"{i} {file_sha16(state.csv_path)}/"
                   f"{file_sha16(os.path.join(state.model_dir, 'params.bin'))}")
         digests = []
