@@ -339,15 +339,17 @@ def run_epochs(cfg, state):
             if noise_std > 0.0:
                 x = gaussian_noise(x, noise_std, state.rng)
             # Overflow here is not a numpy bug but a diverging run; the
-            # isfinite check below turns it into a diagnosable abort.
+            # isfinite check below turns it into a diagnosable abort.  Only
+            # the loss is kept: the head output's [N, D] gradient would
+            # otherwise outlive the step, through the epoch's evaluation.
             with np.errstate(over="ignore", invalid="ignore"):
-                out = net.backprop(
+                loss = net.backprop(
                     x, y, rng=state.rng,
                     lower_weight_decay=cfg.lower_weight_decay,
-                )
-            if not np.isfinite(out.loss):
+                ).loss
+            if not np.isfinite(loss):
                 raise TrainingDivergedError(
-                    f"non-finite loss {out.loss} at epoch {epoch}, "
+                    f"non-finite loss {loss} at epoch {epoch}, "
                     f"minibatch {b + 1} of {batches_per_epoch} "
                     f"(update {state.updates + 1})"
                 )

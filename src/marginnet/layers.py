@@ -33,13 +33,13 @@ ReLU, conv, max-pool and dropout layers.
 Convolution is im2col plus GEMM (Chellapilla et al. 2006) at one
 geometry, stride 1 with "same" padding for an odd kernel k, so a conv
 layer keeps the spatial size and the 2x2 max-pool halves it.  The
-forward pass lays its receptive fields out as a patch matrix
-[C*k*k, N*H*W] and multiplies it a few images at a time straight into
-the output; the filter gradient is a single 2-D matmul over the whole
-patch matrix, and the input gradient is scattered back (col2im) with one
-small matmul per kernel offset.  The training forward keeps every
-block's patches in one matrix for backward; the inference forward
-refills one reused block buffer, so no patch matrix outlives the call.
+receptive fields of a few images at a time are laid out as a block of
+the patch matrix [C*k*k, N*H*W] in one reused buffer.  The forward pass
+multiplies each block straight into the output; backward refills the
+blocks to sum the filter gradient block by block, and scatters the
+input gradient back (col2im) with one small matmul per kernel offset.
+The training forward keeps only the padded input, so no patch matrix
+outlives a call in either mode.
 """
 
 import numpy as np
@@ -134,12 +134,13 @@ class ReluLayer(Layer):
         return d_out * (x > 0)
 
 
-# Images per block of the conv forward, training or inference.  With
-# OpenBLAS 0.3.31 (Haswell kernels, 1 thread) a GEMM over a column block
-# whose width is a multiple of 8 reproduces the matching columns of the
-# one-GEMM product bit for bit, also when the block is a strided slice of
-# a wider patch matrix; blocks of 1 or 25 images at 14x14 output (196 and
-# 4,900 columns) differ in the last bit.  8 images give 8*H*W columns.
+# Images per block of the conv patches, in both forwards and in backward.
+# With OpenBLAS 0.3.31 (Haswell kernels, 1 thread) a forward GEMM over a
+# column block whose width is a multiple of 8 reproduces the matching
+# columns of the one-GEMM product bit for bit; blocks of 1 or 25 images
+# at 14x14 output (196 and 4,900 columns) differ in the last bit.  8
+# images give 8*H*W columns.  The filter gradient sums one product per
+# block, which can differ from a one-GEMM d2 @ cols.T in the last bits.
 IMAGE_BLOCK = 8
 
 
@@ -152,9 +153,9 @@ class Conv2dLayer(Layer):
     output channel.  The kernel size k must be odd: an even kernel has
     no centre, and "same" padding would need one more row on one side.
 
-    Forward builds the patch tensor [C, k, k, N, H, W] with one slice of
-    the channel-major padded input per kernel offset (a, b), and views
-    it as the patch matrix ``cols`` [C*k*k, N*H*W].  With
+    The patch tensor [C, k, k, N, H, W] takes one slice of the
+    channel-major padded input per kernel offset (a, b); viewed as the
+    patch matrix ``cols`` [C*k*k, N*H*W], with
     ``K = filters.reshape(F, C*k*k)`` and ``d2 = d_out`` as [F, N*H*W]:
 
         out       = K @ cols
@@ -163,16 +164,19 @@ class Conv2dLayer(Layer):
                     is added into the (a, b) slice of the padded input
                     gradient
 
-    Both forwards run one loop over ``IMAGE_BLOCK`` images: each block's
-    patches are filled, multiplied by ``K`` into one reused product
-    buffer and written (plus the bias) straight into the NCHW output, so
-    no [F, N*H*W] product exists.  The training forward fills each block
-    into its images' slice of one kept patch tensor, which backward reads
-    as ``cols``; the inference forward (``train=False``) refills one
-    reused block buffer and keeps nothing.  Backward never builds a
-    patch-sized d_cols array, so ``cols`` is the only patch-sized array.
-    Results are bit-identical from run to run at a fixed BLAS thread
-    count; a different thread count can change their last bits.
+    ``cols`` is never built whole.  Both forwards run one loop over
+    ``IMAGE_BLOCK`` images: each block's patches are refilled into one
+    reused buffer, multiplied by ``K`` into one reused product buffer
+    and written (plus the bias) straight into the NCHW output, so no
+    [F, N*H*W] product exists.  The training forward keeps only the
+    channel-major padded input [C, N, H+k-1, W+k-1], and the inference
+    forward (``train=False``) keeps nothing.  Backward runs the same
+    block loop and adds each block's ``d2`` columns times its patches
+    into ``d_filters``, in ascending block order, then frees the padded
+    input before col2im allocates its gradient.  No patch-sized array,
+    and no patch-sized d_cols, exists at any point.  Results are
+    bit-identical from run to run at a fixed BLAS thread count; a
+    different thread count can change their last bits.
     """
 
     param_names = ("filters", "bias")
@@ -208,36 +212,47 @@ class Conv2dLayer(Layer):
         n, _, h, w = x.shape
         c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
         weights = self.filters.reshape(f, c * k * k)
-        self._cache = None  # free the last patch matrix before building this one
+        self._cache = None  # free the last padded input before padding this one
         # Channel-major view of the padded input: each kernel offset fills
         # one [C, B, H, W] block of the patch tensor [C, k, k, B, H, W].
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
         out = np.empty((n, f, h, w), dtype=DTYPE)
-        block = min(n, IMAGE_BLOCK)
-        # The training forward keeps every block's patches, at its images'
-        # place in one tensor; the inference forward reuses one block's.
-        patches = np.empty((c, k, k, n if train else block, h, w), dtype=DTYPE)
-        product = np.empty(f * block * h * w, dtype=DTYPE)
-        for start in range(0, n, IMAGE_BLOCK):
-            stop = min(start + IMAGE_BLOCK, n)
-            place = slice(start, stop) if train else slice(0, stop - start)
-            cols = self._fill_patches(xp[:, start:stop], patches[:, :, :, place])
+        product = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
+        for images, cols in self._patch_blocks(xp):
             gemm = product[: f * cols.shape[1]].reshape(f, -1)
-            self._write_output(np.matmul(weights, cols, out=gemm), out[start:stop])
+            self._write_output(np.matmul(weights, cols, out=gemm), out[images])
         if train:
-            self._cache = (patches.reshape(c * k * k, n * h * w), x.shape, xp.shape)
+            self._cache = (xp, x.shape)
         return out
 
-    def _fill_patches(self, xp, patches):
-        """Lay the receptive fields of the channel-major padded images
-        ``xp`` [C, B, H+k-1, W+k-1] out in ``patches`` [C, k, k, B, H, W]
-        and return them as the patch matrix [C*k*k, B*H*W]: a view, strided
-        when ``patches`` is one block of a larger tensor."""
-        c, k, _, b, h, w = patches.shape
-        for a in range(k):
-            for j in range(k):
-                patches[:, a, j] = xp[:, :, a : a + h, j : j + w]
-        return patches.reshape(c * k * k, b * h * w)
+    def _patch_blocks(self, xp):
+        """Yield ``(images, cols)`` for each block of ``IMAGE_BLOCK``
+        images of the channel-major padded input ``xp`` [C, N, H+k-1,
+        W+k-1], in ascending order: the block's slice of the batch and
+        its patch matrix [C*k*k, B*H*W].  Every block is refilled into
+        one reused contiguous buffer, so a block's ``cols`` is only
+        valid until the next one is yielded."""
+        c, n = xp.shape[:2]
+        k = self.kernel_size
+        h, w = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+        buffer = np.empty(c * k * k * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
+        for start in range(0, n, IMAGE_BLOCK):
+            images = slice(start, min(start + IMAGE_BLOCK, n))
+            b = images.stop - start
+            patches = buffer[: c * k * k * b * h * w].reshape(c, k, k, b, h, w)
+            for a in range(k):
+                for j in range(k):
+                    patches[:, a, j] = xp[:, images, a : a + h, j : j + w]
+            yield images, patches.reshape(c * k * k, b * h * w)
+
+    def _filter_grad(self, xp, d2):
+        """``d2 @ cols.T`` as a filter-shaped array, for ``d2`` as
+        [F, N, H*W]: one product per block of ``_patch_blocks``, summed in
+        ascending block order.  The block buffer is freed on return."""
+        grad = np.zeros((self.out_channels, self.filters[0].size), dtype=DTYPE)
+        for images, cols in self._patch_blocks(xp):
+            grad += d2[:, images].reshape(self.out_channels, -1) @ cols.T
+        return grad.reshape(self.filters.shape)
 
     def _write_output(self, gemm, out):
         """Add the bias to ``gemm`` [F, B*H*W] into ``out`` [B, F, H, W]."""
@@ -248,7 +263,7 @@ class Conv2dLayer(Layer):
     def backward(self, d_out, input_grad=True):
         if self._cache is None:
             raise LayerStateError("conv backward called before forward")
-        cols, x_shape, xp_shape = self._cache
+        xp, x_shape = self._cache
         n, _, h, w = x_shape
         d_out = np.asarray(d_out, dtype=DTYPE)
         if d_out.shape != (n, self.out_channels, h, w):
@@ -259,11 +274,14 @@ class Conv2dLayer(Layer):
         k, p = self.kernel_size, self.padding
         c, f = self.in_channels, self.out_channels
         d2 = d_out.transpose(1, 0, 2, 3).reshape(f, n * h * w)
-        self.d_filters = (d2 @ cols.T).reshape(self.filters.shape)
+        self.d_filters = self._filter_grad(xp, d2.reshape(f, n, h * w))
         self.d_bias = d_out.sum(axis=(0, 2, 3))
         self._cache = None
         if not input_grad:
             return None
+        # col2im needs only the padded shape: free the padded input first.
+        xp_shape = xp.shape
+        del xp
         # col2im one kernel offset at a time: [C, F] @ [F, N*H*W] lands
         # in the offset's slice, so no patch-sized d_cols exists.
         taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
@@ -281,9 +299,9 @@ class MaxPool2x2Layer(Layer):
     with even spatial dims.
 
     The training forward keeps the switches: the flat row-major index
-    (0..3) of each window's maximum, ties resolved to the lowest index
-    as argmax does.  Backward routes each gradient to its window's
-    switch position, zeros elsewhere.  The inference forward
+    (0..3, as uint8) of each window's maximum, ties resolved to the
+    lowest index as argmax does.  Backward routes each gradient to its
+    window's switch position, zeros elsewhere.  The inference forward
     (``train=False``) keeps no switches and pools the same bytes.
     """
 
@@ -309,7 +327,7 @@ class MaxPool2x2Layer(Layer):
         pooled = np.where(down, bottom, top)
         switches = None
         if train:
-            switches = (2 * down + np.where(down, right_bottom, right_top)).astype(np.intp)
+            switches = 2 * down.astype(np.uint8) + np.where(down, right_bottom, right_top)
         # ``>`` never selects a NaN, but argmax does: a window holding a NaN
         # pools to its first NaN.  The max of x is NaN iff x holds one.
         if np.isnan(np.max(x, initial=-np.inf)):
@@ -331,14 +349,17 @@ class MaxPool2x2Layer(Layer):
                 f"maxpool backward shapes disagree: {d_out.shape} vs {switches.shape}"
             )
         self._switches = None
+        # Each switch position is one strided view of the input gradient.
+        # copyto writes d_out's own bytes there, and +0.0 stays everywhere
+        # else (a product with a 0/1 mask would write -0.0 under negative
+        # gradients).
         n, c, ho, wo = d_out.shape
-        d_windows = np.zeros((n, c, ho, wo, 4), dtype=DTYPE)
-        np.put_along_axis(d_windows, switches[..., None], d_out[..., None], axis=-1)
-        return (
-            d_windows.reshape(n, c, ho, wo, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, 2 * ho, 2 * wo)
-        )
+        d_input = np.zeros((n, c, 2 * ho, 2 * wo), dtype=DTYPE)
+        for i in (0, 1):
+            for j in (0, 1):
+                np.copyto(d_input[:, :, i::2, j::2], d_out,
+                          where=switches == 2 * i + j)
+        return d_input
 
 
 class FlattenLayer(Layer):

@@ -95,6 +95,20 @@ def _routing(switches):
     )
 
 
+def _reference_pool_backward(switches, d_out):
+    """``d_out`` put along the window axis at each window's switch
+    position, +0.0 elsewhere, as the layers module routed it before its
+    strided-view rewrite."""
+    n, c, ho, wo = switches.shape
+    d_windows = np.zeros((n, c, ho, wo, 4))
+    np.put_along_axis(d_windows, switches[..., None], d_out[..., None], axis=-1)
+    return (
+        d_windows.reshape(n, c, ho, wo, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, 2 * ho, 2 * wo)
+    )
+
+
 # float64 summation-order differences between two correct contractions
 # stay near 1e-15 relative; 1e-12 leaves room without hiding a wrong term.
 REF_RTOL = 1e-12
@@ -315,10 +329,16 @@ class TestConvInferenceForward:
         _assert_matches_reference(free, trained)
 
     def test_caches_no_patch_matrix(self):
+        # The training forward keeps the channel-major padded input
+        # [C, N, H+k-1, W+k-1], smaller than the [C*k*k, N*H*W] patch
+        # matrix; the inference forward keeps nothing.
         layer = Conv2dLayer(2, 3, 3)
         x = np.ones((9, 2, 5, 5))
         layer.forward(x, train=True)
-        assert layer._cache[0].shape == (18, 9 * 25)
+        kept = layer._cache[0]
+        assert kept.shape == (2, 9, 7, 7)
+        assert kept.transpose(1, 0, 2, 3)[:, :, 1:6, 1:6].tobytes() == x.tobytes()
+        assert kept.size < 18 * 9 * 25
         layer.forward(x)
         assert layer._cache is None
 
@@ -328,10 +348,10 @@ class TestConvInferenceForward:
 
 
 def test_caching_forward_builds_no_product_temporary():
-    # conv-mnist's conv1 at batch 200: beyond the kept patches, the output
-    # and the padded input, only one image block's product buffer is
-    # allowed.  A one-GEMM forward adds an output-sized [F, N*Ho*Wo]
-    # product (40 MB here).
+    # conv-mnist's conv1 at batch 200: beyond the output and the kept
+    # padded input, only one image block's patches and product buffer are
+    # allowed.  A kept patch matrix adds 31 MB here, and a one-GEMM
+    # forward an output-sized [F, N*Ho*Wo] product (40 MB).
     rng = np.random.default_rng(4)
     layer = Conv2dLayer(1, 32, 5, rng=rng)
     x = rng.normal(size=(200, 1, 28, 28))
@@ -341,12 +361,80 @@ def test_caching_forward_builds_no_product_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    patches = layer._cache[0]
-    assert patches.shape == (25, 200 * 28 * 28)
-    padded = x.nbytes * 32 * 32 // (28 * 28)
+    padded = layer._cache[0]
+    assert padded.shape == (1, 200, 32, 32)
+    block_patches = 25 * IMAGE_BLOCK * 28 * 28 * 8
     block_product = out.nbytes * IMAGE_BLOCK // 200
-    slack = block_product + 1_000_000
-    assert peak < patches.nbytes + out.nbytes + padded + slack
+    slack = 1_000_000
+    assert peak < out.nbytes + padded.nbytes + block_patches + block_product + slack
+
+
+def test_training_step_builds_no_patch_matrix():
+    # conv-mnist's conv2 (32 -> 64, k5, 14x14) at batch 200, training
+    # forward then backward.  Its patch matrix would be 251 MB.  Allowed:
+    # the output, backward's [F, N*H*W] copy of d_out, one padded-input
+    # sized array (the kept input, freed before col2im allocates the input
+    # gradient), and one block of patches or one col2im product (both
+    # 10 MB here), which never coexist.
+    rng = np.random.default_rng(24)
+    layer = Conv2dLayer(32, 64, 5, rng=rng)
+    x = rng.normal(size=(200, 32, 14, 14))
+    d_out = rng.normal(size=(200, 64, 14, 14))
+    padded = 32 * 200 * 18 * 18 * 8
+    block_patches = 32 * 25 * IMAGE_BLOCK * 14 * 14 * 8  # = x.nbytes
+    tracemalloc.start()
+    try:
+        out = layer.forward(x, train=True)
+        d_x = layer.backward(d_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d_x.shape == x.shape
+    slack = 4_000_000  # filter-sized arrays (0.4 MB each) and the rest
+    assert peak < out.nbytes + padded + d_out.nbytes + block_patches + slack
+
+
+def _col2im(filters, d2, xp_shape, padding):
+    """The input gradient as one [C, F] @ d2 product per kernel offset,
+    for ``d2`` as [F, N*H*W] and the channel-major padded shape."""
+    f, c, k, _ = filters.shape
+    _, n, hp, wp = xp_shape
+    h, w = hp - k + 1, wp - k + 1
+    taps = np.ascontiguousarray(filters.transpose(2, 3, 1, 0))
+    d_xp = np.zeros(xp_shape)
+    for a in range(k):
+        for b in range(k):
+            d_xp[:, :, a : a + h, b : b + w] += (taps[a, b] @ d2).reshape(c, n, h, w)
+    p = padding
+    return d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+
+
+def test_backward_is_deterministic_and_accurate_at_conv2_shape():
+    # conv2 of conv-mnist at 37 images: four full 8-image blocks and a
+    # partial one of 5.
+    def step():
+        rng = np.random.default_rng(25)
+        layer = Conv2dLayer(32, 64, 5, rng=rng, init_std=0.1)
+        x = rng.normal(size=(37, 32, 14, 14))
+        d_out = rng.normal(size=(37, 64, 14, 14))
+        layer.forward(x, train=True)
+        return layer, x, d_out, layer.backward(d_out)
+
+    layer, x, d_out, d_x = step()
+    again, _, _, d_x_again = step()
+    assert layer.d_filters.tobytes() == again.d_filters.tobytes()
+    assert d_x.tobytes() == d_x_again.tobytes()
+
+    cols, xp_shape = _reference_conv_patches(x, 5, 2)
+    cols = cols.transpose(1, 2, 3, 0, 4, 5).reshape(32 * 25, 37 * 14 * 14)
+    d2 = d_out.transpose(1, 0, 2, 3).reshape(64, 37 * 14 * 14)
+    _assert_matches_reference(
+        layer.d_filters, (d2 @ cols.T).reshape(layer.filters.shape)
+    )
+    channel_major = (32, 37) + xp_shape[2:]
+    want = _col2im(layer.filters, d2, channel_major, 2)
+    assert d_x.shape == want.shape
+    assert d_x.tobytes() == want.tobytes()
 
 
 # One constructor per layer type, with the input shape it takes.
@@ -514,6 +602,37 @@ class TestMaxPool:
             self._assert_same_bytes_as_reference(
                 rng.choice(values, size=(2, 2, 4, 4))
             )
+
+    def test_signed_gradients_match_reference_bytewise(self):
+        # Random signed gradients, -0.0 among them, routed through the
+        # switches of the tie, signed-zero, infinite and NaN inputs above.
+        # Every off-switch position must hold +0.0: a product with a 0/1
+        # mask would leave -0.0 under a negative gradient.
+        rng = np.random.default_rng(26)
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+        inputs = [rng.normal(size=(3, 4, 6, 10))]
+        inputs += [rng.integers(-1, 2, size=(2, 3, 4, 6)).astype(float)
+                   for _ in range(20)]
+        inputs += [rng.choice(values, size=(2, 3, 4, 6)) for _ in range(20)]
+        inputs += [rng.choice(values[2:], size=(2, 3, 4, 6)) for _ in range(20)]
+        layer = MaxPool2x2Layer()
+        for x in inputs:
+            pooled = layer.forward(x, train=True)
+            d_out = rng.normal(size=pooled.shape)
+            d_out[rng.random(pooled.shape) < 0.1] = -0.0
+            got = layer.backward(d_out)
+            _, switches = _reference_maxpool2x2(x)
+            want = _reference_pool_backward(switches, d_out)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            off_switch = _routing(switches) == 0.0
+            assert not np.signbit(got[off_switch]).any()
+
+    def test_switches_are_one_byte_each(self):
+        layer = MaxPool2x2Layer()
+        pooled = layer.forward(np.zeros((2, 3, 4, 6)), train=True)
+        assert layer._switches.dtype == np.uint8
+        assert layer._switches.nbytes == pooled.size
 
     def test_empty_batch(self):
         pooled, routed = _pool(np.zeros((0, 2, 4, 4)))
