@@ -20,7 +20,7 @@ from marginnet.harness import (
     cross_objective_eval,
     ensemble_predict,
     load_model,
-    load_splits,
+    load_split,
     train,
 )
 from marginnet.recipes import BLOBS, mnist_data
@@ -57,7 +57,7 @@ for name in sorted(os.listdir(results["l2svm"].out_dir)):
 print("\n=== cross-objective evaluation of the saved models ===")
 # reload the splits the seed-0 runs trained on (BASE's default seed is 0)
 # but without the fitted preprocessing: each saved model applies its own
-_, raw_test = load_splits(parse_config_text(BASE))
+raw_test = load_split(parse_config_text(BASE), "test")
 print(f"{'model':>8} | {'err%':>5} | {'avg xent':>9} | {'sq hinge sum':>12}")
 for head in ("softmax", "l2svm"):
     model = load_model(results[head].model_dir)

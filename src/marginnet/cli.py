@@ -86,7 +86,7 @@ def cmd_eval(args):
     if not cfg.model:
         raise ConfigError("eval needs model = <saved model dir> in the config")
     model = harness.load_model(cfg.model)
-    split = _raw_split(cfg)
+    split = harness.load_split(cfg, cfg.eval_split)
     rep = harness.cross_objective_eval(model, split)
     line = _report_lines(f"{model.network.head_spec.kind} on {cfg.eval_split}", rep)
     print(line)
@@ -100,13 +100,6 @@ def cmd_eval(args):
     }))
     print(f"wrote {out_path}")
     return 0
-
-
-def _raw_split(cfg):
-    """The configured eval split with no train-time preprocessing: saved
-    models carry their own fitted transforms."""
-    train, test = harness.load_splits(cfg)
-    return train if cfg.eval_split == "train" else test
 
 
 def cmd_gradcheck(args):
@@ -125,7 +118,7 @@ def cmd_ensemble(args):
             "ensemble needs models = <dir>, <dir>, ... in the config"
         )
     models = [harness.load_model(path) for path in cfg.models]
-    split = _raw_split(cfg)
+    split = harness.load_split(cfg, cfg.eval_split)
     # One transform and forward per member serves both the member
     # errors and the vote.
     scores = harness.member_scores(models, split.inputs)
@@ -163,7 +156,7 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, DomainError, ShapeError, IdxFormatError, ManifestError,
-            harness.TrainingDivergedError, FileNotFoundError) as e:
+            harness.TrainingDivergedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,11 @@ procedures layered on trained models (cross-objective evaluation and
 ensembles).  A run is a function of its config alone; a warm start is
 its ``source_model`` key.
 
+Raw rows of any shape become network inputs on one path: each row is
+flattened, standardized and projected by the fitted transforms, and a
+convnet's rows are then reshaped to its ``arch["input_shape"]``.
+Training and a saved model's :meth:`LoadedModel.transform` share it.
+
 Determinism: a run's seed feeds a SeedSequence that is split into three
 independent streams (data, init, train; :func:`seed_streams`), and every
 random draw in the run comes from one of them in a fixed order.  Rerunning with the same
@@ -153,120 +158,114 @@ class PreparedData:
     standardizer: PixelStandardizer | None = None
 
 
-def _as_images(inputs):
-    # Flat rows whose width is a perfect square become 1-channel images.
-    n, d = inputs.shape
-    side = math.isqrt(d)
-    if side * side != d:
-        raise ShapeError(
-            f"cannot reshape width {d} into square images"
-        )
-    return inputs.reshape(n, 1, side, side)
-
-
-def load_splits(cfg):
-    """The configured (train, test) splits as loaded, with ``train_subset``
-    applied and no fitted preprocessing: the raw inputs a saved model's
-    :meth:`LoadedModel.transform` expects.  Blobs are drawn from the data
-    stream of ``cfg.seed``; the IDX and CIFAR-10 files need no generator."""
+def load_split(cfg, split):
+    """The configured ``split`` ("train" or "test") as loaded, reading
+    only that split's files, with no fitted preprocessing: the raw
+    inputs a saved model's :meth:`LoadedModel.transform` expects.
+    ``train_subset`` applies to the train split.  Blobs are one draw of
+    both splits from the data stream of ``cfg.seed``, sliced to
+    ``split``; the IDX and CIFAR-10 files need no generator."""
+    is_train = split == "train"
     if cfg.dataset == "blobs":
         total = cfg.blobs_train_n + cfg.blobs_test_n
         full = make_blobs(
             total, cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation,
             seed_streams(cfg.seed)[0],
         )
-        train = full.subset(np.arange(cfg.blobs_train_n))
-        test = full.subset(
-            np.arange(cfg.blobs_train_n, total), split="test"
-        )
+        rows = (np.arange(cfg.blobs_train_n) if is_train
+                else np.arange(cfg.blobs_train_n, total))
+        data = full.subset(rows, split=split)
     elif cfg.dataset == "idx":
-        train = load_idx(
-            os.path.join(cfg.data_dir, cfg.train_images),
-            os.path.join(cfg.data_dir, cfg.train_labels),
-            split="train",
-        )
-        test = load_idx(
-            os.path.join(cfg.data_dir, cfg.test_images),
-            os.path.join(cfg.data_dir, cfg.test_labels),
-            split="test",
-        )
+        images, labels = ((cfg.train_images, cfg.train_labels) if is_train
+                          else (cfg.test_images, cfg.test_labels))
+        data = load_idx(os.path.join(cfg.data_dir, images),
+                        os.path.join(cfg.data_dir, labels), split=split)
     else:
-        train = load_cifar10(
-            [os.path.join(cfg.data_dir, p) for p in cfg.cifar_train_batches],
-            split="train",
-        )
-        test = load_cifar10(
-            [os.path.join(cfg.data_dir, p) for p in cfg.cifar_test_batches],
-            split="test",
-        )
+        batches = cfg.cifar_train_batches if is_train else cfg.cifar_test_batches
+        data = load_cifar10([os.path.join(cfg.data_dir, p) for p in batches],
+                            split=split)
 
-    if cfg.train_subset:
-        if cfg.train_subset > train.n:
+    if is_train and cfg.train_subset:
+        if cfg.train_subset > data.n:
             raise ConfigError(
-                f"train_subset {cfg.train_subset} exceeds {train.n} rows"
+                f"train_subset {cfg.train_subset} exceeds {data.n} rows"
             )
-        train = train.subset(np.arange(cfg.train_subset))
-    return train, test
+        data = data.subset(np.arange(cfg.train_subset))
+    return data
 
 
-def _preprocess(inputs, standardizer, pca, images):
-    """Standardize, then project, then (``images``) reshape flat rows into
-    1-channel images; a None transform is skipped.  A standardizer
+def _flat(inputs):
+    # The explicit width keeps an empty split reshapeable.
+    return inputs.reshape(len(inputs), math.prod(inputs.shape[1:]))
+
+
+def _preprocess(inputs, standardizer, pca, shape):
+    """Flatten each row, standardize, project, then (``shape``) reshape
+    each row to ``shape``; a None transform is skipped.  A standardizer
     followed by a PCA runs as one row-blocked pass (:func:`pca_transform`)
     that never builds the standardized rows."""
-    x = inputs
+    x = _flat(inputs)
     if pca is not None:
         x = pca_transform(pca, x, standardizer)
     elif standardizer is not None:
         x = standardizer.apply(x)
-    if images and x.ndim == 2:
-        x = _as_images(x)
-    return x
+    if shape is None:
+        return x
+    if x.shape[1] != math.prod(shape):
+        raise ShapeError(f"rows of width {x.shape[1]} are not {list(shape)} inputs")
+    return x.reshape(len(x), *shape)
+
+
+def _conv_input_shape(loaded, pca):
+    """A convnet's [C, H, W] input for ``loaded`` raw inputs: their own
+    shape for [N, C, H, W] images without PCA, otherwise a 1-channel
+    square of the flat (or projected) width."""
+    if loaded.ndim == 4 and pca is None:
+        return loaded.shape[1:]
+    width = math.prod(loaded.shape[1:]) if pca is None else pca.components.shape[1]
+    side = math.isqrt(width)
+    if side * side != width:
+        raise ShapeError(f"cannot reshape width {width} into square images")
+    return (1, side, side)
 
 
 def prepare_data(cfg):
-    """Load, subset (:func:`load_splits`), and preprocess the configured
-    dataset.
+    """Load both splits (:func:`load_split`) and preprocess them.
 
-    Preprocessing order: optional per-pixel standardization (fitted on
-    the training split only), then optional PCA (likewise), then, for a
-    convnet, flat rows become images.  Both fits see only training rows;
-    the test split is transformed from its raw rows with the fitted
+    Standardization and PCA see flat rows of whatever was loaded, and
+    the MLP takes those rows.  Preprocessing order: optional per-pixel
+    standardization (fitted on the training split only), then optional
+    PCA (likewise), then, for a convnet, each row is reshaped to its
+    :func:`_conv_input_shape`.  Both fits see only training rows; the
+    test split is transformed from its raw rows with the fitted
     parameters, as a saved model's :meth:`LoadedModel.transform` does.
     """
-    train, test = load_splits(cfg)
+    if cfg.augment and cfg.arch != "conv":
+        raise ConfigError("augment requires arch = conv")
+    train, test = load_split(cfg, "train"), load_split(cfg, "test")
+    rows = _flat(train.inputs)
     standardizer = None
     pca = None
     # The training split is standardized as soon as the standardizer is
     # fitted: the PCA fit needs standardized rows.
     if cfg.standardize:
-        if train.inputs.ndim != 2:
-            raise ConfigError("standardize requires flat [N, D] inputs")
-        standardizer = PixelStandardizer().fit(train.inputs)
-        train = replace(train, inputs=standardizer.apply(train.inputs))
+        standardizer = PixelStandardizer().fit(rows)
+        rows = standardizer.apply(rows)
     if cfg.pca_dims:
-        if train.inputs.ndim != 2:
-            raise ConfigError("pca requires flat [N, D] inputs")
-        pca = pca_fit(train.inputs, cfg.pca_dims)
-    images = cfg.arch == "conv"
-    train = replace(train, inputs=_preprocess(train.inputs, None, pca, images))
+        pca = pca_fit(rows, cfg.pca_dims)
+    shape = _conv_input_shape(train.inputs, pca) if cfg.arch == "conv" else None
+    train = replace(train, inputs=_preprocess(rows, None, pca, shape))
     test = replace(test, inputs=_preprocess(test.inputs, standardizer, pca,
-                                            images))
-    if cfg.augment and train.inputs.ndim != 4:
-        raise ConfigError("augment requires image-shaped [N, C, H, W] inputs")
+                                            shape))
     return PreparedData(train, test, pca, standardizer)
 
 
 def build_network(cfg, train_inputs, head_spec, init_rng):
     if cfg.arch == "mlp":
-        if train_inputs.ndim != 2:
-            raise ConfigError("mlp arch requires flat [N, D] inputs")
         return build_mlp(
             train_inputs.shape[1], cfg.hidden_dims, head_spec,
             rng=init_rng, init_std=cfg.init_std,
         )
-    if train_inputs.ndim != 4:
-        raise ConfigError("conv arch requires image [N, C, H, W] inputs")
     return build_convnet(
         train_inputs.shape[1:], cfg.conv_channels, cfg.conv_kernel,
         cfg.conv_dense, cfg.conv_dropout, head_spec,
@@ -470,9 +469,12 @@ class LoadedModel:
     meta: dict
 
     def transform(self, inputs):
-        """Apply the model's saved preprocessing to raw inputs."""
+        """Apply the model's saved preprocessing to raw inputs of any
+        shape: each row is flattened, standardized and projected by the
+        saved transforms, then reshaped to a convnet's saved
+        ``arch["input_shape"]``; an MLP takes the flat rows."""
         return _preprocess(inputs, self.standardizer, self.pca,
-                           self.network.arch["kind"] == "conv")
+                           self.network.arch.get("input_shape"))
 
 
 def load_model(model_dir):

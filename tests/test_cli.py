@@ -2,6 +2,7 @@ import contextlib
 import gzip
 import io
 import json
+import pathlib
 import shutil
 import subprocess
 import tempfile
@@ -57,6 +58,14 @@ def write_cfg(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_cli(argv):
+    """``main(argv)`` in-process: its exit code and stderr text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def train_model(tmp_path, text):
@@ -242,6 +251,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_conv_model_on_rows_of_another_width_exits_2(self, tmp_path,
+                                                          capsys):
+        model = train_model(tmp_path, CONV_BLOBS)
+        cfg = write_cfg(tmp_path, "eval.cfg", CONV_BLOBS.replace(
+            "blobs_dim = 64", "blobs_dim = 16") + f"model = {model}\n"
+            f"out_dir = {tmp_path}/eval\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg]) == 2
+        assert "not [1, 8, 8] inputs" in capsys.readouterr().err
+
     def test_eval_needs_a_model(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "eval.cfg",
                         TINY_BLOBS + f"out_dir = {tmp_path}/eval\n")
@@ -372,6 +391,173 @@ def test_conv_model_evaluates_under_its_training_config(tmp_path, capsys,
         assert harness.format_float(report[col]) == harness.format_float(logged)
 
 
+def write_image_files(data_dir, train_n, test_n, seed=0):
+    """Seeded synthetic 8x8 IDX files and CIFAR-10 batches for both
+    splits under ``data_dir``; returns each dataset's config text."""
+    rng = np.random.default_rng(seed)
+    for split, n in (("train", train_n), ("test", test_n)):
+        write_idx(f"{data_dir}/{split}-images", f"{data_dir}/{split}-labels",
+                  rng.integers(0, 256, size=(n, 8, 8)), rng.integers(0, 10, size=n))
+        raw = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+        raw[:, 0] %= 10
+        raw.tofile(f"{data_dir}/{split}.bin")
+    return {
+        "idx": f"dataset = idx\ndata_dir = {data_dir}\n"
+               "train_images = train-images\ntrain_labels = train-labels\n"
+               "test_images = test-images\ntest_labels = test-labels\n",
+        "cifar10": f"dataset = cifar10\ndata_dir = {data_dir}\n"
+                   "cifar_train_batches = train.bin\ncifar_test_batches = test.bin\n",
+    }
+
+
+@pytest.fixture(scope="module")
+def image_files(tmp_path_factory):
+    return write_image_files(tmp_path_factory.mktemp("images"), 200, 100)
+
+
+# One epoch of a small model on any of the datasets above.
+SHORT_RUN = """
+head = l2svm
+epochs = 1
+batch_size = 50
+lr_start = 0.001
+conv_channels = 2, 2
+conv_kernel = 3
+conv_dense = 8
+hidden_dims = 8
+"""
+
+
+def eval_reproduces_final_error(tmp_path, text):
+    """Whether ``marginnet eval`` of the model trained by ``text`` under
+    ``tmp_path/run``, under that same config, reports the run's final
+    test error exactly."""
+    with open(tmp_path / "run" / "runmeta.json") as f:
+        final = json.load(f)["final"]["test_error_pct"]
+    cfg = write_cfg(tmp_path, "eval.cfg", text + f"model = {tmp_path}/run/model\n"
+                    f"out_dir = {tmp_path}/eval\n")
+    assert run_cli(["eval", "--config", cfg])[0] == 0
+    with open(tmp_path / "eval" / "eval.json") as f:
+        return json.load(f)["error_pct"] == final
+
+
+CIFAR_MODELS = {
+    "standardized-conv": "arch = conv\nstandardize = true\n",
+    "pca-mlp": "pca_dims = 16\n",
+    "standardized-pca-mlp": "standardize = true\npca_dims = 16\n",
+}
+
+
+@pytest.mark.parametrize("model", CIFAR_MODELS.values(), ids=CIFAR_MODELS)
+def test_cifar_model_evaluates_to_its_final_error(tmp_path, image_files, model):
+    # standardize, PCA and the MLP take flat rows of the [N, 3, 32, 32]
+    # images; a convnet without PCA takes the images as loaded
+    text = image_files["cifar10"] + SHORT_RUN + model
+    cfg = write_cfg(tmp_path, "t.cfg", text + f"out_dir = {tmp_path}/run\n")
+    assert run_cli(["train", "--config", cfg]) == (0, "")
+    assert eval_reproduces_final_error(tmp_path, text)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(dataset=st.sampled_from(["blobs", "idx", "cifar10"]),
+       arch=st.sampled_from(["mlp", "conv"]),
+       standardize=st.booleans(),
+       pca_dims=st.sampled_from([0, 3, 16, 20]),
+       augment=st.booleans(),
+       blobs_dim=st.sampled_from([1, 4, 16, 20, 64]))
+def test_any_drawn_input_shape_trains_or_exits_2(image_files, dataset, arch,
+                                                 standardize, pca_dims,
+                                                 augment, blobs_dim):
+    text = (image_files.get(dataset, "blobs_train_n = 60\nblobs_test_n = 30\n")
+            + SHORT_RUN + f"arch = {arch}\nstandardize = {standardize}\n"
+            f"pca_dims = {pca_dims}\naugment = {augment}\nblobs_dim = {blobs_dim}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg = write_cfg(tmp, "t.cfg", text + f"out_dir = {tmp}/run\n")
+        code, err = run_cli(["train", "--config", cfg])
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ")
+        else:
+            assert eval_reproduces_final_error(tmp, text)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_eval_and_ensemble_read_only_the_eval_split(tmp_path, split):
+    text = (write_image_files(tmp_path, 20, 10)["idx"] + SHORT_RUN
+            + f"standardize = true\nbatch_size = 10\neval_split = {split}\n")
+    cfg = write_cfg(tmp_path, "t.cfg", text + f"out_dir = {tmp_path}/run\n")
+    assert run_cli(["train", "--config", cfg])[0] == 0
+    other = "test" if split == "train" else "train"
+    for kind in ("images", "labels"):
+        (tmp_path / f"{other}-{kind}").unlink()
+    model = f"{tmp_path}/run/model"
+    cfg = write_cfg(tmp_path, "e.cfg", text + f"model = {model}\n"
+                    f"models = {model}, {model}\nout_dir = {tmp_path}/out\n")
+    assert run_cli(["eval", "--config", cfg]) == (0, "")
+    assert run_cli(["ensemble", "--config", cfg]) == (0, "")
+
+
+@pytest.mark.parametrize("arch", ["mlp", "conv"])
+def test_empty_idx_test_split_exits_2(tmp_path, capsys, arch):
+    text = write_image_files(tmp_path, 8, 0)["idx"] + SHORT_RUN
+    cfg = write_cfg(tmp_path, "t.cfg", text + f"arch = {arch}\nbatch_size = 4\n"
+                    f"out_dir = {tmp_path}/run\n")
+    assert main(["train", "--config", cfg]) == 2
+    assert "cannot evaluate on an empty split" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_conv_on_a_non_square_width_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "t.cfg", CONV_BLOBS.replace(
+        "blobs_dim = 64", "blobs_dim = 20") + f"out_dir = {tmp_path}/run\n")
+    assert main(["train", "--config", cfg]) == 2
+    assert "width 20 into square images" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_augment_under_an_mlp_exits_2_before_any_data(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(harness, "load_split", lambda cfg, split: pytest.fail(
+        "data loaded before the augment check"))
+    cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + "augment = true\n"
+                    f"out_dir = {tmp_path}/run\n")
+    assert main(["train", "--config", cfg]) == 2
+    assert "augment requires arch = conv" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+class TestFileErrors:
+    """An input path that names the wrong kind of file is exit code 2
+    with one error line, like a missing file."""
+
+    def test_train_images_left_empty(self, tmp_path, capsys):
+        # data_dir joined with "" names the directory itself
+        text = write_image_files(tmp_path, 4, 4)["idx"]
+        cfg = write_cfg(tmp_path, "t.cfg", text + "train_images =\n"
+                        f"hidden_dims = 4\nbatch_size = 4\nout_dir = {tmp_path}/run\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_out_dir_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_cfg(tmp_path, "t.cfg",
+                        TINY_BLOBS + f"out_dir = {tmp_path}/file/run\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, key", [("eval", "model"),
+                                              ("ensemble", "models")])
+    def test_model_that_is_a_regular_file(self, tmp_path, capsys, command, key):
+        (tmp_path / "file").write_text("")
+        cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + f"{key} = {tmp_path}/file\n"
+                        f"out_dir = {tmp_path}/out\n")
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestGradcheck:
     def test_reports_all_checks(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "gc.cfg", "hidden_dims = 8, 8\n")
@@ -492,7 +678,7 @@ class TestEnsemble:
         with open(tmp_path / "ens" / "ensemble.json") as f:
             report = json.load(f)
         models = [harness.load_model(d) for d in model_dirs]
-        split = harness.load_splits(parse_config(cfg))[1]
+        split = harness.load_split(parse_config(cfg), "test")
         assert report["member_error_pct"] == [
             harness.cross_objective_eval(m, split).error_pct for m in models
         ]

@@ -12,7 +12,7 @@ from marginnet.config import (
     parse_config_text,
 )
 from marginnet.data import write_idx
-from marginnet.harness import load_splits, seed_streams
+from marginnet.harness import load_split, seed_streams
 
 
 class TestParsing:
@@ -236,7 +236,7 @@ class TestHeadSpec:
             "train_images = train-images\ntrain_labels = train-labels\n"
             "test_images = test-images\ntest_labels = test-labels\n"
         )
-        train, test = load_splits(cfg)
+        train, test = load_split(cfg, "train"), load_split(cfg, "test")
         assert head_spec_from_config(cfg).num_classes == train.num_classes
         assert test.num_classes == train.num_classes
 

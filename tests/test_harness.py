@@ -19,7 +19,7 @@ from marginnet.harness import (
     ensemble_vote,
     evaluate_objectives,
     load_model,
-    load_splits,
+    load_split,
     member_scores,
     prepare_data,
     read_metrics_csv,
@@ -93,7 +93,7 @@ class TestTrainLoop:
         # preprocessing), so reload the run's splits without it
         model = load_model(l2svm_run.model_dir)
         cfg = blobs_config(tmp_path, "raw", head="l2svm", svm_c=0.1)
-        raw_train, _ = load_splits(cfg)
+        raw_train = load_split(cfg, "train")
         rep = cross_objective_eval(model, raw_train)
         logged = l2svm_run.metrics[-1]["train_loss"]
         assert rep.own_loss("l2svm") == logged  # same code path, bitwise
@@ -107,7 +107,7 @@ class TestTrainLoop:
         )
         res = train(cfg)
         model = load_model(res.model_dir)
-        raw = load_splits(cfg)
+        raw = load_split(cfg, "train"), load_split(cfg, "test")
         for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
             assert split.inputs.shape[1:] == (64,)
             assert prepared.inputs.shape[1:] == (1, 4, 4)
@@ -120,7 +120,7 @@ class TestTrainLoop:
         cfg = blobs_config(tmp_path, "fused", blobs_dim=40, epochs=0, pca_dims=6)
         res = train(cfg)
         model = load_model(res.model_dir)
-        raw = load_splits(cfg)
+        raw = load_split(cfg, "train"), load_split(cfg, "test")
         for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
             assert prepared.inputs.shape[1:] == (6,)
             assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
@@ -349,7 +349,7 @@ class TestCrossObjectiveEval:
         # the raw test split: the saved model standardizes it itself
         model = load_model(l2svm_run.model_dir)
         cfg = blobs_config(tmp_path, "raw", head="l2svm", svm_c=0.1)
-        _, raw_test = load_splits(cfg)
+        raw_test = load_split(cfg, "test")
         rep = cross_objective_eval(model, raw_test)
         assert rep.n == raw_test.n
         assert rep.error_pct == l2svm_run.metrics[-1]["test_error_pct"]
