@@ -365,12 +365,19 @@ def train(cfg):
     data, and its parameters (hidden layers and head weights alike) seed
     this run's network: a warm start.  Only the objective changes, so
     before the first update the warm-started network predicts exactly
-    what the source model predicts.
+    what the source model predicts.  A run whose ``standardize`` or
+    ``pca_dims`` differs from the source's saved preprocessing would
+    start from a different function, and is a :class:`ConfigError`.
 
-    Writes metrics.csv, runmeta.json, and a model/ directory under
-    cfg.out_dir; returns the finished TrainState.
+    ``cfg.out_dir`` is made after the epoch-0 row, before the first
+    update, so a directory that cannot be made fails the run after one
+    evaluation; errors before that row leave no directory.  Writes
+    metrics.csv, runmeta.json, and a model/ directory under it; returns
+    the finished TrainState.
     """
     source = load_model(cfg.source_model) if cfg.source_model else None
+    if source is not None:
+        _check_source_preprocessing(cfg, source)
     _, init_rng, train_rng = seed_streams(cfg.seed)
     prepared = prepare_data(cfg)
     spec = head_spec_from_config(cfg)
@@ -394,9 +401,9 @@ def train(cfg):
         [], 0, 0, cfg.out_dir, os.path.join(cfg.out_dir, METRICS_NAME),
         os.path.join(cfg.out_dir, MODEL_DIRNAME),
     )
-    for _ in run_epochs(cfg, state):
-        pass
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    for row in run_epochs(cfg, state):
+        if row["epoch"] == 0:
+            os.makedirs(cfg.out_dir, exist_ok=True)
     write_metrics_csv(state.csv_path, state.metrics)
     save_model(state.model_dir, net, prepared, config_echo=cfg.echo())
     runmeta = {
@@ -412,6 +419,20 @@ def train(cfg):
     }
     write_text(os.path.join(cfg.out_dir, RUNMETA_NAME), json_text(runmeta))
     return state
+
+
+def _check_source_preprocessing(cfg, source):
+    """Raise :class:`ConfigError` unless the run's ``standardize`` and
+    ``pca_dims`` match the warm-start source's saved preprocessing."""
+    saved = (source.standardizer is not None,
+             0 if source.pca is None else source.pca.components.shape[1])
+    if saved != (cfg.standardize, cfg.pca_dims):
+        raise ConfigError(
+            f"warm start preprocessing mismatch: {cfg.source_model} was "
+            f"trained with standardize = {str(saved[0]).lower()}, "
+            f"pca_dims = {saved[1]}; this run has standardize = "
+            f"{str(cfg.standardize).lower()}, pca_dims = {cfg.pca_dims}"
+        )
 
 
 def write_metrics_csv(path, rows):

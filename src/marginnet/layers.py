@@ -173,8 +173,10 @@ class Conv2dLayer(Layer):
     forward (``train=False``) keeps nothing.  Backward runs the same
     block loop and adds each block's ``d2`` columns times its patches
     into ``d_filters``, in ascending block order, then frees the padded
-    input before col2im allocates its gradient.  No patch-sized array,
-    and no patch-sized d_cols, exists at any point.  Results are
+    input before col2im allocates its gradient.  The contiguous ``d2``
+    is built only for col2im: with ``input_grad=False`` each block's
+    columns are copied out of the transposed ``d_out``.  No patch-sized
+    array, and no patch-sized d_cols, exists at any point.  Results are
     bit-identical from run to run at a fixed BLAS thread count; a
     different thread count can change their last bits.
     """
@@ -213,9 +215,10 @@ class Conv2dLayer(Layer):
         c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
         weights = self.filters.reshape(f, c * k * k)
         self._cache = None  # free the last padded input before padding this one
-        # Channel-major view of the padded input: each kernel offset fills
-        # one [C, B, H, W] block of the patch tensor [C, k, k, B, H, W].
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
+        # The padded input, channel-major: each kernel offset fills one
+        # [C, B, H, W] block of the patch tensor [C, k, k, B, H, W].
+        xp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=DTYPE)
+        xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
         out = np.empty((n, f, h, w), dtype=DTYPE)
         product = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
         for images, cols in self._patch_blocks(xp):
@@ -245,13 +248,14 @@ class Conv2dLayer(Layer):
                     patches[:, a, j] = xp[:, images, a : a + h, j : j + w]
             yield images, patches.reshape(c * k * k, b * h * w)
 
-    def _filter_grad(self, xp, d2):
-        """``d2 @ cols.T`` as a filter-shaped array, for ``d2`` as
-        [F, N, H*W]: one product per block of ``_patch_blocks``, summed in
-        ascending block order.  The block buffer is freed on return."""
+    def _filter_grad(self, xp, d_cm):
+        """``d2 @ cols.T`` as a filter-shaped array, for the channel-major
+        output gradient ``d_cm`` [F, N, H, W] (a view or a copy): one
+        product per block of ``_patch_blocks``, summed in ascending block
+        order.  The block buffer is freed on return."""
         grad = np.zeros((self.out_channels, self.filters[0].size), dtype=DTYPE)
         for images, cols in self._patch_blocks(xp):
-            grad += d2[:, images].reshape(self.out_channels, -1) @ cols.T
+            grad += d_cm[:, images].reshape(self.out_channels, -1) @ cols.T
         return grad.reshape(self.filters.shape)
 
     def _write_output(self, gemm, out):
@@ -273,12 +277,15 @@ class Conv2dLayer(Layer):
             )
         k, p = self.kernel_size, self.padding
         c, f = self.in_channels, self.out_channels
-        d2 = d_out.transpose(1, 0, 2, 3).reshape(f, n * h * w)
-        self.d_filters = self._filter_grad(xp, d2.reshape(f, n, h * w))
+        d_cm = d_out.transpose(1, 0, 2, 3)  # made contiguous only for col2im
+        if input_grad:
+            d_cm = np.ascontiguousarray(d_cm)
+        self.d_filters = self._filter_grad(xp, d_cm)
         self.d_bias = d_out.sum(axis=(0, 2, 3))
         self._cache = None
         if not input_grad:
             return None
+        d2 = d_cm.reshape(f, n * h * w)
         # col2im needs only the padded shape: free the padded input first.
         xp_shape = xp.shape
         del xp
@@ -298,11 +305,13 @@ class MaxPool2x2Layer(Layer):
     """Max over non-overlapping 2x2 windows, stride 2, of NCHW input
     with even spatial dims.
 
-    The training forward keeps the switches: the flat row-major index
-    (0..3, as uint8) of each window's maximum, ties resolved to the
-    lowest index as argmax does.  Backward routes each gradient to its
-    window's switch position, zeros elsewhere.  The inference forward
-    (``train=False``) keeps no switches and pools the same bytes.
+    Values are ``np.maximum`` over the four strided window views, with
+    argmax's choice on ±0.0 ties and NaN windows.  The training forward
+    also keeps the switches: the flat row-major index (0..3, as uint8)
+    of each window's maximum, ties resolved to the lowest index as
+    argmax does.  Backward routes each gradient to its window's switch
+    position, zeros elsewhere.  The inference forward (``train=False``)
+    computes no switches and pools the same bytes.
     """
 
     def __init__(self):
@@ -315,22 +324,30 @@ class MaxPool2x2Layer(Layer):
         h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-        # A knockout over the four strided window views: left against right
-        # in each row, then top row against bottom.  Strict ``>`` keeps the
-        # lower index on ties (and on +-0.0), as argmax does.
+        # The max of the four strided window views.  np.maximum does not
+        # say which operand a tie returns, so a window whose max is 0 takes
+        # the sign of its first zero, the one argmax picks.
         views = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-        right_top = views[1] > views[0]
-        right_bottom = views[3] > views[2]
-        top = np.where(right_top, views[1], views[0])
-        bottom = np.where(right_bottom, views[3], views[2])
-        down = bottom > top
-        pooled = np.where(down, bottom, top)
+        top = np.maximum(views[0], views[1])
+        bottom = np.maximum(views[2], views[3])
+        pooled = np.maximum(top, bottom)
+        zero = pooled == 0
+        if zero.any():
+            for view in reversed(views):
+                np.copyto(pooled, view, where=zero & (view == 0))
         switches = None
         if train:
-            switches = 2 * down.astype(np.uint8) + np.where(down, right_bottom, right_top)
-        # ``>`` never selects a NaN, but argmax does: a window holding a NaN
-        # pools to its first NaN.  The max of x is NaN iff x holds one.
-        if np.isnan(np.max(x, initial=-np.inf)):
+            # A knockout: left against right in each row, then bottom row
+            # against top.  Strict ``>`` keeps the lower index on ties.
+            down = bottom > top
+            switches = np.where(down, views[3] > views[2],
+                                views[1] > views[0]).view(np.uint8)
+            switches += down  # twice: the bottom row is indices 2 and 3
+            switches += down
+        # np.maximum propagates a NaN but not necessarily the first one,
+        # and ``>`` never selects one; argmax pools a window holding a NaN
+        # to its first NaN.  So the pooled max is NaN iff x holds one.
+        if np.isnan(np.max(pooled, initial=-np.inf)):
             for i in (3, 2, 1, 0):
                 nans = np.isnan(views[i])
                 np.copyto(pooled, views[i], where=nans)

@@ -180,12 +180,21 @@ def build_mlp(input_dim, hidden_dims, head_spec, rng=None, init_std=0.01):
 
 def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
                   dropout_rate, head_spec, rng=None, init_std=0.01):
-    """Conv-ReLU-pool blocks, then flatten -> dense penultimate layer
-    with ReLU and dropout on top of it.
+    """Conv blocks, then flatten -> dense penultimate layer with ReLU
+    and dropout on top of it.
 
     input_shape is (C, H, W); each block keeps the spatial dims through
     its conv and halves them in its pool, so H and W must be divisible
     by 2**len(conv_channels).  There must be at least one block.
+
+    A block is conv -> 2x2 max-pool -> ReLU, which computes the
+    conv -> ReLU -> pool block exactly: ReLU is monotone, so the max of
+    the rectified window is the rectified max of the window, and the
+    gradient reaches the same conv output (the window's first maximum)
+    with the same value; where the window's max is not positive both
+    orders send it a zero.  ReLU then runs on a quarter of the conv
+    outputs.  The parameter layers keep their indices (0, 3, ... and
+    the dense layer), so tensor names and saved models do not change.
     """
     if not conv_channels:
         raise DomainError("a convnet needs at least one conv block")
@@ -204,8 +213,8 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
         layers.append(
             Conv2dLayer(in_c, out_c, kernel_size, rng=rng, init_std=init_std)
         )
-        layers.append(ReluLayer())
         layers.append(MaxPool2x2Layer())
+        layers.append(ReluLayer())
         in_c = out_c
     layers.append(FlattenLayer())
     flat = in_c * (h // factor) * (w // factor)

@@ -8,11 +8,20 @@ Update rule per parameter array:
 The optimizer binds its parameter arrays when built and gives each a
 zero velocity; a step takes their gradients in the same order and
 updates the bound arrays in place.
+
+A step runs over each array in flat blocks of ``STEP_BLOCK`` elements,
+with ``lr * grad`` written into one reused scratch buffer, so no
+parameter-sized temporary is built.  Every operation is elementwise, so
+the bytes equal those of the whole-array update.
 """
 
 import numpy as np
 
 from .tensor import DTYPE, DomainError, ShapeError
+
+# Elements per block of a step: 512 KB of float64, which stays in cache
+# between the block's four passes.
+STEP_BLOCK = 1 << 16
 
 
 class LinearSchedule:
@@ -44,6 +53,9 @@ class SgdMomentum:
             )
         self.momentum = momentum
         self.params = list(params)
+        for p in self.params:
+            if not p.flags.c_contiguous:
+                raise ShapeError("parameter arrays must be C-contiguous")
         # np.zeros leaves the pages unwritten until the first step: unlike
         # zeros_like, it adds nothing to a one-update run's backprop peak.
         self.velocities = [np.zeros(p.shape, dtype=DTYPE) for p in self.params]
@@ -59,10 +71,17 @@ class SgdMomentum:
             raise ShapeError(
                 f"optimizer tracks {len(self.params)} params, got {len(grads)} grads"
             )
+        largest = max((p.size for p in self.params), default=0)
+        scratch = np.empty(min(largest, STEP_BLOCK), dtype=DTYPE)
         for p, g, v in zip(self.params, grads, self.velocities):
             g = np.asarray(g, dtype=DTYPE)
             if p.shape != g.shape:
                 raise ShapeError(f"param {p.shape} and grad {g.shape} disagree")
-            v *= self.momentum
-            v -= lr * g
-            p += v
+            p, g, v = p.reshape(-1), g.reshape(-1), v.reshape(-1)
+            for start in range(0, p.size, STEP_BLOCK):
+                block = slice(start, start + STEP_BLOCK)
+                vb = v[block]
+                lr_g = np.multiply(g[block], lr, out=scratch[: vb.size])
+                vb *= self.momentum
+                vb -= lr_g
+                p[block] += vb

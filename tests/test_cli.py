@@ -540,7 +540,10 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
-    def test_out_dir_under_a_regular_file(self, tmp_path, capsys):
+    def test_out_dir_under_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        # The directory is made after the epoch-0 row, before any update.
+        monkeypatch.setattr(Network, "backprop", lambda *a, **k: pytest.fail(
+            "trained before making the output directory"))
         (tmp_path / "file").write_text("")
         cfg = write_cfg(tmp_path, "t.cfg",
                         TINY_BLOBS + f"out_dir = {tmp_path}/file/run\n")

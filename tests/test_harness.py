@@ -403,6 +403,32 @@ class TestWarmStart:
             train(blobs_config(tmp_path, "warmdeep", hidden_dims="16, 16",
                                source_model=l2svm_run.model_dir))
 
+    @pytest.mark.parametrize("source_keys, run_keys, saved, asked", [
+        ({}, {"standardize": "false"}, "standardize = true, pca_dims = 0",
+         "standardize = false, pca_dims = 0"),
+        ({"pca_dims": 3}, {"pca_dims": 4}, "standardize = true, pca_dims = 3",
+         "standardize = true, pca_dims = 4"),
+        ({"pca_dims": 3}, {}, "standardize = true, pca_dims = 3",
+         "standardize = true, pca_dims = 0"),
+    ])
+    def test_preprocessing_mismatch_is_a_config_error(
+        self, tmp_path, source_keys, run_keys, saved, asked
+    ):
+        # A 4-class l2svm source on standardized 5-d blobs; a 0-epoch
+        # softmax run with the same widths but other preprocessing would
+        # start from a different function than the source computes.
+        data = {"blobs_classes": 4, "blobs_dim": 5, "blobs_separation": 2}
+        source = train(blobs_config(tmp_path, "source", head="l2svm", epochs=1,
+                                    **data, **source_keys))
+        cfg = blobs_config(tmp_path, "warm", head="softmax", epochs=0,
+                           source_model=source.model_dir, **data, **run_keys)
+        with pytest.raises(ConfigError) as exc:
+            train(cfg)
+        msg = str(exc.value)
+        assert f"trained with {saved};" in msg
+        assert msg.endswith(f"this run has {asked}")
+        assert not (tmp_path / "warm").exists()
+
     def test_continued_training_moves_the_weights(self, l2svm_run, tmp_path):
         cfg = blobs_config(tmp_path, "warmgo", head="softmax", epochs=2,
                            source_model=l2svm_run.model_dir)

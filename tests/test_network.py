@@ -16,7 +16,12 @@ from marginnet.harness import (
     member_scores,
 )
 from marginnet.heads import HEAD_KINDS, HeadSpec
-from marginnet.layers import LayerStateError
+from marginnet.layers import (
+    Conv2dLayer,
+    LayerStateError,
+    MaxPool2x2Layer,
+    ReluLayer,
+)
 from marginnet.network import build_convnet, build_mlp
 from marginnet.tensor import DomainError, ShapeError
 
@@ -193,3 +198,40 @@ def test_member_scores_memory_is_bounded_by_the_chunk():
             tracemalloc.stop()
 
     assert peak(len(x)) < 1.2 * peak(network.SCORE_CHUNK)
+
+
+@pytest.mark.parametrize("kind", HEAD_KINDS)
+def test_pool_before_relu_blocks_match_relu_before_pool(kind):
+    # build_convnet's conv -> pool -> ReLU blocks against the same
+    # parameters in hand-built conv -> ReLU -> pool blocks.  Zero patches
+    # make all four conv outputs of a window equal the bias (a tie); the
+    # zero bias makes those windows pool 0; the inputs hold signed zeros.
+    spec = HeadSpec(kind, 3, c=0.7, weight_decay=0.1)
+
+    def build():
+        return build_convnet((2, 8, 8), [3, 4], 3, 6, 0.2, spec,
+                             rng=np.random.default_rng(8), init_std=0.5)
+
+    net, ref = build(), build()
+    assert [type(layer) for layer in net.layers[:3]] == [
+        Conv2dLayer, MaxPool2x2Layer, ReluLayer]
+    for block in (0, 3):
+        ref.layers[block + 1:block + 3] = [ReluLayer(), MaxPool2x2Layer()]
+    for model in (net, ref):
+        model.layers[0].bias[:] = [0.3, -0.2, 0.0]
+    assert list(net.named_tensors()) == list(ref.named_tensors())
+
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(5, 2, 8, 8))
+    x[:, :, :5, :5] = 0.0  # conv1 sees only zeros over the top-left 2x2 windows
+    x[1:3, :, :5, :5] = -0.0
+    x[0, 0, 6:, :] = -0.0
+    y = rng.integers(0, 3, size=5)
+
+    assert net.scores(x).tobytes() == ref.scores(x).tobytes()
+    out = net.backprop(x, y, rng=np.random.default_rng(10))
+    ref_out = ref.backprop(x, y, rng=np.random.default_rng(10))
+    assert np.float64(out.loss).tobytes() == np.float64(ref_out.loss).tobytes()
+    assert len(net.grads()) == len(ref.grads())
+    for g, ref_g in zip(net.grads(), ref.grads()):
+        assert g.tobytes() == ref_g.tobytes()

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from marginnet.heads import HeadSpec
 from marginnet.network import build_mlp
-from marginnet.optim import LinearSchedule, SgdMomentum
+from marginnet.optim import STEP_BLOCK, LinearSchedule, SgdMomentum
 from marginnet.tensor import DomainError, ShapeError
 
 
@@ -104,6 +106,42 @@ class TestSgdMomentum:
         opt.step([np.ones(2), np.ones(3)], lr=0.1)
         with pytest.raises(ShapeError):
             opt.step([np.ones(2)], lr=0.1)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (STEP_BLOCK,),
+                                       (3 * STEP_BLOCK + 123,),
+                                       (4, STEP_BLOCK // 2 + 9)])
+    def test_blocked_step_matches_whole_array_update_bitwise(self, shape):
+        # smaller than a block, one block, several blocks plus a ragged
+        # tail, and a 2-D array whose rows straddle block edges
+        rng = np.random.default_rng(4)
+        theta = rng.normal(size=shape)
+        expected, velocity = theta.copy(), np.zeros(shape)
+        opt = SgdMomentum([theta], momentum=0.9)
+        for lr in (0.1, 0.03, 0.0, 0.7):
+            g = rng.normal(size=shape)
+            opt.step([g], lr=lr)
+            velocity = 0.9 * velocity - lr * g
+            expected += velocity
+            assert opt.velocities[0].tobytes() == velocity.tobytes()
+            assert theta.tobytes() == expected.tobytes()
+
+    def test_step_builds_no_parameter_sized_temporary(self):
+        theta = np.zeros((2048, 2048))  # 4M elements, 33.6 MB
+        g = np.ones_like(theta)
+        opt = SgdMomentum([theta], momentum=0.9)
+        tracemalloc.start()
+        try:
+            opt.step([g], lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * theta.nbytes
+        assert theta[0, 0] == -0.1
+
+    def test_non_contiguous_parameters_rejected(self):
+        # a step updates flat views, which a strided array cannot give
+        with pytest.raises(ShapeError):
+            SgdMomentum([np.zeros((3, 4)).T])
 
 
 class TestLinearSchedule:
