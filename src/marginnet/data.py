@@ -247,15 +247,18 @@ def minibatches(n, batch_size, rng):
     when batch_size does not divide n.  batch_size > n is rejected
     rather than silently shrunk.
     """
-    if batch_size < 1:
-        raise DomainError(f"batch_size must be positive, got {batch_size}")
-    if batch_size > n:
-        raise DomainError(
-            f"batch_size {batch_size} exceeds dataset size {n}"
-        )
+    check_batch_size(n, batch_size)
     permutation = rng.permutation(n)
     return [permutation[start : start + batch_size]
             for start in range(0, n, batch_size)]
+
+
+def check_batch_size(n, batch_size):
+    """Raise :class:`DomainError` unless 1 <= batch_size <= n."""
+    if batch_size < 1:
+        raise DomainError(f"batch_size must be positive, got {batch_size}")
+    if batch_size > n:
+        raise DomainError(f"batch_size {batch_size} exceeds dataset size {n}")
 
 
 def num_batches(n, batch_size):

@@ -19,27 +19,28 @@ config and seed reproduces the metrics CSV byte for byte.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .config import ConfigError, head_spec_from_config
-from .data import Dataset, load_cifar10, load_idx, make_blobs, minibatches, num_batches
+from .data import (Dataset, check_batch_size, load_cifar10, load_idx, make_blobs,
+                   minibatches, num_batches)
 from .heads import (
+    OWN_OBJECTIVE,
     HeadSpec,
-    cross_entropy,
     encode_targets,
     error_rate_pct,
-    head_penalty,
     head_scores,  # unused here; perfbench/spans.py wraps harness.head_scores
-    hinge_terms,
+    objective_values,
     predict,
     softmax_probs,
 )
 from .layers import gaussian_noise
 from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
-from .preprocess import PcaModel, PixelStandardizer, augment, pca_fit, pca_transform
+from .preprocess import (PcaModel, PixelStandardizer, augment, check_jitter, pca_fit,
+                         pca_transform)
 from .serialize import ManifestError, json_text, load_tensors, save_tensors, write_text
 from .tensor import DomainError, ShapeError
 
@@ -89,12 +90,10 @@ def seed_streams(seed):
 class ObjectiveReport:
     """All objective families evaluated on one split with one model.
 
-    Regardless of which head trained the model, every loss is computed
-    from the same scores: cross-entropy through softmax probabilities,
-    hinge losses through sign targets.  Each loss value includes the
-    head regularizer (weight decay for xent, 0.5*||W_nobias||^2 for the
-    margin losses); *_sum sums margin violations over examples, *_mean
-    divides that sum by N.
+    Regardless of which head trained the model, every value is
+    :func:`~marginnet.heads.objective_values` of the same scores, so each
+    includes its head regularizer; *_sum sums margin violations over
+    examples, *_mean divides that sum by N.
     """
 
     n: int
@@ -106,13 +105,8 @@ class ObjectiveReport:
     hinge_sq_mean: float
 
     def own_loss(self, kind):
-        if kind == "softmax":
-            return self.avg_xent
-        if kind == "l1svm":
-            return self.hinge_sum
-        if kind == "l2svm":
-            return self.hinge_sq_sum
-        raise DomainError(f"unknown head kind {kind!r}")
+        """The value a ``kind`` head trains on."""
+        return getattr(self, OWN_OBJECTIVE[kind])
 
 
 def evaluate_objectives(network, inputs, labels):
@@ -129,20 +123,9 @@ def evaluate_objectives(network, inputs, labels):
         raise DomainError("cannot evaluate on an empty split")
     scores = network.scores(inputs)
     one_hot = encode_targets(labels, spec.num_classes)
-    reg, _ = head_penalty(network.head_weights)
-    xent = cross_entropy(scores, one_hot)
-    hinge = hinge_terms(scores, 2.0 * one_hot - 1.0)
-    h1 = float(np.sum(hinge))
-    h2 = float(np.sum(hinge * hinge))
-
     return ObjectiveReport(
-        n=n,
-        error_pct=error_rate_pct(scores, labels),
-        avg_xent=xent + spec.weight_decay * reg,
-        hinge_sum=reg + spec.c * h1,
-        hinge_mean=reg + spec.c * h1 / n,
-        hinge_sq_sum=reg + spec.c * h2,
-        hinge_sq_mean=reg + spec.c * h2 / n,
+        n, error_rate_pct(scores, labels),
+        **objective_values(spec, network.head_weights, scores, one_hot),
     )
 
 
@@ -233,30 +216,28 @@ def prepare_data(cfg):
     """Load both splits (:func:`load_split`) and preprocess them.
 
     Standardization and PCA see flat rows of whatever was loaded, and
-    the MLP takes those rows.  Preprocessing order: optional per-pixel
-    standardization (fitted on the training split only), then optional
-    PCA (likewise), then, for a convnet, each row is reshaped to its
-    :func:`_conv_input_shape`.  Both fits see only training rows; the
-    test split is transformed from its raw rows with the fitted
-    parameters, as a saved model's :meth:`LoadedModel.transform` does.
+    the MLP takes those rows.  Both are fitted on training rows only:
+    optional per-pixel standardization, then optional PCA of the
+    standardized rows.  Both splits then go from raw rows through one
+    :func:`_preprocess` call, as in a saved model's
+    :meth:`LoadedModel.transform`; a convnet reshapes each row to its
+    :func:`_conv_input_shape`.  A ``batch_size`` or ``max_jitter`` too
+    large for the training split fails here, before any evaluation.
     """
     if cfg.augment and cfg.arch != "conv":
         raise ConfigError("augment requires arch = conv")
     train, test = load_split(cfg, "train"), load_split(cfg, "test")
     rows = _flat(train.inputs)
-    standardizer = None
-    pca = None
-    # The training split is standardized as soon as the standardizer is
-    # fitted: the PCA fit needs standardized rows.
-    if cfg.standardize:
-        standardizer = PixelStandardizer().fit(rows)
-        rows = standardizer.apply(rows)
-    if cfg.pca_dims:
-        pca = pca_fit(rows, cfg.pca_dims)
+    standardizer = PixelStandardizer().fit(rows) if cfg.standardize else None
+    pca = (pca_fit(_preprocess(rows, standardizer, None, None), cfg.pca_dims)
+           if cfg.pca_dims else None)
     shape = _conv_input_shape(train.inputs, pca) if cfg.arch == "conv" else None
-    train = replace(train, inputs=_preprocess(rows, None, pca, shape))
-    test = replace(test, inputs=_preprocess(test.inputs, standardizer, pca,
-                                            shape))
+    if cfg.epochs:
+        check_batch_size(train.n, cfg.batch_size)
+        if cfg.augment:
+            check_jitter(cfg.max_jitter, *shape[1:])
+    train, test = (replace(s, inputs=_preprocess(s.inputs, standardizer, pca, shape))
+                   for s in (train, test))
     return PreparedData(train, test, pca, standardizer)
 
 
@@ -408,7 +389,7 @@ def train(cfg):
     save_model(state.model_dir, net, prepared, config_echo=cfg.echo())
     runmeta = {
         "config": cfg.echo(),
-        "head": net.head_meta(),
+        "head": asdict(net.head_spec),
         "arch": net.arch,
         "warm_start": None if source is None else {
             "source": cfg.source_model,
@@ -474,7 +455,7 @@ def save_model(model_dir, net, prepared=None, config_echo=None):
         preprocess_meta["pca"] = True
     meta = {
         "arch": net.arch,
-        "head": net.head_meta(),
+        "head": asdict(net.head_spec),
         "preprocess": preprocess_meta,
     }
     if config_echo is not None:

@@ -1,7 +1,7 @@
 """Output objectives: softmax cross-entropy and linear-SVM margin heads.
 
 :func:`apply_head` is the one way to evaluate a head: a :class:`HeadSpec`
-names the objective and its constant, and the call takes integer labels.
+names the objective and its constants, and the call takes integer labels.
 All three heads score a batch of penultimate activations h [N, D] with a
 single weight matrix W [(D+1), K] whose last row is the bias (inputs are
 augmented with a constant 1), and they differ only in the loss applied
@@ -21,6 +21,10 @@ one-hot targets, T = 2Y - 1 the sign targets and margins M = s * T:
 
 The margin sums are summed over the minibatch (not averaged), matching
 the gradients below; the softmax data term is a per-example mean.
+:func:`objective_values` is the one place these conventions (each
+family's regularizer weight, sum or mean) are written: the loss SGD
+minimizes and every reported objective are read from it, and
+``OWN_OBJECTIVE`` names each head's own value.
 
 Gradients with respect to the scores, used for both d_W and the
 backpropagated d_h:
@@ -40,7 +44,9 @@ import numpy as np
 
 from .tensor import DTYPE, DomainError, ShapeError, argmax
 
-HEAD_KINDS = ("softmax", "l1svm", "l2svm")
+# Head kind -> the :func:`objective_values` entry that head trains on.
+OWN_OBJECTIVE = {"softmax": "avg_xent", "l1svm": "hinge_sum", "l2svm": "hinge_sq_sum"}
+HEAD_KINDS = tuple(OWN_OBJECTIVE)
 
 
 @dataclass
@@ -61,11 +67,11 @@ class HeadOutput:
 
 @dataclass
 class HeadSpec:
-    """Which objective sits on top of the network, plus its constant.
+    """Which objective sits on top of the network, plus its constants.
 
-    ``c`` is the margin-violation weight for l1svm/l2svm (must be > 0);
-    ``weight_decay`` is the softmax L2 weight cost (must be >= 0).  Each
-    is checked here, once, and consulted only by its own head kind.
+    ``c`` (the margin-violation weight) must be finite and > 0, and
+    ``weight_decay`` (the softmax L2 weight cost) finite and >= 0, under
+    every kind: :func:`objective_values` reports every family.
     """
 
     kind: str
@@ -82,11 +88,11 @@ class HeadSpec:
             raise DomainError(
                 f"need at least 2 classes, got {self.num_classes}"
             )
-        if self.kind != "softmax" and not self.c > 0:
-            raise DomainError(f"margin penalty C must be positive, got {self.c}")
-        if self.kind == "softmax" and self.weight_decay < 0:
+        if not 0 < self.c < np.inf:
+            raise DomainError(f"margin penalty C must be finite and > 0, got {self.c}")
+        if not 0 <= self.weight_decay < np.inf:
             raise DomainError(
-                f"weight decay must be non-negative, got {self.weight_decay}"
+                f"weight decay must be finite and >= 0, got {self.weight_decay}"
             )
 
 
@@ -165,9 +171,27 @@ def hinge_terms(scores, targets_sign):
     return np.maximum(1.0 - scores * targets_sign, 0.0)
 
 
+def objective_values(spec, w, scores, one_hot):
+    """Every objective family's value on ``scores`` [N, K] with one-hot
+    targets, under head weights ``w`` and ``spec``'s constants: the
+    losses of the module docstring, each with its regularizer, plus the
+    two ``*_mean`` values, whose violation sums are divided by N."""
+    n = scores.shape[0]
+    reg, _ = head_penalty(w)
+    hinge = hinge_terms(scores, 2.0 * one_hot - 1.0)
+    h1, h2 = float(np.sum(hinge)), float(np.sum(hinge * hinge))
+    return {
+        "avg_xent": cross_entropy(scores, one_hot) + spec.weight_decay * reg,
+        "hinge_sum": reg + spec.c * h1,
+        "hinge_mean": reg + spec.c * h1 / n,
+        "hinge_sq_sum": reg + spec.c * h2,
+        "hinge_sq_mean": reg + spec.c * h2 / n,
+    }
+
+
 def apply_head(spec, w, h, labels):
-    """Evaluate the head named by ``spec`` on integer labels [N]: the
-    loss, the scores and the exact gradients of the module docstring."""
+    """Evaluate ``spec``'s head on integer labels [N]: its own loss (see
+    ``OWN_OBJECTIVE``), the scores and the module docstring's gradients."""
     one_hot = encode_targets(labels, spec.num_classes)
     h = np.asarray(h, dtype=DTYPE)
     w = np.asarray(w, dtype=DTYPE)
@@ -178,22 +202,19 @@ def apply_head(spec, w, h, labels):
             f"{one_hot.shape[0]} labels over {spec.num_classes} classes do "
             f"not match scores {scores.shape}"
         )
-    reg, w_nb = head_penalty(w)
+    loss = objective_values(spec, w, scores, one_hot)[OWN_OBJECTIVE[spec.kind]]
+    _, w_nb = head_penalty(w)
     if spec.kind == "softmax":
         d_scores = (softmax_probs(scores) - one_hot) / n
-        loss = cross_entropy(scores, one_hot) + spec.weight_decay * reg
         d_w_penalty = spec.weight_decay * w_nb
     else:
         sign = 2.0 * one_hot - 1.0
         hinge = hinge_terms(scores, sign)
         if spec.kind == "l2svm":
-            data = float(np.sum(hinge * hinge))
             d_scores = -2.0 * spec.c * sign * hinge
         else:
-            data = float(np.sum(hinge))
             # Subgradient choice: exactly-at-margin examples (M == 1) get 0.
             d_scores = -spec.c * sign * (hinge > 0.0)
-        loss = reg + spec.c * data
         d_w_penalty = w_nb
     # Chain d_scores back through scores = augment(h) @ w.
     d_w = augment_ones(h).T @ d_scores + d_w_penalty

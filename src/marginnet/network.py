@@ -144,15 +144,6 @@ class Network:
                 raise ShapeError(f"missing tensor {name!r}")
             assign_tensor(target, tensors[name], name)
 
-    def head_meta(self):
-        s = self.head_spec
-        return {
-            "kind": s.kind,
-            "num_classes": s.num_classes,
-            "c": s.c,
-            "weight_decay": s.weight_decay,
-        }
-
 
 def build_mlp(input_dim, hidden_dims, head_spec, rng=None, init_std=0.01):
     """Dense-ReLU stack: input_dim -> hidden_dims... -> head."""

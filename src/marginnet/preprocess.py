@@ -227,6 +227,14 @@ class PixelStandardizer:
         return out
 
 
+def check_jitter(max_jitter, h, w):
+    """Raise :class:`DomainError` unless 0 <= max_jitter < min(h, w)."""
+    if max_jitter < 0:
+        raise DomainError(f"max_jitter must be non-negative, got {max_jitter}")
+    if max_jitter >= min(h, w):
+        raise DomainError(f"max_jitter {max_jitter} too large for {h}x{w} images")
+
+
 def augment(x, rng, max_jitter=2, mirror=True):
     """Random horizontal mirror plus integer translation, per image.
 
@@ -240,12 +248,7 @@ def augment(x, rng, max_jitter=2, mirror=True):
     if x.ndim != 4:
         raise ShapeError(f"augment expects NCHW input, got shape {x.shape}")
     n, _, h, w = x.shape
-    if max_jitter < 0:
-        raise DomainError(f"max_jitter must be non-negative, got {max_jitter}")
-    if max_jitter >= min(h, w):
-        raise DomainError(
-            f"max_jitter {max_jitter} too large for {h}x{w} images"
-        )
+    check_jitter(max_jitter, h, w)
     out = x.copy()
     if mirror:
         flips = rng.random(n) < 0.5

@@ -231,11 +231,16 @@ class TestEval:
         # an l2svm head's weight decay is unused in training but
         # evaluation reports cross-entropy with it
         (TINY_BLOBS, lambda m: m["meta"]["head"].update(weight_decay="x")),
+        # likewise a softmax head's C, and either constant must be finite
+        (TINY_BLOBS.replace("head = l2svm", "head = softmax"),
+         lambda m: m["meta"]["head"].update(c=-1.0)),
+        (TINY_BLOBS, lambda m: m["meta"]["head"].update(c=float("inf"))),
         (CONV_BLOBS, lambda m: m["meta"]["arch"].update(input_shape=[1, 8])),
     ], ids=["no-tensors", "no-arch", "no-head", "shape-x", "shape-negative",
             "float32", "pca-without-tensors", "standardize-without-tensors",
             "preprocess-null", "preprocess-list", "preprocess-string",
-            "arch-list", "weight-decay-string", "conv-input-shape-2d"])
+            "arch-list", "weight-decay-string", "softmax-c-negative",
+            "c-infinite", "conv-input-shape-2d"])
     def test_corrupt_manifest_exits_2(self, tmp_path, capsys, base, corrupt):
         model = train_model(tmp_path, base)
         path = f"{model}/{serialize.MANIFEST_NAME}"
@@ -513,6 +518,24 @@ def test_conv_on_a_non_square_width_exits_2(tmp_path, capsys):
         "blobs_dim = 64", "blobs_dim = 20") + f"out_dir = {tmp_path}/run\n")
     assert main(["train", "--config", cfg]) == 2
     assert "width 20 into square images" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (TINY_BLOBS.replace("blobs_train_n = 60", "blobs_train_n = 200")
+     .replace("batch_size = 20", "batch_size = 500"),
+     "batch_size 500 exceeds dataset size 200"),
+    (CONV_BLOBS.replace("blobs_dim = 64", "blobs_dim = 16")
+     + "augment = true\nmax_jitter = 4\n",
+     "max_jitter 4 too large for 4x4 images"),
+], ids=["batch-size", "max-jitter"])
+def test_too_large_for_the_training_split_exits_2_before_evaluation(
+        tmp_path, capsys, monkeypatch, text, message):
+    monkeypatch.setattr(harness, "evaluate_objectives", lambda *a: pytest.fail(
+        "evaluated before the check"))
+    cfg = write_cfg(tmp_path, "t.cfg", text + f"out_dir = {tmp_path}/run\n")
+    assert main(["train", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
 
 

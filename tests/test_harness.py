@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -28,8 +29,8 @@ from marginnet.harness import (
     train,
     write_metrics_csv,
 )
-from marginnet.heads import HeadSpec
-from marginnet.network import build_mlp
+from marginnet.heads import HEAD_KINDS, HeadSpec
+from marginnet.network import Network, build_mlp
 from marginnet.optim import SgdMomentum
 from marginnet.tensor import DomainError
 
@@ -114,15 +115,19 @@ class TestTrainLoop:
             assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
             npt.assert_array_equal(split.labels, prepared.labels)
 
-    def test_fused_transform_of_raw_rows_is_the_prepared_data(self, tmp_path):
-        # the saved model standardizes and projects raw rows in one pass;
-        # the prepared training split was standardized, then projected
-        cfg = blobs_config(tmp_path, "fused", blobs_dim=40, epochs=0, pca_dims=6)
+    @pytest.mark.parametrize("standardize, pca_dims",
+                             [(True, 0), (False, 6), (True, 6)])
+    def test_fused_transform_of_raw_rows_is_the_prepared_data(
+            self, tmp_path, standardize, pca_dims):
+        # training and the saved model take each split's raw rows through
+        # the same transform, standardize and project fused in one pass
+        cfg = blobs_config(tmp_path, "fused", blobs_dim=40, epochs=0,
+                           standardize=str(standardize).lower(), pca_dims=pca_dims)
         res = train(cfg)
         model = load_model(res.model_dir)
         raw = load_split(cfg, "train"), load_split(cfg, "test")
         for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
-            assert prepared.inputs.shape[1:] == (6,)
+            assert prepared.inputs.shape[1:] == (pca_dims or 40,)
             assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
 
     def test_random_init_cross_entropy_near_log_k(self, tmp_path):
@@ -359,6 +364,22 @@ class TestCrossObjectiveEval:
         net = l2svm_run.network
         with pytest.raises(DomainError):
             evaluate_objectives(net, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_reported_objectives_are_the_losses_each_head_trains_on(self, kind):
+        # one convention: each family's reported value is, bit for bit,
+        # the loss a head of that family takes its gradients from
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(50, 6)), rng.integers(0, 3, size=50)
+        spec = HeadSpec(kind, 3, c=0.1, weight_decay=0.01)
+        net = build_mlp(6, [8], spec, rng=rng, init_std=0.5)
+        rep = evaluate_objectives(net, x, y)
+        for other, value in (("softmax", rep.avg_xent), ("l1svm", rep.hinge_sum),
+                             ("l2svm", rep.hinge_sq_sum)):
+            as_other = Network(net.layers, replace(spec, kind=other),
+                               net.head_weights, net.arch)
+            assert value == as_other.head_output(x, y).loss
+        assert rep.own_loss(kind) == net.head_output(x, y).loss
 
 
 class TestWarmStart:

@@ -244,6 +244,14 @@ class TestHeadSpec:
             HeadSpec("l1svm", 3, c=0.0)
         with pytest.raises(DomainError):
             HeadSpec("softmax", 3, weight_decay=-0.1)
+        # every family is reported under both constants, whatever the kind
+        for kind, c, weight_decay in (("softmax", -1.0, 0.0),
+                                      ("l2svm", np.inf, 0.0),
+                                      ("l1svm", np.nan, 0.0),
+                                      ("l2svm", 0.1, -0.1),
+                                      ("softmax", 0.1, np.inf)):
+            with pytest.raises(DomainError):
+                HeadSpec(kind, 3, c=c, weight_decay=weight_decay)
 
     def test_augment_ones_appends_bias_column(self):
         h = np.array([[1.0, 2.0]])
