@@ -334,6 +334,7 @@ def run_epochs(cfg, state):
                     f"(update {state.updates + 1})"
                 )
             state.optimizer.step(net.grads(), lr_sched.value(state.updates))
+            net.release_grads()
             state.updates += 1
         state.epoch = epoch
         yield metrics_row()

@@ -202,6 +202,8 @@ def apply_head(spec, w, h, labels):
             f"{one_hot.shape[0]} labels over {spec.num_classes} classes do "
             f"not match scores {scores.shape}"
         )
+    if n == 0:
+        raise DomainError("a head over an empty batch is undefined")
     loss = objective_values(spec, w, scores, one_hot)[OWN_OBJECTIVE[spec.kind]]
     _, w_nb = head_penalty(w)
     if spec.kind == "softmax":

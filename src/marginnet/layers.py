@@ -34,12 +34,18 @@ Convolution is im2col plus GEMM (Chellapilla et al. 2006) at one
 geometry, stride 1 with "same" padding for an odd kernel k, so a conv
 layer keeps the spatial size and the 2x2 max-pool halves it.  The
 receptive fields of a few images at a time are laid out as a block of
-the patch matrix [C*k*k, N*H*W] in one reused buffer.  The forward pass
-multiplies each block straight into the output; backward refills the
-blocks to sum the filter gradient block by block, and scatters the
-input gradient back (col2im) with one small matmul per kernel offset.
-The training forward keeps only the padded input, so no patch matrix
-outlives a call in either mode.
+the patch matrix [C*k*k, N*H*W] in one reused buffer, and every pass of
+a conv layer runs one loop over those image blocks.  Forward multiplies
+each block into a reused product buffer and adds the bias there;
+backward sums the filter gradient block by block and scatters each
+block's input gradient back (col2im) with one small matmul per kernel
+offset.  A network runs each conv -> pool -> ReLU block of its stack as
+one such pass (``pool_relu=True``): the block's product is pooled and
+rectified while it is in cache, and backward unpools one block of the
+gradient at a time, so neither the full-resolution conv output nor its
+gradient is ever allocated.  The pool and ReLU are the same functions
+the standalone :class:`MaxPool2x2Layer` and :class:`ReluLayer` apply.
+No patch matrix outlives a call in either mode.
 """
 
 import numpy as np
@@ -139,7 +145,8 @@ class ReluLayer(Layer):
 # column block whose width is a multiple of 8 reproduces the matching
 # columns of the one-GEMM product bit for bit; blocks of 1 or 25 images
 # at 14x14 output (196 and 4,900 columns) differ in the last bit.  8
-# images give 8*H*W columns.  The filter gradient sums one product per
+# images give 8*H*W columns.  The same holds for the col2im products,
+# short last block included.  The filter gradient sums one product per
 # block, which can differ from a one-GEMM d2 @ cols.T in the last bits.
 IMAGE_BLOCK = 8
 
@@ -164,21 +171,31 @@ class Conv2dLayer(Layer):
                     is added into the (a, b) slice of the padded input
                     gradient
 
-    ``cols`` is never built whole.  Both forwards run one loop over
-    ``IMAGE_BLOCK`` images: each block's patches are refilled into one
-    reused buffer, multiplied by ``K`` into one reused product buffer
-    and written (plus the bias) straight into the NCHW output, so no
-    [F, N*H*W] product exists.  The training forward keeps only the
-    channel-major padded input [C, N, H+k-1, W+k-1], and the inference
-    forward (``train=False``) keeps nothing.  Backward runs the same
-    block loop and adds each block's ``d2`` columns times its patches
-    into ``d_filters``, in ascending block order, then frees the padded
-    input before col2im allocates its gradient.  The contiguous ``d2``
-    is built only for col2im: with ``input_grad=False`` each block's
-    columns are copied out of the transposed ``d_out``.  No patch-sized
-    array, and no patch-sized d_cols, exists at any point.  Results are
-    bit-identical from run to run at a fixed BLAS thread count; a
-    different thread count can change their last bits.
+    ``cols`` is never built whole.  Both passes run one loop over
+    ``IMAGE_BLOCK`` images, in ascending order: each block's patches are
+    refilled into one reused buffer.  Forward multiplies them by ``K``
+    into one reused product buffer, adds the bias there and writes the
+    block's output.  The training forward keeps only the channel-major
+    padded input [C, N, H+k-1, W+k-1]; the inference forward
+    (``train=False``) keeps nothing.  Backward copies each block's
+    ``d2`` columns into one reused buffer, adds their product with the
+    patches into ``d_filters``, and, unless ``input_grad=False``, adds
+    the block's col2im into the block's own slice of the padded input,
+    whose patches it no longer needs; the input gradient is a view of
+    that array.  ``d_bias`` sums each image's H*W plane, then the planes
+    over images, the order of ``d_out.sum(axis=(0, 2, 3))``.
+
+    ``forward(x, train, rng, pool_relu=True)`` runs the network's conv
+    block, conv -> bias -> 2x2 max-pool -> ReLU, in the same loop: each
+    block's product is pooled by :func:`max_pool2x2` and rectified into
+    the [N, F, H/2, W/2] output, and the training forward also keeps
+    the pool switches and the ReLU mask (one byte per output unit
+    each).  Backward then takes the pooled gradient, masks it as
+    :class:`ReluLayer` does and unpools it one block at a time with
+    :func:`unpool2x2`.  The bytes equal those of the conv, pool and ReLU
+    layers run one after another.  Results are bit-identical from run to
+    run at a fixed BLAS thread count; a different thread count can
+    change their last bits.
     """
 
     param_names = ("filters", "bias")
@@ -205,13 +222,17 @@ class Conv2dLayer(Layer):
         """Output spatial size of an h x w input: the same, h x w."""
         return h, w
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, pool_relu=False):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv expects [N, {self.in_channels}, H, W] input, got {x.shape}"
             )
         n, _, h, w = x.shape
+        if pool_relu and (h % 2 or w % 2):
+            raise ShapeError(
+                f"a pooled conv block needs even spatial dims, got {h}x{w}"
+            )
         c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
         weights = self.filters.reshape(f, c * k * k)
         self._cache = None  # free the last padded input before padding this one
@@ -219,13 +240,29 @@ class Conv2dLayer(Layer):
         # [C, B, H, W] block of the patch tensor [C, k, k, B, H, W].
         xp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=DTYPE)
         xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
-        out = np.empty((n, f, h, w), dtype=DTYPE)
+        out_hw = (h // 2, w // 2) if pool_relu else (h, w)
+        out = np.empty((n, f, *out_hw), dtype=DTYPE)
+        pool_state = None
+        if pool_relu and train:  # switches and ReLU mask, channel-major
+            pool_state = (np.empty((f, n, *out_hw), dtype=np.uint8),
+                          np.empty((f, n, *out_hw), dtype=bool))
         product = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
         for images, cols in self._patch_blocks(xp):
-            gemm = product[: f * cols.shape[1]].reshape(f, -1)
-            self._write_output(np.matmul(weights, cols, out=gemm), out[images])
+            conv = product[: f * cols.shape[1]].reshape(f, -1)
+            np.matmul(weights, cols, out=conv)
+            conv += self.bias[:, None]
+            conv = conv.reshape(f, -1, h, w)
+            block_out = out[images].transpose(1, 0, 2, 3)
+            if not pool_relu:
+                block_out[...] = conv
+                continue
+            pooled, switches = max_pool2x2(conv, train)
+            np.maximum(pooled, 0.0, out=block_out)
+            if train:
+                pool_state[0][:, images] = switches
+                np.greater(pooled, 0.0, out=pool_state[1][:, images])
         if train:
-            self._cache = (xp, x.shape)
+            self._cache = (xp, x.shape, pool_state)
         return out
 
     def _patch_blocks(self, xp):
@@ -248,57 +285,101 @@ class Conv2dLayer(Layer):
                     patches[:, a, j] = xp[:, images, a : a + h, j : j + w]
             yield images, patches.reshape(c * k * k, b * h * w)
 
-    def _filter_grad(self, xp, d_cm):
-        """``d2 @ cols.T`` as a filter-shaped array, for the channel-major
-        output gradient ``d_cm`` [F, N, H, W] (a view or a copy): one
-        product per block of ``_patch_blocks``, summed in ascending block
-        order.  The block buffer is freed on return."""
-        grad = np.zeros((self.out_channels, self.filters[0].size), dtype=DTYPE)
-        for images, cols in self._patch_blocks(xp):
-            grad += d_cm[:, images].reshape(self.out_channels, -1) @ cols.T
-        return grad.reshape(self.filters.shape)
-
-    def _write_output(self, gemm, out):
-        """Add the bias to ``gemm`` [F, B*H*W] into ``out`` [B, F, H, W]."""
-        b, f, h, w = out.shape
-        np.add(gemm.reshape(f, b, h, w).transpose(1, 0, 2, 3),
-               self.bias[:, None, None], out=out)
-
     def backward(self, d_out, input_grad=True):
         if self._cache is None:
             raise LayerStateError("conv backward called before forward")
-        xp, x_shape = self._cache
+        xp, x_shape, pool_state = self._cache
         n, _, h, w = x_shape
+        c, f, k, p = self.in_channels, self.out_channels, self.kernel_size, self.padding
+        out_hw = (h, w) if pool_state is None else (h // 2, w // 2)
         d_out = np.asarray(d_out, dtype=DTYPE)
-        if d_out.shape != (n, self.out_channels, h, w):
+        if d_out.shape != (n, f, *out_hw):
             raise ShapeError(
-                f"conv backward expects {(n, self.out_channels, h, w)}, "
-                f"got {d_out.shape}"
+                f"conv backward expects {(n, f, *out_hw)}, got {d_out.shape}"
             )
-        k, p = self.kernel_size, self.padding
-        c, f = self.in_channels, self.out_channels
-        d_cm = d_out.transpose(1, 0, 2, 3)  # made contiguous only for col2im
-        if input_grad:
-            d_cm = np.ascontiguousarray(d_cm)
-        self.d_filters = self._filter_grad(xp, d_cm)
-        self.d_bias = d_out.sum(axis=(0, 2, 3))
         self._cache = None
+        taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
+        d_filters = np.zeros((f, c * k * k), dtype=DTYPE)
+        plane_sums = np.empty((n, f), dtype=DTYPE)
+        buffer = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
+        for images, cols in self._patch_blocks(xp):
+            b = images.stop - images.start
+            d_conv = buffer[: f * b * h * w].reshape(f, b, h, w)
+            d_block = d_out[images].transpose(1, 0, 2, 3)
+            if pool_state is None:
+                d_conv[...] = d_block
+            else:
+                switches, positive = pool_state
+                unpool2x2(d_block * positive[:, images], switches[:, images], d_conv)
+            plane_sums[images] = d_conv.sum(axis=(2, 3)).T
+            d2 = d_conv.reshape(f, b * h * w)
+            d_filters += d2 @ cols.T
+            if input_grad:
+                # col2im one kernel offset at a time: [C, F] @ [F, B*H*W]
+                # lands in the offset's slice of this block's padded input,
+                # which becomes its gradient.
+                d_xp = xp[:, images]
+                d_xp[...] = 0.0
+                for a in range(k):
+                    for j in range(k):
+                        d_xp[:, :, a : a + h, j : j + w] += (
+                            taps[a, j] @ d2
+                        ).reshape(c, b, h, w)
+        self.d_filters = d_filters.reshape(self.filters.shape)
+        self.d_bias = plane_sums.sum(axis=0)
         if not input_grad:
             return None
-        d2 = d_cm.reshape(f, n * h * w)
-        # col2im needs only the padded shape: free the padded input first.
-        xp_shape = xp.shape
-        del xp
-        # col2im one kernel offset at a time: [C, F] @ [F, N*H*W] lands
-        # in the offset's slice, so no patch-sized d_cols exists.
-        taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
-        d_xp = np.zeros(xp_shape, dtype=DTYPE)
-        for a in range(k):
-            for b in range(k):
-                d_xp[:, :, a : a + h, b : b + w] += (
-                    taps[a, b] @ d2
-                ).reshape(c, n, h, w)
-        return d_xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+        return xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+
+
+def max_pool2x2(x, train=False):
+    """Max over the non-overlapping 2x2 windows of the last two axes of
+    ``x`` [..., H, W] (H and W even): ``(pooled, switches)``, with
+    ``switches`` None unless ``train``; see :class:`MaxPool2x2Layer`."""
+    # The max of the four strided window views.  np.maximum does not say
+    # which operand a tie returns, so a window whose max is 0 takes the
+    # sign of its first zero, the one argmax picks.
+    views = [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(views[0], views[1])
+    bottom = np.maximum(views[2], views[3])
+    pooled = np.maximum(top, bottom)
+    zero = pooled == 0
+    if zero.any():
+        for view in reversed(views):
+            np.copyto(pooled, view, where=zero & (view == 0))
+    switches = None
+    if train:
+        # A knockout: left against right in each row, then bottom row
+        # against top.  Strict ``>`` keeps the lower index on ties.
+        down = bottom > top
+        switches = np.where(down, views[3] > views[2],
+                            views[1] > views[0]).view(np.uint8)
+        switches += down  # twice: the bottom row is indices 2 and 3
+        switches += down
+    # np.maximum propagates a NaN but not necessarily the first one, and
+    # ``>`` never selects one; argmax pools a window holding a NaN to its
+    # first NaN.  So the pooled max is NaN iff x holds one.
+    if np.isnan(np.max(pooled, initial=-np.inf)):
+        for i in (3, 2, 1, 0):
+            nans = np.isnan(views[i])
+            np.copyto(pooled, views[i], where=nans)
+            if switches is not None:
+                np.copyto(switches, i, where=nans)
+    return pooled, switches
+
+
+def unpool2x2(d_out, switches, out):
+    """Write into ``out`` [..., 2h, 2w] the gradient of :func:`max_pool2x2`:
+    each value of ``d_out`` [..., h, w] at its window's switch position,
+    +0.0 everywhere else.  Returns ``out``."""
+    # Each switch position is one strided view of ``out``.  copyto writes
+    # d_out's own bytes there, and +0.0 stays everywhere else (a product
+    # with a 0/1 mask would write -0.0 under negative gradients).
+    out[...] = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            np.copyto(out[..., i::2, j::2], d_out, where=switches == 2 * i + j)
+    return out
 
 
 class MaxPool2x2Layer(Layer):
@@ -324,36 +405,7 @@ class MaxPool2x2Layer(Layer):
         h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-        # The max of the four strided window views.  np.maximum does not
-        # say which operand a tie returns, so a window whose max is 0 takes
-        # the sign of its first zero, the one argmax picks.
-        views = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-        top = np.maximum(views[0], views[1])
-        bottom = np.maximum(views[2], views[3])
-        pooled = np.maximum(top, bottom)
-        zero = pooled == 0
-        if zero.any():
-            for view in reversed(views):
-                np.copyto(pooled, view, where=zero & (view == 0))
-        switches = None
-        if train:
-            # A knockout: left against right in each row, then bottom row
-            # against top.  Strict ``>`` keeps the lower index on ties.
-            down = bottom > top
-            switches = np.where(down, views[3] > views[2],
-                                views[1] > views[0]).view(np.uint8)
-            switches += down  # twice: the bottom row is indices 2 and 3
-            switches += down
-        # np.maximum propagates a NaN but not necessarily the first one,
-        # and ``>`` never selects one; argmax pools a window holding a NaN
-        # to its first NaN.  So the pooled max is NaN iff x holds one.
-        if np.isnan(np.max(pooled, initial=-np.inf)):
-            for i in (3, 2, 1, 0):
-                nans = np.isnan(views[i])
-                np.copyto(pooled, views[i], where=nans)
-                if switches is not None:
-                    np.copyto(switches, i, where=nans)
-        self._switches = switches
+        pooled, self._switches = max_pool2x2(x, train)
         return pooled
 
     def backward(self, d_out):
@@ -366,17 +418,9 @@ class MaxPool2x2Layer(Layer):
                 f"maxpool backward shapes disagree: {d_out.shape} vs {switches.shape}"
             )
         self._switches = None
-        # Each switch position is one strided view of the input gradient.
-        # copyto writes d_out's own bytes there, and +0.0 stays everywhere
-        # else (a product with a 0/1 mask would write -0.0 under negative
-        # gradients).
         n, c, ho, wo = d_out.shape
-        d_input = np.zeros((n, c, 2 * ho, 2 * wo), dtype=DTYPE)
-        for i in (0, 1):
-            for j in (0, 1):
-                np.copyto(d_input[:, :, i::2, j::2], d_out,
-                          where=switches == 2 * i + j)
-        return d_input
+        return unpool2x2(d_out, switches,
+                         np.empty((n, c, 2 * ho, 2 * wo), dtype=DTYPE))
 
 
 class FlattenLayer(Layer):

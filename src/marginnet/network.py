@@ -40,9 +40,27 @@ class Network:
         The default is the inference forward: dropout is the identity
         and no layer keeps anything (see :mod:`marginnet.layers`).
         """
-        for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng)
+        for layer, pool_relu in self._stages():
+            if pool_relu:
+                x = layer.forward(x, train=train, rng=rng, pool_relu=True)
+            else:
+                x = layer.forward(x, train=train, rng=rng)
         return x
+
+    def _stages(self):
+        """``(layer, pool_relu)`` for each pass of the stack, in order: a
+        conv layer followed by a max-pool and a ReLU runs the whole
+        block in one pass (``pool_relu=True``, see
+        :class:`marginnet.layers.Conv2dLayer`), and the pool and ReLU
+        layer objects are skipped; every other layer is its own pass."""
+        layers, stages, i = self.layers, [], 0
+        while i < len(layers):
+            pool_relu = (isinstance(layers[i], Conv2dLayer)
+                         and [type(layer) for layer in layers[i + 1 : i + 3]]
+                         == [MaxPool2x2Layer, ReluLayer])
+            stages.append((layers[i], pool_relu))
+            i += 3 if pool_relu else 1
+        return stages
 
     def scores(self, x):
         """Head scores [N, K] of ``x``: the inference forward
@@ -87,11 +105,12 @@ class Network:
         out = heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
         self.d_head_weights = out.d_w
         d = out.d_h
-        for layer in reversed(self.layers[1:]):
+        stages = [layer for layer, _ in self._stages()]
+        for layer in reversed(stages[1:]):
             d = layer.backward(d)
-        if self.layers:
+        if stages:
             # Nothing sits below the first layer: skip its input gradient.
-            self.layers[0].backward(d, input_grad=False)
+            stages[0].backward(d, input_grad=False)
         if lower_weight_decay > 0.0:
             for layer in self.layers:
                 if layer.param_names:
@@ -99,6 +118,14 @@ class Network:
                     d_weight += lower_weight_decay * layer.params()[0]
             out.loss += self.stack_penalty(lower_weight_decay)
         return out
+
+    def release_grads(self):
+        """Drop every parameter gradient, once an optimizer step has used
+        them, so none lives on through evaluation or the next forward."""
+        for layer in self.layers:
+            for name in layer.param_names:
+                setattr(layer, "d_" + name, None)
+        self.d_head_weights = None
 
     def stack_penalty(self, lower_weight_decay):
         """0.5 * wd * the summed squares of every stack weight tensor (the
@@ -184,8 +211,11 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
     gradient reaches the same conv output (the window's first maximum)
     with the same value; where the window's max is not positive both
     orders send it a zero.  ReLU then runs on a quarter of the conv
-    outputs.  The parameter layers keep their indices (0, 3, ... and
-    the dense layer), so tensor names and saved models do not change.
+    outputs.  The network runs each block as one pass of its conv layer
+    (see :meth:`Network._stages`), so no full-resolution conv output or
+    gradient exists.  The parameter layers keep their indices (0, 3,
+    ... and the dense layer), so tensor names and saved models do not
+    change.
     """
     if not conv_channels:
         raise DomainError("a convnet needs at least one conv block")

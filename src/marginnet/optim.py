@@ -12,7 +12,10 @@ updates the bound arrays in place.
 A step runs over each array in flat blocks of ``STEP_BLOCK`` elements,
 with ``lr * grad`` written into one reused scratch buffer, so no
 parameter-sized temporary is built.  Every operation is elementwise, so
-the bytes equal those of the whole-array update.
+the bytes equal those of the whole-array update.  The first step writes
+each velocity as ``0.0 - lr * grad`` without reading it, the same bytes
+as ``momentum * 0.0 - lr * grad``: its zero pages are then touched once,
+by the write.
 """
 
 import numpy as np
@@ -59,6 +62,7 @@ class SgdMomentum:
         # np.zeros leaves the pages unwritten until the first step: unlike
         # zeros_like, it adds nothing to a one-update run's backprop peak.
         self.velocities = [np.zeros(p.shape, dtype=DTYPE) for p in self.params]
+        self._stepped = False  # every velocity still holds its zeros
 
     def step(self, grads, lr):
         """One in-place update of every bound parameter array.
@@ -71,17 +75,22 @@ class SgdMomentum:
             raise ShapeError(
                 f"optimizer tracks {len(self.params)} params, got {len(grads)} grads"
             )
+        grads = [np.asarray(g, dtype=DTYPE) for g in grads]
+        for p, g in zip(self.params, grads):
+            if p.shape != g.shape:
+                raise ShapeError(f"param {p.shape} and grad {g.shape} disagree")
         largest = max((p.size for p in self.params), default=0)
         scratch = np.empty(min(largest, STEP_BLOCK), dtype=DTYPE)
         for p, g, v in zip(self.params, grads, self.velocities):
-            g = np.asarray(g, dtype=DTYPE)
-            if p.shape != g.shape:
-                raise ShapeError(f"param {p.shape} and grad {g.shape} disagree")
             p, g, v = p.reshape(-1), g.reshape(-1), v.reshape(-1)
             for start in range(0, p.size, STEP_BLOCK):
                 block = slice(start, start + STEP_BLOCK)
                 vb = v[block]
                 lr_g = np.multiply(g[block], lr, out=scratch[: vb.size])
-                vb *= self.momentum
-                vb -= lr_g
+                if self._stepped:
+                    vb *= self.momentum
+                    vb -= lr_g
+                else:
+                    np.subtract(0.0, lr_g, out=vb)
                 p[block] += vb
+        self._stepped = True

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from marginnet import harness as harness_mod
 from marginnet.config import ConfigError, head_spec_from_config, parse_config_text
 from marginnet.data import make_blobs, num_batches, write_idx
 from marginnet.harness import (
@@ -347,6 +349,41 @@ class TestRunEpochs:
         assert [row["epoch"] for row in run_epochs(cfg, state)] == list(
             range(k + 1, 4))
         assert state.metrics == train(cfg).metrics
+
+
+def test_no_gradient_outlives_its_step(tmp_path, monkeypatch):
+    # Every parameter gradient a step consumed is gone by the epoch's
+    # evaluation: dense, conv and head alike.
+    text = """
+blobs_classes = 3
+blobs_dim = 64
+blobs_train_n = 30
+blobs_test_n = 10
+arch = conv
+conv_channels = 2
+conv_kernel = 3
+conv_dense = 8
+epochs = 2
+batch_size = 10
+"""
+    cfg = parse_config_text(text + f"out_dir = {tmp_path}/run\n")
+    consumed, checked = [], []
+    step, evaluate = SgdMomentum.step, harness_mod.evaluate_objectives
+
+    def recording_step(self, grads, lr):
+        step(self, grads, lr)
+        consumed.extend(weakref.ref(g) for g in grads)
+
+    def checking_evaluate(network, *args):
+        checked.append(len(consumed))
+        assert all(ref() is None for ref in consumed)
+        return evaluate(network, *args)
+
+    monkeypatch.setattr(SgdMomentum, "step", recording_step)
+    monkeypatch.setattr(harness_mod, "evaluate_objectives", checking_evaluate)
+    state = train(cfg)
+    assert checked[-1] == len(consumed) == 6 * len(state.network.params())
+    assert all(g is None for g in state.network.grads())
 
 
 class TestCrossObjectiveEval:

@@ -234,6 +234,13 @@ class TestPredictionRule:
             error_rate_pct(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
+@pytest.mark.parametrize("kind", ["softmax", "l1svm", "l2svm"])
+def test_empty_batch_is_a_domain_error(kind):
+    with pytest.raises(DomainError, match="empty batch"):
+        apply_head(_spec(kind), np.zeros((3, 2)), np.zeros((0, 2)),
+                   np.zeros(0, dtype=int))
+
+
 class TestHeadSpec:
     def test_validation(self):
         with pytest.raises(DomainError):

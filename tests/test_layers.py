@@ -394,6 +394,90 @@ def test_training_step_builds_no_patch_matrix():
     assert peak < out.nbytes + padded + d_out.nbytes + block_patches + slack
 
 
+def _block_both_ways(n, nan):
+    """One seeded conv -> pool -> ReLU block on ``n`` images, run as one
+    pooled conv pass and as the three standalone layers.  Returns the
+    pairs (fused, standalone) of the inference output, the training
+    output, d_input, d_filters and d_bias, plus the standalone conv
+    output gradient."""
+    rng = np.random.default_rng(40 + n)
+    fused = Conv2dLayer(3, 4, 3, rng=rng, init_std=0.5)
+    fused.bias[...] = [0.3, -0.2, 0.0, -0.0]
+    plain = Conv2dLayer(3, 4, 3)
+    plain.filters[...] = fused.filters
+    plain.bias[...] = fused.bias
+    pool, relu = MaxPool2x2Layer(), ReluLayer()
+    x = rng.normal(size=(n, 3, 10, 12))
+    # Only zeros reach the conv outputs at the top-left 4x4, so their
+    # windows tie at the bias; the zero-bias channels pool signed zeros.
+    x[:, :, :5, :5] = 0.0
+    x[1::3, :, :5, :5] = -0.0
+    if nan:  # a 3x3 patch of NaN outputs: whole and partial NaN windows
+        x[n - 1, 1, 6, 8] = np.nan
+    d_out = rng.normal(size=(n, 4, 5, 6))
+    d_out[rng.random(d_out.shape) < 0.1] = -0.0
+
+    pairs = [(fused.forward(x, pool_relu=True),
+              relu.forward(pool.forward(plain.forward(x))))]
+    pairs.append((fused.forward(x, train=True, pool_relu=True),
+                  relu.forward(pool.forward(plain.forward(x, train=True),
+                                            train=True), train=True)))
+    d_conv = pool.backward(relu.backward(d_out))
+    pairs.append((fused.backward(d_out), plain.backward(d_conv)))
+    pairs += list(zip(fused.param_grads(), plain.param_grads()))
+    return pairs, d_conv
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+@pytest.mark.parametrize("n", [8, 37])
+def test_pooled_block_matches_standalone_layers_bytewise(n, nan):
+    # 8 images are one full block; 37 are four and a partial one of 5.
+    pairs, d_conv = _block_both_ways(n, nan)
+    names = ["inference", "training", "d_input", "d_filters", "d_bias"]
+    for name, (got, want) in zip(names, pairs):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert pairs[0][0].shape == (n, 4, 5, 6)
+    assert np.isnan(pairs[0][0]).any() == nan
+    # numpy's own summation order for the bias gradient
+    assert pairs[4][0].tobytes() == d_conv.sum(axis=(0, 2, 3)).tobytes()
+
+
+def test_pooled_block_rejects_odd_spatial_dims():
+    with pytest.raises(ShapeError):
+        Conv2dLayer(1, 2, 3).forward(np.zeros((2, 1, 6, 5)), pool_relu=True)
+
+
+def test_pooled_block_allocates_no_full_resolution_array():
+    # conv-mnist's conv1 block (1 -> 32, k5, 28x28) at batch 200, training
+    # forward then backward.  Its full-resolution conv output, or the
+    # gradient of it, would be [200, 32, 28, 28]: 40 MB.  Allowed: the
+    # pooled output, the kept padded input (which col2im then reuses),
+    # one byte of pool switch and one of ReLU mask per output unit, one
+    # image block of patches plus one of product or gradient, and four
+    # pooled-block temporaries of the pool and ReLU.
+    rng = np.random.default_rng(27)
+    layer = Conv2dLayer(1, 32, 5, rng=rng)
+    x = rng.normal(size=(200, 1, 28, 28))
+    d_out = rng.normal(size=(200, 32, 14, 14))
+    full_resolution = 200 * 32 * 28 * 28 * 8
+    tracemalloc.start()
+    try:
+        out = layer.forward(x, train=True, pool_relu=True)
+        d_x = layer.backward(d_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == d_out.shape and d_x.shape == x.shape
+    padded = 200 * 32 * 32 * 8
+    block = (25 + 32) * IMAGE_BLOCK * 28 * 28 * 8
+    pooled_block = out.nbytes * IMAGE_BLOCK // 200
+    slack = 1_000_000
+    allowed = out.nbytes + padded + 2 * out.size + block + 4 * pooled_block + slack
+    assert allowed < full_resolution  # so one such array breaks the bound
+    assert peak < allowed
+
+
 def _col2im(filters, d2, xp_shape, padding):
     """The input gradient as one [C, F] @ d2 product per kernel offset,
     for ``d2`` as [F, N*H*W] and the channel-major padded shape."""
@@ -435,6 +519,7 @@ def test_backward_is_deterministic_and_accurate_at_conv2_shape():
     want = _col2im(layer.filters, d2, channel_major, 2)
     assert d_x.shape == want.shape
     assert d_x.tobytes() == want.tobytes()
+    assert layer.d_bias.tobytes() == d_out.sum(axis=(0, 2, 3)).tobytes()
 
 
 # One constructor per layer type, with the input shape it takes.

@@ -125,6 +125,38 @@ class TestSgdMomentum:
             assert opt.velocities[0].tobytes() == velocity.tobytes()
             assert theta.tobytes() == expected.tobytes()
 
+    def test_first_step_writes_the_two_pass_bytes(self):
+        # The first step writes 0.0 - lr * g into each velocity without
+        # reading it; the two-pass update of a zero velocity must give the
+        # same bytes, -0.0 gradients and lr = 0 included.
+        rng = np.random.default_rng(5)
+        shapes = [(3, 7), (2 * STEP_BLOCK + 5,)]
+        for lrs in ((0.0, 0.1, 0.0), (0.05, 0.0, 0.3)):
+            thetas = [rng.normal(size=shape) for shape in shapes]
+            expected = [t.copy() for t in thetas]
+            velocities = [np.zeros(shape) for shape in shapes]
+            opt = SgdMomentum(thetas, momentum=0.9)
+            for lr in lrs:
+                grads = [rng.normal(size=shape) for shape in shapes]
+                for g in grads:
+                    g[rng.random(g.shape) < 0.2] = -0.0
+                opt.step(grads, lr=lr)
+                for v, e, g in zip(velocities, expected, grads):
+                    v *= 0.9
+                    v -= lr * g
+                    e += v
+                for got, want in zip(opt.velocities + thetas, velocities + expected):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_a_rejected_step_updates_nothing(self):
+        theta = np.zeros(2)
+        opt = SgdMomentum([theta, np.zeros(3)], 0.9)
+        with pytest.raises(ShapeError):
+            opt.step([np.ones(2), np.ones(4)], lr=0.1)
+        assert theta.tobytes() == np.zeros(2).tobytes()
+        opt.step([np.ones(2), np.ones(3)], lr=0.1)
+        npt.assert_array_equal(opt.velocities[0], [-0.1, -0.1])
+
     def test_step_builds_no_parameter_sized_temporary(self):
         theta = np.zeros((2048, 2048))  # 4M elements, 33.6 MB
         g = np.ones_like(theta)

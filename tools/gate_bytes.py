@@ -8,8 +8,10 @@ writes a byte-identical ``metrics.csv`` and ``model/params.bin``.  Each
 config trains in its own temporary directory with the library from the
 ``src/`` beside this directory; one line per config gives the first 16
 hex digits of the SHA-256 of ``metrics.csv`` and of ``params.bin``.
-Gates 1-4 train from scratch; gate 5 warm-starts a 2-epoch softmax run
-from gate 1's model through ``source_model``.  A last line gives the
+Gates 1-4 and 6 train from scratch; gate 5 warm-starts a 2-epoch
+softmax run from gate 1's model through ``source_model``.  Gate 6 is a
+convnet at MNIST's geometry (1x28x28 inputs, k = 5, pooled to 14x14
+and 7x7) whose 37-row batches end in a partial block of images.  A last line gives the
 same digits of ``marginnet gradcheck``'s stdout for each of the configs
 ``seed = 0``, ``42`` and ``123``.
 
@@ -73,6 +75,27 @@ batch_size = 50
 lr_start = 0.01
 """
 
+# Blobs as 1x28x28 images: MNIST's conv geometry at a few channels.
+CONV_MNIST = """
+blobs_classes = 4
+blobs_dim = 784
+blobs_train_n = 300
+blobs_test_n = 100
+arch = conv
+conv_channels = 4, 8
+conv_kernel = 5
+conv_dense = 32
+conv_dropout = 0.2
+augment = true
+max_jitter = 2
+head = l2svm
+svm_c = 0.01
+init_std = 0.1
+epochs = 2
+batch_size = 37
+lr_start = 0.01
+"""
+
 GATES = (
     MLP + "head = l2svm\n",
     MLP + "head = softmax\nlower_weight_decay = 0.01\n",
@@ -81,6 +104,7 @@ GATES = (
     # {tmp} is the directory the gates train under: gate 1 wrote {tmp}/1.
     MLP.replace("epochs = 3", "epochs = 2")
     + "head = softmax\nsource_model = {tmp}/1/model\n",
+    CONV_MNIST,
 )
 
 GRADCHECK_SEEDS = (0, 42, 123)
