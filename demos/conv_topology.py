@@ -39,7 +39,7 @@ for layer in net.layers:
 scores = net.scores(rng.uniform(size=(8, 3, 32, 32)))
 print(f"{'head':>14}: {scores.shape}  (one score per class)")
 
-n_params = sum(p.size for p in net.params())
+n_params = net.param.size
 print(f"\n{n_params:,} parameters; loss under the margin head:",
       round(net.head_output(rng.uniform(size=(8, 3, 32, 32)),
                             rng.integers(0, 10, size=8)).loss, 4))

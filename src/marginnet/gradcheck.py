@@ -200,11 +200,11 @@ def gradcheck_suite(num_classes=3, seed=0):
         while _kink_gap(net, xs, ys) <= KINK_CLEARANCE:
             xs = rng.normal(size=(6, d))
         net.backprop(xs, ys)
-        for (pname, param), grad in zip(net.named_tensors().items(), net.grads()):
+        for slot in net.table:
             results.append(check_gradient(
-                f"mlp[{spec.kind}].{pname}",
+                f"mlp[{spec.kind}].{slot.name}",
                 lambda: net.head_output(xs, ys).loss,
-                param, grad,
+                slot.of(net.param), slot.of(net.grad),
             ))
     return results
 

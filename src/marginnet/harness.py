@@ -333,7 +333,7 @@ def run_epochs(cfg, state):
                     f"minibatch {b + 1} of {batches_per_epoch} "
                     f"(update {state.updates + 1})"
                 )
-            state.optimizer.step(net.grads(), lr_sched.value(state.updates))
+            state.optimizer.step([net.grad], lr_sched.value(state.updates))
             net.release_grads()
             state.updates += 1
         state.epoch = epoch
@@ -367,19 +367,17 @@ def train(cfg):
     if source is not None:
         # Every parameter carries over, head weights included: a warm start
         # changes the objective, not the function computed at step 0.  The
-        # names must match exactly: a deeper source has every tensor, shapes
-        # included, that a shallower target has.
-        tensors = source.network.named_tensors()
-        names = list(net.named_tensors())
-        try:
-            if list(tensors) != names:
-                raise ShapeError(f"parameter tensors {list(tensors)} vs {names}")
-            net.assign_tensors(tensors)
-        except ShapeError as e:
-            raise ConfigError(f"warm start architecture mismatch: {e}") from None
+        # names and shapes must match exactly: a deeper source has every
+        # tensor, shapes included, that a shallower target has.
+        layout = [(slot.name, slot.shape) for slot in net.table]
+        source_layout = [(slot.name, slot.shape) for slot in source.network.table]
+        if source_layout != layout:
+            raise ConfigError(f"warm start architecture mismatch: parameter "
+                              f"tensors {source_layout} vs {layout}")
+        net.param[...] = source.network.param
 
     state = TrainState(
-        net, SgdMomentum(net.params(), cfg.momentum), train_rng, prepared,
+        net, SgdMomentum([net.param], cfg.momentum), train_rng, prepared,
         [], 0, 0, cfg.out_dir, os.path.join(cfg.out_dir, METRICS_NAME),
         os.path.join(cfg.out_dir, MODEL_DIRNAME),
     )

@@ -21,9 +21,9 @@ Conventions:
       stack): parameter gradients are computed as usual, ``d_input`` is
       skipped and None is returned.
     - ``param_names`` lists a layer's parameter attributes, weight tensor
-      first; backward leaves the gradient of parameter ``p`` in
-      ``d_<p>``.  ``params()`` and ``param_grads()`` return them in that
-      order, so an optimizer can collect them after a backward pass.
+      first; backward writes the gradient of parameter ``p`` into
+      ``d_<p>``: the view of its gradient buffer a network bound there,
+      or an array the layer allocates when none is bound.
       Parameter-free layers have an empty ``param_names``.
 
 :func:`marginnet.gradcheck.check_layer` checks a layer's backward against
@@ -58,14 +58,15 @@ class LayerStateError(RuntimeError):
 
 
 class Layer:
-    """Base class: ``params()`` and ``param_grads()`` from ``param_names``."""
+    """Base class: ``param_names`` and the gradient arrays backward fills."""
 
     param_names = ()
 
-    def params(self):
-        return [getattr(self, name) for name in self.param_names]
-
-    def param_grads(self):
+    def _grad_arrays(self):
+        """The ``d_<p>`` arrays backward writes into, allocated where unbound."""
+        for name in self.param_names:
+            if getattr(self, "d_" + name) is None:
+                setattr(self, "d_" + name, np.empty_like(getattr(self, name)))
         return [getattr(self, "d_" + name) for name in self.param_names]
 
 
@@ -109,8 +110,9 @@ class DenseLayer(Layer):
             raise ShapeError(
                 f"dense backward expects {(x.shape[0], self.n_out)}, got {d_out.shape}"
             )
-        self.d_weights = matmul(x.T, d_out)
-        self.d_bias = d_out.sum(axis=0)
+        d_weights, d_bias = self._grad_arrays()
+        np.matmul(x.T, d_out, out=d_weights)
+        np.sum(d_out, axis=0, out=d_bias)
         self._cached_input = None
         return matmul(d_out, self.weights.T) if input_grad else None
 
@@ -299,7 +301,9 @@ class Conv2dLayer(Layer):
             )
         self._cache = None
         taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
-        d_filters = np.zeros((f, c * k * k), dtype=DTYPE)
+        d_filters, d_bias = self._grad_arrays()
+        d_filters = d_filters.reshape(f, c * k * k)  # a view: it is contiguous
+        d_filters[...] = 0.0
         plane_sums = np.empty((n, f), dtype=DTYPE)
         buffer = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
         for images, cols in self._patch_blocks(xp):
@@ -325,8 +329,7 @@ class Conv2dLayer(Layer):
                         d_xp[:, :, a : a + h, j : j + w] += (
                             taps[a, j] @ d2
                         ).reshape(c, b, h, w)
-        self.d_filters = d_filters.reshape(self.filters.shape)
-        self.d_bias = plane_sums.sum(axis=0)
+        np.sum(plane_sums, axis=0, out=d_bias)
         if not input_grad:
             return None
         return xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)

@@ -6,6 +6,9 @@ swapping the HeadSpec (and its weight matrix) changes the training
 objective but nothing about the stack or the prediction rule.
 """
 
+import weakref
+from typing import NamedTuple
+
 import numpy as np
 
 from . import heads as heads_mod
@@ -24,12 +27,55 @@ from .tensor import DTYPE, DomainError, ShapeError
 SCORE_CHUNK = 2000
 
 
+class TensorSlot(NamedTuple):
+    """A parameter tensor's entry in a network's offset table: its saved
+    name, the attribute of ``owner`` that holds it, its span and shape."""
+
+    name: str
+    owner: object
+    attr: str
+    span: slice
+    shape: tuple
+
+    def of(self, flat):
+        """This tensor's view of ``flat``, laid out like ``Network.param``."""
+        return flat[self.span].reshape(self.shape)
+
+
 class Network:
+    """A layer stack and a head over one flat parameter buffer.
+
+    ``param`` holds every parameter in :meth:`named_tensors` order (layer
+    by layer, then ``head.weights``: the order ``params.bin`` saves).
+    Each layer's parameters and ``head_weights`` are C-contiguous views
+    of it, one :class:`TensorSlot` of ``table`` each.  :meth:`backprop`
+    binds every ``d_<p>`` and ``d_head_weights`` to views of a new
+    ``grad`` buffer, laid out alike.
+    """
+
     def __init__(self, layers, head_spec, head_weights, arch):
         self.layers = layers
         self.head_spec = head_spec
         self.head_weights = head_weights
         self.arch = arch  # dict describing how to rebuild the stack
+        owners = [(f"layer{i}.{attr}", layer, attr)
+                  for i, layer in enumerate(layers) for attr in layer.param_names]
+        # A proxy: a table holding the network itself would be a reference
+        # cycle, which keeps the buffers alive until the cyclic collector runs.
+        owners.append(("head.weights", weakref.proxy(self), "head_weights"))
+        tensors = [getattr(owner, attr) for _, owner, attr in owners]
+        self.param = np.empty(sum(t.size for t in tensors), dtype=DTYPE)
+        self.table, offset = [], 0
+        for (name, owner, attr), tensor in zip(owners, tensors):
+            span = slice(offset, offset + tensor.size)
+            self.table.append(TensorSlot(name, owner, attr, span, tensor.shape))
+            self.param[span] = tensor.reshape(-1)
+            setattr(owner, attr, self.table[-1].of(self.param))
+            offset = span.stop
+        # The stack weight tensors: each layer's first parameter.
+        self._decayed = [slot for slot in self.table[:-1]
+                         if slot.attr == slot.owner.param_names[0]]
+        self.grad = None
         self.d_head_weights = None
 
     def forward(self, x, train=False, rng=None):
@@ -97,13 +143,16 @@ class Network:
         """The training forward (dropout draws from ``rng``) and the full
         backward pass; returns the HeadOutput.
 
-        Afterwards params()/grads() give aligned lists for an optimizer.
-        ``lower_weight_decay`` adds :meth:`stack_penalty` to the loss and
-        its gradient to every stack weight tensor.
+        Afterwards ``grad`` holds every parameter's gradient, laid out
+        like ``param``.  ``lower_weight_decay`` adds :meth:`stack_penalty`
+        to the loss and its gradient to every stack weight tensor.
         """
         h = self.forward(x, train=True, rng=rng)
         out = heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
-        self.d_head_weights = out.d_w
+        self.grad = np.empty_like(self.param)
+        for slot in self.table:
+            setattr(slot.owner, "d_" + slot.attr, slot.of(self.grad))
+        self.d_head_weights[...] = out.d_w
         d = out.d_h
         stages = [layer for layer, _ in self._stages()]
         for layer in reversed(stages[1:]):
@@ -112,20 +161,19 @@ class Network:
             # Nothing sits below the first layer: skip its input gradient.
             stages[0].backward(d, input_grad=False)
         if lower_weight_decay > 0.0:
-            for layer in self.layers:
-                if layer.param_names:
-                    d_weight = layer.param_grads()[0]
-                    d_weight += lower_weight_decay * layer.params()[0]
+            for slot in self._decayed:
+                d_weight = slot.of(self.grad)
+                d_weight += lower_weight_decay * slot.of(self.param)
             out.loss += self.stack_penalty(lower_weight_decay)
         return out
 
     def release_grads(self):
-        """Drop every parameter gradient, once an optimizer step has used
-        them, so none lives on through evaluation or the next forward."""
-        for layer in self.layers:
-            for name in layer.param_names:
-                setattr(layer, "d_" + name, None)
-        self.d_head_weights = None
+        """Drop the gradient buffer and every view of it, once an
+        optimizer step has used them, so none lives on through
+        evaluation or the next forward."""
+        self.grad = None
+        for slot in self.table:
+            setattr(slot.owner, "d_" + slot.attr, None)
 
     def stack_penalty(self, lower_weight_decay):
         """0.5 * wd * the summed squares of every stack weight tensor (the
@@ -133,43 +181,23 @@ class Network:
         if lower_weight_decay <= 0.0:
             return 0.0
         total = 0.0
-        for layer in self.layers:
-            if layer.param_names:
-                total += float(np.sum(layer.params()[0] ** 2))
+        for slot in self._decayed:
+            total += float(np.sum(slot.of(self.param) ** 2))
         return 0.5 * lower_weight_decay * total
 
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        out.append(self.head_weights)
-        return out
-
-    def grads(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.param_grads())
-        out.append(self.d_head_weights)
-        return out
-
     def named_tensors(self):
-        """Stable name -> parameter array mapping for serialization."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, tensor in zip(layer.param_names, layer.params()):
-                out[f"layer{i}.{name}"] = tensor
-        out["head.weights"] = self.head_weights
-        return out
+        """Stable name -> parameter view mapping for serialization."""
+        return {slot.name: slot.of(self.param) for slot in self.table}
 
     def assign_tensors(self, tensors):
         """Copy each parameter from ``tensors`` (name -> array, named as
         :meth:`named_tensors` names them) in place, shapes checked.  A
         missing name raises :class:`ShapeError`; names that are not
         parameters of this network are ignored."""
-        for name, target in self.named_tensors().items():
-            if name not in tensors:
-                raise ShapeError(f"missing tensor {name!r}")
-            assign_tensor(target, tensors[name], name)
+        for slot in self.table:
+            if slot.name not in tensors:
+                raise ShapeError(f"missing tensor {slot.name!r}")
+            assign_tensor(slot.of(self.param), tensors[slot.name], slot.name)
 
 
 def build_mlp(input_dim, hidden_dims, head_spec, rng=None, init_std=0.01):

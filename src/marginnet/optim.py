@@ -7,7 +7,10 @@ Update rule per parameter array:
 
 The optimizer binds its parameter arrays when built and gives each a
 zero velocity; a step takes their gradients in the same order and
-updates the bound arrays in place.
+updates the bound arrays in place.  Training binds one array, a
+network's flat parameter buffer ``Network.param``, and steps it with
+the flat gradient buffer ``Network.grad``, so its one velocity is laid
+out like both.
 
 A step runs over each array in flat blocks of ``STEP_BLOCK`` elements,
 with ``lr * grad`` written into one reused scratch buffer, so no

@@ -322,7 +322,7 @@ def fresh_state(cfg):
     prepared = prepare_data(cfg)
     net = build_network(cfg, prepared.train.inputs, head_spec_from_config(cfg),
                         init_rng)
-    return TrainState(net, SgdMomentum(net.params(), cfg.momentum), train_rng,
+    return TrainState(net, SgdMomentum([net.param], cfg.momentum), train_rng,
                       prepared, [], 0, 0, cfg.out_dir, "", "")
 
 
@@ -352,8 +352,9 @@ class TestRunEpochs:
 
 
 def test_no_gradient_outlives_its_step(tmp_path, monkeypatch):
-    # Every parameter gradient a step consumed is gone by the epoch's
-    # evaluation: dense, conv and head alike.
+    # Every gradient buffer a step consumed is gone by the epoch's
+    # evaluation, and with it the views that dense, conv and head
+    # gradients were.
     text = """
 blobs_classes = 3
 blobs_dim = 64
@@ -382,8 +383,10 @@ batch_size = 10
     monkeypatch.setattr(SgdMomentum, "step", recording_step)
     monkeypatch.setattr(harness_mod, "evaluate_objectives", checking_evaluate)
     state = train(cfg)
-    assert checked[-1] == len(consumed) == 6 * len(state.network.params())
-    assert all(g is None for g in state.network.grads())
+    assert checked[-1] == len(consumed) == 6  # one flat buffer per step
+    net = state.network
+    assert net.grad is None
+    assert all(getattr(slot.owner, "d_" + slot.attr) is None for slot in net.table)
 
 
 class TestCrossObjectiveEval:

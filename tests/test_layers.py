@@ -264,7 +264,8 @@ class TestConv2d:
             _assert_matches_reference(d_x, d_input)
             _assert_matches_reference(layer.d_filters, d_filters)
             _assert_matches_reference(layer.d_bias, d_bias)
-            d_filters_out, d_bias_out = layer.param_grads()
+            d_filters_out, d_bias_out = (getattr(layer, "d_" + p)
+                                         for p in layer.param_names)
             assert d_filters_out is layer.d_filters and d_bias_out is layer.d_bias
 
     def test_bad_geometry_rejected(self):
@@ -424,7 +425,8 @@ def _block_both_ways(n, nan):
                                             train=True), train=True)))
     d_conv = pool.backward(relu.backward(d_out))
     pairs.append((fused.backward(d_out), plain.backward(d_conv)))
-    pairs += list(zip(fused.param_grads(), plain.param_grads()))
+    pairs += [(getattr(fused, "d_" + p), getattr(plain, "d_" + p))
+              for p in fused.param_names]
     return pairs, d_conv
 
 
@@ -572,11 +574,13 @@ class TestCacheFreeForward:
         x = rng.normal(size=shape)
         r = rng.normal(size=layer.forward(x, train=True).shape)
         assert layer.backward(r) is not None
-        want = [g.copy() for g in layer.param_grads()]
+        want = [getattr(layer, "d_" + p).copy() for p in layer.param_names]
+        for p in layer.param_names:  # backward must overwrite what it reuses
+            getattr(layer, "d_" + p)[...] = np.nan
         layer.forward(x, train=True)
         assert layer.backward(r, input_grad=False) is None
-        for got, expected in zip(layer.param_grads(), want):
-            assert got.tobytes() == expected.tobytes()
+        for p, expected in zip(layer.param_names, want):
+            assert getattr(layer, "d_" + p).tobytes() == expected.tobytes()
         with pytest.raises(LayerStateError):
             layer.backward(r)
 

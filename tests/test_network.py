@@ -1,8 +1,11 @@
+import gc as cyclic_gc
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from marginnet.harness import (
     ensemble_predict,
     evaluate_objectives,
     member_scores,
+    save_model,
 )
 from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.layers import (
@@ -59,11 +63,58 @@ def test_backprop_with_lower_weight_decay_matches_finite_differences(arch, kind)
     assert loss() - loss(0.0) == pytest.approx(penalty, rel=1e-12)
 
     loss()
-    grads = [g.copy() for g in net.grads()]
+    grads = [slot.of(net.grad).copy() for slot in net.table]
     assert len(grads) == len(tensors)
     for (name, param), grad in zip(tensors.items(), grads):
         result = gc.check_gradient(name, loss, param, grad)
         assert result.passed, result.summary()
+
+
+def _assert_slot_view(tensor, flat, slot):
+    """``tensor`` is the C-contiguous view of ``flat`` over ``slot``."""
+    assert tensor.base is flat and tensor.flags.c_contiguous
+    assert tensor.shape == slot.shape
+    start = tensor.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+    assert start == slot.span.start * flat.itemsize
+
+
+@pytest.mark.parametrize("arch, names", [
+    ("mlp", ["layer0.weights", "layer0.bias", "layer2.weights", "layer2.bias"]),
+    ("conv", ["layer0.filters", "layer0.bias", "layer4.weights", "layer4.bias"]),
+])
+def test_parameters_and_gradients_are_views_of_one_flat_buffer(arch, names, tmp_path):
+    net, x = _tiny_net(arch, "l2svm", np.random.default_rng(12))
+    assert [slot.name for slot in net.table] == names + ["head.weights"]
+    assert list(net.named_tensors()) == names + ["head.weights"]
+    # The spans tile the buffer in table order: no gap, no overlap.
+    spans = [slot.span for slot in net.table]
+    assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
+    assert spans[-1].stop == net.param.size
+    for slot in net.table:
+        assert slot.span.stop - slot.span.start == math.prod(slot.shape) > 0
+        _assert_slot_view(getattr(slot.owner, slot.attr), net.param, slot)
+        _assert_slot_view(net.named_tensors()[slot.name], net.param, slot)
+    save_model(str(tmp_path), net)
+    blob = (tmp_path / "params.bin").read_bytes()
+    assert net.param.tobytes() == blob[: net.param.nbytes]
+
+    net.backprop(x, np.arange(x.shape[0]) % 3, rng=np.random.default_rng(13))
+    for slot in net.table:
+        _assert_slot_view(getattr(slot.owner, "d_" + slot.attr), net.grad, slot)
+
+
+def test_a_dropped_network_frees_its_buffers_by_reference_counting():
+    # No reference cycle holds the flat buffers: they go with the last
+    # reference to the network, not at a later run of the cyclic collector.
+    net, x = _tiny_net("conv", "l2svm", np.random.default_rng(14))
+    net.backprop(x, np.arange(x.shape[0]) % 3, rng=np.random.default_rng(15))
+    refs = [weakref.ref(net.param), weakref.ref(net.grad)]
+    cyclic_gc.disable()
+    try:
+        del net
+        assert all(ref() is None for ref in refs)
+    finally:
+        cyclic_gc.enable()
 
 
 def _eval_net(arch):
@@ -232,6 +283,6 @@ def test_pool_before_relu_blocks_match_relu_before_pool(kind):
     out = net.backprop(x, y, rng=np.random.default_rng(10))
     ref_out = ref.backprop(x, y, rng=np.random.default_rng(10))
     assert np.float64(out.loss).tobytes() == np.float64(ref_out.loss).tobytes()
-    assert len(net.grads()) == len(ref.grads())
-    for g, ref_g in zip(net.grads(), ref.grads()):
-        assert g.tobytes() == ref_g.tobytes()
+    assert len(net.table) == len(ref.table)
+    for slot, ref_slot in zip(net.table, ref.table):
+        assert slot.of(net.grad).tobytes() == ref_slot.of(ref.grad).tobytes()

@@ -78,15 +78,38 @@ class TestSgdMomentum:
     def test_steps_move_the_network_parameters_it_was_built_on(self):
         spec = HeadSpec("l2svm", 3, c=0.1, weight_decay=0.001)
         net = build_mlp(4, [5], spec, rng=np.random.default_rng(2), init_std=0.1)
-        params = net.params()
-        before = [p.copy() for p in params]
-        opt = SgdMomentum(params, 0.9)
+        before = {name: p.copy() for name, p in net.named_tensors().items()}
+        opt = SgdMomentum([net.param], 0.9)
         net.backprop(np.random.default_rng(3).normal(size=(6, 4)),
                      np.arange(6) % 3)
-        opt.step(net.grads(), lr=0.5)
-        for p, q, old in zip(net.params(), params, before):
-            assert p is q
-            assert not np.array_equal(p, old)
+        opt.step([net.grad], lr=0.5)
+        for slot in net.table:
+            p = getattr(slot.owner, slot.attr)  # what the layer computes with
+            assert p.base is opt.params[0]
+            assert not np.array_equal(p, before[slot.name])
+
+    def test_one_flat_step_matches_per_tensor_steps_bitwise(self):
+        # A network's flat store stepped as one array, against its twin
+        # stepped per tensor (the reference), first step included.  The
+        # 300 x 256 dense weights cross a STEP_BLOCK edge.
+        spec = HeadSpec("l2svm", 3, c=0.1, weight_decay=0.001)
+        flat, twin = (build_mlp(300, [256], spec, rng=np.random.default_rng(6),
+                                init_std=0.1) for _ in range(2))
+        assert STEP_BLOCK < 300 * 256 == flat.table[0].of(flat.param).size
+        flat_opt = SgdMomentum([flat.param], 0.9)
+        twin_opt = SgdMomentum([slot.of(twin.param) for slot in twin.table], 0.9)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(20, 300)), rng.integers(0, 3, size=20)
+        for lr in (0.1, 0.05):
+            flat.backprop(x, y)
+            twin.backprop(x, y)
+            flat_opt.step([flat.grad], lr)
+            twin_opt.step([slot.of(twin.grad) for slot in twin.table], lr)
+            flat.release_grads()
+            twin.release_grads()
+            assert flat.param.tobytes() == twin.param.tobytes()
+            assert flat_opt.velocities[0].tobytes() == b"".join(
+                v.tobytes() for v in twin_opt.velocities)
 
     def test_validation(self):
         with pytest.raises(DomainError):

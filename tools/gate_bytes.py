@@ -7,7 +7,9 @@ A refactor counts as "same behaviour" when every gate config still
 writes a byte-identical ``metrics.csv`` and ``model/params.bin``.  Each
 config trains in its own temporary directory with the library from the
 ``src/`` beside this directory; one line per config gives the first 16
-hex digits of the SHA-256 of ``metrics.csv`` and of ``params.bin``.
+hex digits of the SHA-256 of ``metrics.csv``, of ``params.bin`` and of
+the optimizer's velocities after the run, concatenated in named-tensor
+order: the state an exact resume must restore beside the parameters.
 Gates 1-4 and 6 train from scratch; gate 5 warm-starts a 2-epoch
 softmax run from gate 1's model through ``source_model``.  Gate 6 is a
 convnet at MNIST's geometry (1x28x28 inputs, k = 5, pooled to 14x14
@@ -133,8 +135,10 @@ def main():
             state = train(parse_config_text(
                 text.replace("{tmp}", tmp)
                 + f"out_dir = {os.path.join(tmp, str(i))}\n"))
+            velocities = b"".join(v.tobytes() for v in state.optimizer.velocities)
             print(f"{i} {file_sha16(state.csv_path)}/"
-                  f"{file_sha16(os.path.join(state.model_dir, 'params.bin'))}")
+                  f"{file_sha16(os.path.join(state.model_dir, 'params.bin'))}/"
+                  f"{sha16(velocities)}")
         digests = []
         for seed in GRADCHECK_SEEDS:
             path = os.path.join(tmp, f"gradcheck_{seed}.cfg")
