@@ -5,22 +5,28 @@ Supported sources:
       a 4-byte magic, big-endian u32 dimension sizes, then raw unsigned
       bytes).  Gzipped files are detected by their 1f 8b prefix and
       decompressed transparently; a truncated or corrupt gzip stream is
-      an :class:`IdxFormatError`.  Pixels are scaled to [0, 1].
+      an :class:`IdxFormatError`.
     - CIFAR-10 binary batches (per record: 1 label byte then 3072 pixel
       bytes, channel-major 3x32x32).
     - Synthetic Gaussian blobs with well-separated, balanced classes.
+
+Both image loaders return the file's uint8 pixel bytes, 1/8 the size of
+float64; :func:`marginnet.preprocess.to_float` scales them to [0, 1]
+where rows enter the network.  Blobs are float64.
 
 No loader fetches anything over the network; callers point at files on
 disk.
 """
 
+import contextlib
 import gzip
+import io
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE, DomainError, ShapeError
+from .tensor import DTYPE, PIXELS, DomainError, ShapeError
 
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
@@ -49,10 +55,11 @@ class IdxCountMismatchError(IdxFormatError):
 
 @dataclass
 class Dataset:
-    """A split of examples: float64 inputs plus integer labels.
+    """A split of examples: inputs plus integer labels.
 
-    inputs is [N, D] (flat features) or [N, C, H, W] (images); labels
-    is [N] with values in [0, num_classes).
+    inputs is [N, D] (flat features) or [N, C, H, W] (images), as
+    float64 values or as uint8 pixel bytes; labels is [N] with values
+    in [0, num_classes).
     """
 
     inputs: np.ndarray
@@ -88,18 +95,28 @@ class Dataset:
         )
 
 
-def _read_bytes(path):
-    """The bytes of ``path``, gunzipped when they start with 1f 8b."""
+@contextlib.contextmanager
+def _payload(path):
+    """``path`` opened as a binary stream of its bytes, gunzipped when
+    they start with 1f 8b; a truncated or corrupt gzip stream met while
+    reading it is an :class:`IdxFormatError` naming ``path``."""
     with open(path, "rb") as f:
-        head = f.read(2)
+        gzipped = f.read(2) == b"\x1f\x8b"
         f.seek(0)
-        if head != b"\x1f\x8b":
-            return f.read()
+        if not gzipped:
+            yield f
+            return
         try:
             with gzip.open(f) as g:
-                return g.read()
+                yield g
         except (EOFError, gzip.BadGzipFile, zlib.error) as e:
             raise IdxFormatError(f"{path}: corrupt gzip stream: {e}") from None
+
+
+def _read_bytes(path):
+    """The bytes of ``path`` (see :func:`_payload`)."""
+    with _payload(path) as f:
+        return f.read()
 
 
 def _parse_idx(raw, path, expected_magic, expected_ndim):
@@ -118,13 +135,12 @@ def _parse_idx(raw, path, expected_magic, expected_ndim):
         for i in range(expected_ndim)
     ]
     count = int(np.prod(dims)) if dims else 0
-    payload = raw[header_len:]
-    if len(payload) < count:
+    if len(raw) - header_len < count:
         raise IdxTruncatedError(
-            f"{path}: payload holds {len(payload)} bytes, header "
+            f"{path}: payload holds {len(raw) - header_len} bytes, header "
             f"declares {count}"
         )
-    data = np.frombuffer(payload, dtype=np.uint8, count=count)
+    data = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header_len)
     return dims, data
 
 
@@ -132,9 +148,10 @@ def load_idx(images_path, labels_path, split="train"):
     """Load an images/labels IDX pair into an :data:`IMAGE_CLASSES`-class
     Dataset (the MNIST digits).
 
-    Images come out flat [N, rows*cols], scaled to [0, 1] by /255.
-    Distinct errors separate a wrong magic, a truncated payload, and an
-    image/label count mismatch.
+    Images come out flat [N, rows*cols] as the file's uint8 bytes: a
+    read-only view of the file's payload, with no copy.  Distinct errors
+    separate a wrong magic, a truncated payload, and an image/label
+    count mismatch.
     """
     img_dims, img_data = _parse_idx(
         _read_bytes(images_path), images_path, IMAGES_MAGIC, 3
@@ -148,15 +165,13 @@ def load_idx(images_path, labels_path, split="train"):
             f"{images_path} holds {n} images but {labels_path} holds "
             f"{lbl_dims[0]} labels"
         )
-    inputs = img_data.astype(DTYPE).reshape(n, rows * cols)
-    inputs /= 255.0
     labels = lbl_data.astype(np.int64)
-    return Dataset(inputs, labels, IMAGE_CLASSES, split)
+    return Dataset(img_data.reshape(n, rows * cols), labels, IMAGE_CLASSES, split)
 
 
 def write_idx(images_path, labels_path, images_u8, labels):
     """Write an IDX pair (images [N, H, W] uint8, labels [N]); the exact
-    inverse of :func:`load_idx` up to the /255 scaling."""
+    inverse of :func:`load_idx` up to the flattening of each image."""
     images_u8 = np.asarray(images_u8, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
     if images_u8.ndim != 3:
@@ -182,30 +197,41 @@ CIFAR_RECORD = 1 + 3 * 32 * 32
 
 def load_cifar10(batch_paths, split="train"):
     """Load CIFAR-10 binary batches into a Dataset of [N, 3, 32, 32]
-    images scaled to [0, 1].
+    uint8 images, the file's bytes.
 
-    The float64 images are allocated once and each batch is scaled into
-    its slice, so they exist only once at the peak.
+    Every batch is read straight into one [N, 1 + 3072] array of
+    records, whose size a first pass over the files finds, and the
+    images are a view of its pixel columns: the file bytes are held
+    once at the peak.
     """
     if not batch_paths:
         raise DomainError("need at least one batch file")
-    batches = []
+    sizes = []
     for path in batch_paths:
-        raw = _read_bytes(path)
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD:
+        with _payload(path) as f:
+            size = f.seek(0, io.SEEK_END)
+        if size == 0 or size % CIFAR_RECORD:
             raise IdxFormatError(
-                f"{path}: {len(raw)} bytes is not a whole number of "
+                f"{path}: {size} bytes is not a whole number of "
                 f"{CIFAR_RECORD}-byte records"
             )
-        batches.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD))
-    images = np.empty((sum(len(b) for b in batches), 3, 32, 32), dtype=DTYPE)
+        sizes.append(size)
+    records = np.empty((sum(sizes) // CIFAR_RECORD, CIFAR_RECORD), dtype=PIXELS)
+    flat = memoryview(records.reshape(-1))
     start = 0
-    for b in batches:
-        pixels = b[:, 1:].reshape(-1, 3, 32, 32)
-        np.divide(pixels, 255.0, out=images[start : start + len(b)], dtype=DTYPE)
-        start += len(b)
-    labels = np.concatenate([b[:, 0] for b in batches]).astype(np.int64)
-    return Dataset(images, labels, IMAGE_CLASSES, split)
+    for path, size in zip(batch_paths, sizes):
+        got = 0
+        with _payload(path) as f:
+            while got < size:
+                read = f.readinto1(flat[start + got : start + size])
+                if not read:
+                    break
+                got += read
+        if got != size:
+            raise IdxTruncatedError(f"{path}: changed size while being read")
+        start += size
+    images = records[:, 1:].reshape(-1, 3, 32, 32)
+    return Dataset(images, records[:, 0].astype(np.int64), IMAGE_CLASSES, split)
 
 
 def make_blobs(n, num_classes, dim, separation, rng, split="train"):

@@ -7,9 +7,13 @@ ensembles).  A run is a function of its config alone; a warm start is
 its ``source_model`` key.
 
 Raw rows of any shape become network inputs on one path: each row is
-flattened, standardized and projected by the fitted transforms, and a
-convnet's rows are then reshaped to its ``arch["input_shape"]``.
-Training and a saved model's :meth:`LoadedModel.transform` share it.
+flattened, scaled to float64 (uint8 pixels by 1/255, see
+:func:`marginnet.preprocess.to_float`), standardized and projected by
+the fitted transforms, and a convnet's rows are then reshaped to its
+``arch["input_shape"]``.  Training and a saved model's
+:meth:`LoadedModel.transform` share it.  Loaded pixels stay bytes until
+that transform: without a PCA a run keeps its splits' bytes and
+transforms each minibatch and each evaluation chunk as it is gathered.
 
 Determinism: a run's seed feeds a SeedSequence that is split into three
 independent streams (data, init, train; :func:`seed_streams`), and every
@@ -40,9 +44,9 @@ from .layers import gaussian_noise
 from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
 from .preprocess import (PcaModel, PixelStandardizer, augment, check_jitter, pca_fit,
-                         pca_transform)
+                         pca_transform, to_float)
 from .serialize import ManifestError, json_text, load_tensors, save_tensors, write_text
-from .tensor import DomainError, ShapeError
+from .tensor import PIXELS, DomainError, ShapeError
 
 CSV_COLUMNS = (
     "epoch",
@@ -109,9 +113,10 @@ class ObjectiveReport:
         return getattr(self, OWN_OBJECTIVE[kind])
 
 
-def evaluate_objectives(network, inputs, labels):
+def evaluate_objectives(network, inputs, labels, transform=None):
     """Score a network on both objective families at once, from the
-    scores of :meth:`Network.scores`.
+    scores of :meth:`Network.scores` (which applies ``transform``, if
+    given, to each chunk of ``inputs``).
 
     Both families use the network's own HeadSpec constants, so an
     svm-trained model's cross-entropy is evaluated with the weight decay
@@ -121,7 +126,7 @@ def evaluate_objectives(network, inputs, labels):
     n = inputs.shape[0]
     if n == 0:
         raise DomainError("cannot evaluate on an empty split")
-    scores = network.scores(inputs)
+    scores = network.scores(inputs, transform)
     one_hot = encode_targets(labels, spec.num_classes)
     return ObjectiveReport(
         n, error_rate_pct(scores, labels),
@@ -135,46 +140,73 @@ def evaluate_objectives(network, inputs, labels):
 
 @dataclass
 class PreparedData:
+    """A run's two splits and the transforms fitted on its training rows.
+
+    A split's inputs are network inputs, with one exception: uint8
+    pixels without a PCA stay the loaded bytes, and
+    :meth:`network_inputs` transforms rows of them as they are gathered.
+    ``shape`` is one network input row's shape.
+    """
+
     train: Dataset
     test: Dataset
     pca: PcaModel | None = None
     standardizer: PixelStandardizer | None = None
+    shape: tuple | None = None
+
+    def network_inputs(self, rows):
+        """Gathered split ``rows`` as network inputs: uint8 pixels go
+        through :func:`_preprocess` (scale, standardize, reshape), which
+        is elementwise, so a row's bytes do not depend on the rows
+        gathered with it; any other rows already are network inputs."""
+        if rows.dtype != PIXELS:
+            return rows
+        return _preprocess(rows, self.standardizer, None, self.shape)
+
+
+def load_splits(cfg, splits):
+    """The configured ``splits`` (each "train" or "test") as loaded, one
+    :class:`Dataset` each, with no fitted preprocessing: the raw inputs
+    a saved model's :meth:`LoadedModel.transform` expects.  The IDX and
+    CIFAR-10 files of a split are read only when it is asked for, and
+    their inputs are the files' uint8 pixels.  Blobs are one draw of
+    both splits from the data stream of ``cfg.seed``, made once per
+    call and sliced into ``splits``.  ``train_subset`` applies to the
+    train split."""
+    if cfg.dataset == "blobs":
+        full = make_blobs(
+            cfg.blobs_train_n + cfg.blobs_test_n, cfg.blobs_classes,
+            cfg.blobs_dim, cfg.blobs_separation, seed_streams(cfg.seed)[0],
+        )
+        cut = {"train": np.arange(cfg.blobs_train_n),
+               "test": np.arange(cfg.blobs_train_n, full.n)}
+    loaded = []
+    for split in splits:
+        is_train = split == "train"
+        if cfg.dataset == "blobs":
+            data = full.subset(cut[split], split=split)
+        elif cfg.dataset == "idx":
+            images, labels = ((cfg.train_images, cfg.train_labels) if is_train
+                              else (cfg.test_images, cfg.test_labels))
+            data = load_idx(os.path.join(cfg.data_dir, images),
+                            os.path.join(cfg.data_dir, labels), split=split)
+        else:
+            batches = cfg.cifar_train_batches if is_train else cfg.cifar_test_batches
+            data = load_cifar10([os.path.join(cfg.data_dir, p) for p in batches],
+                                split=split)
+        if is_train and cfg.train_subset:
+            if cfg.train_subset > data.n:
+                raise ConfigError(
+                    f"train_subset {cfg.train_subset} exceeds {data.n} rows"
+                )
+            data = data.subset(np.arange(cfg.train_subset))
+        loaded.append(data)
+    return loaded
 
 
 def load_split(cfg, split):
-    """The configured ``split`` ("train" or "test") as loaded, reading
-    only that split's files, with no fitted preprocessing: the raw
-    inputs a saved model's :meth:`LoadedModel.transform` expects.
-    ``train_subset`` applies to the train split.  Blobs are one draw of
-    both splits from the data stream of ``cfg.seed``, sliced to
-    ``split``; the IDX and CIFAR-10 files need no generator."""
-    is_train = split == "train"
-    if cfg.dataset == "blobs":
-        total = cfg.blobs_train_n + cfg.blobs_test_n
-        full = make_blobs(
-            total, cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation,
-            seed_streams(cfg.seed)[0],
-        )
-        rows = (np.arange(cfg.blobs_train_n) if is_train
-                else np.arange(cfg.blobs_train_n, total))
-        data = full.subset(rows, split=split)
-    elif cfg.dataset == "idx":
-        images, labels = ((cfg.train_images, cfg.train_labels) if is_train
-                          else (cfg.test_images, cfg.test_labels))
-        data = load_idx(os.path.join(cfg.data_dir, images),
-                        os.path.join(cfg.data_dir, labels), split=split)
-    else:
-        batches = cfg.cifar_train_batches if is_train else cfg.cifar_test_batches
-        data = load_cifar10([os.path.join(cfg.data_dir, p) for p in batches],
-                            split=split)
-
-    if is_train and cfg.train_subset:
-        if cfg.train_subset > data.n:
-            raise ConfigError(
-                f"train_subset {cfg.train_subset} exceeds {data.n} rows"
-            )
-        data = data.subset(np.arange(cfg.train_subset))
-    return data
+    """The configured ``split`` alone: ``load_splits(cfg, (split,))``."""
+    return load_splits(cfg, (split,))[0]
 
 
 def _flat(inputs):
@@ -183,15 +215,19 @@ def _flat(inputs):
 
 
 def _preprocess(inputs, standardizer, pca, shape):
-    """Flatten each row, standardize, project, then (``shape``) reshape
-    each row to ``shape``; a None transform is skipped.  A standardizer
-    followed by a PCA runs as one row-blocked pass (:func:`pca_transform`)
-    that never builds the standardized rows."""
+    """Flatten each row, scale it to float64 (:func:`to_float`),
+    standardize, project, then (``shape``) reshape each row to
+    ``shape``; a None transform is skipped.  With a PCA, scaling,
+    standardizing and projecting run as one row-blocked pass
+    (:func:`pca_transform`) that never builds the scaled or standardized
+    rows."""
     x = _flat(inputs)
     if pca is not None:
         x = pca_transform(pca, x, standardizer)
-    elif standardizer is not None:
-        x = standardizer.apply(x)
+    else:
+        x = to_float(x)
+        if standardizer is not None:
+            x = standardizer.apply(x)
     if shape is None:
         return x
     if x.shape[1] != math.prod(shape):
@@ -213,42 +249,52 @@ def _conv_input_shape(loaded, pca):
 
 
 def prepare_data(cfg):
-    """Load both splits (:func:`load_split`) and preprocess them.
+    """Load both splits (:func:`load_splits`) and preprocess them.
 
     Standardization and PCA see flat rows of whatever was loaded, and
     the MLP takes those rows.  Both are fitted on training rows only:
     optional per-pixel standardization, then optional PCA of the
-    standardized rows.  Both splits then go from raw rows through one
-    :func:`_preprocess` call, as in a saved model's
-    :meth:`LoadedModel.transform`; a convnet reshapes each row to its
-    :func:`_conv_input_shape`.  A ``batch_size`` or ``max_jitter`` too
-    large for the training split fails here, before any evaluation.
+    standardized rows; uint8 pixels are fitted a block of rows at a
+    time, without a float copy of the split.  A convnet reshapes each
+    row to its :func:`_conv_input_shape`.  Both splits then go from raw
+    rows through one :func:`_preprocess` call, as in a saved model's
+    :meth:`LoadedModel.transform`, except uint8 pixels without a PCA:
+    those splits keep their bytes, and
+    :meth:`PreparedData.network_inputs` runs the same call on each
+    gathered minibatch and evaluation chunk.  A ``batch_size`` or
+    ``max_jitter`` too large for the training split fails here, before
+    any evaluation.
     """
     if cfg.augment and cfg.arch != "conv":
         raise ConfigError("augment requires arch = conv")
-    train, test = load_split(cfg, "train"), load_split(cfg, "test")
+    train, test = load_splits(cfg, ("train", "test"))
     rows = _flat(train.inputs)
     standardizer = PixelStandardizer().fit(rows) if cfg.standardize else None
-    pca = (pca_fit(_preprocess(rows, standardizer, None, None), cfg.pca_dims)
-           if cfg.pca_dims else None)
-    shape = _conv_input_shape(train.inputs, pca) if cfg.arch == "conv" else None
+    pca = pca_fit(rows, cfg.pca_dims, standardizer) if cfg.pca_dims else None
+    if cfg.arch == "conv":
+        shape = _conv_input_shape(train.inputs, pca)
+    else:
+        shape = (rows.shape[1] if pca is None else cfg.pca_dims,)
     if cfg.epochs:
         check_batch_size(train.n, cfg.batch_size)
         if cfg.augment:
             check_jitter(cfg.max_jitter, *shape[1:])
-    train, test = (replace(s, inputs=_preprocess(s.inputs, standardizer, pca, shape))
-                   for s in (train, test))
-    return PreparedData(train, test, pca, standardizer)
+    if pca is not None or train.inputs.dtype != PIXELS:
+        train, test = (replace(s, inputs=_preprocess(s.inputs, standardizer, pca, shape))
+                       for s in (train, test))
+    return PreparedData(train, test, pca, standardizer, shape)
 
 
-def build_network(cfg, train_inputs, head_spec, init_rng):
+def build_network(cfg, shape, head_spec, init_rng):
+    """The configured network for input rows of ``shape`` (an MLP's
+    ``(width,)``, a convnet's ``(C, H, W)``)."""
     if cfg.arch == "mlp":
         return build_mlp(
-            train_inputs.shape[1], cfg.hidden_dims, head_spec,
+            shape[0], cfg.hidden_dims, head_spec,
             rng=init_rng, init_std=cfg.init_std,
         )
     return build_convnet(
-        train_inputs.shape[1:], cfg.conv_channels, cfg.conv_kernel,
+        shape, cfg.conv_channels, cfg.conv_kernel,
         cfg.conv_dense, cfg.conv_dropout, head_spec,
         rng=init_rng, init_std=cfg.init_std,
     )
@@ -281,7 +327,8 @@ def run_epochs(cfg, state):
     epoch up to ``cfg.epochs``.  A consumer that stops after a row
     leaves ``state`` exactly at that epoch's end."""
     net = state.network
-    train_set, test_set = state.prepared.train, state.prepared.test
+    prepared = state.prepared
+    train_set, test_set = prepared.train, prepared.test
     n = train_set.n
     batches_per_epoch = num_batches(n, cfg.batch_size)
     # epochs=0 is a pure evaluation run; the schedules still need a
@@ -291,8 +338,10 @@ def run_epochs(cfg, state):
     noise_sched = LinearSchedule(cfg.noise_start, cfg.noise_end, sched_span)
 
     def metrics_row():
-        train_rep = evaluate_objectives(net, train_set.inputs, train_set.labels)
-        test_rep = evaluate_objectives(net, test_set.inputs, test_set.labels)
+        train_rep = evaluate_objectives(net, train_set.inputs, train_set.labels,
+                                        prepared.network_inputs)
+        test_rep = evaluate_objectives(net, test_set.inputs, test_set.labels,
+                                       prepared.network_inputs)
         state.metrics.append({
             "epoch": state.epoch,
             "updates": state.updates,
@@ -311,7 +360,7 @@ def run_epochs(cfg, state):
         yield metrics_row()
     for epoch in range(state.epoch + 1, cfg.epochs + 1):
         for b, idx in enumerate(minibatches(n, cfg.batch_size, state.rng)):
-            x = train_set.inputs[idx]
+            x = prepared.network_inputs(train_set.inputs[idx])
             y = train_set.labels[idx]
             if cfg.augment:
                 x = augment(x, state.rng, cfg.max_jitter, cfg.mirror)
@@ -363,7 +412,7 @@ def train(cfg):
     _, init_rng, train_rng = seed_streams(cfg.seed)
     prepared = prepare_data(cfg)
     spec = head_spec_from_config(cfg)
-    net = build_network(cfg, prepared.train.inputs, spec, init_rng)
+    net = build_network(cfg, prepared.shape, spec, init_rng)
     if source is not None:
         # Every parameter carries over, head weights included: a warm start
         # changes the objective, not the function computed at step 0.  The
@@ -471,11 +520,22 @@ class LoadedModel:
 
     def transform(self, inputs):
         """Apply the model's saved preprocessing to raw inputs of any
-        shape: each row is flattened, standardized and projected by the
-        saved transforms, then reshaped to a convnet's saved
+        shape: each row is flattened, scaled, standardized and projected
+        by the saved transforms, then reshaped to a convnet's saved
         ``arch["input_shape"]``; an MLP takes the flat rows."""
         return _preprocess(inputs, self.standardizer, self.pca,
                            self.network.arch.get("input_shape"))
+
+    def scoring_rows(self, inputs):
+        """``(rows, transform)`` for :meth:`Network.scores` to score raw
+        ``inputs`` with.  Without a PCA the transform is elementwise, so
+        the raw rows go with :meth:`transform`, applied per chunk, and
+        pixels become float64 one chunk at a time.  A PCA projects every
+        row at once: a short chunk's product could round differently
+        (see ``preprocess.ROW_BLOCK``)."""
+        if self.pca is None:
+            return inputs, self.transform
+        return self.transform(inputs), None
 
 
 def load_model(model_dir):
@@ -534,14 +594,15 @@ def cross_objective_eval(model, dataset):
     configs shared those constants.  A bare Network on prepared inputs
     goes to :func:`evaluate_objectives` directly.
     """
-    return evaluate_objectives(model.network, model.transform(dataset.inputs),
-                               dataset.labels)
+    rows, transform = model.scoring_rows(dataset.inputs)
+    return evaluate_objectives(model.network, rows, dataset.labels, transform)
 
 
 def member_scores(models, inputs):
     """Each LoadedModel's head scores [N, K] on raw ``inputs``, in order;
-    each applies its own saved preprocessing once."""
-    return [m.network.scores(m.transform(inputs)) for m in models]
+    each applies its own saved preprocessing to each row once
+    (:meth:`LoadedModel.scoring_rows`)."""
+    return [m.network.scores(*m.scoring_rows(inputs)) for m in models]
 
 
 def ensemble_vote(models, scores):

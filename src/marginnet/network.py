@@ -21,7 +21,7 @@ from .layers import (
     ReluLayer,
 )
 from .serialize import assign_tensor
-from .tensor import DTYPE, DomainError, ShapeError
+from .tensor import DTYPE, DomainError, ShapeError, reject_pixels
 
 # Rows per chunk of Network.scores; see there for why 2,000.
 SCORE_CHUNK = 2000
@@ -85,7 +85,9 @@ class Network:
         its backward needs, and dropout draws its masks from ``rng``.
         The default is the inference forward: dropout is the identity
         and no layer keeps anything (see :mod:`marginnet.layers`).
+        Unscaled uint8 pixels are a :class:`DomainError`.
         """
+        reject_pixels(x, "Network.forward")
         for layer, pool_relu in self._stages():
             if pool_relu:
                 x = layer.forward(x, train=train, rng=rng, pool_relu=True)
@@ -108,10 +110,12 @@ class Network:
             i += 3 if pool_relu else 1
         return stages
 
-    def scores(self, x):
+    def scores(self, x, transform=None):
         """Head scores [N, K] of ``x``: the inference forward
         (``train=False``: no dropout, nothing kept) and the head on
         consecutive ``SCORE_CHUNK``-row chunks (the last may be short).
+        With ``transform``, each chunk of ``x`` goes through it first, so
+        rows kept as bytes become network inputs one chunk at a time.
 
         Evaluation (every ``metrics.csv`` row, ``marginnet eval``),
         ``predict`` and the ensembles all score here, so they agree byte
@@ -126,7 +130,7 @@ class Network:
         out = np.empty((n, self.head_weights.shape[1]), dtype=DTYPE)
         for start in range(0, max(n, 1), SCORE_CHUNK):  # empty x is shape-checked too
             rows = slice(start, start + SCORE_CHUNK)
-            h = self.forward(x[rows])
+            h = self.forward(x[rows] if transform is None else transform(x[rows]))
             out[rows] = heads_mod.head_scores(self.head_weights, h)
         return out
 

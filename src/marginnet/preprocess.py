@@ -1,5 +1,11 @@
-"""Input preprocessing: PCA, per-pixel standardization, and train-time
-augmentation.
+"""Input preprocessing: pixel scaling, PCA, per-pixel standardization,
+and train-time augmentation.
+
+Loaded pixels are uint8 bytes; :func:`to_float` is the one conversion
+to float64 values.  ``PixelStandardizer.fit`` and :func:`pca_transform`
+convert byte rows a block at a time, and :func:`pca_fit` converts only
+the copy it gathers, so no other float copy of a byte split is made;
+each gives the bytes of the same call on ``to_float`` of the rows.
 
 Everything here is deterministic given its inputs (and the rng handed
 to :func:`augment`); fitted transforms are plain dataclasses of arrays
@@ -11,10 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE, DomainError, ShapeError
+from .tensor import DTYPE, PIXELS, DomainError, ShapeError, reject_pixels
 
 # Rank threshold, relative to the largest eigenvalue.
 _RANK_RTOL = 1e-12
+
+
+def to_float(x, out=None):
+    """``x`` as float64 values: uint8 pixels divided by 255, any other
+    array converted unchanged (float rows pass through without a copy
+    when ``out`` is None).  With ``out`` the result is written there.
+
+    The route depends only on the dtype; the scaled bytes equal those
+    of ``x.astype(float64) / 255``.
+    """
+    x = np.asarray(x)
+    if x.dtype == PIXELS:
+        return np.divide(x, 255.0, out=out, dtype=DTYPE)
+    if out is None:
+        return np.asarray(x, dtype=DTYPE)
+    out[...] = x
+    return out
+
+
+def _rows(x):
+    """``x`` as an array kept as uint8 pixels, otherwise as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == PIXELS else np.asarray(x, dtype=DTYPE)
 
 
 @dataclass
@@ -28,20 +57,26 @@ class PcaModel:
     explained_variances: np.ndarray
 
 
-def pca_fit(x, num_components):
+def pca_fit(x, num_components, standardizer=None):
     """Fit PCA by eigendecomposition of the population covariance.
 
-    Deterministic and exactly invariant to row order: rows are put into
-    lexicographic order (column 0 first, equal rows kept in input order)
-    before any accumulation, so permuting the input permutes nothing
-    downstream.  Data holding a NaN or an infinity is rejected with
+    ``x`` is float rows or uint8 pixels (see :func:`to_float`); with a
+    fitted ``standardizer`` the fit is that of ``standardizer.apply`` of
+    the rows, which is the standardized PCA :func:`pca_transform`
+    replays.  Deterministic and exactly invariant to row order: rows are
+    put into lexicographic order of their scaled and standardized values
+    (column 0 first, equal rows kept in input order) before any
+    accumulation, so permuting the input permutes nothing downstream.
+    The order is found one column at a time, so the only full-size
+    float64 array built is the ordered, scaled and standardized copy.
+    Data holding a NaN or an infinity is rejected with
     :class:`DomainError`.  Each component's sign is fixed by making its
     largest-magnitude entry positive (lowest index on magnitude ties).
     If the data has rank below ``num_components`` the trailing
     components span an arbitrary null-space basis; a warning is issued
     and their variances are ~0.
     """
-    x = np.asarray(x, dtype=DTYPE)
+    x = _rows(x)
     if x.ndim != 2:
         raise ShapeError(f"pca expects [N, D] data, got shape {x.shape}")
     n, d = x.shape
@@ -54,12 +89,26 @@ def pca_fit(x, num_components):
             f"need more rows than components, got {n} rows for "
             f"{num_components} components"
         )
-    if not np.isfinite(x).all():
-        raise DomainError("pca input holds a NaN or an infinity")
+    if standardizer is not None:
+        standardizer.check_shape(x.shape)
+
+    def key(col, values):
+        # Elementwise, so a column's keys are the bytes the whole
+        # transform gives in that column.
+        values = to_float(values)
+        if standardizer is None:
+            return values
+        return (values - standardizer.mean[col]) / standardizer.std[col]
+
     # Float summation is order-sensitive, so the rows are summed in
     # lexicographic order to make the fit permutation-invariant bit for
-    # bit.  The gather makes a fresh copy, which is centered in place.
-    xs = x[_lexicographic_row_order(x)]
+    # bit.  The gather makes a fresh copy, which is transformed and
+    # centered in place.
+    xs = to_float(x[_lexicographic_row_order(x, key)])
+    if standardizer is not None:
+        standardizer.apply(xs, out=xs)
+    if not np.isfinite(xs).all():
+        raise DomainError("pca input holds a NaN or an infinity")
     mean = xs.mean(axis=0)
     xs -= mean
     cov = (xs.T @ xs) / n
@@ -80,10 +129,14 @@ def pca_fit(x, num_components):
     return PcaModel(mean, comps, np.maximum(evals, 0.0))
 
 
-def _lexicographic_row_order(x):
+def _lexicographic_row_order(x, key=None):
     """Permutation that sorts the rows of ``x`` [N, D] lexicographically,
     column 0 first, with equal rows kept in input order: the permutation
-    ``np.lexsort(x.T[::-1])`` returns, for data without NaN.
+    ``np.lexsort(x.T[::-1])`` returns, for data without NaN.  With
+    ``key``, column ``col`` of the rows sorts by ``key(col, values)``
+    instead: the permutation for the elementwise map of ``x`` that
+    ``key`` computes one column at a time.  Columns on which ``x`` is
+    constant are skipped, so ``key`` must map equal values to equal keys.
 
     Column by column, only the rows still tied with a neighbour are
     re-sorted, and only within their tie group; a row that a column
@@ -101,19 +154,22 @@ def _lexicographic_row_order(x):
     slots = np.arange(n)
     rows = np.arange(n)
     same = np.ones(max(n - 1, 0), dtype=bool)
-    # A column on which all rows agree orders nothing.
-    for col in np.flatnonzero((x != x[:1]).any(axis=0)):
+    # A column on which all rows agree orders nothing.  Its max equals
+    # its min then; comparing the reductions needs no [N, D] temporary.
+    varying = np.flatnonzero(x.max(axis=0) != x.min(axis=0)) if n > 1 else []
+    for col in varying:
         if rows.size < 2:
             break
-        key = x[rows, col]
-        if not np.any(same & (key[1:] != key[:-1])):
+        values = x[rows, col]
+        keys = values if key is None else key(col, values)
+        if not np.any(same & (keys[1:] != keys[:-1])):
             continue
         group = np.concatenate(([0], np.cumsum(~same)))
-        perm = np.lexsort((key, group))
-        key = key[perm]
+        perm = np.lexsort((keys, group))
+        keys = keys[perm]
         rows = rows[perm]
         starts = np.ones(rows.size + 1, dtype=bool)
-        starts[1:-1] = ~same | (key[1:] != key[:-1])
+        starts[1:-1] = ~same | (keys[1:] != keys[:-1])
         alone = starts[:-1] & starts[1:]
         order[slots[alone]] = rows[alone]
         tied = ~alone
@@ -151,18 +207,20 @@ def _row_blocks(n, k, d):
 def pca_transform(model, x, standardizer=None):
     """Project rows onto the fitted basis: (x - mean) @ components.
 
-    With a fitted ``standardizer`` the rows are standardized first, so
-    the result is ``(standardizer.apply(x) - mean) @ components``
-    without the standardized copy of ``x``.  Rows go through in blocks
-    (see ``ROW_BLOCK``): each block is standardized and centered in one
-    reused buffer and projected straight into the [N, k] result, which
-    is the only full-size array allocated.  At a fixed BLAS thread count
-    the bytes equal those of the unblocked formula.
+    ``x`` is float rows or uint8 pixels, which are scaled by
+    :func:`to_float` a block at a time.  With a fitted ``standardizer``
+    the rows are standardized first, so the result is
+    ``(standardizer.apply(to_float(x)) - mean) @ components`` without
+    the scaled or standardized copy of ``x``.  Rows go through in blocks
+    (see ``ROW_BLOCK``): each block is scaled, standardized and centered
+    in one reused buffer and projected straight into the [N, k] result,
+    which is the only full-size array allocated.  At a fixed BLAS thread
+    count the bytes equal those of the unblocked formula.
     """
     d = model.mean.shape[0]
+    x = _rows(x)
     if standardizer is not None:
-        x = standardizer.check(x)
-    x = np.asarray(x, dtype=DTYPE)
+        standardizer.check_shape(x.shape)
     if x.ndim != 2 or x.shape[1] != d:
         raise ShapeError(
             f"pca transform expects [N, {d}] data, got shape {x.shape}"
@@ -171,12 +229,15 @@ def pca_transform(model, x, standardizer=None):
     blocks = _row_blocks(x.shape[0], k, d)
     out = np.empty((x.shape[0], k), dtype=DTYPE)
     buf = np.empty((blocks[-1].stop - blocks[-1].start, d), dtype=DTYPE)
+    shift = model.mean if standardizer is None else standardizer.mean
     for rows in blocks:
         b = buf[: rows.stop - rows.start]
-        if standardizer is None:
-            np.subtract(x[rows], model.mean, out=b)
+        if x.dtype == PIXELS:
+            to_float(x[rows], out=b)
+            b -= shift
         else:
-            np.subtract(x[rows], standardizer.mean, out=b)
+            np.subtract(x[rows], shift, out=b)
+        if standardizer is not None:
             b /= standardizer.std
             b -= model.mean
         np.matmul(b, model.components, out=out[rows])
@@ -199,30 +260,73 @@ class PixelStandardizer:
         self.std = None
 
     def fit(self, x):
-        x = np.asarray(x, dtype=DTYPE)
+        """Fit the column means and stds of ``x`` [N, D], float rows or
+        uint8 pixels (see :func:`to_float`).
+
+        The bytes are those of ``to_float(x).mean(axis=0)`` and
+        ``.std(axis=0)``, without that float copy: rows are scaled one
+        ``ROW_BLOCK`` at a time into a reused buffer.  numpy sums a
+        C-contiguous [N, D] array over axis 0 row by row when D > 1, so
+        each block's sum starts from the running sum, carried in as the
+        buffer's first row.  A single column numpy sums pairwise, so a
+        [N, 1] ``x`` is one block.
+        """
+        x = _rows(x)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ShapeError(
                 f"standardizer expects non-empty [N, D] data, got {x.shape}"
             )
-        self.mean = x.mean(axis=0)
-        self.std = np.maximum(x.std(axis=0), STD_FLOOR)
+        n, d = x.shape
+        block = n if d == 1 else ROW_BLOCK
+        buf = np.empty((min(block, n) + 1, d), dtype=DTYPE)
+
+        def column_sums(scaled):
+            # scaled(rows, out) writes the float rows whose sum is taken.
+            total = None
+            for start in range(0, n, block):
+                rows = x[start : start + block]
+                head = 0 if total is None else 1
+                b = buf[: head + len(rows)]
+                if head:
+                    b[0] = total
+                scaled(rows, b[head:])
+                total = b.sum(axis=0)
+            return total
+
+        def squared_deviations(rows, out):
+            to_float(rows, out)
+            out -= mean
+            np.square(out, out=out)
+
+        mean = column_sums(to_float) / n
+        std = np.sqrt(column_sums(squared_deviations) / n)
+        self.mean, self.std = mean, np.maximum(std, STD_FLOOR)
         return self
 
-    def check(self, x):
-        """``x`` as float64 [N, D] rows this fitted standardizer takes."""
+    def check_shape(self, shape):
+        """Raise unless fitted, and ``shape`` is [N, D] of the fitted D."""
         if self.mean is None:
             raise DomainError("standardizer must be fitted before apply")
-        x = np.asarray(x, dtype=DTYPE)
-        if x.ndim != 2 or x.shape[1] != self.mean.shape[0]:
+        if len(shape) != 2 or shape[1] != self.mean.shape[0]:
             raise ShapeError(
                 f"standardizer fitted on {self.mean.shape[0]} columns, "
-                f"got shape {x.shape}"
+                f"got shape {tuple(shape)}"
             )
+
+    def check(self, x):
+        """``x`` as float64 [N, D] rows this fitted standardizer takes;
+        uint8 pixels are a :class:`DomainError` (scale them with
+        :func:`to_float` first)."""
+        reject_pixels(x, "PixelStandardizer")
+        x = np.asarray(x, dtype=DTYPE)
+        self.check_shape(x.shape)
         return x
 
-    def apply(self, x):
+    def apply(self, x, out=None):
+        """``(x - mean) / std``, into ``out`` when given (``out=x`` works
+        in place)."""
         x = self.check(x)
-        out = x - self.mean
+        out = np.subtract(x, self.mean, out=out)
         out /= self.std
         return out
 

@@ -6,6 +6,12 @@ convention and wraps the handful of primitives whose error behavior the
 rest of the library relies on: shape mismatches raise :class:`ShapeError`
 naming both shapes, and argmax resolves ties to the lowest index.
 
+Loaded image pixels are the one exception: the IDX and CIFAR-10 loaders
+keep the file's ``PIXELS`` bytes, which become float64 only through
+:func:`marginnet.preprocess.to_float`.  A float-only entry point takes
+them as a :class:`DomainError` (:func:`reject_pixels`), never as 0-255
+values.
+
 All operations are deterministic: identical inputs produce bit-identical
 outputs call after call.
 """
@@ -13,6 +19,7 @@ outputs call after call.
 import numpy as np
 
 DTYPE = np.float64
+PIXELS = np.uint8
 
 
 class ShapeError(ValueError):
@@ -21,6 +28,15 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """An argument is outside the operation's domain."""
+
+
+def reject_pixels(x, where):
+    """Raise :class:`DomainError` if ``x`` holds unscaled ``PIXELS``."""
+    if np.asarray(x).dtype == PIXELS:
+        raise DomainError(
+            f"{where} takes float64 values, got uint8 pixels; scale them "
+            "with marginnet.preprocess.to_float first"
+        )
 
 
 def matmul(a, b):

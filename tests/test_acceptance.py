@@ -31,6 +31,7 @@ from marginnet.harness import (
 )
 from marginnet.heads import HeadSpec, apply_head, softmax_probs
 from marginnet.network import build_convnet
+from marginnet.preprocess import to_float
 from marginnet.recipes import (
     BLOBS,
     DESK,
@@ -167,7 +168,10 @@ def test_criterion_10a_synthetic_idx_round_trip(tmp_path):
         write_idx(ip, lp, images, labels)
         ds = load_idx(ip, lp)
         expected = images.reshape(5, 4).astype(np.float64) / 255.0
-        npt.assert_array_equal(ds.inputs, expected)
+        assert ds.inputs.dtype == np.uint8
+        npt.assert_array_equal(ds.inputs, images.reshape(5, 4))
+        npt.assert_array_equal(to_float(ds.inputs).view(np.uint64),
+                               expected.view(np.uint64))
         npt.assert_array_equal(ds.labels, labels)
 
 

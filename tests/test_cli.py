@@ -541,7 +541,7 @@ def test_too_large_for_the_training_split_exits_2_before_evaluation(
 
 def test_augment_under_an_mlp_exits_2_before_any_data(tmp_path, capsys,
                                                        monkeypatch):
-    monkeypatch.setattr(harness, "load_split", lambda cfg, split: pytest.fail(
+    monkeypatch.setattr(harness, "load_splits", lambda cfg, splits: pytest.fail(
         "data loaded before the augment check"))
     cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + "augment = true\n"
                     f"out_dir = {tmp_path}/run\n")

@@ -19,7 +19,13 @@ from marginnet.data import (
     num_batches,
     write_idx,
 )
+from marginnet.preprocess import to_float
 from marginnet.tensor import DomainError, ShapeError
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture
@@ -40,7 +46,11 @@ class TestIdx:
         assert ds.inputs.shape == (7, 4)
         assert ds.num_classes == 10
         npt.assert_array_equal(ds.labels, labels)
-        npt.assert_array_equal(ds.inputs, images.reshape(7, 4) / 255.0)
+        # the file's bytes are stored; the one conversion gives the
+        # float64 bytes the loader once returned
+        assert_same_bytes(ds.inputs, images.reshape(7, 4))
+        npt.assert_array_equal(to_float(ds.inputs).view(np.uint64),
+                               (images.reshape(7, 4) / 255.0).view(np.uint64))
 
     def test_gzip_transparent(self, idx_pair, tmp_path):
         ip, lp, images, labels = idx_pair
@@ -98,22 +108,29 @@ class TestIdx:
         assert issubclass(IdxCountMismatchError, IdxFormatError)
 
     def test_scaling_is_bitwise_the_plain_division(self, tmp_path):
-        # every byte value once: the in-place /= 255.0 must give the
-        # same doubles as the out-of-place division
+        # every byte value once: the stored bytes, and the one conversion
+        # (into a fresh array or into a buffer) giving the same doubles
+        # as the out-of-place division
         images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
         labels = np.arange(4, dtype=np.uint8)
         ip = str(tmp_path / "images-idx3-ubyte")
         lp = str(tmp_path / "labels-idx1-ubyte")
         write_idx(ip, lp, images, labels)
+        inputs = load_idx(ip, lp).inputs
+        assert_same_bytes(inputs, images.reshape(4, 64))
         expected = images.astype(np.float64).reshape(4, 64) / 255.0
-        npt.assert_array_equal(load_idx(ip, lp).inputs.view(np.uint64),
+        npt.assert_array_equal(to_float(inputs).view(np.uint64),
                                expected.view(np.uint64))
+        buf = np.full((4, 64), np.nan)
+        assert to_float(inputs, out=buf) is buf
+        npt.assert_array_equal(buf.view(np.uint64), expected.view(np.uint64))
 
     def test_pixels_scaled_to_unit_range(self, idx_pair):
         ip, lp, _, _ = idx_pair
-        ds = load_idx(ip, lp)
-        assert ds.inputs.min() >= 0.0
-        assert ds.inputs.max() <= 1.0
+        scaled = to_float(load_idx(ip, lp).inputs)
+        assert scaled.dtype == np.float64
+        assert scaled.min() >= 0.0
+        assert scaled.max() <= 1.0
 
 
 class TestCifar10:
@@ -130,8 +147,9 @@ class TestCifar10:
         ds = load_cifar10([path])
         assert ds.inputs.shape == (n, 3, 32, 32)
         npt.assert_array_equal(ds.labels, labels)
+        npt.assert_array_equal(ds.inputs.reshape(n, 3072), pixels)
         npt.assert_array_equal(
-            ds.inputs.reshape(n, 3072), pixels / 255.0
+            to_float(ds.inputs).reshape(n, 3072), pixels / 255.0
         )
 
     @staticmethod
@@ -151,19 +169,24 @@ class TestCifar10:
         paths = self._write_batches(tmp_path, 2, 300)
         ds = load_cifar10(paths)
         records = [np.fromfile(p, dtype=np.uint8).reshape(-1, 3073) for p in paths]
+        pixels = np.concatenate([r[:, 1:].reshape(-1, 3, 32, 32) for r in records])
         expected = np.concatenate([
             r[:, 1:].astype(np.float64).reshape(-1, 3, 32, 32) / 255.0
             for r in records
         ])
-        assert ds.inputs.dtype == np.float64
-        npt.assert_array_equal(ds.inputs.view(np.uint64), expected.view(np.uint64))
+        assert ds.inputs.dtype == np.uint8
+        npt.assert_array_equal(ds.inputs, pixels)
+        scaled = to_float(ds.inputs)
+        assert scaled.dtype == np.float64
+        npt.assert_array_equal(scaled.view(np.uint64), expected.view(np.uint64))
         npt.assert_array_equal(
             ds.labels, np.concatenate([r[:, 0] for r in records]).astype(np.int64)
         )
 
     def test_images_are_held_once_at_the_peak(self, tmp_path):
-        # Two batches of 1000 records make a 49 MB result; scaling each
-        # batch out of place and concatenating would peak near twice that.
+        # Two batches of 1000 records make a 6 MB result; holding each
+        # batch's file bytes while the records are gathered into one
+        # array would peak near twice that.
         paths = self._write_batches(tmp_path, 2, 1000)
         tracemalloc.start()
         try:
@@ -173,6 +196,23 @@ class TestCifar10:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * ds.inputs.nbytes
+
+    def test_gzipped_batches_read_the_same_records(self, tmp_path):
+        # a gzipped batch is sized by a first decompressing pass, then
+        # read into its slice of the records in bounded pieces
+        paths = self._write_batches(tmp_path, 2, 300)
+        gz = str(tmp_path / "data_batch_2.bin.gz")
+        with open(paths[1], "rb") as f, gzip.open(gz, "wb") as g:
+            g.write(f.read())
+        plain, mixed = load_cifar10(paths), load_cifar10([paths[0], gz])
+        assert_same_bytes(mixed.inputs, plain.inputs)
+        npt.assert_array_equal(mixed.labels, plain.labels)
+        with open(gz, "rb") as f:
+            raw = f.read()
+        bad = tmp_path / "bad.bin.gz"
+        bad.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(IdxFormatError, match="bad.bin.gz"):
+            load_cifar10([paths[0], str(bad)])
 
     def test_ragged_file_rejected(self, tmp_path):
         path = str(tmp_path / "bad.bin")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from marginnet.harness import (
     evaluate_objectives,
     load_model,
     load_split,
+    load_splits,
     member_scores,
     prepare_data,
     read_metrics_csv,
@@ -33,6 +35,7 @@ from marginnet.harness import (
 )
 from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.network import Network, build_mlp
+from marginnet.preprocess import STD_FLOOR
 from marginnet.optim import SgdMomentum
 from marginnet.tensor import DomainError
 
@@ -320,7 +323,7 @@ def fresh_state(cfg):
     """The state ``train`` builds for ``cfg`` before its first epoch."""
     _, init_rng, train_rng = seed_streams(cfg.seed)
     prepared = prepare_data(cfg)
-    net = build_network(cfg, prepared.train.inputs, head_spec_from_config(cfg),
+    net = build_network(cfg, prepared.shape, head_spec_from_config(cfg),
                         init_rng)
     return TrainState(net, SgdMomentum([net.param], cfg.momentum), train_rng,
                       prepared, [], 0, 0, cfg.out_dir, "", "")
@@ -547,3 +550,181 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             ensemble_predict([], ds.inputs)
 
+
+
+def write_idx_splits(data_dir, sizes, side, seed=0):
+    """Seeded random ``side`` x ``side`` IDX images and 3-class labels for
+    each (split, n) of ``sizes`` under ``data_dir``; returns the config
+    text that reads them and each split's (images, labels)."""
+    rng = np.random.default_rng(seed)
+    written = {}
+    for split, n in sizes:
+        images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
+        labels = rng.integers(0, 3, size=n)
+        write_idx(f"{data_dir}/{split}-images", f"{data_dir}/{split}-labels",
+                  images, labels)
+        written[split] = images, labels
+    text = (f"dataset = idx\ndata_dir = {data_dir}\n"
+            "train_images = train-images\ntrain_labels = train-labels\n"
+            "test_images = test-images\ntest_labels = test-labels\n")
+    return text, written
+
+
+class TestPixelsStayBytes:
+    def test_conv_minibatches_are_the_scaled_standardized_rows(
+            self, tmp_path, monkeypatch):
+        # without a PCA the prepared splits keep the file's bytes, and
+        # every minibatch the run trains on is the gathered rows scaled,
+        # standardized and reshaped, byte for byte
+        text, written = write_idx_splits(tmp_path, (("train", 60), ("test", 20)), 8)
+        cfg = parse_config_text(text + f"""
+arch = conv
+conv_channels = 2, 2
+conv_kernel = 3
+conv_dense = 8
+standardize = true
+head = l2svm
+epochs = 2
+batch_size = 16
+lr_start = 0.01
+out_dir = {tmp_path}/run
+""")
+        batches, consumed = [], []
+        plan, backprop = harness_mod.minibatches, Network.backprop
+
+        def recording_minibatches(*args):
+            epoch = plan(*args)
+            batches.extend(epoch)
+            return epoch
+
+        def recording_backprop(self, x, labels, **kwargs):
+            consumed.append(x.copy())
+            return backprop(self, x, labels, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "minibatches", recording_minibatches)
+        monkeypatch.setattr(Network, "backprop", recording_backprop)
+        state = train(cfg)
+        prepared = state.prepared
+        for split, data in (("train", prepared.train), ("test", prepared.test)):
+            images = written[split][0]
+            assert data.inputs.dtype == np.uint8
+            assert data.inputs.tobytes() == images.reshape(len(images), 64).tobytes()
+
+        def reference(images):
+            rows = images.reshape(len(images), 64).astype(np.float64) / 255
+            return ((rows - mean) / std).reshape(-1, 1, 8, 8)
+
+        train_rows = written["train"][0].reshape(60, 64).astype(np.float64) / 255
+        mean = train_rows.mean(axis=0)
+        std = np.maximum(train_rows.std(axis=0), STD_FLOOR)
+        assert len(consumed) == len(batches) == 8
+        for idx, x in zip(batches, consumed):
+            want = reference(written["train"][0][idx])
+            assert x.shape == want.shape and x.tobytes() == want.tobytes()
+        # each evaluation chunk is transformed alike: the last row's test
+        # columns are those of the whole transformed split
+        test_images, test_labels = written["test"]
+        rep = evaluate_objectives(state.network, reference(test_images), test_labels)
+        final = state.metrics[-1]
+        assert (final["test_error_pct"], final["avg_xent"], final["hinge_sq_sum"]) == (
+            rep.error_pct, rep.avg_xent, rep.hinge_sq_sum)
+
+    @pytest.mark.parametrize("standardize, pca_dims",
+                             [(False, 0), (True, 0), (False, 6), (True, 6)])
+    def test_saved_transform_of_pixels_is_the_prepared_inputs(
+            self, tmp_path, standardize, pca_dims):
+        # a saved model takes the raw bytes to exactly the inputs the run
+        # scored: projected once with a PCA, per gathered row without
+        text, _ = write_idx_splits(tmp_path, (("train", 40), ("test", 30)), 4)
+        cfg = parse_config_text(text + f"""
+standardize = {str(standardize).lower()}
+pca_dims = {pca_dims}
+hidden_dims = 8
+epochs = 0
+out_dir = {tmp_path}/run
+""")
+        res = train(cfg)
+        model = load_model(res.model_dir)
+        raw = load_splits(cfg, ("train", "test"))
+        for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
+            assert split.inputs.dtype == np.uint8
+            assert prepared.inputs.dtype == (np.uint8 if not pca_dims else np.float64)
+            want = res.prepared.network_inputs(prepared.inputs)
+            assert want.dtype == np.float64 and want.shape[1:] == (pca_dims or 16,)
+            assert model.transform(split.inputs).tobytes() == want.tobytes()
+
+    def test_saved_model_scores_pixels_a_chunk_at_a_time(self, tmp_path):
+        # without a PCA, cross-objective evaluation and ensemble members
+        # transform each scoring chunk, with the bytes of transforming the
+        # whole split first, and never hold a float copy of the split
+        text, _ = write_idx_splits(tmp_path, (("train", 50), ("test", 6000)), 28)
+        cfg = parse_config_text(text + f"""
+standardize = true
+hidden_dims = 8
+epochs = 0
+out_dir = {tmp_path}/run
+""")
+        model = load_model(train(cfg).model_dir)
+        test = load_split(cfg, "test")
+        whole = model.transform(test.inputs)
+        want = evaluate_objectives(model.network, whole, test.labels)
+        want_scores = model.network.scores(whole).tobytes()
+        del whole
+        tracemalloc.start()
+        try:
+            got = cross_objective_eval(model, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert member_scores([model], test.inputs)[0].tobytes() == want_scores
+        assert peak < test.inputs.size * np.dtype(np.float64).itemsize
+
+    def test_standardized_cifar_preparation_peaks_below_one_float_copy(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for name, n in (("train", 2000), ("test", 200)):
+            raw = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+            raw[:, 0] %= 10
+            raw.tofile(str(tmp_path / f"{name}.bin"))
+        cfg = parse_config_text(f"""
+dataset = cifar10
+data_dir = {tmp_path}
+cifar_train_batches = train.bin
+cifar_test_batches = test.bin
+standardize = true
+arch = conv
+conv_channels = 2, 2
+conv_kernel = 3
+conv_dense = 8
+epochs = 1
+batch_size = 50
+out_dir = {tmp_path}/run
+""")
+        tracemalloc.start()
+        try:
+            prepared = prepare_data(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prepared.train.inputs.dtype == np.uint8
+        assert prepared.shape == (3, 32, 32)
+        assert peak < 2000 * 3072 * np.dtype(np.float64).itemsize
+
+
+def test_blobs_are_drawn_once_per_preparation(tmp_path, monkeypatch):
+    draws = []
+    make = harness_mod.make_blobs
+
+    def counting_make_blobs(n, *args, **kwargs):
+        draws.append(n)
+        return make(n, *args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "make_blobs", counting_make_blobs)
+    cfg = blobs_config(tmp_path, "once", epochs=0, standardize="false")
+    prepared = prepare_data(cfg)
+    assert draws == [120]
+    # the splits are the one draw's first 80 and last 40 rows
+    full = make(120, 3, 2, 20.0, seed_streams(3)[0])
+    assert prepared.train.inputs.tobytes() == full.inputs[:80].tobytes()
+    assert prepared.test.inputs.tobytes() == full.inputs[80:].tobytes()
+    npt.assert_array_equal(prepared.test.labels, full.labels[80:])

@@ -171,6 +171,33 @@ def test_scores_of_an_empty_batch_are_still_shape_checked():
         net.scores(np.zeros((0, 7)))
 
 
+@pytest.mark.parametrize("arch", ["mlp", "conv"])
+def test_unscaled_pixels_never_reach_a_layer(arch):
+    # bytes taken as 0-255 values would train and score silently wrong
+    net, x = _tiny_net(arch, "l2svm", np.random.default_rng(13))
+    pixels = np.zeros(x.shape, dtype=np.uint8)
+    for entry in (net.forward, net.scores, net.predict,
+                  lambda p: net.backprop(p, np.zeros(len(p), dtype=np.int64))):
+        with pytest.raises(DomainError, match="uint8 pixels"):
+            entry(pixels)
+
+
+def test_scores_transform_each_chunk():
+    # a transform applied per chunk of pixels scores like the transformed
+    # rows at once: the chunks are the same either way
+    net = build_mlp(6, [8], HeadSpec("l2svm", 3), rng=np.random.default_rng(14),
+                    init_std=0.5)
+    pixels = np.random.default_rng(15).integers(0, 256, size=(4500, 6), dtype=np.uint8)
+    chunks = []
+
+    def scale(rows):
+        chunks.append(len(rows))
+        return rows / 255.0
+
+    assert net.scores(pixels, scale).tobytes() == net.scores(pixels / 255.0).tobytes()
+    assert chunks == [network.SCORE_CHUNK, network.SCORE_CHUNK, 500]
+
+
 def test_scores_retain_no_activations():
     # A 50 -> 256 -> 256 mlp over 10k rows caches 65 MB of activations
     # when its forward keeps backward state.

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from marginnet.preprocess import (
+    ROW_BLOCK,
+    STD_FLOOR,
     PcaModel,
     PixelStandardizer,
     _lexicographic_row_order,
@@ -19,6 +21,7 @@ from marginnet.preprocess import (
     augment,
     pca_fit,
     pca_transform,
+    to_float,
 )
 from marginnet.tensor import DomainError, ShapeError
 
@@ -71,6 +74,21 @@ def assert_same_bytes(a, b):
 @example(x=np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [-0.0, -1.0]]))
 def test_row_order_equals_lexsort(x):
     npt.assert_array_equal(_lexicographic_row_order(x), np.lexsort(x.T[::-1]))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(x=tie_heavy_rows(), scale=st.sampled_from([-2.0, 0.5, 3.0]))
+def test_keyed_row_order_is_the_order_of_the_mapped_rows(x, scale):
+    # a column-dependent map that sends +-inf to +-inf (or swaps them)
+    # and both zeros to one zero, so equal values keep equal keys
+    offsets = np.arange(x.shape[1], dtype=np.float64)
+
+    def key(col, values):
+        return values * (scale * (col + 1)) + offsets[col]
+
+    mapped = x * (scale * (offsets + 1)) + offsets
+    npt.assert_array_equal(_lexicographic_row_order(x, key),
+                           np.lexsort(mapped.T[::-1]))
 
 
 class TestPcaFit:
@@ -156,6 +174,49 @@ class TestPcaFit:
         assert_same_bytes(model.mean, mean)
         assert_same_bytes(model.components, comps)
         assert_same_bytes(model.explained_variances, evals)
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_fit_on_pixels_is_the_fit_on_their_scaled_rows(self, standardize):
+        # ordering and gathering the bytes, then scaling and standardizing
+        # the gathered copy, gives the bytes of the fit on the float rows
+        # standardized up front; repeated rows and mostly-zero columns
+        # make long ties in the order
+        rng = np.random.default_rng(31)
+        pixels = rng.integers(0, 256, size=(1500, 196), dtype=np.uint8)
+        pixels[rng.random((1500, 196)) < 0.7] = 0
+        pixels[900:1100] = pixels[rng.integers(0, 900, 200)]
+        pixels[:, :5] = 0
+        s = PixelStandardizer().fit(pixels) if standardize else None
+        rows = to_float(pixels)
+        model = pca_fit(pixels, 30, s)
+        ref = pca_fit(rows if s is None else s.apply(rows), 30)
+        for got, want in ((model.mean, ref.mean), (model.components, ref.components),
+                          (model.explained_variances, ref.explained_variances)):
+            assert_same_bytes(got, want)
+
+    def test_standardized_fit_of_float_rows_is_the_fit_of_standardized_rows(self):
+        rng = np.random.default_rng(32)
+        x = np.round(rng.normal(size=(400, 12)), 1) * np.arange(1, 13)
+        x[200:260] = x[:60]
+        s = PixelStandardizer().fit(x)
+        model = pca_fit(x, 5, s)
+        ref = pca_fit(s.apply(x), 5)
+        assert_same_bytes(model.mean, ref.mean)
+        assert_same_bytes(model.components, ref.components)
+
+    def test_fit_on_pixels_builds_one_float_copy(self):
+        rng = np.random.default_rng(33)
+        pixels = rng.integers(0, 256, size=(4000, 784), dtype=np.uint8)
+        s = PixelStandardizer().fit(pixels)
+        tracemalloc.start()
+        try:
+            pca_fit(pixels, 20, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the gathered float rows are 8x the bytes; the gathered bytes
+        # and the [D, D] covariance and eigenvectors come on top
+        assert peak < 8 * pixels.nbytes + 2 * pixels.nbytes + 3 * 784 * 784 * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -261,6 +322,19 @@ class TestRowBlockedTransform:
         assert sizes[-1] >= max(sizes[:-1], default=0)
         assert all(s * k * d > 10**6 for s in sizes[:-1])
 
+    @pytest.mark.parametrize("n", [0, 1, 700, 2600])
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_pixels_project_as_their_scaled_rows(self, n, k):
+        rng = np.random.default_rng(n + k)
+        pixels = rng.integers(0, 256, size=(n, 196), dtype=np.uint8)
+        rows = to_float(pixels)
+        fit_rows = rng.integers(0, 256, size=(300, 196), dtype=np.uint8)
+        standardizer = PixelStandardizer().fit(fit_rows)
+        comps = np.linalg.qr(rng.normal(size=(196, k)))[0].copy()
+        pca = PcaModel(rng.normal(size=196) * 0.1, comps, np.ones(k))
+        for s in (None, standardizer):
+            assert_same_bytes(pca_transform(pca, pixels, s), pca_transform(pca, rows, s))
+
     def test_peak_memory_is_a_fraction_of_the_input(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(10000, 784))
@@ -320,6 +394,68 @@ class TestPixelStandardizer:
     def test_apply_before_fit_rejected(self):
         with pytest.raises(DomainError):
             PixelStandardizer().apply(np.zeros((2, 2)))
+
+    def test_unscaled_pixels_rejected(self):
+        # bytes taken as 0-255 values would standardize silently wrong
+        pixels = np.arange(12, dtype=np.uint8).reshape(4, 3)
+        s = PixelStandardizer().fit(pixels)
+        for entry in (s.check, s.apply):
+            with pytest.raises(DomainError, match="uint8 pixels"):
+                entry(pixels)
+        assert_same_bytes(s.apply(to_float(pixels)),
+                          (to_float(pixels) - s.mean) / s.std)
+
+    def test_apply_into_out(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(50, 4))
+        s = PixelStandardizer().fit(x)
+        expected = s.apply(x)
+        assert s.apply(x, out=x) is x
+        assert_same_bytes(x, expected)
+
+    @pytest.mark.parametrize("n, d", [
+        (1, 256), (ROW_BLOCK, 256), (2 * ROW_BLOCK + 37, 256), (3 * ROW_BLOCK, 3),
+        (ROW_BLOCK + 1, 2), (2000, 1), (1, 1), (700, 784)])
+    def test_blocked_fit_gives_the_float_fits_bytes(self, n, d):
+        # every byte value occurs in a column whenever n >= 256; row
+        # counts at, across and between block edges; a single row; one
+        # column, which numpy sums pairwise
+        rng = np.random.default_rng(n * d)
+        pixels = rng.integers(0, 256, size=(n, d), dtype=np.uint8)
+        if n >= 256:
+            pixels[:256] = np.arange(256, dtype=np.uint8)[:, None]
+            pixels = pixels[rng.permutation(n)]
+        floats = pixels.astype(np.float64) / 255.0
+        for x in (pixels, floats):
+            s = PixelStandardizer().fit(x)
+            assert_same_bytes(s.mean, floats.mean(axis=0))
+            assert_same_bytes(s.std, np.maximum(floats.std(axis=0), STD_FLOOR))
+
+    def test_fit_on_pixels_makes_no_float_copy(self):
+        pixels = np.random.default_rng(23).integers(
+            0, 256, size=(20000, 784), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            PixelStandardizer().fit(pixels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 copy would be 8x the bytes
+        assert peak < pixels.nbytes
+
+
+class TestToFloat:
+    def test_float_rows_pass_through_unchanged(self):
+        x = np.random.default_rng(24).normal(size=(5, 3))
+        assert to_float(x) is x
+        out = np.empty_like(x)
+        assert to_float(x, out=out) is out
+        assert_same_bytes(out, x)
+
+    def test_other_dtypes_convert_without_scaling(self):
+        npt.assert_array_equal(to_float(np.array([[0, 255, 300]])), [[0.0, 255.0, 300.0]])
+        npt.assert_array_equal(to_float(np.array([[0, 255]], dtype=np.uint16)),
+                               [[0.0, 255.0]])
 
 
 class TestAugment:

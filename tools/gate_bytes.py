@@ -10,10 +10,15 @@ config trains in its own temporary directory with the library from the
 hex digits of the SHA-256 of ``metrics.csv``, of ``params.bin`` and of
 the optimizer's velocities after the run, concatenated in named-tensor
 order: the state an exact resume must restore beside the parameters.
-Gates 1-4 and 6 train from scratch; gate 5 warm-starts a 2-epoch
+Gates 1-4 and 6-8 train from scratch; gate 5 warm-starts a 2-epoch
 softmax run from gate 1's model through ``source_model``.  Gate 6 is a
 convnet at MNIST's geometry (1x28x28 inputs, k = 5, pooled to 14x14
-and 7x7) whose 37-row batches end in a partial block of images.  A last line gives the
+and 7x7) whose 37-row batches end in a partial block of images.  Gates
+1-6 train on blobs; gates 7 and 8 read seeded 12x12 IDX files, written
+with ``data.write_idx``, through the image loader: gate 7 is a
+standardized, PCA-projected MLP, gate 8 a convnet with augment and no
+standardization, which scales each minibatch's bytes as it is drawn.
+A last line gives the
 same digits of ``marginnet gradcheck``'s stdout for each of the configs
 ``seed = 0``, ``42`` and ``123``.
 
@@ -34,8 +39,11 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+import numpy as np  # noqa: E402
+
 from marginnet.cli import main as cli_main  # noqa: E402
 from marginnet.config import parse_config_text  # noqa: E402
+from marginnet.data import write_idx  # noqa: E402
 from marginnet.harness import train  # noqa: E402
 
 # Blobs, standardized and PCA-projected, under a 256-256 MLP.
@@ -98,6 +106,47 @@ batch_size = 37
 lr_start = 0.01
 """
 
+# The IDX files write_idx_files puts under {tmp}/idx.
+IDX = """
+dataset = idx
+data_dir = {tmp}/idx
+train_images = train-images
+train_labels = train-labels
+test_images = test-images
+test_labels = test-labels
+"""
+
+IDX_MLP = IDX + """
+standardize = true
+pca_dims = 16
+hidden_dims = 32, 32
+init_std = 0.1
+head = l2svm
+svm_c = 0.01
+noise_start = 0.1
+noise_end = 0.1
+epochs = 2
+batch_size = 48
+lr_start = 0.001
+"""
+
+# 1x12x12 images, pooled to 6x6 and 3x3; 300 rows end in a short batch.
+IDX_CONV = IDX + """
+arch = conv
+conv_channels = 2, 4
+conv_kernel = 3
+conv_dense = 16
+conv_dropout = 0.2
+augment = true
+max_jitter = 1
+head = l2svm
+svm_c = 0.01
+init_std = 0.1
+epochs = 2
+batch_size = 64
+lr_start = 0.01
+"""
+
 GATES = (
     MLP + "head = l2svm\n",
     MLP + "head = softmax\nlower_weight_decay = 0.01\n",
@@ -107,6 +156,8 @@ GATES = (
     MLP.replace("epochs = 3", "epochs = 2")
     + "head = softmax\nsource_model = {tmp}/1/model\n",
     CONV_MNIST,
+    IDX_MLP,
+    IDX_CONV,
 )
 
 GRADCHECK_SEEDS = (0, 42, 123)
@@ -129,8 +180,24 @@ def gradcheck_sha16(config_path):
     return sha16(out.getvalue().encode())
 
 
+def write_idx_files(directory):
+    """Seeded 12x12 IDX images of 4 classes for both splits: random bytes
+    inside a zero border, as MNIST has, with 20 repeated images, so the
+    PCA's row order meets constant columns and tied rows."""
+    os.makedirs(directory)
+    rng = np.random.default_rng(7)
+    for split, n in (("train", 300), ("test", 100)):
+        images = np.zeros((n, 12, 12), dtype=np.uint8)
+        images[:, 1:-1, 1:-1] = rng.integers(0, 256, size=(n, 10, 10))
+        images[n // 2 : n // 2 + 20] = images[:20]
+        write_idx(os.path.join(directory, f"{split}-images"),
+                  os.path.join(directory, f"{split}-labels"),
+                  images, rng.integers(0, 4, size=n))
+
+
 def main():
     with tempfile.TemporaryDirectory(prefix="gate_bytes_") as tmp:
+        write_idx_files(os.path.join(tmp, "idx"))
         for i, text in enumerate(GATES, start=1):
             state = train(parse_config_text(
                 text.replace("{tmp}", tmp)
