@@ -17,14 +17,12 @@ came from ("config", "default", or "cli" for post-parse overrides), and
 """
 
 import copy
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .data import IMAGE_CLASSES
-from .heads import HEAD_KINDS, HeadSpec
-from .tensor import DomainError
+from .heads import FINITE_NON_NEGATIVE, FINITE_POSITIVE, HEAD_KINDS, HeadSpec
 
 
 class ConfigError(ValueError):
@@ -64,8 +62,6 @@ def one_of(*choices):
     return (f"one of {choices}", lambda v: v in choices)
 
 
-FINITE_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
-FINITE_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
 RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
 ODD_KERNEL = ("odd and positive (stride 1, same padding)",
               lambda v: v >= 1 and v % 2 == 1)
@@ -91,9 +87,8 @@ class Key(NamedTuple):
 
 
 # key -> Key.  This table is the whole schema.  epochs 0 is legal:
-# train() then emits only the initial evaluation row.  weight_decay and
-# svm_c are checked for every head: evaluation reports both objective
-# families, each with its own constant, whichever head trains.
+# train() then emits only the initial evaluation row.  svm_c and
+# weight_decay take HeadSpec's rules, which hold under every head.
 SCHEMA = {
     # data
     "dataset": Key(str, "blobs", one_of("blobs", "idx", "cifar10")),
@@ -235,15 +230,8 @@ def parse_config(path):
 
 
 def head_spec_from_config(cfg):
-    try:
-        return HeadSpec(
-            kind=cfg.head,
-            num_classes=class_count(cfg),
-            c=cfg.svm_c,
-            weight_decay=cfg.weight_decay,
-        )
-    except DomainError as e:
-        raise ConfigError(str(e)) from None
+    # Parsing held every field to HeadSpec's own rules: this cannot fail.
+    return HeadSpec(cfg.head, class_count(cfg), cfg.svm_c, cfg.weight_decay)
 
 
 def class_count(cfg):

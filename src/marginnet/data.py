@@ -113,60 +113,69 @@ def _payload(path):
             raise IdxFormatError(f"{path}: corrupt gzip stream: {e}") from None
 
 
-def _read_bytes(path):
-    """The bytes of ``path`` (see :func:`_payload`)."""
-    with _payload(path) as f:
-        return f.read()
+# Bytes per read into a loader's array: a gzip stream's read builds a
+# bytes object of this size before copying it in.
+READ_PIECE = 1 << 20
 
 
-def _parse_idx(raw, path, expected_magic, expected_ndim):
-    if len(raw) < 4:
-        raise IdxTruncatedError(f"{path}: shorter than a magic number")
-    magic = int.from_bytes(raw[0:4], "big")
-    if magic != expected_magic:
-        raise IdxMagicError(
-            f"{path}: magic {magic}, expected {expected_magic}"
-        )
+def _fill(f, out):
+    """Read stream ``f`` into the contiguous uint8 array ``out``, piece by
+    piece; returns the bytes read, fewer than ``out.size`` at its end."""
+    view, got = memoryview(out.reshape(-1)), 0
+    while got < len(view) and (read := f.readinto(view[got : got + READ_PIECE])):
+        got += read
+    return got
+
+
+def _read_idx(path, expected_magic, expected_ndim):
+    """The payload of the IDX file ``path`` (see :func:`_payload`), read
+    into one read-only uint8 array shaped by its header's dimensions."""
     header_len = 4 + 4 * expected_ndim
-    if len(raw) < header_len:
-        raise IdxTruncatedError(f"{path}: header cut short")
-    dims = [
-        int.from_bytes(raw[4 + 4 * i : 8 + 4 * i], "big")
-        for i in range(expected_ndim)
-    ]
-    count = int(np.prod(dims)) if dims else 0
-    if len(raw) - header_len < count:
+    with _payload(path) as f:
+        header = f.read(header_len)
+        if len(header) < 4:
+            raise IdxTruncatedError(f"{path}: shorter than a magic number")
+        magic = int.from_bytes(header[0:4], "big")
+        if magic != expected_magic:
+            raise IdxMagicError(f"{path}: magic {magic}, expected {expected_magic}")
+        if len(header) < header_len:
+            raise IdxTruncatedError(f"{path}: header cut short")
+        dims = [int.from_bytes(header[4 + 4 * i : 8 + 4 * i], "big")
+                for i in range(expected_ndim)]
+        try:
+            data = np.empty(dims, dtype=PIXELS)
+        except (MemoryError, ValueError):
+            raise IdxTruncatedError(f"{path}: header declares {dims}, "
+                                    "more than can be held") from None
+        got = _fill(f, data)
+        f.read()  # to the end of the stream, where gzip checks its CRC
+    if got < data.size:
         raise IdxTruncatedError(
-            f"{path}: payload holds {len(raw) - header_len} bytes, header "
-            f"declares {count}"
+            f"{path}: payload holds {got} bytes, header declares {data.size}"
         )
-    data = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header_len)
-    return dims, data
+    data.flags.writeable = False
+    return data
 
 
 def load_idx(images_path, labels_path, split="train"):
     """Load an images/labels IDX pair into an :data:`IMAGE_CLASSES`-class
     Dataset (the MNIST digits).
 
-    Images come out flat [N, rows*cols] as the file's uint8 bytes: a
-    read-only view of the file's payload, with no copy.  Distinct errors
-    separate a wrong magic, a truncated payload, and an image/label
-    count mismatch.
+    Images come out flat [N, rows*cols] as the file's uint8 bytes: the
+    one read-only array, sized from the header, that the payload is read
+    into.  Distinct errors separate a wrong magic, a truncated payload,
+    and an image/label count mismatch.
     """
-    img_dims, img_data = _parse_idx(
-        _read_bytes(images_path), images_path, IMAGES_MAGIC, 3
-    )
-    lbl_dims, lbl_data = _parse_idx(
-        _read_bytes(labels_path), labels_path, LABELS_MAGIC, 1
-    )
-    n, rows, cols = img_dims
-    if lbl_dims[0] != n:
+    images = _read_idx(images_path, IMAGES_MAGIC, 3)
+    labels = _read_idx(labels_path, LABELS_MAGIC, 1)
+    n, rows, cols = images.shape
+    if len(labels) != n:
         raise IdxCountMismatchError(
             f"{images_path} holds {n} images but {labels_path} holds "
-            f"{lbl_dims[0]} labels"
+            f"{len(labels)} labels"
         )
-    labels = lbl_data.astype(np.int64)
-    return Dataset(img_data.reshape(n, rows * cols), labels, IMAGE_CLASSES, split)
+    return Dataset(images.reshape(n, rows * cols), labels.astype(np.int64),
+                   IMAGE_CLASSES, split)
 
 
 def write_idx(images_path, labels_path, images_u8, labels):
@@ -217,16 +226,10 @@ def load_cifar10(batch_paths, split="train"):
             )
         sizes.append(size)
     records = np.empty((sum(sizes) // CIFAR_RECORD, CIFAR_RECORD), dtype=PIXELS)
-    flat = memoryview(records.reshape(-1))
     start = 0
     for path, size in zip(batch_paths, sizes):
-        got = 0
         with _payload(path) as f:
-            while got < size:
-                read = f.readinto1(flat[start + got : start + size])
-                if not read:
-                    break
-                got += read
+            got = _fill(f, records.reshape(-1)[start : start + size])
         if got != size:
             raise IdxTruncatedError(f"{path}: changed size while being read")
         start += size
@@ -261,7 +264,10 @@ def make_blobs(n, num_classes, dim, separation, rng, split="train"):
         centers[placed] = cand
         placed += 1
     labels = np.arange(n, dtype=np.int64) % num_classes
-    inputs = centers[labels] + rng.normal(size=(n, dim))
+    # centers[labels] + noise, added in place: addition commutes.
+    inputs = rng.normal(size=(n, dim))
+    for k in range(num_classes):
+        inputs[k::num_classes] += centers[k]
     return Dataset(inputs, labels, num_classes, split)
 
 

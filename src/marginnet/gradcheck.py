@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import class_count
-from .heads import HeadSpec, apply_head, encode_targets, head_scores, init_head_weights
+from .heads import HeadSpec, apply_head, encode_targets, head_scores
 from .layers import (
     Conv2dLayer,
     DenseLayer,
     DropoutLayer,
     MaxPool2x2Layer,
     ReluLayer,
+    init_gaussian,
 )
 from .network import build_mlp
 
@@ -155,13 +156,15 @@ def gradcheck_suite(num_classes=3, seed=0):
     # Each layer is built, then its input x and projection r drawn, in
     # this order.  ReLU inputs are kept away from the kink at 0, and
     # max-pool inputs are distinct so no window's argmax moves under EPS.
-    dense = DenseLayer(5, 6, rng=rng, init_std=0.5)
+    dense = DenseLayer(5, 6)
+    init_gaussian(dense.weights, rng, 0.5)
     results += check_layer("dense", dense, rng.normal(size=(4, 5)),
                            rng.normal(size=(4, 6)))
     xr = rng.normal(size=(4, 6))
     xr = np.where(np.abs(xr) < 0.1, xr + 0.2, xr)
     results += check_layer("relu", ReluLayer(), xr, rng.normal(size=xr.shape))
-    conv = Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5)
+    conv = Conv2dLayer(2, 3, 3)
+    init_gaussian(conv.filters, rng, 0.5)
     results += check_layer("conv", conv, rng.normal(size=(2, 2, 6, 6)),
                            rng.normal(size=(2, 3, 6, 6)))
     xm = rng.permutation(2 * 2 * 4 * 4).astype(float).reshape(2, 2, 4, 4)
@@ -177,7 +180,8 @@ def gradcheck_suite(num_classes=3, seed=0):
     specs = [HeadSpec(kind, k, c=0.7, weight_decay=0.1)
              for kind in ("softmax", "l1svm", "l2svm")]
     h = rng.normal(size=(5, d))
-    w = init_head_weights(d, k, rng=rng, init_std=0.5)
+    w = np.zeros((d + 1, k))  # the bias row stays 0
+    init_gaussian(w[:d], rng, 0.5)
     labels = rng.integers(0, k, size=5)
     for spec in specs:
         while spec.kind != "softmax" and _hinge_gap(w, h, labels, k) <= KINK_CLEARANCE:

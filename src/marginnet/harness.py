@@ -45,7 +45,8 @@ from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
 from .preprocess import (PcaModel, PixelStandardizer, augment, check_jitter, pca_fit,
                          pca_transform, to_float)
-from .serialize import ManifestError, json_text, load_tensors, save_tensors, write_text
+from .serialize import (ManifestError, json_text, load_tensors, read_manifest,
+                        save_tensors, write_text)
 from .tensor import PIXELS, DomainError, ShapeError
 
 CSV_COLUMNS = (
@@ -287,7 +288,7 @@ def prepare_data(cfg):
 
 def build_network(cfg, shape, head_spec, init_rng):
     """The configured network for input rows of ``shape`` (an MLP's
-    ``(width,)``, a convnet's ``(C, H, W)``)."""
+    ``(width,)``, a convnet's ``(C, H, W)``), drawn from ``init_rng``."""
     if cfg.arch == "mlp":
         return build_mlp(
             shape[0], cfg.hidden_dims, head_spec,
@@ -412,7 +413,8 @@ def train(cfg):
     _, init_rng, train_rng = seed_streams(cfg.seed)
     prepared = prepare_data(cfg)
     spec = head_spec_from_config(cfg)
-    net = build_network(cfg, prepared.shape, spec, init_rng)
+    # A warm start draws no init: the init stream feeds nothing else.
+    net = build_network(cfg, prepared.shape, spec, None if source else init_rng)
     if source is not None:
         # Every parameter carries over, head weights included: a warm start
         # changes the objective, not the function computed at step 0.  The
@@ -539,10 +541,11 @@ class LoadedModel:
 
 
 def load_model(model_dir):
-    """Rebuild the model saved in ``model_dir``.  A manifest whose meta
+    """Rebuild the model saved in ``model_dir``, each parameter read
+    straight into its view of ``Network.param``.  A manifest whose meta
     cannot rebuild it (a head, arch or preprocess entry of the wrong type,
     value or shape) raises :class:`ManifestError`."""
-    tensors, meta = load_tensors(model_dir)
+    meta = read_manifest(model_dir).get("meta", {})
     try:
         head, arch = meta["head"], meta["arch"]
         if not isinstance(arch, dict):
@@ -557,7 +560,7 @@ def load_model(model_dir):
             f"{model_dir}: manifest meta has no usable head and arch "
             f"({type(e).__name__}: {e})"
         ) from None
-    net.assign_tensors(tensors)  # the preprocessing tensors are not parameters
+    tensors, _ = load_tensors(model_dir, net.named_tensors())
     preprocess = meta.get("preprocess", {})
     if not isinstance(preprocess, dict):
         raise ManifestError(

@@ -48,6 +48,11 @@ from .tensor import DTYPE, DomainError, ShapeError, argmax
 OWN_OBJECTIVE = {"softmax": "avg_xent", "l1svm": "hinge_sum", "l2svm": "hinge_sq_sum"}
 HEAD_KINDS = tuple(OWN_OBJECTIVE)
 
+# The head constants' rules, (text, predicate) pairs as config.SCHEMA
+# writes them: HeadSpec and the schema both check c and weight_decay here.
+FINITE_POSITIVE = ("finite and > 0", lambda v: 0 < v < np.inf)
+FINITE_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < np.inf)
+
 
 @dataclass
 class HeadOutput:
@@ -69,9 +74,9 @@ class HeadOutput:
 class HeadSpec:
     """Which objective sits on top of the network, plus its constants.
 
-    ``c`` (the margin-violation weight) must be finite and > 0, and
-    ``weight_decay`` (the softmax L2 weight cost) finite and >= 0, under
-    every kind: :func:`objective_values` reports every family.
+    ``c`` (the margin-violation weight) and ``weight_decay`` (the
+    softmax L2 weight cost) are held to the rules above under every
+    kind: :func:`objective_values` reports every family.
     """
 
     kind: str
@@ -88,20 +93,12 @@ class HeadSpec:
             raise DomainError(
                 f"need at least 2 classes, got {self.num_classes}"
             )
-        if not 0 < self.c < np.inf:
-            raise DomainError(f"margin penalty C must be finite and > 0, got {self.c}")
-        if not 0 <= self.weight_decay < np.inf:
-            raise DomainError(
-                f"weight decay must be finite and >= 0, got {self.weight_decay}"
-            )
-
-
-def init_head_weights(dim, num_classes, rng=None, init_std=0.01):
-    """Gaussian weights, zero bias row; layout [(dim+1), num_classes]."""
-    w = np.zeros((dim + 1, num_classes), dtype=DTYPE)
-    if rng is not None and init_std > 0.0:
-        w[:dim] = rng.normal(0.0, init_std, size=(dim, num_classes))
-    return w
+        for name, value, (text, holds) in (
+            ("margin penalty C", self.c, FINITE_POSITIVE),
+            ("weight decay", self.weight_decay, FINITE_NON_NEGATIVE),
+        ):
+            if not holds(value):
+                raise DomainError(f"{name} must be {text}, got {value}")
 
 
 def augment_ones(h):

@@ -70,10 +70,13 @@ class Layer:
         return [getattr(self, "d_" + name) for name in self.param_names]
 
 
-def _init_gaussian(rng, shape, std):
-    if rng is None or std == 0.0:
-        return np.zeros(shape, dtype=DTYPE)
-    return rng.normal(0.0, std, size=shape).astype(DTYPE, copy=False)
+def init_gaussian(out, rng, std):
+    """The one weight init: fill the C-contiguous float64 ``out`` in
+    place as ``rng.normal(0.0, std, out.shape)`` would, with its bytes
+    and its generator state; std 0 draws nothing."""
+    if std != 0.0:
+        rng.standard_normal(out=out)
+        out *= std
 
 
 class DenseLayer(Layer):
@@ -81,10 +84,10 @@ class DenseLayer(Layer):
 
     param_names = ("weights", "bias")
 
-    def __init__(self, n_in, n_out, rng=None, init_std=0.01):
+    def __init__(self, n_in, n_out):
         self.n_in = n_in
         self.n_out = n_out
-        self.weights = _init_gaussian(rng, (n_in, n_out), init_std)
+        self.weights = np.zeros((n_in, n_out), dtype=DTYPE)
         self.bias = np.zeros(n_out, dtype=DTYPE)
         self.d_weights = None
         self.d_bias = None
@@ -179,13 +182,14 @@ class Conv2dLayer(Layer):
     into one reused product buffer, adds the bias there and writes the
     block's output.  The training forward keeps only the channel-major
     padded input [C, N, H+k-1, W+k-1]; the inference forward
-    (``train=False``) keeps nothing.  Backward copies each block's
-    ``d2`` columns into one reused buffer, adds their product with the
-    patches into ``d_filters``, and, unless ``input_grad=False``, adds
-    the block's col2im into the block's own slice of the padded input,
-    whose patches it no longer needs; the input gradient is a view of
-    that array.  ``d_bias`` sums each image's H*W plane, then the planes
-    over images, the order of ``d_out.sum(axis=(0, 2, 3))``.
+    (``train=False``) pads each block into one reused buffer and keeps
+    nothing.  Backward copies each block's ``d2`` columns into one
+    reused buffer, adds their product with the patches into
+    ``d_filters``, and, unless ``input_grad=False``, adds the block's
+    col2im into the block's own slice of the padded input, whose
+    patches it no longer needs; the input gradient is a view of that
+    array.  ``d_bias`` sums each image's H*W plane, then the planes over
+    images, the order of ``d_out.sum(axis=(0, 2, 3))``.
 
     ``forward(x, train, rng, pool_relu=True)`` runs the network's conv
     block, conv -> bias -> 2x2 max-pool -> ReLU, in the same loop: each
@@ -202,8 +206,7 @@ class Conv2dLayer(Layer):
 
     param_names = ("filters", "bias")
 
-    def __init__(self, in_channels, out_channels, kernel_size, rng=None,
-                 init_std=0.01):
+    def __init__(self, in_channels, out_channels, kernel_size):
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise DomainError(
                 f"kernel size must be odd and positive, got {kernel_size}"
@@ -212,8 +215,8 @@ class Conv2dLayer(Layer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.padding = kernel_size // 2
-        self.filters = _init_gaussian(
-            rng, (out_channels, in_channels, kernel_size, kernel_size), init_std
+        self.filters = np.zeros(
+            (out_channels, in_channels, kernel_size, kernel_size), dtype=DTYPE
         )
         self.bias = np.zeros(out_channels, dtype=DTYPE)
         self.d_filters = None
@@ -238,10 +241,10 @@ class Conv2dLayer(Layer):
         c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
         weights = self.filters.reshape(f, c * k * k)
         self._cache = None  # free the last padded input before padding this one
-        # The padded input, channel-major: each kernel offset fills one
-        # [C, B, H, W] block of the patch tensor [C, k, k, B, H, W].
-        xp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=DTYPE)
-        xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+        # The zero-padded input, channel-major, filled by _patch_blocks:
+        # the whole batch for backward, or one reused block.
+        xp = np.zeros((c, n if train else min(n, IMAGE_BLOCK), h + 2 * p, w + 2 * p),
+                      dtype=DTYPE)
         out_hw = (h // 2, w // 2) if pool_relu else (h, w)
         out = np.empty((n, f, *out_hw), dtype=DTYPE)
         pool_state = None
@@ -249,7 +252,7 @@ class Conv2dLayer(Layer):
             pool_state = (np.empty((f, n, *out_hw), dtype=np.uint8),
                           np.empty((f, n, *out_hw), dtype=bool))
         product = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
-        for images, cols in self._patch_blocks(xp):
+        for images, cols in self._patch_blocks(xp, x):
             conv = product[: f * cols.shape[1]].reshape(f, -1)
             np.matmul(weights, cols, out=conv)
             conv += self.bias[:, None]
@@ -267,24 +270,28 @@ class Conv2dLayer(Layer):
             self._cache = (xp, x.shape, pool_state)
         return out
 
-    def _patch_blocks(self, xp):
+    def _patch_blocks(self, xp, x=None):
         """Yield ``(images, cols)`` for each block of ``IMAGE_BLOCK``
         images of the channel-major padded input ``xp`` [C, N, H+k-1,
         W+k-1], in ascending order: the block's slice of the batch and
-        its patch matrix [C*k*k, B*H*W].  Every block is refilled into
-        one reused contiguous buffer, so a block's ``cols`` is only
-        valid until the next one is yielded."""
-        c, n = xp.shape[:2]
-        k = self.kernel_size
+        its patch matrix [C*k*k, B*H*W].  A block of NCHW ``x``, if given,
+        is first padded into its slice of ``xp`` (or ``xp``'s first B
+        images, if ``xp`` holds one block).  Every block is refilled into
+        one reused buffer, so ``cols`` is valid until the next yield."""
+        c, n = xp.shape[0], xp.shape[1] if x is None else len(x)
+        k, p = self.kernel_size, self.padding
         h, w = xp.shape[2] - k + 1, xp.shape[3] - k + 1
         buffer = np.empty(c * k * k * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
         for start in range(0, n, IMAGE_BLOCK):
             images = slice(start, min(start + IMAGE_BLOCK, n))
             b = images.stop - start
+            block = xp[:, images] if xp.shape[1] == n else xp[:, :b]
+            if x is not None:
+                block[:, :, p : p + h, p : p + w] = x[images].transpose(1, 0, 2, 3)
             patches = buffer[: c * k * k * b * h * w].reshape(c, k, k, b, h, w)
             for a in range(k):
                 for j in range(k):
-                    patches[:, a, j] = xp[:, images, a : a + h, j : j + w]
+                    patches[:, a, j] = block[:, :, a : a + h, j : j + w]
             yield images, patches.reshape(c * k * k, b * h * w)
 
     def backward(self, d_out, input_grad=True):

@@ -6,6 +6,7 @@ swapping the HeadSpec (and its weight matrix) changes the training
 objective but nothing about the stack or the prediction rule.
 """
 
+import math
 import weakref
 from typing import NamedTuple
 
@@ -19,8 +20,8 @@ from .layers import (
     FlattenLayer,
     MaxPool2x2Layer,
     ReluLayer,
+    init_gaussian,
 )
-from .serialize import assign_tensor
 from .tensor import DTYPE, DomainError, ShapeError, reject_pixels
 
 # Rows per chunk of Network.scores; see there for why 2,000.
@@ -47,34 +48,39 @@ class Network:
 
     ``param`` holds every parameter in :meth:`named_tensors` order (layer
     by layer, then ``head.weights``: the order ``params.bin`` saves).
-    Each layer's parameters and ``head_weights`` are C-contiguous views
-    of it, one :class:`TensorSlot` of ``table`` each.  :meth:`backprop`
-    binds every ``d_<p>`` and ``d_head_weights`` to views of a new
-    ``grad`` buffer, laid out alike.
+    Each layer's parameters and ``head_weights`` [(head_dim+1), K] are
+    C-contiguous views of it, one :class:`TensorSlot` of ``table`` each.
+    It starts at 0 (the layers give shapes, not values); ``rng`` draws
+    each weight view in ``table`` order, the head's bias row excepted.
+    :meth:`backprop` binds every ``d_<p>`` and ``d_head_weights`` to
+    views of a new ``grad`` buffer, laid out alike.
     """
 
-    def __init__(self, layers, head_spec, head_weights, arch):
+    def __init__(self, layers, head_spec, head_dim, arch, rng=None):
         self.layers = layers
         self.head_spec = head_spec
-        self.head_weights = head_weights
         self.arch = arch  # dict describing how to rebuild the stack
-        owners = [(f"layer{i}.{attr}", layer, attr)
+        owners = [(f"layer{i}.{attr}", layer, attr, getattr(layer, attr).shape)
                   for i, layer in enumerate(layers) for attr in layer.param_names]
         # A proxy: a table holding the network itself would be a reference
         # cycle, which keeps the buffers alive until the cyclic collector runs.
-        owners.append(("head.weights", weakref.proxy(self), "head_weights"))
-        tensors = [getattr(owner, attr) for _, owner, attr in owners]
-        self.param = np.empty(sum(t.size for t in tensors), dtype=DTYPE)
+        owners.append(("head.weights", weakref.proxy(self), "head_weights",
+                       (head_dim + 1, head_spec.num_classes)))
+        sizes = [math.prod(shape) for *_, shape in owners]
+        self.param = np.zeros(sum(sizes), dtype=DTYPE)
         self.table, offset = [], 0
-        for (name, owner, attr), tensor in zip(owners, tensors):
-            span = slice(offset, offset + tensor.size)
-            self.table.append(TensorSlot(name, owner, attr, span, tensor.shape))
-            self.param[span] = tensor.reshape(-1)
-            setattr(owner, attr, self.table[-1].of(self.param))
-            offset = span.stop
+        for (name, owner, attr, shape), size in zip(owners, sizes):
+            slot = TensorSlot(name, owner, attr, slice(offset, offset + size), shape)
+            self.table.append(slot)
+            setattr(owner, attr, slot.of(self.param))
+            offset += size
         # The stack weight tensors: each layer's first parameter.
         self._decayed = [slot for slot in self.table[:-1]
                          if slot.attr == slot.owner.param_names[0]]
+        if rng is not None:
+            for slot in self._decayed:
+                init_gaussian(slot.of(self.param), rng, arch["init_std"])
+            init_gaussian(self.head_weights[:-1], rng, arch["init_std"])
         self.grad = None
         self.d_head_weights = None
 
@@ -193,16 +199,6 @@ class Network:
         """Stable name -> parameter view mapping for serialization."""
         return {slot.name: slot.of(self.param) for slot in self.table}
 
-    def assign_tensors(self, tensors):
-        """Copy each parameter from ``tensors`` (name -> array, named as
-        :meth:`named_tensors` names them) in place, shapes checked.  A
-        missing name raises :class:`ShapeError`; names that are not
-        parameters of this network are ignored."""
-        for slot in self.table:
-            if slot.name not in tensors:
-                raise ShapeError(f"missing tensor {slot.name!r}")
-            assign_tensor(slot.of(self.param), tensors[slot.name], slot.name)
-
 
 def build_mlp(input_dim, hidden_dims, head_spec, rng=None, init_std=0.01):
     """Dense-ReLU stack: input_dim -> hidden_dims... -> head."""
@@ -213,19 +209,16 @@ def build_mlp(input_dim, hidden_dims, head_spec, rng=None, init_std=0.01):
     for width in hidden_dims:
         if width < 1:
             raise DomainError(f"hidden width must be positive, got {width}")
-        layers.append(DenseLayer(d, width, rng=rng, init_std=init_std))
+        layers.append(DenseLayer(d, width))
         layers.append(ReluLayer())
         d = width
-    head_w = heads_mod.init_head_weights(
-        d, head_spec.num_classes, rng=rng, init_std=init_std
-    )
     arch = {
         "kind": "mlp",
         "input_dim": int(input_dim),
         "hidden_dims": [int(w) for w in hidden_dims],
         "init_std": float(init_std),
     }
-    return Network(layers, head_spec, head_w, arch)
+    return Network(layers, head_spec, d, arch, rng)
 
 
 def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
@@ -263,20 +256,15 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
     layers = []
     in_c = c
     for out_c in conv_channels:
-        layers.append(
-            Conv2dLayer(in_c, out_c, kernel_size, rng=rng, init_std=init_std)
-        )
+        layers.append(Conv2dLayer(in_c, out_c, kernel_size))
         layers.append(MaxPool2x2Layer())
         layers.append(ReluLayer())
         in_c = out_c
     layers.append(FlattenLayer())
     flat = in_c * (h // factor) * (w // factor)
-    layers.append(DenseLayer(flat, dense_dim, rng=rng, init_std=init_std))
+    layers.append(DenseLayer(flat, dense_dim))
     layers.append(ReluLayer())
     layers.append(DropoutLayer(dropout_rate))
-    head_w = heads_mod.init_head_weights(
-        dense_dim, head_spec.num_classes, rng=rng, init_std=init_std
-    )
     arch = {
         "kind": "conv",
         "input_shape": [int(v) for v in input_shape],
@@ -286,21 +274,19 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
         "dropout_rate": float(dropout_rate),
         "init_std": float(init_std),
     }
-    return Network(layers, head_spec, head_w, arch)
+    return Network(layers, head_spec, dense_dim, arch, rng)
 
 
 def build_from_arch(arch, head_spec):
-    """Reconstruct an uninitialized network from its arch dict."""
+    """Reconstruct a network from its arch dict, all parameters 0."""
     kind = arch.get("kind")
     if kind == "mlp":
-        return build_mlp(
-            arch["input_dim"], arch["hidden_dims"], head_spec,
-            rng=None, init_std=0.0,
-        )
+        return build_mlp(arch["input_dim"], arch["hidden_dims"], head_spec,
+                         init_std=0.0)
     if kind == "conv":
         return build_convnet(
             tuple(arch["input_shape"]), arch["conv_channels"],
             arch["kernel_size"], arch["dense_dim"], arch["dropout_rate"],
-            head_spec, rng=None, init_std=0.0,
+            head_spec, init_std=0.0,
         )
     raise DomainError(f"unknown architecture kind {kind!r}")

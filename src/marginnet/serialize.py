@@ -97,36 +97,54 @@ def _replace_file(path, write):
         raise
 
 
-def load_tensors(dir_path):
-    """Read a saved directory back as (tensors dict, meta dict)."""
-    manifest_path = os.path.join(dir_path, MANIFEST_NAME)
+def read_manifest(dir_path):
+    """The checked manifest of the saved directory ``dir_path``."""
+    path = os.path.join(dir_path, MANIFEST_NAME)
     try:
-        with open(manifest_path) as f:
+        with open(path) as f:
             manifest = json.load(f)
     except FileNotFoundError:
         raise ManifestError(f"no {MANIFEST_NAME} in {dir_path}") from None
     except json.JSONDecodeError as e:
-        raise ManifestError(f"{manifest_path}: invalid JSON ({e})") from None
-    _check_manifest(manifest, manifest_path)
+        raise ManifestError(f"{path}: invalid JSON ({e})") from None
+    _check_manifest(manifest, path)
+    return manifest
+
+
+def load_tensors(dir_path, into=None):
+    """Read a saved directory back as (tensors dict, meta dict), each
+    tensor straight into its own array or the C-contiguous float64 one
+    ``into`` maps its name to.  A name of ``into`` stored at another
+    shape, or not at all, raises :class:`ShapeError`."""
+    manifest = read_manifest(dir_path)
+    targets = dict(into or {})
     tensors = {}
     offset = 0
     with open(os.path.join(dir_path, BLOB_NAME), "rb") as f:
         size = os.fstat(f.fileno()).st_size
         for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
+            name, shape = entry["name"], tuple(entry["shape"])
             nbytes = math.prod(shape) * 8
             if offset + nbytes > size:
                 raise ManifestError(
                     f"{BLOB_NAME} holds {size} bytes; tensor "
-                    f"{entry['name']!r} needs bytes up to {offset + nbytes}"
+                    f"{name!r} needs bytes up to {offset + nbytes}"
                 )
-            # Straight into the tensor's own array: the blob is never held whole.
-            arr = np.empty(shape, dtype="<f8")
+            arr = targets.pop(name, None)
+            if arr is None:
+                arr = np.empty(shape, dtype=DTYPE)
+            elif arr.shape != shape:
+                raise ShapeError(f"tensor {name!r}: stored shape {shape} vs "
+                                 f"model shape {arr.shape}")
             f.readinto(arr.reshape(-1).view(np.uint8))
-            tensors[entry["name"]] = arr.astype(DTYPE, copy=False)
+            if not np.little_endian:
+                arr.byteswap(inplace=True)
+            tensors[name] = arr
             offset += nbytes
     if offset != size:
         raise ManifestError(f"{BLOB_NAME} has {size - offset} trailing bytes")
+    if targets:
+        raise ShapeError(f"missing tensor {next(iter(targets))!r}")
     return tensors, manifest.get("meta", {})
 
 
@@ -152,13 +170,3 @@ def _check_manifest(manifest, path):
                 f"{path}: tensor entry {entry!r} needs a string name and a "
                 f"list of non-negative integer dimensions"
             )
-
-
-def assign_tensor(target, source, name):
-    """Copy ``source`` into ``target`` in place, shapes checked."""
-    if target.shape != source.shape:
-        raise ShapeError(
-            f"tensor {name!r}: stored shape {source.shape} vs "
-            f"model shape {target.shape}"
-        )
-    target[...] = source

@@ -44,6 +44,7 @@ class TestIdx:
         ip, lp, images, labels = idx_pair
         ds = load_idx(ip, lp)
         assert ds.inputs.shape == (7, 4)
+        assert not ds.inputs.flags.writeable
         assert ds.num_classes == 10
         npt.assert_array_equal(ds.labels, labels)
         # the file's bytes are stored; the one conversion gives the
@@ -93,6 +94,32 @@ class TestIdx:
             f.write(raw[:-3])
         with pytest.raises(IdxTruncatedError):
             load_idx(short, lp)
+
+    def test_header_too_large_to_hold_is_a_truncation(self, tmp_path):
+        path = tmp_path / "huge"
+        path.write_bytes((2051).to_bytes(4, "big") + b"\xff" * 12 + b"\x00" * 8)
+        with pytest.raises(IdxTruncatedError, match="huge"):
+            load_idx(str(path), str(path))
+
+    def test_gzipped_images_are_held_once_at_the_peak(self, tmp_path):
+        # perfbench's 10,000 x 784 gzipped images.  Decompressing the
+        # whole stream into bytes and then into the array would peak at
+        # twice the pixels.
+        rng = np.random.default_rng(8)
+        images = np.zeros((10_000, 28, 28), dtype=np.uint8)
+        images[:, 4:24, 4:24] = rng.integers(0, 256, size=(10_000, 20, 20))
+        ip, lp = str(tmp_path / "images"), str(tmp_path / "labels")
+        write_idx(ip, lp, images, rng.integers(0, 10, size=10_000))
+        with open(ip, "rb") as f, gzip.open(ip + ".gz", "wb", compresslevel=1) as g:
+            g.write(f.read())
+        tracemalloc.start()
+        try:
+            ds = load_idx(ip + ".gz", lp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_bytes(ds.inputs, images.reshape(10_000, 784))
+        assert peak < 1.2 * ds.inputs.nbytes
 
     def test_image_label_count_mismatch_detected(self, idx_pair, tmp_path):
         ip, lp, images, labels = idx_pair
@@ -252,6 +279,16 @@ class TestMakeBlobs:
             if mistakes == 0:
                 break
         assert mistakes == 0
+
+    def test_holds_one_full_size_array(self):
+        # Building centers[labels] beside the noise draw held two.
+        tracemalloc.start()
+        try:
+            ds = make_blobs(12_000, 10, 784, 5.0, np.random.default_rng(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * ds.inputs.nbytes
 
     def test_validation(self):
         rng = np.random.default_rng(5)

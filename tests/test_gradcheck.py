@@ -21,7 +21,15 @@ from marginnet.layers import (
     DropoutLayer,
     MaxPool2x2Layer,
     ReluLayer,
+    init_gaussian,
 )
+
+
+def drawn(layer, rng, std=0.01):
+    """``layer`` with its weight tensor drawn from ``rng`` as a network's
+    builder draws it."""
+    init_gaussian(getattr(layer, layer.param_names[0]), rng, std)
+    return layer
 
 
 class TestFdGradient:
@@ -100,12 +108,12 @@ def _scaled_backward(layer_type):
 class TestCheckLayer:
     def test_names_input_then_each_parameter(self):
         rng = np.random.default_rng(3)
-        dense = DenseLayer(3, 2, rng=rng, init_std=0.5)
+        dense = drawn(DenseLayer(3, 2), rng, 0.5)
         results = check_layer("fc", dense, rng.normal(size=(4, 3)),
                               rng.normal(size=(4, 2)))
         assert [r.name for r in results] == ["fc.d_input", "fc.d_weights", "fc.d_bias"]
         assert all(r.passed for r in results)
-        conv = Conv2dLayer(2, 2, 3, rng=rng, init_std=0.5)
+        conv = drawn(Conv2dLayer(2, 2, 3), rng, 0.5)
         results = check_layer("conv", conv, rng.normal(size=(2, 2, 5, 6)),
                               rng.normal(size=(2, 2, 5, 6)))
         assert [r.name for r in results] == ["conv.d_input", "conv.d_filters", "conv.d_bias"]
@@ -127,8 +135,9 @@ class TestCheckLayer:
         assert not result.passed
 
     @pytest.mark.parametrize("make, x_shape, r_shape", [
-        (lambda rng: DenseLayer(3, 2, rng=rng, init_std=0.5), (4, 3), (4, 2)),
-        (lambda rng: Conv2dLayer(1, 2, 3, rng=rng, init_std=0.5), (2, 1, 4, 4), (2, 2, 4, 4)),
+        (lambda rng: drawn(DenseLayer(3, 2), rng, 0.5), (4, 3), (4, 2)),
+        (lambda rng: drawn(Conv2dLayer(1, 2, 3), rng, 0.5), (2, 1, 4, 4),
+         (2, 2, 4, 4)),
     ], ids=["dense", "conv"])
     def test_wrong_input_gradient_fails(self, monkeypatch, make, x_shape, r_shape):
         rng = np.random.default_rng(5)

@@ -1,6 +1,9 @@
+import copy
 import json
 import math
 import os
+import re
+import shutil
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -37,7 +40,7 @@ from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.network import Network, build_mlp
 from marginnet.preprocess import STD_FLOOR
 from marginnet.optim import SgdMomentum
-from marginnet.tensor import DomainError
+from marginnet.tensor import DomainError, ShapeError
 
 BLOBS_BASE = """
 dataset = blobs
@@ -318,6 +321,27 @@ class TestArtifacts:
             model.network.head_weights, l2svm_run.network.head_weights
         )
 
+    @pytest.mark.parametrize("edit, error", [
+        ("name", "missing tensor 'layer0.weights'"),
+        ("shape", "'layer0.weights': stored shape (16, 2) vs model shape (2, 16)"),
+    ])
+    def test_shape_mismatch_names_tensor(self, l2svm_run, tmp_path, edit, error):
+        model_dir = str(tmp_path / "model")
+        shutil.copytree(l2svm_run.model_dir, model_dir)
+        path = os.path.join(model_dir, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        entry = manifest["tensors"][0]
+        assert (entry["name"], entry["shape"]) == ("layer0.weights", [2, 16])
+        if edit == "name":
+            entry["name"] = "layer0.w"
+        else:
+            entry["shape"] = [16, 2]
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ShapeError, match=re.escape(error)):
+            load_model(model_dir)
+
 
 def fresh_state(cfg):
     """The state ``train`` builds for ``cfg`` before its first epoch."""
@@ -419,8 +443,8 @@ class TestCrossObjectiveEval:
         rep = evaluate_objectives(net, x, y)
         for other, value in (("softmax", rep.avg_xent), ("l1svm", rep.hinge_sum),
                              ("l2svm", rep.hinge_sq_sum)):
-            as_other = Network(net.layers, replace(spec, kind=other),
-                               net.head_weights, net.arch)
+            as_other = copy.copy(net)
+            as_other.head_spec = replace(spec, kind=other)
             assert value == as_other.head_output(x, y).loss
         assert rep.own_loss(kind) == net.head_output(x, y).loss
 

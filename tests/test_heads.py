@@ -12,10 +12,10 @@ from marginnet.heads import (
     encode_targets,
     error_rate_pct,
     head_scores,
-    init_head_weights,
     predict,
     softmax_probs,
 )
+from marginnet.layers import init_gaussian
 from marginnet.tensor import DomainError, ShapeError
 
 # Softmax of [1, 2, 3], computed once with 50-digit arithmetic and frozen.
@@ -23,6 +23,14 @@ SOFTMAX_123 = np.array(
     [0.090030573170380458, 0.24472847105479765, 0.66524095577482189]
 )
 LN_10 = 2.3025850929940457
+
+
+def head_weights(dim, num_classes, rng, std):
+    """Head weights [(dim+1), num_classes] as a network's builder draws
+    them: the rows drawn from ``rng``, the bias row 0."""
+    w = np.zeros((dim + 1, num_classes))
+    init_gaussian(w[:dim], rng, std)
+    return w
 
 
 class TestSoftmaxProbs:
@@ -71,7 +79,7 @@ class TestSoftmaxHead:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 4))
-        w = init_head_weights(4, 3, rng=rng, init_std=0.5)
+        w = head_weights(4, 3, rng, 0.5)
         labels = rng.integers(0, 3, size=5)
         spec = _spec("softmax", 3, weight_decay=0.1)
         out = apply_head(spec, w, h, labels)
@@ -114,7 +122,7 @@ class TestSvmHeads:
     def test_l1_gradients_match_fd_away_from_kink(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(5, 4))
-        w = init_head_weights(4, 3, rng=rng, init_std=0.5)
+        w = head_weights(4, 3, rng, 0.5)
         labels = rng.integers(0, 3, size=5)
         sign = 2.0 * encode_targets(labels, 3) - 1.0
         margins = head_scores(w, h) * sign
@@ -131,7 +139,7 @@ class TestSvmHeads:
     def test_l2_gradients_match_fd(self):
         rng = np.random.default_rng(4)
         h = rng.normal(size=(5, 4))
-        w = init_head_weights(4, 3, rng=rng, init_std=0.5)
+        w = head_weights(4, 3, rng, 0.5)
         labels = rng.integers(0, 3, size=5)
         spec = _spec("l2svm", 3, c=0.7)
         out = apply_head(spec, w, h, labels)
@@ -145,7 +153,7 @@ class TestSvmHeads:
     def test_loss_shrinks_to_weight_norm_as_c_vanishes(self):
         rng = np.random.default_rng(5)
         h = rng.normal(size=(4, 3))
-        w = init_head_weights(3, 2, rng=rng, init_std=0.5)
+        w = head_weights(3, 2, rng, 0.5)
         labels = np.array([0, 1, 0, 1])
         reg = 0.5 * float(np.sum(w[:-1] ** 2))
         for kind in ("l1svm", "l2svm"):
@@ -214,7 +222,7 @@ class TestPredictionRule:
     def test_same_weights_predict_identically_across_heads(self):
         rng = np.random.default_rng(6)
         h = rng.normal(size=(10, 5))
-        w = init_head_weights(5, 4, rng=rng, init_std=0.5)
+        w = head_weights(5, 4, rng, 0.5)
         labels = rng.integers(0, 4, size=10)
         outs = [
             apply_head(HeadSpec(kind, 4, c=1.0, weight_decay=0.1), w, h, labels)

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from marginnet import gradcheck as gc
+from marginnet.heads import HeadSpec
 from marginnet.layers import (
     IMAGE_BLOCK,
     Conv2dLayer,
@@ -20,8 +21,29 @@ from marginnet.layers import (
     ReluLayer,
     dropout_mask,
     gaussian_noise,
+    init_gaussian,
 )
+from marginnet.network import build_convnet
 from marginnet.tensor import DomainError, ShapeError
+
+
+def drawn(layer, rng, std=0.01):
+    """``layer`` with its weight tensor drawn from ``rng`` as a network's
+    builder draws it."""
+    init_gaussian(getattr(layer, layer.param_names[0]), rng, std)
+    return layer
+
+
+def test_init_gaussian_is_the_normal_draw_in_place():
+    drawn_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    out = np.zeros((300, 7))
+    init_gaussian(out, drawn_rng, 0.1)
+    assert out.tobytes() == ref_rng.normal(0.0, 0.1, size=(300, 7)).tobytes()
+    kept = out.copy()
+    init_gaussian(out, drawn_rng, 0.0)  # std 0 draws nothing
+    assert out.tobytes() == kept.tobytes()
+    assert drawn_rng.random() == ref_rng.random()
+
 
 KINK_CLEARANCE = 1e-3  # finite differences stay this far from relu/pool kinks
 
@@ -130,7 +152,7 @@ class TestDense:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        layer = DenseLayer(3, 4, rng=rng, init_std=0.5)
+        layer = drawn(DenseLayer(3, 4), rng, 0.5)
         x = rng.normal(size=(5, 3))
         r = rng.normal(size=(5, 4))  # fixed projection makes a scalar loss
         layer.forward(x, train=True)
@@ -151,7 +173,7 @@ class TestDense:
     def test_grads_accumulate_nowhere(self):
         # two forward/backward rounds give identical gradients, not sums
         rng = np.random.default_rng(1)
-        layer = DenseLayer(3, 2, rng=rng, init_std=0.1)
+        layer = drawn(DenseLayer(3, 2), rng, 0.1)
         x = rng.normal(size=(4, 3))
         r = rng.normal(size=(4, 2))
         layer.forward(x, train=True)
@@ -222,7 +244,7 @@ class TestConv2d:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        layer = Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5)
+        layer = drawn(Conv2dLayer(2, 3, 3), rng, 0.5)
         x = rng.normal(size=(1, 2, 6, 6))
         r = rng.normal(size=(1, 3, 6, 6))
         layer.forward(x, train=True)
@@ -247,7 +269,7 @@ class TestConv2d:
             c_out = int(rng.integers(1, 4))
             h = int(rng.integers(kernel, kernel + 6))
             w = h + int(rng.integers(1, 4))  # never square
-            layer = Conv2dLayer(c_in, c_out, kernel, rng=rng, init_std=0.5)
+            layer = drawn(Conv2dLayer(c_in, c_out, kernel), rng, 0.5)
             layer.bias[...] = rng.normal(size=c_out)
             x = rng.normal(size=(n, c_in, h, w))
             out = layer.forward(x, train=True)
@@ -291,7 +313,7 @@ def conv_forward_both_ways(case):
     """(training forward, inference forward) of one seeded layer."""
     c_in, c_out, k, n, h, w = case
     rng = np.random.default_rng(sum(case))
-    layer = Conv2dLayer(c_in, c_out, k, rng=rng, init_std=0.3)
+    layer = drawn(Conv2dLayer(c_in, c_out, k), rng, 0.3)
     layer.bias[...] = rng.normal(size=c_out)
     x = rng.normal(size=(n, c_in, h, w))
     trained = layer.forward(x, train=True)
@@ -347,6 +369,22 @@ class TestConvInferenceForward:
         out = Conv2dLayer(2, 3, 3).forward(np.zeros((0, 2, 5, 5)))
         assert out.shape == (0, 3, 5, 5)
 
+    def test_scores_pad_one_image_block_at_a_time(self):
+        # Network.scores on one 2,000-row chunk of the conv-mnist net: the
+        # pooled outputs of its two blocks take 151 MB.  Padding each
+        # whole input would add conv2's 166 MB ([32, 2000, 18, 18]) and
+        # conv1's 16 MB.
+        net = build_convnet((1, 28, 28), [32, 64], 5, 3072, 0.2,
+                            HeadSpec("l2svm", 10), rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).random((2000, 1, 28, 28))
+        tracemalloc.start()
+        try:
+            net.scores(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 170e6
+
 
 def test_caching_forward_builds_no_product_temporary():
     # conv-mnist's conv1 at batch 200: beyond the output and the kept
@@ -354,7 +392,7 @@ def test_caching_forward_builds_no_product_temporary():
     # allowed.  A kept patch matrix adds 31 MB here, and a one-GEMM
     # forward an output-sized [F, N*Ho*Wo] product (40 MB).
     rng = np.random.default_rng(4)
-    layer = Conv2dLayer(1, 32, 5, rng=rng)
+    layer = drawn(Conv2dLayer(1, 32, 5), rng)
     x = rng.normal(size=(200, 1, 28, 28))
     tracemalloc.start()
     try:
@@ -378,7 +416,7 @@ def test_training_step_builds_no_patch_matrix():
     # gradient), and one block of patches or one col2im product (both
     # 10 MB here), which never coexist.
     rng = np.random.default_rng(24)
-    layer = Conv2dLayer(32, 64, 5, rng=rng)
+    layer = drawn(Conv2dLayer(32, 64, 5), rng)
     x = rng.normal(size=(200, 32, 14, 14))
     d_out = rng.normal(size=(200, 64, 14, 14))
     padded = 32 * 200 * 18 * 18 * 8
@@ -402,7 +440,7 @@ def _block_both_ways(n, nan):
     output, d_input, d_filters and d_bias, plus the standalone conv
     output gradient."""
     rng = np.random.default_rng(40 + n)
-    fused = Conv2dLayer(3, 4, 3, rng=rng, init_std=0.5)
+    fused = drawn(Conv2dLayer(3, 4, 3), rng, 0.5)
     fused.bias[...] = [0.3, -0.2, 0.0, -0.0]
     plain = Conv2dLayer(3, 4, 3)
     plain.filters[...] = fused.filters
@@ -459,7 +497,7 @@ def test_pooled_block_allocates_no_full_resolution_array():
     # image block of patches plus one of product or gradient, and four
     # pooled-block temporaries of the pool and ReLU.
     rng = np.random.default_rng(27)
-    layer = Conv2dLayer(1, 32, 5, rng=rng)
+    layer = drawn(Conv2dLayer(1, 32, 5), rng)
     x = rng.normal(size=(200, 1, 28, 28))
     d_out = rng.normal(size=(200, 32, 14, 14))
     full_resolution = 200 * 32 * 28 * 28 * 8
@@ -500,7 +538,7 @@ def test_backward_is_deterministic_and_accurate_at_conv2_shape():
     # partial one of 5.
     def step():
         rng = np.random.default_rng(25)
-        layer = Conv2dLayer(32, 64, 5, rng=rng, init_std=0.1)
+        layer = drawn(Conv2dLayer(32, 64, 5), rng, 0.1)
         x = rng.normal(size=(37, 32, 14, 14))
         d_out = rng.normal(size=(37, 64, 14, 14))
         layer.forward(x, train=True)
@@ -526,9 +564,9 @@ def test_backward_is_deterministic_and_accurate_at_conv2_shape():
 
 # One constructor per layer type, with the input shape it takes.
 LAYER_TYPES = {
-    "dense": (lambda rng: DenseLayer(4, 3, rng=rng), (5, 4)),
+    "dense": (lambda rng: drawn(DenseLayer(4, 3), rng), (5, 4)),
     "relu": (lambda rng: ReluLayer(), (5, 4)),
-    "conv": (lambda rng: Conv2dLayer(2, 3, 3, rng=rng), (2, 2, 4, 4)),
+    "conv": (lambda rng: drawn(Conv2dLayer(2, 3, 3), rng), (2, 2, 4, 4)),
     "maxpool": (lambda rng: MaxPool2x2Layer(), (2, 2, 4, 4)),
     "flatten": (lambda rng: FlattenLayer(), (2, 2, 4, 4)),
     "dropout": (lambda rng: DropoutLayer(0.5), (5, 4)),
@@ -565,8 +603,8 @@ class TestCacheFreeForward:
             layer.backward(np.ones_like(free))
 
     @pytest.mark.parametrize("make", [
-        lambda rng: (DenseLayer(4, 3, rng=rng, init_std=0.5), (5, 4)),
-        lambda rng: (Conv2dLayer(2, 3, 3, rng=rng, init_std=0.5), (3, 2, 7, 6)),
+        lambda rng: (drawn(DenseLayer(4, 3), rng, 0.5), (5, 4)),
+        lambda rng: (drawn(Conv2dLayer(2, 3, 3), rng, 0.5), (3, 2, 7, 6)),
     ], ids=["dense", "conv"])
     def test_backward_without_input_grad_keeps_parameter_grads(self, make):
         rng = np.random.default_rng(22)

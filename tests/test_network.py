@@ -313,3 +313,40 @@ def test_pool_before_relu_blocks_match_relu_before_pool(kind):
     assert len(net.table) == len(ref.table)
     for slot, ref_slot in zip(net.table, ref.table):
         assert slot.of(net.grad).tobytes() == ref_slot.of(ref.grad).tobytes()
+
+
+# Builds the conv-mnist net (init drawn, or all zeros as a load rebuilds
+# it) and saves it, or loads it; prints the ru_maxrss growth of that step
+# over the size of the parameter store.
+RSS_GROWTH = """
+import resource, sys
+import numpy as np
+from marginnet.harness import load_model, save_model
+from marginnet.heads import HeadSpec
+from marginnet.network import build_convnet
+
+step, model_dir = sys.argv[1:]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if step == "build":
+    net = build_convnet((1, 28, 28), [32, 64], 5, 3072, 0.2, HeadSpec("l2svm", 10),
+                        rng=np.random.default_rng(0))
+else:
+    net = load_model(model_dir).network
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+if step == "build":
+    save_model(model_dir, net)
+print(grown * 1024 / net.param.nbytes)
+"""
+
+
+def test_parameters_live_only_in_the_store(tmp_path):
+    # The conv-mnist net's parameters take 74 MiB.  Drawing them into
+    # layer arrays and copying those into the store, or reading a saved
+    # model's tensors into arrays of their own first, holds them twice.
+    # ru_maxrss is per process, hence a child process for each step.
+    model_dir = str(tmp_path / "model")
+    for step in ("build", "load"):
+        proc = subprocess.run([sys.executable, "-c", RSS_GROWTH, step, model_dir],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert float(proc.stdout) <= 1.1, step

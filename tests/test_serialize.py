@@ -10,7 +10,6 @@ from marginnet.serialize import (
     BLOB_NAME,
     MANIFEST_NAME,
     ManifestError,
-    assign_tensor,
     load_tensors,
     save_tensors,
 )
@@ -145,13 +144,24 @@ class TestValidation:
             load_tensors(str(tmp_path))
 
 
-class TestAssignTensor:
-    def test_in_place_copy(self):
-        target = np.zeros((2, 2))
-        assign_tensor(target, np.ones((2, 2)), "w")
-        npt.assert_array_equal(target, np.ones((2, 2)))
+class TestReadInto:
+    def test_named_tensors_are_read_in_place(self, tmp_path):
+        rng = np.random.default_rng(5)
+        tensors = {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=3),
+                   "c": rng.normal(size=2)}
+        save_tensors(str(tmp_path), tensors)
+        store = np.zeros(7)
+        into = {"b": store[4:], "a": store[:4].reshape(2, 2)}
+        loaded, _ = load_tensors(str(tmp_path), into)
+        assert list(loaded) == ["a", "b", "c"]
+        assert loaded["a"] is into["a"] and loaded["b"] is into["b"]
+        assert store.tobytes() == tensors["a"].tobytes() + tensors["b"].tobytes()
+        assert not np.shares_memory(loaded["c"], store)
+        npt.assert_array_equal(loaded["c"], tensors["c"])
 
-    def test_shape_mismatch_names_tensor(self):
-        with pytest.raises(ShapeError) as exc:
-            assign_tensor(np.zeros((2, 2)), np.zeros((2, 3)), "head.weights")
-        assert "head.weights" in str(exc.value)
+    def test_shape_mismatch_names_tensor(self, tmp_path):
+        save_tensors(str(tmp_path), {"w": np.zeros((2, 3)), "b": np.zeros(3)})
+        with pytest.raises(ShapeError, match="'w': stored shape"):
+            load_tensors(str(tmp_path), {"w": np.zeros((3, 2))})
+        with pytest.raises(ShapeError, match="missing tensor 'head.weights'"):
+            load_tensors(str(tmp_path), {"head.weights": np.zeros((2, 3))})

@@ -2,6 +2,14 @@
 hashes, then hash the gradient-check report.
 
     python3 tools/gate_bytes.py
+    python3 tools/gate_bytes.py --against REF
+
+With ``--against``, ``REF`` names a git revision of this repository:
+its ``src`` and ``tools`` are extracted (``git archive``) into a
+temporary directory, and its own gate tool runs there while this one
+runs here, both at 1 BLAS thread.  Every line whose hashes differ is
+printed with both values; the exit status is 1 if any differs, and 2
+if ``git archive`` or a gate run fails.
 
 A refactor counts as "same behaviour" when every gate config still
 writes a byte-identical ``metrics.csv`` and ``model/params.bin``.  Each
@@ -28,16 +36,20 @@ in a test.  The BLAS thread count is pinned to 1 before numpy loads:
 the conv GEMMs round differently at other thread counts.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
@@ -195,7 +207,39 @@ def write_idx_files(directory):
                   images, rng.integers(0, 4, size=n))
 
 
+def against(ref):
+    """Run the gates of ``ref`` and of this checkout side by side and
+    print the lines that differ; returns the exit status."""
+    with tempfile.TemporaryDirectory(prefix="gate_bytes_ref_") as tmp:
+        git = subprocess.run(["git", "-C", ROOT, "archive", ref, "src", "tools"],
+                             stdout=subprocess.PIPE)
+        if git.returncode:
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(git.stdout)) as tar:
+            tar.extractall(tmp)
+        runs = [subprocess.Popen(
+            [sys.executable, os.path.join(root, "tools", "gate_bytes.py")],
+            stdout=subprocess.PIPE, text=True) for root in (tmp, ROOT)]
+        outputs = [run.communicate()[0].splitlines() for run in runs]
+    if any(run.returncode for run in runs):
+        print("a gate run failed")
+        return 2
+    differ = [(theirs, ours) for theirs, ours
+              in itertools.zip_longest(*outputs, fillvalue="(no line)")
+              if theirs != ours]
+    for theirs, ours in differ:
+        print(f"{ref}: {theirs}\nhere: {ours}")
+    print(f"{'differs from' if differ else 'same bytes as'} {ref}")
+    return int(bool(differ))
+
+
 def main():
+    parser = argparse.ArgumentParser(description="print the gate hashes")
+    parser.add_argument("--against", metavar="REF",
+                        help="compare with the gates of git revision REF")
+    ref = parser.parse_args().against
+    if ref is not None:
+        sys.exit(against(ref))
     with tempfile.TemporaryDirectory(prefix="gate_bytes_") as tmp:
         write_idx_files(os.path.join(tmp, "idx"))
         for i, text in enumerate(GATES, start=1):
