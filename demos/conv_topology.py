@@ -33,8 +33,8 @@ net = build_convnet(
 
 x = rng.uniform(size=(8, 3, 32, 32))
 print(f"{'input':>14}: {x.shape}")
-for layer in net.layers:
-    x = layer.forward(x)
+for layer, slots in zip(net.layers, net.layer_slots):
+    x = layer.forward(x, [slot.of(net.param) for slot in slots])
     print(f"{layer.__class__.__name__:>14}: {x.shape}")
 scores = net.scores(rng.uniform(size=(8, 3, 32, 32)))
 print(f"{'head':>14}: {scores.shape}  (one score per class)")

@@ -25,6 +25,7 @@ from .layers import (
     MaxPool2x2Layer,
     ReluLayer,
     init_gaussian,
+    zero_params,
 )
 from .network import build_mlp
 
@@ -113,27 +114,29 @@ def check_gradient(name, f, x, analytic, eps=EPS, tol=TOL):
     return compare_gradients(name, analytic, numeric, tol=tol)
 
 
-def check_layer(name, layer, x, r, seed=0):
+def check_layer(name, layer, x, r, params=(), seed=0):
     """Check a layer's backward against finite differences of
-    ``sum(layer.forward(x, train=True) * r)``.
+    ``sum(layer.forward(x, params, train=True) * r)``.
 
-    Runs the layer's own training forward, then ``backward(r)``, and
-    checks ``d_input`` and then ``d_<p>`` for each ``p`` in
-    ``param_names``; results are named ``<name>.d_input`` and so on.
-    Every forward gets a fresh rng of ``seed``, so a dropout layer draws
-    the same mask each time.
+    Runs the layer's own training forward, then ``backward(r, params,
+    grads)`` into a fresh array per parameter, and checks ``d_input``
+    and then ``d_<p>`` for each ``p`` in ``param_names``, against
+    differences in ``x`` and in each of ``params``; results are named
+    ``<name>.d_input`` and so on.  Every forward gets a fresh rng of
+    ``seed``, so a dropout layer draws the same mask each time.
     """
+    grads = [np.empty_like(p) for p in params]
 
     def forward():
-        return layer.forward(x, train=True, rng=np.random.default_rng(seed))
+        return layer.forward(x, params, train=True, rng=np.random.default_rng(seed))
 
     def loss():
         return float(np.sum(forward() * r))
 
     forward()
-    checks = [("d_input", x, layer.backward(r))]
-    checks += [("d_" + p, getattr(layer, p), getattr(layer, "d_" + p))
-               for p in layer.param_names]
+    checks = [("d_input", x, layer.backward(r, params, grads))]
+    checks += [("d_" + p, tensor, grad)
+               for p, tensor, grad in zip(layer.param_names, params, grads)]
     return [check_gradient(f"{name}.{grad_name}", loss, tensor, grad)
             for grad_name, tensor, grad in checks]
 
@@ -157,16 +160,18 @@ def gradcheck_suite(num_classes=3, seed=0):
     # this order.  ReLU inputs are kept away from the kink at 0, and
     # max-pool inputs are distinct so no window's argmax moves under EPS.
     dense = DenseLayer(5, 6)
-    init_gaussian(dense.weights, rng, 0.5)
+    params = zero_params(dense)
+    init_gaussian(params[0], rng, 0.5)
     results += check_layer("dense", dense, rng.normal(size=(4, 5)),
-                           rng.normal(size=(4, 6)))
+                           rng.normal(size=(4, 6)), params)
     xr = rng.normal(size=(4, 6))
     xr = np.where(np.abs(xr) < 0.1, xr + 0.2, xr)
     results += check_layer("relu", ReluLayer(), xr, rng.normal(size=xr.shape))
     conv = Conv2dLayer(2, 3, 3)
-    init_gaussian(conv.filters, rng, 0.5)
+    params = zero_params(conv)
+    init_gaussian(params[0], rng, 0.5)
     results += check_layer("conv", conv, rng.normal(size=(2, 2, 6, 6)),
-                           rng.normal(size=(2, 3, 6, 6)))
+                           rng.normal(size=(2, 3, 6, 6)), params)
     xm = rng.permutation(2 * 2 * 4 * 4).astype(float).reshape(2, 2, 4, 4)
     results += check_layer("maxpool", MaxPool2x2Layer(), xm,
                            rng.normal(size=(2, 2, 2, 2)))
@@ -224,8 +229,8 @@ def _kink_gap(net, xs, labels):
     and, under a margin head, of the nearest hinge margin."""
     gaps = []
     h = xs
-    for layer in net.layers:
-        h = layer.forward(h)
+    for layer, slots in zip(net.layers, net.layer_slots):
+        h = layer.forward(h, [slot.of(net.param) for slot in slots])
         if isinstance(layer, DenseLayer):  # every dense output feeds a ReLU
             gaps.append(np.min(np.abs(h)))
     if net.head_spec.kind != "softmax":

@@ -384,7 +384,7 @@ def run_epochs(cfg, state):
                     f"(update {state.updates + 1})"
                 )
             state.optimizer.step([net.grad], lr_sched.value(state.updates))
-            net.release_grads()
+            net.grad = None  # not kept through the evaluation or the next forward
             state.updates += 1
         state.epoch = epoch
         yield metrics_row()
@@ -408,6 +408,7 @@ def train(cfg):
     the finished TrainState.
     """
     source = load_model(cfg.source_model) if cfg.source_model else None
+    warm_start = None
     if source is not None:
         _check_source_preprocessing(cfg, source)
     _, init_rng, train_rng = seed_streams(cfg.seed)
@@ -426,6 +427,9 @@ def train(cfg):
             raise ConfigError(f"warm start architecture mismatch: parameter "
                               f"tensors {source_layout} vs {layout}")
         net.param[...] = source.network.param
+        warm_start = {"source": cfg.source_model,
+                      "source_head": source.network.head_spec.kind}
+        del source  # its store would sit beside this run's through every step
 
     state = TrainState(
         net, SgdMomentum([net.param], cfg.momentum), train_rng, prepared,
@@ -441,10 +445,7 @@ def train(cfg):
         "config": cfg.echo(),
         "head": asdict(net.head_spec),
         "arch": net.arch,
-        "warm_start": None if source is None else {
-            "source": cfg.source_model,
-            "source_head": source.network.head_spec.kind,
-        },
+        "warm_start": warm_start,
         "updates": state.updates,
         "final": state.metrics[-1],
     }

@@ -2,29 +2,31 @@
 
 Conventions:
     - Dense inputs are [N, in]; image inputs are NCHW ([N, C, H, W]).
-    - ``forward(x, train=False, rng=None)`` has one mode flag.
+    - A layer holds no parameter or gradient arrays.  ``param_names``
+      and ``param_shapes`` name and size its parameters, weight tensor
+      first (both empty, and ``params`` and ``grads`` ignored, for
+      parameter-free layers).  ``params`` and ``grads`` are arrays of
+      those shapes in that order, and backward overwrites ``grads``: a
+      network passes views of its flat buffers, :func:`zero_params`
+      makes standalone ones.
+    - ``forward(x, params, train=False, rng=None)`` has one mode flag.
       ``train=True`` is the training forward: the layer keeps what its
       backward needs, and dropout draws its mask from ``rng``.
-      ``backward(d_out)`` consumes that state and returns ``d_input``,
-      the gradient with respect to the forward input (same shape).  One
-      outstanding training forward per instance: backward clears the
-      state, and calling it again without a fresh training forward
-      raises :class:`LayerStateError`.
+      ``backward(d_out, params, grads)`` consumes that state and returns
+      ``d_input``, the gradient with respect to the forward input (same
+      shape).  One outstanding training forward per instance: backward
+      clears the state, and calling it again without a fresh training
+      forward raises :class:`LayerStateError`.
     - ``train=False``, the default, is the inference forward
       (evaluation, scores, predictions): dropout is the identity, every
       other layer returns the same bytes as its training forward at a
       fixed BLAS thread count, and the layer keeps nothing.  It drops
       whatever an earlier training forward kept, so a following backward
       raises :class:`LayerStateError` instead of reusing stale state.
-    - Layers with parameters take ``backward(d_out, input_grad=False)``
+    - Layers with parameters take ``backward(..., input_grad=False)``
       when no gradient is needed below them (the first layer of a
       stack): parameter gradients are computed as usual, ``d_input`` is
       skipped and None is returned.
-    - ``param_names`` lists a layer's parameter attributes, weight tensor
-      first; backward writes the gradient of parameter ``p`` into
-      ``d_<p>``: the view of its gradient buffer a network bound there,
-      or an array the layer allocates when none is bound.
-      Parameter-free layers have an empty ``param_names``.
 
 :func:`marginnet.gradcheck.check_layer` checks a layer's backward against
 central finite differences; ``marginnet gradcheck`` runs it on the dense,
@@ -58,16 +60,16 @@ class LayerStateError(RuntimeError):
 
 
 class Layer:
-    """Base class: ``param_names`` and the gradient arrays backward fills."""
+    """Base class: a layer's parameters by name and shape, none by default."""
 
     param_names = ()
+    param_shapes = ()
 
-    def _grad_arrays(self):
-        """The ``d_<p>`` arrays backward writes into, allocated where unbound."""
-        for name in self.param_names:
-            if getattr(self, "d_" + name) is None:
-                setattr(self, "d_" + name, np.empty_like(getattr(self, name)))
-        return [getattr(self, "d_" + name) for name in self.param_names]
+
+def zero_params(layer):
+    """Standalone arrays for ``layer``'s parameters, all 0, in
+    ``param_names`` order."""
+    return [np.zeros(shape, dtype=DTYPE) for shape in layer.param_shapes]
 
 
 def init_gaussian(out, rng, std):
@@ -87,24 +89,22 @@ class DenseLayer(Layer):
     def __init__(self, n_in, n_out):
         self.n_in = n_in
         self.n_out = n_out
-        self.weights = np.zeros((n_in, n_out), dtype=DTYPE)
-        self.bias = np.zeros(n_out, dtype=DTYPE)
-        self.d_weights = None
-        self.d_bias = None
+        self.param_shapes = ((n_in, n_out), (n_out,))
         self._cached_input = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, params, train=False, rng=None):
+        weights, bias = params
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(
                 f"dense layer expects [N, {self.n_in}] input, got {x.shape}"
             )
         self._cached_input = x if train else None
-        out = matmul(x, self.weights)
-        out += self.bias
+        out = matmul(x, weights)
+        out += bias
         return out
 
-    def backward(self, d_out, input_grad=True):
+    def backward(self, d_out, params, grads, input_grad=True):
         if self._cached_input is None:
             raise LayerStateError("dense backward called before forward")
         x = self._cached_input
@@ -113,11 +113,11 @@ class DenseLayer(Layer):
             raise ShapeError(
                 f"dense backward expects {(x.shape[0], self.n_out)}, got {d_out.shape}"
             )
-        d_weights, d_bias = self._grad_arrays()
+        d_weights, d_bias = grads
         np.matmul(x.T, d_out, out=d_weights)
         np.sum(d_out, axis=0, out=d_bias)
         self._cached_input = None
-        return matmul(d_out, self.weights.T) if input_grad else None
+        return matmul(d_out, params[0].T) if input_grad else None
 
 
 class ReluLayer(Layer):
@@ -127,12 +127,12 @@ class ReluLayer(Layer):
     def __init__(self):
         self._cached_input = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         self._cached_input = x if train else None
         return np.maximum(x, 0.0)
 
-    def backward(self, d_out):
+    def backward(self, d_out, params=(), grads=()):
         x = self._cached_input
         if x is None:
             raise LayerStateError("relu backward called before forward")
@@ -191,12 +191,12 @@ class Conv2dLayer(Layer):
     array.  ``d_bias`` sums each image's H*W plane, then the planes over
     images, the order of ``d_out.sum(axis=(0, 2, 3))``.
 
-    ``forward(x, train, rng, pool_relu=True)`` runs the network's conv
-    block, conv -> bias -> 2x2 max-pool -> ReLU, in the same loop: each
-    block's product is pooled by :func:`max_pool2x2` and rectified into
-    the [N, F, H/2, W/2] output, and the training forward also keeps
-    the pool switches and the ReLU mask (one byte per output unit
-    each).  Backward then takes the pooled gradient, masks it as
+    ``forward(x, params, train, rng, pool_relu=True)`` runs the
+    network's conv block, conv -> bias -> 2x2 max-pool -> ReLU, in the
+    same loop: each block's product is pooled by :func:`max_pool2x2`
+    and rectified into the [N, F, H/2, W/2] output, and the training
+    forward also keeps the pool switches and the ReLU mask (one byte per
+    output unit each).  Backward then takes the pooled gradient, masks it as
     :class:`ReluLayer` does and unpools it one block at a time with
     :func:`unpool2x2`.  The bytes equal those of the conv, pool and ReLU
     layers run one after another.  Results are bit-identical from run to
@@ -215,19 +215,16 @@ class Conv2dLayer(Layer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.padding = kernel_size // 2
-        self.filters = np.zeros(
-            (out_channels, in_channels, kernel_size, kernel_size), dtype=DTYPE
-        )
-        self.bias = np.zeros(out_channels, dtype=DTYPE)
-        self.d_filters = None
-        self.d_bias = None
+        self.param_shapes = ((out_channels, in_channels, kernel_size, kernel_size),
+                             (out_channels,))
         self._cache = None
 
     def output_hw(self, h, w):
         """Output spatial size of an h x w input: the same, h x w."""
         return h, w
 
-    def forward(self, x, train=False, rng=None, pool_relu=False):
+    def forward(self, x, params, train=False, rng=None, pool_relu=False):
+        filters, bias = params
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
@@ -239,7 +236,7 @@ class Conv2dLayer(Layer):
                 f"a pooled conv block needs even spatial dims, got {h}x{w}"
             )
         c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
-        weights = self.filters.reshape(f, c * k * k)
+        weights = filters.reshape(f, c * k * k)
         self._cache = None  # free the last padded input before padding this one
         # The zero-padded input, channel-major, filled by _patch_blocks:
         # the whole batch for backward, or one reused block.
@@ -255,7 +252,7 @@ class Conv2dLayer(Layer):
         for images, cols in self._patch_blocks(xp, x):
             conv = product[: f * cols.shape[1]].reshape(f, -1)
             np.matmul(weights, cols, out=conv)
-            conv += self.bias[:, None]
+            conv += bias[:, None]
             conv = conv.reshape(f, -1, h, w)
             block_out = out[images].transpose(1, 0, 2, 3)
             if not pool_relu:
@@ -294,7 +291,7 @@ class Conv2dLayer(Layer):
                     patches[:, a, j] = block[:, :, a : a + h, j : j + w]
             yield images, patches.reshape(c * k * k, b * h * w)
 
-    def backward(self, d_out, input_grad=True):
+    def backward(self, d_out, params, grads, input_grad=True):
         if self._cache is None:
             raise LayerStateError("conv backward called before forward")
         xp, x_shape, pool_state = self._cache
@@ -307,8 +304,8 @@ class Conv2dLayer(Layer):
                 f"conv backward expects {(n, f, *out_hw)}, got {d_out.shape}"
             )
         self._cache = None
-        taps = np.ascontiguousarray(self.filters.transpose(2, 3, 1, 0))
-        d_filters, d_bias = self._grad_arrays()
+        taps = np.ascontiguousarray(params[0].transpose(2, 3, 1, 0))
+        d_filters, d_bias = grads
         d_filters = d_filters.reshape(f, c * k * k)  # a view: it is contiguous
         d_filters[...] = 0.0
         plane_sums = np.empty((n, f), dtype=DTYPE)
@@ -408,7 +405,7 @@ class MaxPool2x2Layer(Layer):
     def __init__(self):
         self._switches = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects NCHW input, got shape {x.shape}")
@@ -418,7 +415,7 @@ class MaxPool2x2Layer(Layer):
         pooled, self._switches = max_pool2x2(x, train)
         return pooled
 
-    def backward(self, d_out):
+    def backward(self, d_out, params=(), grads=()):
         switches = self._switches
         if switches is None:
             raise LayerStateError("maxpool backward called before forward")
@@ -439,12 +436,12 @@ class FlattenLayer(Layer):
     def __init__(self):
         self._shape = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         self._shape = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, d_out):
+    def backward(self, d_out, params=(), grads=()):
         if self._shape is None:
             raise LayerStateError("flatten backward called before forward")
         d_input = np.asarray(d_out, dtype=DTYPE).reshape(self._shape)
@@ -474,16 +471,18 @@ class DropoutLayer(Layer):
         self._mask = None
         self._identity = False  # a training forward at rate 0
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         self._identity = train and self.rate == 0.0
         self._mask = None
         if not train or self._identity:
             return x
+        if rng is None:
+            raise DomainError("a training forward through dropout needs an rng")
         self._mask = dropout_mask(x.shape, self.rate, rng)
         return x * self._mask
 
-    def backward(self, d_out):
+    def backward(self, d_out, params=(), grads=()):
         if self._identity:
             self._identity = False
             return np.asarray(d_out, dtype=DTYPE)

@@ -7,7 +7,6 @@ objective but nothing about the stack or the prediction rule.
 """
 
 import math
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -30,11 +29,9 @@ SCORE_CHUNK = 2000
 
 class TensorSlot(NamedTuple):
     """A parameter tensor's entry in a network's offset table: its saved
-    name, the attribute of ``owner`` that holds it, its span and shape."""
+    name, its span of the flat buffers and its shape."""
 
     name: str
-    owner: object
-    attr: str
     span: slice
     shape: tuple
 
@@ -48,41 +45,38 @@ class Network:
 
     ``param`` holds every parameter in :meth:`named_tensors` order (layer
     by layer, then ``head.weights``: the order ``params.bin`` saves).
-    Each layer's parameters and ``head_weights`` [(head_dim+1), K] are
-    C-contiguous views of it, one :class:`TensorSlot` of ``table`` each.
-    It starts at 0 (the layers give shapes, not values); ``rng`` draws
-    each weight view in ``table`` order, the head's bias row excepted.
-    :meth:`backprop` binds every ``d_<p>`` and ``d_head_weights`` to
-    views of a new ``grad`` buffer, laid out alike.
+    ``table`` has one :class:`TensorSlot` per tensor, ``layer_slots[i]``
+    layer ``i``'s, and ``head_weights`` [(head_dim+1), K] is the last
+    one's view.  Layers hold no arrays: each call passes a layer its
+    views of ``param`` and, in :meth:`backprop`, of a new ``grad``
+    buffer laid out alike.  ``param`` starts at 0 (the layers give
+    shapes, not values); ``rng`` draws each weight view in ``table``
+    order, the head's bias row excepted.
     """
 
     def __init__(self, layers, head_spec, head_dim, arch, rng=None):
         self.layers = layers
         self.head_spec = head_spec
         self.arch = arch  # dict describing how to rebuild the stack
-        owners = [(f"layer{i}.{attr}", layer, attr, getattr(layer, attr).shape)
-                  for i, layer in enumerate(layers) for attr in layer.param_names]
-        # A proxy: a table holding the network itself would be a reference
-        # cycle, which keeps the buffers alive until the cyclic collector runs.
-        owners.append(("head.weights", weakref.proxy(self), "head_weights",
-                       (head_dim + 1, head_spec.num_classes)))
-        sizes = [math.prod(shape) for *_, shape in owners]
-        self.param = np.zeros(sum(sizes), dtype=DTYPE)
-        self.table, offset = [], 0
-        for (name, owner, attr, shape), size in zip(owners, sizes):
-            slot = TensorSlot(name, owner, attr, slice(offset, offset + size), shape)
+        tensors = [(i, f"layer{i}.{name}", shape) for i, layer in enumerate(layers)
+                   for name, shape in zip(layer.param_names, layer.param_shapes)]
+        tensors.append((None, "head.weights", (head_dim + 1, head_spec.num_classes)))
+        self.table, self.layer_slots, offset = [], [[] for _ in layers], 0
+        for i, name, shape in tensors:
+            slot = TensorSlot(name, slice(offset, offset + math.prod(shape)), shape)
             self.table.append(slot)
-            setattr(owner, attr, slot.of(self.param))
-            offset += size
+            if i is not None:
+                self.layer_slots[i].append(slot)
+            offset = slot.span.stop
+        self.param = np.zeros(offset, dtype=DTYPE)
+        self.head_weights = self.table[-1].of(self.param)
         # The stack weight tensors: each layer's first parameter.
-        self._decayed = [slot for slot in self.table[:-1]
-                         if slot.attr == slot.owner.param_names[0]]
+        self._decayed = [slots[0] for slots in self.layer_slots if slots]
         if rng is not None:
             for slot in self._decayed:
                 init_gaussian(slot.of(self.param), rng, arch["init_std"])
             init_gaussian(self.head_weights[:-1], rng, arch["init_std"])
         self.grad = None
-        self.d_head_weights = None
 
     def forward(self, x, train=False, rng=None):
         """Run the stack to penultimate activations [N, D].
@@ -94,17 +88,18 @@ class Network:
         Unscaled uint8 pixels are a :class:`DomainError`.
         """
         reject_pixels(x, "Network.forward")
-        for layer, pool_relu in self._stages():
+        for layer, slots, pool_relu in self._stages():
+            params = [slot.of(self.param) for slot in slots]
             if pool_relu:
-                x = layer.forward(x, train=train, rng=rng, pool_relu=True)
+                x = layer.forward(x, params, train=train, rng=rng, pool_relu=True)
             else:
-                x = layer.forward(x, train=train, rng=rng)
+                x = layer.forward(x, params, train=train, rng=rng)
         return x
 
     def _stages(self):
-        """``(layer, pool_relu)`` for each pass of the stack, in order: a
-        conv layer followed by a max-pool and a ReLU runs the whole
-        block in one pass (``pool_relu=True``, see
+        """``(layer, slots, pool_relu)`` for each pass of the stack, in
+        order: a conv layer followed by a max-pool and a ReLU runs the
+        whole block in one pass (``pool_relu=True``, see
         :class:`marginnet.layers.Conv2dLayer`), and the pool and ReLU
         layer objects are skipped; every other layer is its own pass."""
         layers, stages, i = self.layers, [], 0
@@ -112,7 +107,7 @@ class Network:
             pool_relu = (isinstance(layers[i], Conv2dLayer)
                          and [type(layer) for layer in layers[i + 1 : i + 3]]
                          == [MaxPool2x2Layer, ReluLayer])
-            stages.append((layers[i], pool_relu))
+            stages.append((layers[i], self.layer_slots[i], pool_relu))
             i += 3 if pool_relu else 1
         return stages
 
@@ -154,36 +149,28 @@ class Network:
         backward pass; returns the HeadOutput.
 
         Afterwards ``grad`` holds every parameter's gradient, laid out
-        like ``param``.  ``lower_weight_decay`` adds :meth:`stack_penalty`
-        to the loss and its gradient to every stack weight tensor.
+        like ``param``, until the caller drops it after its step.
+        ``lower_weight_decay`` adds :meth:`stack_penalty` to the loss
+        and its gradient to every stack weight tensor.
         """
         h = self.forward(x, train=True, rng=rng)
         out = heads_mod.apply_head(self.head_spec, self.head_weights, h, labels)
         self.grad = np.empty_like(self.param)
-        for slot in self.table:
-            setattr(slot.owner, "d_" + slot.attr, slot.of(self.grad))
-        self.d_head_weights[...] = out.d_w
+        self.table[-1].of(self.grad)[...] = out.d_w
         d = out.d_h
-        stages = [layer for layer, _ in self._stages()]
-        for layer in reversed(stages[1:]):
-            d = layer.backward(d)
-        if stages:
-            # Nothing sits below the first layer: skip its input gradient.
-            stages[0].backward(d, input_grad=False)
+        for depth, (layer, slots, _) in reversed(list(enumerate(self._stages()))):
+            params = [slot.of(self.param) for slot in slots]
+            grads = [slot.of(self.grad) for slot in slots]
+            if depth:
+                d = layer.backward(d, params, grads)
+            else:  # nothing sits below the first layer: skip its input gradient
+                layer.backward(d, params, grads, input_grad=False)
         if lower_weight_decay > 0.0:
             for slot in self._decayed:
                 d_weight = slot.of(self.grad)
                 d_weight += lower_weight_decay * slot.of(self.param)
             out.loss += self.stack_penalty(lower_weight_decay)
         return out
-
-    def release_grads(self):
-        """Drop the gradient buffer and every view of it, once an
-        optimizer step has used them, so none lives on through
-        evaluation or the next forward."""
-        self.grad = None
-        for slot in self.table:
-            setattr(slot.owner, "d_" + slot.attr, None)
 
     def stack_penalty(self, lower_weight_decay):
         """0.5 * wd * the summed squares of every stack weight tensor (the
@@ -278,15 +265,16 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
 
 
 def build_from_arch(arch, head_spec):
-    """Reconstruct a network from its arch dict, all parameters 0."""
+    """Reconstruct a network from its arch dict, all parameters 0: its
+    ``init_std`` is kept in ``arch``, and no init is drawn."""
     kind = arch.get("kind")
     if kind == "mlp":
         return build_mlp(arch["input_dim"], arch["hidden_dims"], head_spec,
-                         init_std=0.0)
+                         init_std=arch["init_std"])
     if kind == "conv":
         return build_convnet(
             tuple(arch["input_shape"]), arch["conv_channels"],
             arch["kernel_size"], arch["dense_dim"], arch["dropout_rate"],
-            head_spec, init_std=0.0,
+            head_spec, init_std=arch["init_std"],
         )
     raise DomainError(f"unknown architecture kind {kind!r}")

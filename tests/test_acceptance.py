@@ -189,10 +189,10 @@ def test_topology_smoke_conv_stack():
                 (3, 32, 32), [32, 64], 5, 3072, 0.2, spec,
                 rng=np.random.default_rng(0), init_std=0.01,
             )
-            convs = [l for l in net.layers
-                     if l.__class__.__name__ == "Conv2dLayer"]
-            assert [c.filters.shape[0] for c in convs] == [32, 64]
-            assert all(c.filters.shape[2:] == (5, 5) for c in convs)
+            filters = [t.shape for name, t in net.named_tensors().items()
+                       if name.endswith(".filters")]
+            assert [f[0] for f in filters] == [32, 64]
+            assert all(f[2:] == (5, 5) for f in filters)
             assert net.head_weights.shape == (3073, 10)
             scores = net.scores(x)
             assert scores.shape == (8, 10)

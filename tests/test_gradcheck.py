@@ -22,14 +22,16 @@ from marginnet.layers import (
     MaxPool2x2Layer,
     ReluLayer,
     init_gaussian,
+    zero_params,
 )
 
 
 def drawn(layer, rng, std=0.01):
-    """``layer`` with its weight tensor drawn from ``rng`` as a network's
-    builder draws it."""
-    init_gaussian(getattr(layer, layer.param_names[0]), rng, std)
-    return layer
+    """``(layer, params)``: standalone parameters for ``layer``, its
+    weight tensor drawn from ``rng`` as a network's builder draws it."""
+    params = zero_params(layer)
+    init_gaussian(params[0], rng, std)
+    return layer, params
 
 
 class TestFdGradient:
@@ -108,14 +110,14 @@ def _scaled_backward(layer_type):
 class TestCheckLayer:
     def test_names_input_then_each_parameter(self):
         rng = np.random.default_rng(3)
-        dense = drawn(DenseLayer(3, 2), rng, 0.5)
+        dense, params = drawn(DenseLayer(3, 2), rng, 0.5)
         results = check_layer("fc", dense, rng.normal(size=(4, 3)),
-                              rng.normal(size=(4, 2)))
+                              rng.normal(size=(4, 2)), params)
         assert [r.name for r in results] == ["fc.d_input", "fc.d_weights", "fc.d_bias"]
         assert all(r.passed for r in results)
-        conv = drawn(Conv2dLayer(2, 2, 3), rng, 0.5)
+        conv, params = drawn(Conv2dLayer(2, 2, 3), rng, 0.5)
         results = check_layer("conv", conv, rng.normal(size=(2, 2, 5, 6)),
-                              rng.normal(size=(2, 2, 5, 6)))
+                              rng.normal(size=(2, 2, 5, 6)), params)
         assert [r.name for r in results] == ["conv.d_input", "conv.d_filters", "conv.d_bias"]
         assert all(r.passed for r in results)
 
@@ -128,7 +130,7 @@ class TestCheckLayer:
         assert result.passed
         # A backward that ignores the mask would pass an identity forward,
         # so every forward trains, with the default seed too.
-        monkeypatch.setattr(DropoutLayer, "backward", lambda self, d_out: d_out)
+        monkeypatch.setattr(DropoutLayer, "backward", lambda self, d_out, *_: d_out)
         (result,) = check_layer("drop", DropoutLayer(0.5), x, r, seed=9)
         assert not result.passed
         (result,) = check_layer("drop", DropoutLayer(0.5), x, r)
@@ -141,9 +143,10 @@ class TestCheckLayer:
     ], ids=["dense", "conv"])
     def test_wrong_input_gradient_fails(self, monkeypatch, make, x_shape, r_shape):
         rng = np.random.default_rng(5)
-        layer = make(rng)
+        layer, params = make(rng)
         monkeypatch.setattr(type(layer), "backward", _scaled_backward(type(layer)))
-        results = check_layer("l", layer, rng.normal(size=x_shape), rng.normal(size=r_shape))
+        results = check_layer("l", layer, rng.normal(size=x_shape),
+                              rng.normal(size=r_shape), params)
         # parameter gradients are untouched; only d_input is scaled
         assert [res.passed for res in results] == [False, True, True]
 

@@ -32,14 +32,16 @@ from marginnet.harness import (
     prepare_data,
     read_metrics_csv,
     run_epochs,
+    save_model,
     seed_streams,
     train,
     write_metrics_csv,
 )
 from marginnet.heads import HEAD_KINDS, HeadSpec
-from marginnet.network import Network, build_mlp
+from marginnet.network import Network, build_convnet, build_mlp
 from marginnet.preprocess import STD_FLOOR
 from marginnet.optim import SgdMomentum
+from marginnet.serialize import read_manifest
 from marginnet.tensor import DomainError, ShapeError
 
 BLOBS_BASE = """
@@ -321,6 +323,20 @@ class TestArtifacts:
             model.network.head_weights, l2svm_run.network.head_weights
         )
 
+    def test_loaded_arch_is_the_saved_arch(self, l2svm_run, tmp_path):
+        # init_std included, so a loaded network re-saves the same arch.
+        conv_dir = str(tmp_path / "conv")
+        conv = build_convnet((1, 8, 8), [2], 3, 5, 0.2, HeadSpec("l2svm", 3),
+                             rng=np.random.default_rng(0), init_std=0.3)
+        save_model(conv_dir, conv)
+        for model_dir, init_std in ((l2svm_run.model_dir, 0.01), (conv_dir, 0.3)):
+            model = load_model(model_dir)
+            assert model.meta["arch"]["init_std"] == init_std
+            assert model.network.arch == model.meta["arch"]
+            resaved = str(tmp_path / "resaved")
+            save_model(resaved, model.network)
+            assert read_manifest(resaved)["meta"]["arch"] == model.meta["arch"]
+
     @pytest.mark.parametrize("edit, error", [
         ("name", "missing tensor 'layer0.weights'"),
         ("shape", "'layer0.weights': stored shape (16, 2) vs model shape (2, 16)"),
@@ -411,9 +427,7 @@ batch_size = 10
     monkeypatch.setattr(harness_mod, "evaluate_objectives", checking_evaluate)
     state = train(cfg)
     assert checked[-1] == len(consumed) == 6  # one flat buffer per step
-    net = state.network
-    assert net.grad is None
-    assert all(getattr(slot.owner, "d_" + slot.attr) is None for slot in net.table)
+    assert state.network.grad is None
 
 
 class TestCrossObjectiveEval:
@@ -473,6 +487,31 @@ class TestWarmStart:
             "value": l2svm_run.model_dir, "source": "config",
             "default_origin": "artifact",
         }
+
+    def test_source_is_dropped_before_the_first_evaluation(
+        self, l2svm_run, tmp_path, monkeypatch
+    ):
+        # Once its parameters are copied, nothing holds the source model:
+        # its store would otherwise sit beside the run's through every step.
+        sources, alive = [], []
+        load, evaluate = harness_mod.load_model, harness_mod.evaluate_objectives
+
+        def recording_load(model_dir):
+            model = load(model_dir)
+            sources.append(weakref.ref(model.network))
+            return model
+
+        def checking_evaluate(*args):
+            alive.append(sources[0]() is not None)
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness_mod, "load_model", recording_load)
+        monkeypatch.setattr(harness_mod, "evaluate_objectives", checking_evaluate)
+        res = train(blobs_config(tmp_path, "warmfree", head="softmax", epochs=1,
+                                 source_model=l2svm_run.model_dir))
+        assert len(sources) == 1 and alive == [False] * 4
+        with open(os.path.join(res.out_dir, "runmeta.json")) as f:
+            assert json.load(f)["warm_start"]["source_head"] == "l2svm"
 
     def test_architecture_mismatch_is_a_config_error(
         self, l2svm_run, tmp_path

@@ -22,16 +22,36 @@ from marginnet.layers import (
     dropout_mask,
     gaussian_noise,
     init_gaussian,
+    zero_params,
 )
 from marginnet.network import build_convnet
 from marginnet.tensor import DomainError, ShapeError
 
 
 def drawn(layer, rng, std=0.01):
-    """``layer`` with its weight tensor drawn from ``rng`` as a network's
-    builder draws it."""
-    init_gaussian(getattr(layer, layer.param_names[0]), rng, std)
-    return layer
+    """``(layer, params)``: standalone parameters for ``layer``, its
+    weight tensor drawn from ``rng`` as a network's builder draws it."""
+    params = zero_params(layer)
+    init_gaussian(params[0], rng, std)
+    return layer, params
+
+
+def test_layers_hold_no_parameter_or_gradient_arrays():
+    # A layer's parameters are a name and a shape each; the arrays are
+    # its caller's, passed to every forward and backward.
+    rng = np.random.default_rng(11)
+    for layer, x in ((DenseLayer(3, 2), rng.normal(size=(4, 3))),
+                     (Conv2dLayer(2, 3, 3), rng.normal(size=(2, 2, 4, 4)))):
+        before = set(vars(layer))
+        params, grads = zero_params(layer), zero_params(layer)
+        assert [p.shape for p in params] == list(layer.param_shapes)
+        assert len(layer.param_shapes) == len(layer.param_names) == 2
+        layer.backward(layer.forward(x, params, train=True), params, grads)
+        assert set(vars(layer)) == before
+        arrays = [k for k, v in vars(layer).items() if isinstance(v, np.ndarray)]
+        assert arrays == []
+    for layer in (ReluLayer(), MaxPool2x2Layer(), FlattenLayer(), DropoutLayer(0.5)):
+        assert layer.param_names == layer.param_shapes == ()
 
 
 def test_init_gaussian_is_the_normal_draw_in_place():
@@ -145,44 +165,47 @@ def _assert_matches_reference(got, want):
 class TestDense:
     def test_worked_forward(self):
         layer = DenseLayer(2, 2)
-        layer.weights[...] = [[1.0, 0.0], [0.0, 2.0]]
-        layer.bias[...] = [1.0, 1.0]
-        out = layer.forward(np.array([[1.0, 2.0]]))
+        weights, bias = params = zero_params(layer)
+        weights[...] = [[1.0, 0.0], [0.0, 2.0]]
+        bias[...] = [1.0, 1.0]
+        out = layer.forward(np.array([[1.0, 2.0]]), params)
         npt.assert_array_equal(out, [[2.0, 5.0]])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        layer = drawn(DenseLayer(3, 4), rng, 0.5)
+        layer, params = drawn(DenseLayer(3, 4), rng, 0.5)
+        weights, bias = params
         x = rng.normal(size=(5, 3))
         r = rng.normal(size=(5, 4))  # fixed projection makes a scalar loss
-        layer.forward(x, train=True)
-        d_x = layer.backward(r)
+        d_weights, d_bias = grads = zero_params(layer)
+        layer.forward(x, params, train=True)
+        d_x = layer.backward(r, params, grads)
 
         def loss():
-            return float(np.sum((x @ layer.weights + layer.bias) * r))
+            return float(np.sum((x @ weights + bias) * r))
 
-        assert gc.check_gradient("d_w", loss, layer.weights, layer.d_weights).passed
-        assert gc.check_gradient("d_b", loss, layer.bias, layer.d_bias).passed
+        assert gc.check_gradient("d_w", loss, weights, d_weights).passed
+        assert gc.check_gradient("d_b", loss, bias, d_bias).passed
         assert gc.check_gradient("d_x", loss, x, d_x).passed
 
     def test_backward_without_forward_is_a_state_error(self):
         layer = DenseLayer(2, 2)
         with pytest.raises(LayerStateError):
-            layer.backward(np.zeros((1, 2)))
+            layer.backward(np.zeros((1, 2)), zero_params(layer), zero_params(layer))
 
     def test_grads_accumulate_nowhere(self):
         # two forward/backward rounds give identical gradients, not sums
         rng = np.random.default_rng(1)
-        layer = drawn(DenseLayer(3, 2), rng, 0.1)
+        layer, params = drawn(DenseLayer(3, 2), rng, 0.1)
         x = rng.normal(size=(4, 3))
         r = rng.normal(size=(4, 2))
-        layer.forward(x, train=True)
-        layer.backward(r)
-        first = layer.d_weights.copy()
-        layer.forward(x, train=True)
-        layer.backward(r)
-        second = layer.d_weights
-        npt.assert_array_equal(first, second)
+        grads = zero_params(layer)
+        layer.forward(x, params, train=True)
+        layer.backward(r, params, grads)
+        first = grads[0].copy()
+        layer.forward(x, params, train=True)
+        layer.backward(r, params, grads)
+        npt.assert_array_equal(first, grads[0])
 
 
 class TestRelu:
@@ -213,17 +236,18 @@ class TestConv2d:
         # 3x3 ones input, one 3x3 ones filter, padding 1: each output
         # counts the input cells its window covers.
         layer = Conv2dLayer(1, 1, 3)
-        layer.filters[...] = 1.0
-        out = layer.forward(np.ones((1, 1, 3, 3)))
+        params = zero_params(layer)
+        params[0][...] = 1.0
+        out = layer.forward(np.ones((1, 1, 3, 3)), params)
         npt.assert_array_equal(out[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_delta_filter_crops_input(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 1, 6, 6))
         layer = Conv2dLayer(1, 1, 3)
-        layer.filters[...] = 0.0
-        layer.filters[0, 0, 0, 0] = 1.0  # kernel origin only
-        out = layer.forward(x)
+        params = zero_params(layer)
+        params[0][0, 0, 0, 0] = 1.0  # kernel origin only
+        out = layer.forward(x, params)
         # Output (i, j) reads padded (i, j), which is input (i-1, j-1).
         npt.assert_array_equal(out[0, 0, 1:, 1:], x[0, 0, :5, :5])
         npt.assert_array_equal(out[0, 0, 0], 0.0)
@@ -233,7 +257,7 @@ class TestConv2d:
     def test_default_padding_preserves_spatial_dims(self, kernel):
         layer = Conv2dLayer(2, 3, kernel)
         assert layer.padding == kernel // 2
-        out = layer.forward(np.zeros((2, 2, 8, 11)))
+        out = layer.forward(np.zeros((2, 2, 8, 11)), zero_params(layer))
         assert out.shape == (2, 3, 8, 11)
         assert layer.output_hw(8, 11) == (8, 11)
 
@@ -244,20 +268,18 @@ class TestConv2d:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        layer = drawn(Conv2dLayer(2, 3, 3), rng, 0.5)
+        layer, params = drawn(Conv2dLayer(2, 3, 3), rng, 0.5)
         x = rng.normal(size=(1, 2, 6, 6))
         r = rng.normal(size=(1, 3, 6, 6))
-        layer.forward(x, train=True)
-        d_x = layer.backward(r)
+        grads = zero_params(layer)
+        layer.forward(x, params, train=True)
+        d_x = layer.backward(r, params, grads)
 
         def loss():
-            fresh = Conv2dLayer(2, 3, 3)
-            fresh.filters[...] = layer.filters
-            fresh.bias[...] = layer.bias
-            return float(np.sum(fresh.forward(x) * r))
+            return float(np.sum(layer.forward(x, params) * r))
 
-        assert gc.check_gradient("d_f", loss, layer.filters, layer.d_filters).passed
-        assert gc.check_gradient("d_b", loss, layer.bias, layer.d_bias).passed
+        assert gc.check_gradient("d_f", loss, params[0], grads[0]).passed
+        assert gc.check_gradient("d_b", loss, params[1], grads[1]).passed
         assert gc.check_gradient("d_x", loss, x, d_x).passed
 
     @pytest.mark.parametrize("kernel", [1, 3, 5])
@@ -269,33 +291,31 @@ class TestConv2d:
             c_out = int(rng.integers(1, 4))
             h = int(rng.integers(kernel, kernel + 6))
             w = h + int(rng.integers(1, 4))  # never square
-            layer = drawn(Conv2dLayer(c_in, c_out, kernel), rng, 0.5)
-            layer.bias[...] = rng.normal(size=c_out)
+            layer, params = drawn(Conv2dLayer(c_in, c_out, kernel), rng, 0.5)
+            filters, bias = params
+            bias[...] = rng.normal(size=c_out)
             x = rng.normal(size=(n, c_in, h, w))
-            out = layer.forward(x, train=True)
+            out = layer.forward(x, params, train=True)
             _assert_matches_reference(
-                out, _reference_conv_forward(
-                    x, layer.filters, layer.bias, layer.padding
-                )
+                out, _reference_conv_forward(x, filters, bias, layer.padding)
             )
             r = rng.normal(size=out.shape)
-            d_x = layer.backward(r)
+            grads = zero_params(layer)
+            d_x = layer.backward(r, params, grads)
             d_input, d_filters, d_bias = _reference_conv_backward(
-                x, layer.filters, r, layer.padding
+                x, filters, r, layer.padding
             )
             _assert_matches_reference(d_x, d_input)
-            _assert_matches_reference(layer.d_filters, d_filters)
-            _assert_matches_reference(layer.d_bias, d_bias)
-            d_filters_out, d_bias_out = (getattr(layer, "d_" + p)
-                                         for p in layer.param_names)
-            assert d_filters_out is layer.d_filters and d_bias_out is layer.d_bias
+            _assert_matches_reference(grads[0], d_filters)
+            _assert_matches_reference(grads[1], d_bias)
 
     def test_bad_geometry_rejected(self):
         layer = Conv2dLayer(1, 1, 3)
+        params = zero_params(layer)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 2, 6, 6)))  # channels
+            layer.forward(np.zeros((1, 2, 6, 6)), params)  # channels
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 6, 6)))  # not NCHW
+            layer.forward(np.zeros((1, 6, 6)), params)  # not NCHW
 
 
 # Inference conv forward against the training (caching) forward:
@@ -313,11 +333,11 @@ def conv_forward_both_ways(case):
     """(training forward, inference forward) of one seeded layer."""
     c_in, c_out, k, n, h, w = case
     rng = np.random.default_rng(sum(case))
-    layer = drawn(Conv2dLayer(c_in, c_out, k), rng, 0.3)
-    layer.bias[...] = rng.normal(size=c_out)
+    layer, params = drawn(Conv2dLayer(c_in, c_out, k), rng, 0.3)
+    params[1][...] = rng.normal(size=c_out)
     x = rng.normal(size=(n, c_in, h, w))
-    trained = layer.forward(x, train=True)
-    return trained, layer.forward(x)
+    trained = layer.forward(x, params, train=True)
+    return trained, layer.forward(x, params)
 
 
 class TestConvInferenceForward:
@@ -356,17 +376,19 @@ class TestConvInferenceForward:
         # [C, N, H+k-1, W+k-1], smaller than the [C*k*k, N*H*W] patch
         # matrix; the inference forward keeps nothing.
         layer = Conv2dLayer(2, 3, 3)
+        params = zero_params(layer)
         x = np.ones((9, 2, 5, 5))
-        layer.forward(x, train=True)
+        layer.forward(x, params, train=True)
         kept = layer._cache[0]
         assert kept.shape == (2, 9, 7, 7)
         assert kept.transpose(1, 0, 2, 3)[:, :, 1:6, 1:6].tobytes() == x.tobytes()
         assert kept.size < 18 * 9 * 25
-        layer.forward(x)
+        layer.forward(x, params)
         assert layer._cache is None
 
     def test_empty_batch(self):
-        out = Conv2dLayer(2, 3, 3).forward(np.zeros((0, 2, 5, 5)))
+        layer = Conv2dLayer(2, 3, 3)
+        out = layer.forward(np.zeros((0, 2, 5, 5)), zero_params(layer))
         assert out.shape == (0, 3, 5, 5)
 
     def test_scores_pad_one_image_block_at_a_time(self):
@@ -392,11 +414,11 @@ def test_caching_forward_builds_no_product_temporary():
     # allowed.  A kept patch matrix adds 31 MB here, and a one-GEMM
     # forward an output-sized [F, N*Ho*Wo] product (40 MB).
     rng = np.random.default_rng(4)
-    layer = drawn(Conv2dLayer(1, 32, 5), rng)
+    layer, params = drawn(Conv2dLayer(1, 32, 5), rng)
     x = rng.normal(size=(200, 1, 28, 28))
     tracemalloc.start()
     try:
-        out = layer.forward(x, train=True)
+        out = layer.forward(x, params, train=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -416,15 +438,16 @@ def test_training_step_builds_no_patch_matrix():
     # gradient), and one block of patches or one col2im product (both
     # 10 MB here), which never coexist.
     rng = np.random.default_rng(24)
-    layer = drawn(Conv2dLayer(32, 64, 5), rng)
+    layer, params = drawn(Conv2dLayer(32, 64, 5), rng)
+    grads = zero_params(layer)
     x = rng.normal(size=(200, 32, 14, 14))
     d_out = rng.normal(size=(200, 64, 14, 14))
     padded = 32 * 200 * 18 * 18 * 8
     block_patches = 32 * 25 * IMAGE_BLOCK * 14 * 14 * 8  # = x.nbytes
     tracemalloc.start()
     try:
-        out = layer.forward(x, train=True)
-        d_x = layer.backward(d_out)
+        out = layer.forward(x, params, train=True)
+        d_x = layer.backward(d_out, params, grads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -440,11 +463,10 @@ def _block_both_ways(n, nan):
     output, d_input, d_filters and d_bias, plus the standalone conv
     output gradient."""
     rng = np.random.default_rng(40 + n)
-    fused = drawn(Conv2dLayer(3, 4, 3), rng, 0.5)
-    fused.bias[...] = [0.3, -0.2, 0.0, -0.0]
+    fused, params = drawn(Conv2dLayer(3, 4, 3), rng, 0.5)
+    params[1][...] = [0.3, -0.2, 0.0, -0.0]
     plain = Conv2dLayer(3, 4, 3)
-    plain.filters[...] = fused.filters
-    plain.bias[...] = fused.bias
+    fused_grads, plain_grads = zero_params(fused), zero_params(plain)
     pool, relu = MaxPool2x2Layer(), ReluLayer()
     x = rng.normal(size=(n, 3, 10, 12))
     # Only zeros reach the conv outputs at the top-left 4x4, so their
@@ -456,15 +478,15 @@ def _block_both_ways(n, nan):
     d_out = rng.normal(size=(n, 4, 5, 6))
     d_out[rng.random(d_out.shape) < 0.1] = -0.0
 
-    pairs = [(fused.forward(x, pool_relu=True),
-              relu.forward(pool.forward(plain.forward(x))))]
-    pairs.append((fused.forward(x, train=True, pool_relu=True),
-                  relu.forward(pool.forward(plain.forward(x, train=True),
+    pairs = [(fused.forward(x, params, pool_relu=True),
+              relu.forward(pool.forward(plain.forward(x, params))))]
+    pairs.append((fused.forward(x, params, train=True, pool_relu=True),
+                  relu.forward(pool.forward(plain.forward(x, params, train=True),
                                             train=True), train=True)))
     d_conv = pool.backward(relu.backward(d_out))
-    pairs.append((fused.backward(d_out), plain.backward(d_conv)))
-    pairs += [(getattr(fused, "d_" + p), getattr(plain, "d_" + p))
-              for p in fused.param_names]
+    pairs.append((fused.backward(d_out, params, fused_grads),
+                  plain.backward(d_conv, params, plain_grads)))
+    pairs += list(zip(fused_grads, plain_grads))
     return pairs, d_conv
 
 
@@ -484,8 +506,9 @@ def test_pooled_block_matches_standalone_layers_bytewise(n, nan):
 
 
 def test_pooled_block_rejects_odd_spatial_dims():
+    layer = Conv2dLayer(1, 2, 3)
     with pytest.raises(ShapeError):
-        Conv2dLayer(1, 2, 3).forward(np.zeros((2, 1, 6, 5)), pool_relu=True)
+        layer.forward(np.zeros((2, 1, 6, 5)), zero_params(layer), pool_relu=True)
 
 
 def test_pooled_block_allocates_no_full_resolution_array():
@@ -497,14 +520,15 @@ def test_pooled_block_allocates_no_full_resolution_array():
     # image block of patches plus one of product or gradient, and four
     # pooled-block temporaries of the pool and ReLU.
     rng = np.random.default_rng(27)
-    layer = drawn(Conv2dLayer(1, 32, 5), rng)
+    layer, params = drawn(Conv2dLayer(1, 32, 5), rng)
+    grads = zero_params(layer)
     x = rng.normal(size=(200, 1, 28, 28))
     d_out = rng.normal(size=(200, 32, 14, 14))
     full_resolution = 200 * 32 * 28 * 28 * 8
     tracemalloc.start()
     try:
-        out = layer.forward(x, train=True, pool_relu=True)
-        d_x = layer.backward(d_out)
+        out = layer.forward(x, params, train=True, pool_relu=True)
+        d_x = layer.backward(d_out, params, grads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -538,38 +562,38 @@ def test_backward_is_deterministic_and_accurate_at_conv2_shape():
     # partial one of 5.
     def step():
         rng = np.random.default_rng(25)
-        layer = drawn(Conv2dLayer(32, 64, 5), rng, 0.1)
+        layer, params = drawn(Conv2dLayer(32, 64, 5), rng, 0.1)
+        grads = zero_params(layer)
         x = rng.normal(size=(37, 32, 14, 14))
         d_out = rng.normal(size=(37, 64, 14, 14))
-        layer.forward(x, train=True)
-        return layer, x, d_out, layer.backward(d_out)
+        layer.forward(x, params, train=True)
+        return params, grads, x, d_out, layer.backward(d_out, params, grads)
 
-    layer, x, d_out, d_x = step()
-    again, _, _, d_x_again = step()
-    assert layer.d_filters.tobytes() == again.d_filters.tobytes()
+    (filters, _), (d_filters, d_bias), x, d_out, d_x = step()
+    _, (d_filters_again, _), _, _, d_x_again = step()
+    assert d_filters.tobytes() == d_filters_again.tobytes()
     assert d_x.tobytes() == d_x_again.tobytes()
 
     cols, xp_shape = _reference_conv_patches(x, 5, 2)
     cols = cols.transpose(1, 2, 3, 0, 4, 5).reshape(32 * 25, 37 * 14 * 14)
     d2 = d_out.transpose(1, 0, 2, 3).reshape(64, 37 * 14 * 14)
-    _assert_matches_reference(
-        layer.d_filters, (d2 @ cols.T).reshape(layer.filters.shape)
-    )
+    _assert_matches_reference(d_filters, (d2 @ cols.T).reshape(filters.shape))
     channel_major = (32, 37) + xp_shape[2:]
-    want = _col2im(layer.filters, d2, channel_major, 2)
+    want = _col2im(filters, d2, channel_major, 2)
     assert d_x.shape == want.shape
     assert d_x.tobytes() == want.tobytes()
-    assert layer.d_bias.tobytes() == d_out.sum(axis=(0, 2, 3)).tobytes()
+    assert d_bias.tobytes() == d_out.sum(axis=(0, 2, 3)).tobytes()
 
 
-# One constructor per layer type, with the input shape it takes.
+# One constructor per layer type, returning ``(layer, params)``, with the
+# input shape it takes.
 LAYER_TYPES = {
     "dense": (lambda rng: drawn(DenseLayer(4, 3), rng), (5, 4)),
-    "relu": (lambda rng: ReluLayer(), (5, 4)),
+    "relu": (lambda rng: (ReluLayer(), []), (5, 4)),
     "conv": (lambda rng: drawn(Conv2dLayer(2, 3, 3), rng), (2, 2, 4, 4)),
-    "maxpool": (lambda rng: MaxPool2x2Layer(), (2, 2, 4, 4)),
-    "flatten": (lambda rng: FlattenLayer(), (2, 2, 4, 4)),
-    "dropout": (lambda rng: DropoutLayer(0.5), (5, 4)),
+    "maxpool": (lambda rng: (MaxPool2x2Layer(), []), (2, 2, 4, 4)),
+    "flatten": (lambda rng: (FlattenLayer(), []), (2, 2, 4, 4)),
+    "dropout": (lambda rng: (DropoutLayer(0.5), []), (5, 4)),
 }
 
 
@@ -577,11 +601,12 @@ LAYER_TYPES = {
 def test_second_backward_is_a_state_error(kind):
     make, shape = LAYER_TYPES[kind]
     rng = np.random.default_rng(21)
-    layer, x = make(rng), rng.normal(size=shape)
-    out = layer.forward(x, train=True, rng=np.random.default_rng(1))
-    layer.backward(np.ones_like(out))
+    (layer, params), x = make(rng), rng.normal(size=shape)
+    grads = zero_params(layer)
+    out = layer.forward(x, params, train=True, rng=np.random.default_rng(1))
+    layer.backward(np.ones_like(out), params, grads)
     with pytest.raises(LayerStateError):
-        layer.backward(np.ones_like(out))
+        layer.backward(np.ones_like(out), params, grads)
 
 
 class TestCacheFreeForward:
@@ -591,16 +616,16 @@ class TestCacheFreeForward:
         # ``train`` is the mode of the forward before the inference one.
         make, shape = LAYER_TYPES[kind]
         rng = np.random.default_rng(20)
-        layer, x = make(rng), rng.normal(size=shape)
-        earlier = layer.forward(x, train=train, rng=np.random.default_rng(1))
-        free = layer.forward(x)
+        (layer, params), x = make(rng), rng.normal(size=shape)
+        earlier = layer.forward(x, params, train=train, rng=np.random.default_rng(1))
+        free = layer.forward(x, params)
         # Only dropout's training forward differs from the inference one,
         # which passes its input through.
         want = x if kind == "dropout" else earlier
         assert free.tobytes() == want.tobytes()
         # Whatever the earlier forward kept, the inference forward dropped.
         with pytest.raises(LayerStateError):
-            layer.backward(np.ones_like(free))
+            layer.backward(np.ones_like(free), params, zero_params(layer))
 
     @pytest.mark.parametrize("make", [
         lambda rng: (drawn(DenseLayer(4, 3), rng, 0.5), (5, 4)),
@@ -608,19 +633,20 @@ class TestCacheFreeForward:
     ], ids=["dense", "conv"])
     def test_backward_without_input_grad_keeps_parameter_grads(self, make):
         rng = np.random.default_rng(22)
-        layer, shape = make(rng)
+        (layer, params), shape = make(rng)
+        grads = zero_params(layer)
         x = rng.normal(size=shape)
-        r = rng.normal(size=layer.forward(x, train=True).shape)
-        assert layer.backward(r) is not None
-        want = [getattr(layer, "d_" + p).copy() for p in layer.param_names]
-        for p in layer.param_names:  # backward must overwrite what it reuses
-            getattr(layer, "d_" + p)[...] = np.nan
-        layer.forward(x, train=True)
-        assert layer.backward(r, input_grad=False) is None
-        for p, expected in zip(layer.param_names, want):
-            assert getattr(layer, "d_" + p).tobytes() == expected.tobytes()
+        r = rng.normal(size=layer.forward(x, params, train=True).shape)
+        assert layer.backward(r, params, grads) is not None
+        want = [g.copy() for g in grads]
+        for g in grads:  # backward must overwrite the arrays it is given
+            g[...] = np.nan
+        layer.forward(x, params, train=True)
+        assert layer.backward(r, params, grads, input_grad=False) is None
+        for g, expected in zip(grads, want):
+            assert g.tobytes() == expected.tobytes()
         with pytest.raises(LayerStateError):
-            layer.backward(r)
+            layer.backward(r, params, grads)
 
 
 def _pool(x):
@@ -821,6 +847,14 @@ class TestDropout:
             DropoutLayer(1.0)
         with pytest.raises(DomainError):
             DropoutLayer(-0.1)
+
+    def test_training_forward_without_rng_is_a_domain_error(self):
+        x = np.ones((3, 4))
+        with pytest.raises(DomainError, match="rng"):
+            DropoutLayer(0.2).forward(x, train=True)
+        # Nothing to draw: rate 0 and the inference forward need no rng.
+        assert DropoutLayer(0.0).forward(x, train=True) is x
+        assert DropoutLayer(0.2).forward(x) is x
 
     def test_layer_and_function_draw_the_same_mask(self):
         x = np.ones((6, 9))

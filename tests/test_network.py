@@ -22,6 +22,7 @@ from marginnet.harness import (
 from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.layers import (
     Conv2dLayer,
+    DenseLayer,
     LayerStateError,
     MaxPool2x2Layer,
     ReluLayer,
@@ -78,11 +79,21 @@ def _assert_slot_view(tensor, flat, slot):
     assert start == slot.span.start * flat.itemsize
 
 
+def _recording(method, calls):
+    """``method`` that first appends ``(layer, args)`` to ``calls``, the
+    arguments after the input: ``(params,)`` or ``(params, grads)``."""
+    def record(self, *args, **kwargs):
+        calls.append((self, args[1:]))
+        return method(self, *args, **kwargs)
+    return record
+
+
 @pytest.mark.parametrize("arch, names", [
     ("mlp", ["layer0.weights", "layer0.bias", "layer2.weights", "layer2.bias"]),
     ("conv", ["layer0.filters", "layer0.bias", "layer4.weights", "layer4.bias"]),
 ])
-def test_parameters_and_gradients_are_views_of_one_flat_buffer(arch, names, tmp_path):
+def test_parameters_and_gradients_are_views_of_one_flat_buffer(arch, names, tmp_path,
+                                                               monkeypatch):
     net, x = _tiny_net(arch, "l2svm", np.random.default_rng(12))
     assert [slot.name for slot in net.table] == names + ["head.weights"]
     assert list(net.named_tensors()) == names + ["head.weights"]
@@ -92,15 +103,28 @@ def test_parameters_and_gradients_are_views_of_one_flat_buffer(arch, names, tmp_
     assert spans[-1].stop == net.param.size
     for slot in net.table:
         assert slot.span.stop - slot.span.start == math.prod(slot.shape) > 0
-        _assert_slot_view(getattr(slot.owner, slot.attr), net.param, slot)
         _assert_slot_view(net.named_tensors()[slot.name], net.param, slot)
+    _assert_slot_view(net.head_weights, net.param, net.table[-1])
+    assert [slot for slots in net.layer_slots for slot in slots] == net.table[:-1]
     save_model(str(tmp_path), net)
     blob = (tmp_path / "params.bin").read_bytes()
     assert net.param.tobytes() == blob[: net.param.nbytes]
 
+    # Each parameter layer computes with views of the store and writes its
+    # gradients into views of the step's gradient buffer.
+    calls = []
+    for layer_type in (DenseLayer, Conv2dLayer):
+        for name in ("forward", "backward"):
+            monkeypatch.setattr(layer_type, name,
+                                _recording(getattr(layer_type, name), calls))
     net.backprop(x, np.arange(x.shape[0]) % 3, rng=np.random.default_rng(13))
-    for slot in net.table:
-        _assert_slot_view(getattr(slot.owner, "d_" + slot.attr), net.grad, slot)
+    slots = {id(layer): slots for layer, slots in zip(net.layers, net.layer_slots)}
+    assert [len(args) for _, args in calls] == [1, 1, 2, 2]
+    for layer, args in calls:
+        for flat, views in zip((net.param, net.grad), args):
+            assert len(views) == len(slots[id(layer)]) == 2
+            for view, slot in zip(views, slots[id(layer)]):
+                _assert_slot_view(view, flat, slot)
 
 
 def test_a_dropped_network_frees_its_buffers_by_reference_counting():
@@ -145,9 +169,10 @@ def test_forward_only_calls_leave_no_backward_state(arch, call, monkeypatch):
         ensemble_predict([member, member], x)
     else:
         getattr(net, call)(x)
-    for layer in net.layers:
+    for layer, slots in zip(net.layers, net.layer_slots):
+        views = [slot.of(net.param) for slot in slots]
         with pytest.raises(LayerStateError):
-            layer.backward(np.zeros(1))
+            layer.backward(np.zeros(1), views, [np.empty_like(v) for v in views])
 
 
 @pytest.mark.parametrize("build", [
@@ -296,7 +321,7 @@ def test_pool_before_relu_blocks_match_relu_before_pool(kind):
     for block in (0, 3):
         ref.layers[block + 1:block + 3] = [ReluLayer(), MaxPool2x2Layer()]
     for model in (net, ref):
-        model.layers[0].bias[:] = [0.3, -0.2, 0.0]
+        model.named_tensors()["layer0.bias"][:] = [0.3, -0.2, 0.0]
     assert list(net.named_tensors()) == list(ref.named_tensors())
 
     rng = np.random.default_rng(9)
@@ -350,3 +375,16 @@ def test_parameters_live_only_in_the_store(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert float(proc.stdout) <= 1.1, step
+
+
+def test_conv_mnist_build_allocates_one_store():
+    # The layers allocate no parameter arrays of their own: building the
+    # conv-mnist net, init drawn, allocates little beyond its 77 MB store.
+    tracemalloc.start()
+    try:
+        net = build_convnet((1, 28, 28), [32, 64], 5, 3072, 0.2, HeadSpec("l2svm", 10),
+                            rng=np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * net.param.nbytes

@@ -84,7 +84,7 @@ class TestSgdMomentum:
                      np.arange(6) % 3)
         opt.step([net.grad], lr=0.5)
         for slot in net.table:
-            p = getattr(slot.owner, slot.attr)  # what the layer computes with
+            p = slot.of(net.param)  # what the layer is passed
             assert p.base is opt.params[0]
             assert not np.array_equal(p, before[slot.name])
 
@@ -105,8 +105,7 @@ class TestSgdMomentum:
             twin.backprop(x, y)
             flat_opt.step([flat.grad], lr)
             twin_opt.step([slot.of(twin.grad) for slot in twin.table], lr)
-            flat.release_grads()
-            twin.release_grads()
+            flat.grad = twin.grad = None
             assert flat.param.tobytes() == twin.param.tobytes()
             assert flat_opt.velocities[0].tobytes() == b"".join(
                 v.tobytes() for v in twin_opt.velocities)
