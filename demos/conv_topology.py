@@ -3,7 +3,8 @@
 Builds the published image topology (two conv-pool blocks of 5x5
 filters, a 3072-unit penultimate dense layer, dropout) and pushes a
 batch of 32x32x3 images through it layer by layer, printing what each
-stage does to the tensor.  Then the input-side regularizers: random
+stage does to the tensor.  Each conv block is one layer (conv, 2x2
+max-pool and ReLU in one pass), so its row shows the pooled shape.  Then the input-side regularizers: random
 translations, horizontal mirroring, and additive Gaussian noise.
 
 Run: python3 demos/conv_topology.py

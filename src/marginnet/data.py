@@ -4,8 +4,9 @@ Supported sources:
     - IDX image/label file pairs (the classic big-endian binary layout:
       a 4-byte magic, big-endian u32 dimension sizes, then raw unsigned
       bytes).  Gzipped files are detected by their 1f 8b prefix and
-      decompressed transparently; a truncated or corrupt gzip stream is
-      an :class:`IdxFormatError`.
+      decompressed transparently; a truncated or corrupt gzip stream,
+      or a byte after the payload its header declares, is an
+      :class:`IdxFormatError`.
     - CIFAR-10 binary batches (per record: 1 label byte then 3072 pixel
       bytes, channel-major 3x32x32).
     - Synthetic Gaussian blobs with well-separated, balanced classes.
@@ -129,7 +130,8 @@ def _fill(f, out):
 
 def _read_idx(path, expected_magic, expected_ndim):
     """The payload of the IDX file ``path`` (see :func:`_payload`), read
-    into one read-only uint8 array shaped by its header's dimensions."""
+    into one read-only uint8 array shaped by its header's dimensions.
+    The file must end where that payload does."""
     header_len = 4 + 4 * expected_ndim
     with _payload(path) as f:
         header = f.read(header_len)
@@ -148,11 +150,15 @@ def _read_idx(path, expected_magic, expected_ndim):
             raise IdxTruncatedError(f"{path}: header declares {dims}, "
                                     "more than can be held") from None
         got = _fill(f, data)
-        f.read()  # to the end of the stream, where gzip checks its CRC
+        # One byte at most past the payload; at the end of a gzip stream
+        # this read also checks the stream's CRC.
+        extra = f.read(1)
     if got < data.size:
         raise IdxTruncatedError(
             f"{path}: payload holds {got} bytes, header declares {data.size}"
         )
+    if extra:
+        raise IdxFormatError(f"{path}: bytes follow its {data.size}-byte payload")
     data.flags.writeable = False
     return data
 

@@ -27,6 +27,9 @@ Conventions:
       when no gradient is needed below them (the first layer of a
       stack): parameter gradients are computed as usual, ``d_input`` is
       skipped and None is returned.
+    - ``positions`` is the number of stack positions a layer fills in
+      its network's tensor names: 1, or 3 for a pooled conv block
+      (conv, pool and ReLU).
 
 :func:`marginnet.gradcheck.check_layer` checks a layer's backward against
 central finite differences; ``marginnet gradcheck`` runs it on the dense,
@@ -41,9 +44,9 @@ a conv layer runs one loop over those image blocks.  Forward multiplies
 each block into a reused product buffer and adds the bias there;
 backward sums the filter gradient block by block and scatters each
 block's input gradient back (col2im) with one small matmul per kernel
-offset.  A network runs each conv -> pool -> ReLU block of its stack as
-one such pass (``pool_relu=True``): the block's product is pooled and
-rectified while it is in cache, and backward unpools one block of the
+offset.  A convnet's blocks are ``Conv2dLayer(..., pool_relu=True)``:
+conv -> 2x2 max-pool -> ReLU in one such pass, the product pooled and
+rectified while it is in cache and backward unpooling one block of the
 gradient at a time, so neither the full-resolution conv output nor its
 gradient is ever allocated.  The pool and ReLU are the same functions
 the standalone :class:`MaxPool2x2Layer` and :class:`ReluLayer` apply.
@@ -60,10 +63,12 @@ class LayerStateError(RuntimeError):
 
 
 class Layer:
-    """Base class: a layer's parameters by name and shape, none by default."""
+    """Base class: a layer's parameters by name and shape, none by
+    default, and the one stack position it fills."""
 
     param_names = ()
     param_shapes = ()
+    positions = 1
 
 
 def zero_params(layer):
@@ -191,22 +196,23 @@ class Conv2dLayer(Layer):
     array.  ``d_bias`` sums each image's H*W plane, then the planes over
     images, the order of ``d_out.sum(axis=(0, 2, 3))``.
 
-    ``forward(x, params, train, rng, pool_relu=True)`` runs the
-    network's conv block, conv -> bias -> 2x2 max-pool -> ReLU, in the
-    same loop: each block's product is pooled by :func:`max_pool2x2`
-    and rectified into the [N, F, H/2, W/2] output, and the training
-    forward also keeps the pool switches and the ReLU mask (one byte per
-    output unit each).  Backward then takes the pooled gradient, masks it as
+    ``pool_relu=True`` makes the layer a convnet's block, conv -> bias
+    -> 2x2 max-pool -> ReLU, run in the same loop (H and W must be
+    even): each block's product is pooled by :func:`max_pool2x2` and
+    rectified into the [N, F, H/2, W/2] output, and the training forward
+    also keeps the pool switches and the ReLU mask (one byte per output
+    unit each).  Backward then takes the pooled gradient, masks it as
     :class:`ReluLayer` does and unpools it one block at a time with
     :func:`unpool2x2`.  The bytes equal those of the conv, pool and ReLU
-    layers run one after another.  Results are bit-identical from run to
-    run at a fixed BLAS thread count; a different thread count can
-    change their last bits.
+    layers run one after another, and the block fills their three stack
+    positions.  The default, ``pool_relu=False``, is the plain conv.
+    Results are bit-identical from run to run at a fixed BLAS thread
+    count; a different thread count can change their last bits.
     """
 
     param_names = ("filters", "bias")
 
-    def __init__(self, in_channels, out_channels, kernel_size):
+    def __init__(self, in_channels, out_channels, kernel_size, pool_relu=False):
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise DomainError(
                 f"kernel size must be odd and positive, got {kernel_size}"
@@ -215,15 +221,18 @@ class Conv2dLayer(Layer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.padding = kernel_size // 2
+        self.pool_relu = pool_relu
+        self.positions = 3 if pool_relu else 1
         self.param_shapes = ((out_channels, in_channels, kernel_size, kernel_size),
                              (out_channels,))
         self._cache = None
 
     def output_hw(self, h, w):
-        """Output spatial size of an h x w input: the same, h x w."""
+        """Spatial size of the conv product of an h x w input: the same,
+        h x w (a pooled block then halves it)."""
         return h, w
 
-    def forward(self, x, params, train=False, rng=None, pool_relu=False):
+    def forward(self, x, params, train=False, rng=None):
         filters, bias = params
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -231,7 +240,7 @@ class Conv2dLayer(Layer):
                 f"conv expects [N, {self.in_channels}, H, W] input, got {x.shape}"
             )
         n, _, h, w = x.shape
-        if pool_relu and (h % 2 or w % 2):
+        if self.pool_relu and (h % 2 or w % 2):
             raise ShapeError(
                 f"a pooled conv block needs even spatial dims, got {h}x{w}"
             )
@@ -242,10 +251,10 @@ class Conv2dLayer(Layer):
         # the whole batch for backward, or one reused block.
         xp = np.zeros((c, n if train else min(n, IMAGE_BLOCK), h + 2 * p, w + 2 * p),
                       dtype=DTYPE)
-        out_hw = (h // 2, w // 2) if pool_relu else (h, w)
+        out_hw = (h // 2, w // 2) if self.pool_relu else (h, w)
         out = np.empty((n, f, *out_hw), dtype=DTYPE)
         pool_state = None
-        if pool_relu and train:  # switches and ReLU mask, channel-major
+        if self.pool_relu and train:  # switches and ReLU mask, channel-major
             pool_state = (np.empty((f, n, *out_hw), dtype=np.uint8),
                           np.empty((f, n, *out_hw), dtype=bool))
         product = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
@@ -255,7 +264,7 @@ class Conv2dLayer(Layer):
             conv += bias[:, None]
             conv = conv.reshape(f, -1, h, w)
             block_out = out[images].transpose(1, 0, 2, 3)
-            if not pool_relu:
+            if not self.pool_relu:
                 block_out[...] = conv
                 continue
             pooled, switches = max_pool2x2(conv, train)

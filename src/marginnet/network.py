@@ -17,7 +17,6 @@ from .layers import (
     DenseLayer,
     DropoutLayer,
     FlattenLayer,
-    MaxPool2x2Layer,
     ReluLayer,
     init_gaussian,
 )
@@ -47,19 +46,24 @@ class Network:
     by layer, then ``head.weights``: the order ``params.bin`` saves).
     ``table`` has one :class:`TensorSlot` per tensor, ``layer_slots[i]``
     layer ``i``'s, and ``head_weights`` [(head_dim+1), K] is the last
-    one's view.  Layers hold no arrays: each call passes a layer its
-    views of ``param`` and, in :meth:`backprop`, of a new ``grad``
-    buffer laid out alike.  ``param`` starts at 0 (the layers give
-    shapes, not values); ``rng`` draws each weight view in ``table``
-    order, the head's bias row excepted.
+    one's view.  A layer's tensors are named ``layer{p}.{name}``, p being
+    the stack positions the layers before it fill (``Layer.positions``).
+    Layers hold no arrays: each call passes a layer its views of
+    ``param`` and, in :meth:`backprop`, of a new ``grad`` buffer laid
+    out alike.  ``param`` starts at 0 (the layers give shapes, not
+    values); ``rng`` draws each weight view in ``table`` order, the
+    head's bias row excepted.
     """
 
     def __init__(self, layers, head_spec, head_dim, arch, rng=None):
         self.layers = layers
         self.head_spec = head_spec
         self.arch = arch  # dict describing how to rebuild the stack
-        tensors = [(i, f"layer{i}.{name}", shape) for i, layer in enumerate(layers)
-                   for name, shape in zip(layer.param_names, layer.param_shapes)]
+        tensors, position = [], 0
+        for i, layer in enumerate(layers):
+            tensors += [(i, f"layer{position}.{name}", shape)
+                        for name, shape in zip(layer.param_names, layer.param_shapes)]
+            position += layer.positions
         tensors.append((None, "head.weights", (head_dim + 1, head_spec.num_classes)))
         self.table, self.layer_slots, offset = [], [[] for _ in layers], 0
         for i, name, shape in tensors:
@@ -88,28 +92,10 @@ class Network:
         Unscaled uint8 pixels are a :class:`DomainError`.
         """
         reject_pixels(x, "Network.forward")
-        for layer, slots, pool_relu in self._stages():
-            params = [slot.of(self.param) for slot in slots]
-            if pool_relu:
-                x = layer.forward(x, params, train=train, rng=rng, pool_relu=True)
-            else:
-                x = layer.forward(x, params, train=train, rng=rng)
+        for layer, slots in zip(self.layers, self.layer_slots):
+            x = layer.forward(x, [slot.of(self.param) for slot in slots],
+                              train=train, rng=rng)
         return x
-
-    def _stages(self):
-        """``(layer, slots, pool_relu)`` for each pass of the stack, in
-        order: a conv layer followed by a max-pool and a ReLU runs the
-        whole block in one pass (``pool_relu=True``, see
-        :class:`marginnet.layers.Conv2dLayer`), and the pool and ReLU
-        layer objects are skipped; every other layer is its own pass."""
-        layers, stages, i = self.layers, [], 0
-        while i < len(layers):
-            pool_relu = (isinstance(layers[i], Conv2dLayer)
-                         and [type(layer) for layer in layers[i + 1 : i + 3]]
-                         == [MaxPool2x2Layer, ReluLayer])
-            stages.append((layers[i], self.layer_slots[i], pool_relu))
-            i += 3 if pool_relu else 1
-        return stages
 
     def scores(self, x, transform=None):
         """Head scores [N, K] of ``x``: the inference forward
@@ -158,7 +144,8 @@ class Network:
         self.grad = np.empty_like(self.param)
         self.table[-1].of(self.grad)[...] = out.d_w
         d = out.d_h
-        for depth, (layer, slots, _) in reversed(list(enumerate(self._stages()))):
+        stack = enumerate(zip(self.layers, self.layer_slots))
+        for depth, (layer, slots) in reversed(list(stack)):
             params = [slot.of(self.param) for slot in slots]
             grads = [slot.of(self.grad) for slot in slots]
             if depth:
@@ -191,13 +178,11 @@ def build_mlp(input_dim, hidden_dims, head_spec, rng=None, init_std=0.01):
     """Dense-ReLU stack: input_dim -> hidden_dims... -> head."""
     if input_dim < 1:
         raise DomainError(f"input_dim must be positive, got {input_dim}")
-    layers = []
-    d = input_dim
+    layers, d = [], input_dim
     for width in hidden_dims:
         if width < 1:
             raise DomainError(f"hidden width must be positive, got {width}")
-        layers.append(DenseLayer(d, width))
-        layers.append(ReluLayer())
+        layers += [DenseLayer(d, width), ReluLayer()]
         d = width
     arch = {
         "kind": "mlp",
@@ -217,17 +202,14 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
     its conv and halves them in its pool, so H and W must be divisible
     by 2**len(conv_channels).  There must be at least one block.
 
-    A block is conv -> 2x2 max-pool -> ReLU, which computes the
-    conv -> ReLU -> pool block exactly: ReLU is monotone, so the max of
-    the rectified window is the rectified max of the window, and the
-    gradient reaches the same conv output (the window's first maximum)
-    with the same value; where the window's max is not positive both
-    orders send it a zero.  ReLU then runs on a quarter of the conv
-    outputs.  The network runs each block as one pass of its conv layer
-    (see :meth:`Network._stages`), so no full-resolution conv output or
-    gradient exists.  The parameter layers keep their indices (0, 3,
-    ... and the dense layer), so tensor names and saved models do not
-    change.
+    A block is one ``Conv2dLayer(..., pool_relu=True)``, conv -> 2x2
+    max-pool -> ReLU in one pass.  That is the conv -> ReLU -> pool
+    block exactly: ReLU is monotone, so the max of the rectified window
+    is the rectified max of the window, and the gradient reaches the
+    same conv output (the window's first maximum) with the same value;
+    where the window's max is not positive both orders send it a zero.
+    A block fills three stack positions, so two blocks and the dense
+    layer name their tensors ``layer0.*``, ``layer3.*`` and ``layer7.*``.
     """
     if not conv_channels:
         raise DomainError("a convnet needs at least one conv block")
@@ -240,18 +222,12 @@ def build_convnet(input_shape, conv_channels, kernel_size, dense_dim,
         raise ShapeError(
             f"{h}x{w} images cannot be pooled {len(conv_channels)} times"
         )
-    layers = []
-    in_c = c
-    for out_c in conv_channels:
-        layers.append(Conv2dLayer(in_c, out_c, kernel_size))
-        layers.append(MaxPool2x2Layer())
-        layers.append(ReluLayer())
-        in_c = out_c
-    layers.append(FlattenLayer())
-    flat = in_c * (h // factor) * (w // factor)
-    layers.append(DenseLayer(flat, dense_dim))
-    layers.append(ReluLayer())
-    layers.append(DropoutLayer(dropout_rate))
+    widths = [c, *conv_channels]
+    layers = [Conv2dLayer(c_in, c_out, kernel_size, pool_relu=True)
+              for c_in, c_out in zip(widths, widths[1:])]
+    flat = widths[-1] * (h // factor) * (w // factor)
+    layers += [FlattenLayer(), DenseLayer(flat, dense_dim), ReluLayer(),
+               DropoutLayer(dropout_rate)]
     arch = {
         "kind": "conv",
         "input_shape": [int(v) for v in input_shape],

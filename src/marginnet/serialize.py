@@ -151,7 +151,8 @@ def load_tensors(dir_path, into=None):
 def _check_manifest(manifest, path):
     """Raise :class:`ManifestError` unless ``manifest`` has the header
     :func:`save_tensors` writes and a list of tensor entries, each a
-    string name and a list of non-negative integer dimensions."""
+    string name, used once, and a list of non-negative integer
+    dimensions."""
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: not a JSON object")
     for key, expected in HEADER.items():
@@ -162,6 +163,7 @@ def _check_manifest(manifest, path):
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise ManifestError(f"{path}: tensors {entries!r}, expected a list")
+    names = set()
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
@@ -170,3 +172,6 @@ def _check_manifest(manifest, path):
                 f"{path}: tensor entry {entry!r} needs a string name and a "
                 f"list of non-negative integer dimensions"
             )
+        if entry["name"] in names:
+            raise ManifestError(f"{path}: tensor {entry['name']!r} more than once")
+        names.add(entry["name"])

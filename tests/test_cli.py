@@ -177,6 +177,22 @@ class TestTrain:
         assert "img.gz" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_idx_with_a_trailing_byte_exits_2(self, tmp_path, capsys):
+        write_idx(str(tmp_path / "img"), str(tmp_path / "lab"),
+                  np.zeros((4, 2, 2), dtype=np.uint8), np.arange(4) % 2)
+        with open(tmp_path / "img", "ab") as f:
+            f.write(b"\x00")
+        cfg = write_cfg(tmp_path, "idx.cfg", (
+            f"dataset = idx\ndata_dir = {tmp_path}\n"
+            "train_images = img\ntrain_labels = lab\n"
+            "test_images = img\ntest_labels = lab\n"
+            f"hidden_dims = 4\nout_dir = {tmp_path}/run\n"))
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "img: bytes follow" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "no.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -469,13 +485,22 @@ def test_cifar_model_evaluates_to_its_final_error(tmp_path, image_files, model):
        standardize=st.booleans(),
        pca_dims=st.sampled_from([0, 3, 16, 20]),
        augment=st.booleans(),
-       blobs_dim=st.sampled_from([1, 4, 16, 20, 64]))
+       blobs_dim=st.sampled_from([1, 4, 16, 20, 64]),
+       conv_channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       conv_kernel=st.sampled_from([1, 3, 5]),
+       max_jitter=st.integers(0, 3))
 def test_any_drawn_input_shape_trains_or_exits_2(image_files, dataset, arch,
                                                  standardize, pca_dims,
-                                                 augment, blobs_dim):
+                                                 augment, blobs_dim,
+                                                 conv_channels, conv_kernel,
+                                                 max_jitter):
+    # 1-3 conv blocks send tensor names at stack positions 0, 3, 6 and
+    # the dense layer's after them through save and load.
     text = (image_files.get(dataset, "blobs_train_n = 60\nblobs_test_n = 30\n")
             + SHORT_RUN + f"arch = {arch}\nstandardize = {standardize}\n"
-            f"pca_dims = {pca_dims}\naugment = {augment}\nblobs_dim = {blobs_dim}\n")
+            f"pca_dims = {pca_dims}\naugment = {augment}\nblobs_dim = {blobs_dim}\n"
+            f"conv_channels = {', '.join(map(str, conv_channels))}\n"
+            f"conv_kernel = {conv_kernel}\nmax_jitter = {max_jitter}\n")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         cfg = write_cfg(tmp, "t.cfg", text + f"out_dir = {tmp}/run\n")

@@ -80,6 +80,17 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="bad-images.gz"):
             load_idx(str(bad), lp)
 
+    @pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+    def test_bytes_after_the_payload_are_a_format_error(self, idx_pair,
+                                                         tmp_path, packed):
+        ip, lp, _, _ = idx_pair
+        with open(ip, "rb") as f:
+            raw = f.read() + b"\x00"
+        long = tmp_path / "long-images"
+        long.write_bytes(gzip.compress(raw, mtime=0) if packed else raw)
+        with pytest.raises(IdxFormatError, match="long-images: bytes follow"):
+            load_idx(str(long), lp)
+
     def test_swapped_files_hit_magic_error(self, idx_pair):
         ip, lp, _, _ = idx_pair
         with pytest.raises(IdxMagicError):

@@ -463,7 +463,7 @@ def _block_both_ways(n, nan):
     output, d_input, d_filters and d_bias, plus the standalone conv
     output gradient."""
     rng = np.random.default_rng(40 + n)
-    fused, params = drawn(Conv2dLayer(3, 4, 3), rng, 0.5)
+    fused, params = drawn(Conv2dLayer(3, 4, 3, pool_relu=True), rng, 0.5)
     params[1][...] = [0.3, -0.2, 0.0, -0.0]
     plain = Conv2dLayer(3, 4, 3)
     fused_grads, plain_grads = zero_params(fused), zero_params(plain)
@@ -478,9 +478,9 @@ def _block_both_ways(n, nan):
     d_out = rng.normal(size=(n, 4, 5, 6))
     d_out[rng.random(d_out.shape) < 0.1] = -0.0
 
-    pairs = [(fused.forward(x, params, pool_relu=True),
+    pairs = [(fused.forward(x, params),
               relu.forward(pool.forward(plain.forward(x, params))))]
-    pairs.append((fused.forward(x, params, train=True, pool_relu=True),
+    pairs.append((fused.forward(x, params, train=True),
                   relu.forward(pool.forward(plain.forward(x, params, train=True),
                                             train=True), train=True)))
     d_conv = pool.backward(relu.backward(d_out))
@@ -506,9 +506,9 @@ def test_pooled_block_matches_standalone_layers_bytewise(n, nan):
 
 
 def test_pooled_block_rejects_odd_spatial_dims():
-    layer = Conv2dLayer(1, 2, 3)
+    layer = Conv2dLayer(1, 2, 3, pool_relu=True)
     with pytest.raises(ShapeError):
-        layer.forward(np.zeros((2, 1, 6, 5)), zero_params(layer), pool_relu=True)
+        layer.forward(np.zeros((2, 1, 6, 5)), zero_params(layer))
 
 
 def test_pooled_block_allocates_no_full_resolution_array():
@@ -520,14 +520,14 @@ def test_pooled_block_allocates_no_full_resolution_array():
     # image block of patches plus one of product or gradient, and four
     # pooled-block temporaries of the pool and ReLU.
     rng = np.random.default_rng(27)
-    layer, params = drawn(Conv2dLayer(1, 32, 5), rng)
+    layer, params = drawn(Conv2dLayer(1, 32, 5, pool_relu=True), rng)
     grads = zero_params(layer)
     x = rng.normal(size=(200, 1, 28, 28))
     d_out = rng.normal(size=(200, 32, 14, 14))
     full_resolution = 200 * 32 * 28 * 28 * 8
     tracemalloc.start()
     try:
-        out = layer.forward(x, params, train=True, pool_relu=True)
+        out = layer.forward(x, params, train=True)
         d_x = layer.backward(d_out, params, grads)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -23,11 +23,13 @@ from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.layers import (
     Conv2dLayer,
     DenseLayer,
+    DropoutLayer,
+    FlattenLayer,
     LayerStateError,
     MaxPool2x2Layer,
     ReluLayer,
 )
-from marginnet.network import build_convnet, build_mlp
+from marginnet.network import Network, build_convnet, build_mlp
 from marginnet.tensor import DomainError, ShapeError
 
 WD = 0.3
@@ -303,25 +305,37 @@ def test_member_scores_memory_is_bounded_by_the_chunk():
     assert peak(len(x)) < 1.2 * peak(network.SCORE_CHUNK)
 
 
+@pytest.mark.parametrize("channels, names", [
+    ([2], ["layer0.filters", "layer0.bias", "layer4.weights", "layer4.bias"]),
+    ([2, 3], ["layer0.filters", "layer0.bias", "layer3.filters", "layer3.bias",
+              "layer7.weights", "layer7.bias"]),
+    ([2, 3, 2], ["layer0.filters", "layer0.bias", "layer3.filters", "layer3.bias",
+                 "layer6.filters", "layer6.bias", "layer10.weights", "layer10.bias"]),
+])
+def test_conv_tensors_are_named_by_stack_position(channels, names):
+    # a pooled conv block fills three positions: conv, pool and ReLU
+    net = build_convnet((1, 8, 8), channels, 3, 5, 0.2, HeadSpec("l2svm", 3))
+    assert list(net.named_tensors()) == names + ["head.weights"]
+
+
 @pytest.mark.parametrize("kind", HEAD_KINDS)
 def test_pool_before_relu_blocks_match_relu_before_pool(kind):
-    # build_convnet's conv -> pool -> ReLU blocks against the same
-    # parameters in hand-built conv -> ReLU -> pool blocks.  Zero patches
-    # make all four conv outputs of a window equal the bias (a tie); the
-    # zero bias makes those windows pool 0; the inputs hold signed zeros.
+    # build_convnet's pooled conv blocks (conv -> pool -> ReLU) against
+    # the same parameters in conv -> ReLU -> pool blocks built by hand
+    # from standalone layers.  Zero patches make all four conv outputs of
+    # a window equal the bias (a tie); the zero bias makes those windows
+    # pool 0; the inputs hold signed zeros.
     spec = HeadSpec(kind, 3, c=0.7, weight_decay=0.1)
-
-    def build():
-        return build_convnet((2, 8, 8), [3, 4], 3, 6, 0.2, spec,
-                             rng=np.random.default_rng(8), init_std=0.5)
-
-    net, ref = build(), build()
-    assert [type(layer) for layer in net.layers[:3]] == [
-        Conv2dLayer, MaxPool2x2Layer, ReluLayer]
-    for block in (0, 3):
-        ref.layers[block + 1:block + 3] = [ReluLayer(), MaxPool2x2Layer()]
-    for model in (net, ref):
-        model.named_tensors()["layer0.bias"][:] = [0.3, -0.2, 0.0]
+    net = build_convnet((2, 8, 8), [3, 4], 3, 6, 0.2, spec,
+                        rng=np.random.default_rng(8), init_std=0.5)
+    assert [(type(layer), layer.positions) for layer in net.layers[:2]] == [
+        (Conv2dLayer, 3), (Conv2dLayer, 3)]
+    ref = Network([Conv2dLayer(2, 3, 3), ReluLayer(), MaxPool2x2Layer(),
+                   Conv2dLayer(3, 4, 3), ReluLayer(), MaxPool2x2Layer(),
+                   FlattenLayer(), DenseLayer(16, 6), ReluLayer(),
+                   DropoutLayer(0.2)], spec, 6, net.arch)
+    net.named_tensors()["layer0.bias"][:] = [0.3, -0.2, 0.0]
+    ref.param[...] = net.param
     assert list(net.named_tensors()) == list(ref.named_tensors())
 
     rng = np.random.default_rng(9)

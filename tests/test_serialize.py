@@ -1,16 +1,19 @@
 import json
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from marginnet.harness import load_model, save_model
 from marginnet.serialize import (
     BLOB_NAME,
     MANIFEST_NAME,
     ManifestError,
     load_tensors,
+    read_manifest,
     save_tensors,
 )
 from marginnet.tensor import ShapeError
@@ -135,6 +138,16 @@ class TestValidation:
         with pytest.raises(ManifestError):
             load_tensors(str(tmp_path))
 
+    def test_repeated_tensor_name_detected(self, tmp_path):
+        # Two copies of "a": a reader would fill ``into`` from one and
+        # return the other.
+        save_tensors(str(tmp_path), {"a": np.zeros(2), "b": np.ones(2)})
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        manifest["tensors"][1]["name"] = "a"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="'a' more than once"):
+            load_tensors(str(tmp_path), {"a": np.zeros(2)})
+
     def test_wrong_format_tag(self, tmp_path):
         save_tensors(str(tmp_path), {"w": np.zeros(1)})
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
@@ -165,3 +178,20 @@ class TestReadInto:
             load_tensors(str(tmp_path), {"w": np.zeros((3, 2))})
         with pytest.raises(ShapeError, match="missing tensor 'head.weights'"):
             load_tensors(str(tmp_path), {"head.weights": np.zeros((2, 3))})
+
+
+# Models saved by an earlier version of the library; see their README.
+SAVED_MODELS = pathlib.Path(__file__).parent / "saved_models"
+
+
+@pytest.mark.parametrize("name", ["conv2", "mlp_pca"])
+def test_saved_models_load_and_resave_byte_for_byte(tmp_path, name):
+    saved = SAVED_MODELS / name
+    model = load_model(str(saved))
+    stored = [(t["name"], tuple(t["shape"]))
+              for t in read_manifest(str(saved))["tensors"]]
+    table = [(slot.name, slot.shape) for slot in model.network.table]
+    assert stored[: len(table)] == table
+    save_model(str(tmp_path), model.network, model, model.meta.get("config"))
+    for file in (MANIFEST_NAME, BLOB_NAME):
+        assert (tmp_path / file).read_bytes() == (saved / file).read_bytes()

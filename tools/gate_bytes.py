@@ -26,9 +26,12 @@ and 7x7) whose 37-row batches end in a partial block of images.  Gates
 with ``data.write_idx``, through the image loader: gate 7 is a
 standardized, PCA-projected MLP, gate 8 a convnet with augment and no
 standardization, which scales each minibatch's bytes as it is drawn.
-A last line gives the
+A next line gives the
 same digits of ``marginnet gradcheck``'s stdout for each of the configs
-``seed = 0``, ``42`` and ``123``.
+``seed = 0``, ``42`` and ``123``.  The last line, ``names``, gives them
+for the tensor lists of every gate model's manifest (names and shapes,
+in order, gate by gate), so a renamed tensor shows even where its bytes
+do not change.
 
 The bytes depend on the OpenBLAS kernel the CPU gets, so the hashes are
 compared between two checkouts on one machine, not against constants
@@ -41,6 +44,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +61,7 @@ from marginnet.cli import main as cli_main  # noqa: E402
 from marginnet.config import parse_config_text  # noqa: E402
 from marginnet.data import write_idx  # noqa: E402
 from marginnet.harness import train  # noqa: E402
+from marginnet.serialize import read_manifest  # noqa: E402
 
 # Blobs, standardized and PCA-projected, under a 256-256 MLP.
 MLP = """
@@ -242,6 +247,7 @@ def main():
         sys.exit(against(ref))
     with tempfile.TemporaryDirectory(prefix="gate_bytes_") as tmp:
         write_idx_files(os.path.join(tmp, "idx"))
+        tensor_lists = []
         for i, text in enumerate(GATES, start=1):
             state = train(parse_config_text(
                 text.replace("{tmp}", tmp)
@@ -250,6 +256,7 @@ def main():
             print(f"{i} {file_sha16(state.csv_path)}/"
                   f"{file_sha16(os.path.join(state.model_dir, 'params.bin'))}/"
                   f"{sha16(velocities)}")
+            tensor_lists.append(read_manifest(state.model_dir)["tensors"])
         digests = []
         for seed in GRADCHECK_SEEDS:
             path = os.path.join(tmp, f"gradcheck_{seed}.cfg")
@@ -257,6 +264,7 @@ def main():
                 f.write(f"seed = {seed}\n")
             digests.append(gradcheck_sha16(path))
         print("gradcheck " + "/".join(digests))
+        print("names " + sha16(json.dumps(tensor_lists).encode()))
 
 
 if __name__ == "__main__":
