@@ -43,8 +43,8 @@ from .heads import (
 from .layers import gaussian_noise
 from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
-from .preprocess import (PcaModel, PixelStandardizer, augment, check_jitter, pca_fit,
-                         pca_transform, to_float)
+from .preprocess import (PcaModel, PixelStandardizer, _row_blocks, augment, check_jitter,
+                         pca_fit, pca_transform, to_float)
 from .serialize import (ManifestError, json_text, load_tensors, read_manifest,
                         save_tensors, write_text)
 from .tensor import PIXELS, DomainError, ShapeError
@@ -229,6 +229,11 @@ def _preprocess(inputs, standardizer, pca, shape):
         x = to_float(x)
         if standardizer is not None:
             x = standardizer.apply(x)
+    return _shaped(x, shape)
+
+
+def _shaped(x, shape):
+    """Flat rows ``x`` reshaped to ``shape`` per row (None keeps them)."""
     if shape is None:
         return x
     if x.shape[1] != math.prod(shape):
@@ -535,7 +540,9 @@ class LoadedModel:
         the raw rows go with :meth:`transform`, applied per chunk, and
         pixels become float64 one chunk at a time.  A PCA projects every
         row at once: a short chunk's product could round differently
-        (see ``preprocess.ROW_BLOCK``)."""
+        (see ``preprocess.ROW_BLOCK``).  :func:`member_scores` projects
+        members that share their saved preprocessing in one pass, with
+        the bytes each member's rows have here."""
         if self.pca is None:
             return inputs, self.transform
         return self.transform(inputs), None
@@ -603,10 +610,29 @@ def cross_objective_eval(model, dataset):
 
 
 def member_scores(models, inputs):
-    """Each LoadedModel's head scores [N, K] on raw ``inputs``, in order;
-    each applies its own saved preprocessing to each row once
-    (:meth:`LoadedModel.scoring_rows`)."""
-    return [m.network.scores(*m.scoring_rows(inputs)) for m in models]
+    """Each LoadedModel's head scores [N, K] on raw ``inputs``, in order,
+    with the bytes of scoring its :meth:`LoadedModel.scoring_rows`.
+
+    Members with a PCA whose saved standardizer, PCA mean and row
+    partition are byte-equal form a group: one :func:`pca_transform` pass
+    scales, standardizes and centers each row block once for the group
+    and projects it onto each member's basis (once per byte-equal basis).
+    A member without a PCA transforms each chunk as it is scored."""
+    groups = {}
+    for i, m in enumerate(models):
+        if m.pca is not None:
+            s = m.standardizer
+            blocks = _row_blocks(len(inputs), m.pca.components.shape[1], m.pca.mean.shape[0])
+            key = (None if s is None else (s.mean.tobytes(), s.std.tobytes()),
+                   m.pca.mean.tobytes(), tuple((b.start, b.stop) for b in blocks))
+            groups.setdefault(key, []).append(i)
+    rows = [m.scoring_rows(inputs) if m.pca is None else None for m in models]
+    for members in groups.values():
+        projected = pca_transform([models[i].pca for i in members], _flat(inputs),
+                                  models[members[0]].standardizer)
+        for i, p in zip(members, projected):
+            rows[i] = _shaped(p, models[i].network.arch.get("input_shape")), None
+    return [m.network.scores(*r) for m, r in zip(models, rows)]
 
 
 def ensemble_vote(models, scores):

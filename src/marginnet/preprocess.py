@@ -181,27 +181,37 @@ def _lexicographic_row_order(x, key=None):
 
 # Rows per block of :func:`pca_transform`: at least ``ROW_BLOCK``, and
 # enough that a block's product has at least ``BLOCK_MIN_MULADDS``
-# multiply-adds.  With OpenBLAS 0.3.31 (Haswell kernels, 1 thread) a GEMM
-# over a row block reproduces the matching rows of the one-GEMM product
-# bit for bit only when both take the same path: products of at most 10^6
-# multiply-adds take the small-matrix kernel, so plain 512-row blocks
-# differed at 2 to 4 components, where the whole product did not.  With
-# one component numpy takes the gemv path, whose row blocks differ, so
-# that case stays one block.  A remainder shorter than a full block would
-# be a small product itself, so the last block absorbs it.
+# multiply-adds, rounded up to a multiple of ``ROW_ALIGN``.  With OpenBLAS
+# 0.3.31 (SkylakeX kernels, 1 thread) a GEMM over a row block reproduces
+# the matching rows of the one-GEMM product bit for bit only when both take
+# the same path: products of at most 10^6 multiply-adds take the
+# small-matrix kernel, so plain 512-row blocks differed at 2 to 4
+# components, where the whole product did not.  Above 192 components the
+# kernel also walks the rows in fixed groups and ends a block on a shorter
+# group that rounds differently: at D = 784, 512-row blocks differed in
+# the last 8 rows of each block for every width from 193 to 784 that is
+# not a multiple of 8.  Blocks a multiple of 24 rows long start each group
+# where the whole product does, and matched at every width from 1 to 784.
+# With one component numpy takes the gemv path, whose row blocks differ,
+# so that case stays one block.  A remainder of fewer than ``ROW_ALIGN``
+# rows or ``BLOCK_MIN_MULADDS`` multiply-adds would be a small product
+# itself, so the block before it absorbs it; a longer one is a block of
+# its own, which keeps the reused buffer at one block.
 ROW_BLOCK = 512
 BLOCK_MIN_MULADDS = 2**21
+ROW_ALIGN = 24
 
 
 def _row_blocks(n, k, d):
     """Slices covering ``n`` rows in the blocks :func:`pca_transform`
     projects one GEMM at a time (see ``ROW_BLOCK``)."""
     block = max(ROW_BLOCK, -(-BLOCK_MIN_MULADDS // (k * d)))
-    full = n // block
-    if k == 1 or full < 2:
-        return [slice(0, n)]
-    last = (full - 1) * block
-    return [slice(s, s + block) for s in range(0, last, block)] + [slice(last, n)]
+    block = -(-block // ROW_ALIGN) * ROW_ALIGN
+    cuts = list(range(block, n, block)) if k > 1 else []
+    if cuts and (n - cuts[-1] < ROW_ALIGN or (n - cuts[-1]) * k * d < BLOCK_MIN_MULADDS):
+        cuts.pop()
+    bounds = [0] + cuts + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def pca_transform(model, x, standardizer=None):
@@ -216,8 +226,17 @@ def pca_transform(model, x, standardizer=None):
     in one reused buffer and projected straight into the [N, k] result,
     which is the only full-size array allocated.  At a fixed BLAS thread
     count the bytes equal those of the unblocked formula.
+
+    ``model`` may also be a list of PcaModels that share one mean and
+    one row partition (``_row_blocks``); the result is then a list with
+    each model's projection, in order, and each block is scaled,
+    standardized and centered once for all of them.  Models whose
+    components are byte-equal share one product, and one result array.
+    Each projection has the bytes of its own single-model call.
     """
-    d = model.mean.shape[0]
+    models = model if isinstance(model, list) else [model]
+    first = models[0]
+    d = first.mean.shape[0]
     x = _rows(x)
     if standardizer is not None:
         standardizer.check_shape(x.shape)
@@ -225,11 +244,20 @@ def pca_transform(model, x, standardizer=None):
         raise ShapeError(
             f"pca transform expects [N, {d}] data, got shape {x.shape}"
         )
-    k = model.components.shape[1]
-    blocks = _row_blocks(x.shape[0], k, d)
-    out = np.empty((x.shape[0], k), dtype=DTYPE)
-    buf = np.empty((blocks[-1].stop - blocks[-1].start, d), dtype=DTYPE)
-    shift = model.mean if standardizer is None else standardizer.mean
+    n, mean = x.shape[0], first.mean.tobytes()
+    blocks = _row_blocks(n, first.components.shape[1], d)
+    products, outs = {}, []
+    for m in models:
+        if m.mean.tobytes() != mean or _row_blocks(n, m.components.shape[1], d) != blocks:
+            raise DomainError("bases projected in one pass must share one "
+                              "mean and one row partition")
+        key = m.components.tobytes()
+        if key not in products:
+            out = np.empty((n, m.components.shape[1]), dtype=DTYPE)
+            products[key] = (m.components, out)
+        outs.append(products[key][1])
+    buf = np.empty((max(b.stop - b.start for b in blocks), d), dtype=DTYPE)
+    shift = first.mean if standardizer is None else standardizer.mean
     for rows in blocks:
         b = buf[: rows.stop - rows.start]
         if x.dtype == PIXELS:
@@ -239,9 +267,10 @@ def pca_transform(model, x, standardizer=None):
             np.subtract(x[rows], shift, out=b)
         if standardizer is not None:
             b /= standardizer.std
-            b -= model.mean
-        np.matmul(b, model.components, out=out[rows])
-    return out
+            b -= first.mean
+        for components, out in products.values():
+            np.matmul(b, components, out=out[rows])
+    return outs if isinstance(model, list) else outs[0]
 
 
 # Floor of a fitted per-column std: constant pixels map to exactly 0

@@ -713,15 +713,22 @@ class TestEnsemble:
 
     def test_each_member_is_transformed_and_forwarded_once(self, tmp_path,
                                                            capsys, monkeypatch):
+        # a PCA member is projected by harness.pca_transform, alone or in
+        # a pass shared with members of the same saved preprocessing, so
+        # each basis a call projects counts as one member transformed
         cfg, model_dirs = train_members(tmp_path, "pca_dims = 2\n")
         calls = {"transform": 0, "forward": 0}
-        for owner, name in ((harness.LoadedModel, "transform"),
-                            (Network, "forward")):
-            def counted(*args, _original=getattr(owner, name), _name=name,
-                        **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
+
+        def projected(bases, *args, _original=harness.pca_transform, **kwargs):
+            calls["transform"] += len(bases) if isinstance(bases, list) else 1
+            return _original(bases, *args, **kwargs)
+
+        def forward(*args, _original=Network.forward, **kwargs):
+            calls["forward"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "pca_transform", projected)
+        monkeypatch.setattr(Network, "forward", forward)
         assert main(["ensemble", "--config", cfg]) == 0
         assert calls == {"transform": 2, "forward": 2}
         monkeypatch.undo()

@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from marginnet import harness as harness_mod
+from marginnet import preprocess as preprocess_mod
 from marginnet.config import ConfigError, head_spec_from_config, parse_config_text
 from marginnet.data import make_blobs, num_batches, write_idx
 from marginnet.harness import (
@@ -631,6 +632,61 @@ def write_idx_splits(data_dir, sizes, side, seed=0):
             "train_images = train-images\ntrain_labels = train-labels\n"
             "test_images = test-images\ntest_labels = test-labels\n")
     return text, written
+
+
+@pytest.fixture(scope="module")
+def mixed_ensemble(tmp_path_factory):
+    """Saved models on one set of 28x28 IDX images, and the test split:
+    members 0, 1, 2 and 5 share a standardizer and a PCA mean (1 and 0
+    differ in ``pca_dims``, 2 has 0's basis, 5 is a convnet on 4x4
+    projections), 3 fits its own on fewer rows and 4 has no PCA."""
+    tmp = tmp_path_factory.mktemp("mixed_ensemble")
+    text, _ = write_idx_splits(tmp, (("train", 60), ("test", 1100)), 28)
+    members = (
+        "pca_dims = 6\nhead = l2svm\nseed = 1",
+        "pca_dims = 10\nhead = l2svm\nseed = 2",
+        "pca_dims = 6\nhead = l1svm\nseed = 3",
+        "pca_dims = 6\nhead = l2svm\ntrain_subset = 30\nseed = 4",
+        "head = l2svm\nseed = 5",
+        "pca_dims = 16\nhead = l2svm\narch = conv\nconv_channels = 2, 2\n"
+        "conv_kernel = 3\nconv_dense = 8\nseed = 6",
+    )
+    models = []
+    for i, keys in enumerate(members):
+        cfg = parse_config_text(text + keys + f"""
+standardize = true
+hidden_dims = 8
+epochs = 0
+out_dir = {tmp}/member{i}
+""")
+        models.append(load_model(train(cfg).model_dir))
+    return models, load_split(cfg, "test")
+
+
+class TestSharedPreprocessing:
+    def test_member_scores_are_each_members_own(self, mixed_ensemble):
+        models, test = mixed_ensemble
+        shared = [m.standardizer.mean.tobytes() == models[0].standardizer.mean.tobytes()
+                  for m in models]
+        assert shared == [True, True, True, False, True, True]
+        assert models[2].pca.components.tobytes() == models[0].pca.components.tobytes()
+        got = member_scores(models, test.inputs)
+        want = [m.network.scores(*m.scoring_rows(test.inputs)) for m in models]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_one_scaling_pass_per_block_per_group(self, mixed_ensemble, monkeypatch):
+        # two groups (members 0, 1, 2, 5 and member 3), each scaled in
+        # its two row blocks; member 4 scales its chunks on another path
+        models, test = mixed_ensemble
+        scaled, real = [], preprocess_mod.to_float
+
+        def to_float(x, out=None):
+            scaled.append(len(x))
+            return real(x, out)
+
+        monkeypatch.setattr(preprocess_mod, "to_float", to_float)
+        member_scores(models, test.inputs)
+        assert scaled == [528, 572, 528, 572]
 
 
 class TestPixelsStayBytes:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from marginnet.preprocess import (
+    ROW_ALIGN,
     ROW_BLOCK,
     STD_FLOOR,
     PcaModel,
@@ -251,12 +252,17 @@ class TestPcaFit:
 
 # Shapes on which the row-blocked transform must reproduce the one-GEMM
 # formula: input widths, component counts, and row counts around the
-# 512-row block and its multiples.  At width 3072 the rows stop at 3000,
-# which already spans several blocks and a remainder at every component
-# count; 10000 rows there would hold 245 MB per copy.
+# 528-row block, its multiples and the remainders it leaves.  At width
+# 3072 the rows stop at 3000, which already spans several blocks and a
+# remainder at every component count; 10000 rows there would hold 245 MB
+# per copy.  Above 192 components 512-row blocks ended on a kernel path
+# the whole product does not take, at every width that is not a multiple
+# of 8.
 TRANSFORM_DIMS = (70, 784, 3072)
 TRANSFORM_COMPONENTS = (1, 2, 3, 4, 5, 8, 16, 40, 70)
-TRANSFORM_ROWS = (0, 1, 17, 511, 512, 513, 1023, 1024, 1025, 2000, 3000, 10000)
+WIDE_COMPONENTS = {784: (256, 260, 300)}
+TRANSFORM_ROWS = (0, 1, 17, 511, 512, 513, 528, 553, 1023, 1024, 1025, 1057,
+                  2000, 3000, 10000)
 WIDE_ROWS_CAP = 3000
 
 
@@ -269,7 +275,7 @@ def transform_both_ways(dims=TRANSFORM_DIMS):
         rows = [n for n in TRANSFORM_ROWS if d < 3072 or n <= WIDE_ROWS_CAP]
         raw = rng.normal(3.0, 2.0, size=(max(rows), d))
         standardizer = PixelStandardizer().fit(raw[:500])
-        for k in TRANSFORM_COMPONENTS:
+        for k in TRANSFORM_COMPONENTS + WIDE_COMPONENTS.get(d, ()):
             comps = np.linalg.qr(rng.normal(size=(d, k)))[0].copy()
             pca = PcaModel(rng.normal(size=d) * 0.1, comps, np.ones(k))
             for n in rows:
@@ -306,8 +312,8 @@ class TestRowBlockedTransform:
             assert got.shape == ref.shape, case
             npt.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=str(case))
 
-    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 10000])
-    @pytest.mark.parametrize("k,d", [(1, 784), (2, 70), (3, 784), (70, 784)])
+    @pytest.mark.parametrize("n", [0, 1, 553, 1023, 1024, 1025, 10000])
+    @pytest.mark.parametrize("k,d", [(1, 784), (2, 70), (3, 784), (70, 784), (300, 784)])
     def test_blocks_cover_rows_in_order(self, n, k, d):
         blocks = _row_blocks(n, k, d)
         assert blocks[0].start == 0 and blocks[-1].stop == n
@@ -316,11 +322,13 @@ class TestRowBlockedTransform:
         sizes = [b.stop - b.start for b in blocks]
         if k == 1:
             assert len(blocks) == 1
-        # every block but the last has one size; the last absorbs the
-        # remainder, so it is never shorter than the others
+        # every block but the last has one size and starts on a multiple
+        # of ROW_ALIGN; the last is the remainder, or absorbs one that
+        # would be a small product, so no block of several is one
         assert len(set(sizes[:-1])) <= 1
-        assert sizes[-1] >= max(sizes[:-1], default=0)
-        assert all(s * k * d > 10**6 for s in sizes[:-1])
+        assert all(b.start % ROW_ALIGN == 0 for b in blocks)
+        if len(blocks) > 1:
+            assert all(s >= ROW_ALIGN and s * k * d > 10**6 for s in sizes)
 
     @pytest.mark.parametrize("n", [0, 1, 700, 2600])
     @pytest.mark.parametrize("k", [1, 3, 40])
@@ -348,6 +356,32 @@ class TestRowBlockedTransform:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * x.nbytes
+
+    @pytest.mark.parametrize("n", [0, 700, 2600])
+    def test_bases_sharing_a_mean_project_in_one_pass(self, n):
+        # each basis gets the bytes of its own call; byte-equal bases
+        # share one product
+        rng = np.random.default_rng(n)
+        pixels = rng.integers(0, 256, size=(n, 196), dtype=np.uint8)
+        standardizer = PixelStandardizer().fit(rng.integers(0, 256, size=(300, 196)))
+        mean = rng.normal(size=196) * 0.1
+        bases = [PcaModel(mean, np.linalg.qr(rng.normal(size=(196, k)))[0].copy(),
+                          np.ones(k)) for k in (30, 40)]
+        bases.append(PcaModel(mean.copy(), bases[0].components.copy(), np.ones(30)))
+        for s in (None, standardizer):
+            got = pca_transform(bases, pixels, s)
+            assert [g.tobytes() for g in got] == [
+                pca_transform(b, pixels, s).tobytes() for b in bases]
+            assert got[2] is got[0]
+
+    def test_bases_in_one_pass_must_share_mean_and_partition(self):
+        rng = np.random.default_rng(5)
+        base = PcaModel(np.zeros(70), np.eye(70)[:, :8], np.ones(8))
+        x = rng.normal(size=(8000, 70))  # two blocks of 8 components, one of 1
+        for other in (PcaModel(np.ones(70), base.components, np.ones(8)),
+                      PcaModel(np.zeros(70), np.eye(70)[:, :1], np.ones(1))):
+            with pytest.raises(DomainError):
+                pca_transform([base, other], x)
 
     def test_standardizer_checked_before_projection(self):
         pca = pca_fit(np.random.default_rng(4).normal(size=(20, 4)), 2)

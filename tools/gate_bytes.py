@@ -31,7 +31,10 @@ same digits of ``marginnet gradcheck``'s stdout for each of the configs
 ``seed = 0``, ``42`` and ``123``.  The last line, ``names``, gives them
 for the tensor lists of every gate model's manifest (names and shapes,
 in order, gate by gate), so a renamed tensor shows even where its bytes
-do not change.
+do not change.  A last line, ``ensemble``, gives them for the
+``member_scores`` bytes and the ``ensemble.json`` of three members on
+gate 7's data: gate 7's model, one at another ``pca_dims`` (same
+standardizer and PCA mean) and one under L1-SVM (same basis).
 
 The bytes depend on the OpenBLAS kernel the CPU gets, so the hashes are
 compared between two checkouts on one machine, not against constants
@@ -60,7 +63,7 @@ import numpy as np  # noqa: E402
 from marginnet.cli import main as cli_main  # noqa: E402
 from marginnet.config import parse_config_text  # noqa: E402
 from marginnet.data import write_idx  # noqa: E402
-from marginnet.harness import train  # noqa: E402
+from marginnet.harness import load_model, load_split, member_scores, train  # noqa: E402
 from marginnet.serialize import read_manifest  # noqa: E402
 
 # Blobs, standardized and PCA-projected, under a 256-256 MLP.
@@ -179,6 +182,14 @@ GATES = (
 
 GRADCHECK_SEEDS = (0, 42, 123)
 
+# Gate 7's config with one change each: beside gate 7's model, two widths
+# that share a standardizer and a PCA mean, and two heads that share one
+# basis.
+ENSEMBLE_MEMBERS = (
+    IDX_MLP.replace("pca_dims = 16", "pca_dims = 25"),
+    IDX_MLP.replace("head = l2svm", "head = l1svm"),
+)
+
 
 def sha16(data):
     return hashlib.sha256(data).hexdigest()[:16]
@@ -195,6 +206,33 @@ def gradcheck_sha16(config_path):
     with contextlib.redirect_stdout(out):
         cli_main(["gradcheck", "--config", config_path])
     return sha16(out.getvalue().encode())
+
+
+def ensemble_sha16s(tmp):
+    """sha16 of the ``member_scores`` bytes of gate 7's model and the
+    ``ENSEMBLE_MEMBERS`` on gate 7's test split, and of the
+    ``ensemble.json`` that ``marginnet ensemble`` writes for them, run
+    from ``tmp`` with the model paths relative to it."""
+    dirs = ["7/model"]
+    for i, text in enumerate(ENSEMBLE_MEMBERS):
+        train(parse_config_text(text.replace("{tmp}", tmp)
+                                + f"out_dir = {tmp}/ensemble{i}\n"))
+        dirs.append(f"ensemble{i}/model")
+    text = IDX.replace("{tmp}", tmp) + f"models = {', '.join(dirs)}\nout_dir = ensemble\n"
+    models = [load_model(os.path.join(tmp, d)) for d in dirs]
+    scores = member_scores(models, load_split(parse_config_text(text), "test").inputs)
+    path = os.path.join(tmp, "ensemble.cfg")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    here = os.getcwd()
+    os.chdir(tmp)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["ensemble", "--config", path])
+    finally:
+        os.chdir(here)
+    return (sha16(b"".join(s.tobytes() for s in scores)) + "/"
+            + file_sha16(os.path.join(tmp, "ensemble", "ensemble.json")))
 
 
 def write_idx_files(directory):
@@ -265,6 +303,7 @@ def main():
             digests.append(gradcheck_sha16(path))
         print("gradcheck " + "/".join(digests))
         print("names " + sha16(json.dumps(tensor_lists).encode()))
+        print("ensemble " + ensemble_sha16s(tmp))
 
 
 if __name__ == "__main__":
