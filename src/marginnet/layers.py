@@ -14,9 +14,13 @@ Conventions:
       backward needs, and dropout draws its mask from ``rng``.
       ``backward(d_out, params, grads)`` consumes that state and returns
       ``d_input``, the gradient with respect to the forward input (same
-      shape).  One outstanding training forward per instance: backward
-      clears the state, and calling it again without a fresh training
-      forward raises :class:`LayerStateError`.
+      shape).  One outstanding training forward per instance.  The rule
+      is written once, in :class:`Layer`: a forward ends in ``_keep``
+      and a backward starts with ``_take``.  A backward with nothing
+      kept raises :class:`LayerStateError`, and a ``d_out`` of another
+      shape than the forward output raises :class:`ShapeError` in every
+      layer.  A backward consumes the state even when it raises, so a
+      second one raises :class:`LayerStateError`.
     - ``train=False``, the default, is the inference forward
       (evaluation, scores, predictions): dropout is the identity, every
       other layer returns the same bytes as its training forward at a
@@ -64,11 +68,36 @@ class LayerStateError(RuntimeError):
 
 class Layer:
     """Base class: a layer's parameters by name and shape, none by
-    default, and the one stack position it fills."""
+    default, the one stack position it fills, and the backward contract
+    of every layer (``_keep`` and ``_take``)."""
 
     param_names = ()
     param_shapes = ()
     positions = 1
+    _state = None  # what the last training forward kept for backward
+    _out_shape = None  # its output's shape; None when nothing is kept
+
+    def _keep(self, train, out, state):
+        """Return the forward output ``out``.  A training forward keeps
+        ``state`` and ``out.shape`` for backward; an inference forward
+        drops both."""
+        self._state, self._out_shape = (state, out.shape) if train else (None, None)
+        return out
+
+    def _take(self, d_out):
+        """Consume the kept state: ``(d_out as float64, state)``.  Raises
+        :class:`LayerStateError` when nothing is kept, and
+        :class:`ShapeError` when ``d_out``'s shape is not the forward
+        output's; the state is gone either way."""
+        state, shape = self._state, self._out_shape
+        self._state = self._out_shape = None
+        name = type(self).__name__
+        if shape is None:
+            raise LayerStateError(f"{name}.backward called without a training forward")
+        d_out = np.asarray(d_out, dtype=DTYPE)
+        if d_out.shape != shape:
+            raise ShapeError(f"{name}.backward expects {shape}, got {d_out.shape}")
+        return d_out, state
 
 
 def zero_params(layer):
@@ -95,7 +124,10 @@ class DenseLayer(Layer):
         self.n_in = n_in
         self.n_out = n_out
         self.param_shapes = ((n_in, n_out), (n_out,))
-        self._cached_input = None
+
+    @property
+    def _cached_input(self):  # perfbench's dense backward span reads it
+        return self._state
 
     def forward(self, x, params, train=False, rng=None):
         weights, bias = params
@@ -104,24 +136,15 @@ class DenseLayer(Layer):
             raise ShapeError(
                 f"dense layer expects [N, {self.n_in}] input, got {x.shape}"
             )
-        self._cached_input = x if train else None
         out = matmul(x, weights)
         out += bias
-        return out
+        return self._keep(train, out, x)
 
     def backward(self, d_out, params, grads, input_grad=True):
-        if self._cached_input is None:
-            raise LayerStateError("dense backward called before forward")
-        x = self._cached_input
-        d_out = np.asarray(d_out, dtype=DTYPE)
-        if d_out.shape != (x.shape[0], self.n_out):
-            raise ShapeError(
-                f"dense backward expects {(x.shape[0], self.n_out)}, got {d_out.shape}"
-            )
+        d_out, x = self._take(d_out)
         d_weights, d_bias = grads
         np.matmul(x.T, d_out, out=d_weights)
         np.sum(d_out, axis=0, out=d_bias)
-        self._cached_input = None
         return matmul(d_out, params[0].T) if input_grad else None
 
 
@@ -129,29 +152,17 @@ class ReluLayer(Layer):
     """max(x, 0), elementwise.  Backward passes d_out where the forward
     input was > 0; the subgradient at exactly 0 is taken as 0."""
 
-    def __init__(self):
-        self._cached_input = None
-
     def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
-        self._cached_input = x if train else None
-        return np.maximum(x, 0.0)
+        return self._keep(train, np.maximum(x, 0.0), x)
 
     def backward(self, d_out, params=(), grads=()):
-        x = self._cached_input
-        if x is None:
-            raise LayerStateError("relu backward called before forward")
-        d_out = np.asarray(d_out, dtype=DTYPE)
-        if d_out.shape != x.shape:
-            raise ShapeError(
-                f"relu backward shapes disagree: {d_out.shape} vs {x.shape}"
-            )
-        self._cached_input = None
+        d_out, x = self._take(d_out)
         return d_out * (x > 0)
 
 
 # Images per block of the conv patches, in both forwards and in backward.
-# With OpenBLAS 0.3.31 (Haswell kernels, 1 thread) a forward GEMM over a
+# With OpenBLAS 0.3.31 (SkylakeX kernels, 1 thread) a forward GEMM over a
 # column block whose width is a multiple of 8 reproduces the matching
 # columns of the one-GEMM product bit for bit; blocks of 1 or 25 images
 # at 14x14 output (196 and 4,900 columns) differ in the last bit.  8
@@ -181,20 +192,19 @@ class Conv2dLayer(Layer):
                     is added into the (a, b) slice of the padded input
                     gradient
 
-    ``cols`` is never built whole.  Both passes run one loop over
-    ``IMAGE_BLOCK`` images, in ascending order: each block's patches are
-    refilled into one reused buffer.  Forward multiplies them by ``K``
-    into one reused product buffer, adds the bias there and writes the
-    block's output.  The training forward keeps only the channel-major
-    padded input [C, N, H+k-1, W+k-1]; the inference forward
-    (``train=False``) pads each block into one reused buffer and keeps
-    nothing.  Backward copies each block's ``d2`` columns into one
-    reused buffer, adds their product with the patches into
-    ``d_filters``, and, unless ``input_grad=False``, adds the block's
-    col2im into the block's own slice of the padded input, whose
-    patches it no longer needs; the input gradient is a view of that
-    array.  ``d_bias`` sums each image's H*W plane, then the planes over
-    images, the order of ``d_out.sum(axis=(0, 2, 3))``.
+    Neither ``cols`` nor the padded input is ever built whole.  All three
+    passes run one loop over ``IMAGE_BLOCK`` images, in ascending order
+    (:meth:`_patch_blocks`): each block is padded into one reused buffer
+    and its patches refilled into another.  Forward multiplies them by
+    ``K`` into one reused product buffer, adds the bias there and writes
+    the block's output.  The training forward keeps the input ``x``
+    itself; the inference forward (``train=False``) keeps nothing.
+    Backward copies each block's ``d2`` columns into one reused buffer,
+    adds their product with the patches into ``d_filters``, and, unless
+    ``input_grad=False``, adds the block's col2im into one reused
+    block-sized padded gradient, whose centre it writes into the block's
+    images of ``d_input``.  ``d_bias`` sums each image's H*W plane, then
+    the planes over images, the order of ``d_out.sum(axis=(0, 2, 3))``.
 
     ``pool_relu=True`` makes the layer a convnet's block, conv -> bias
     -> 2x2 max-pool -> ReLU, run in the same loop (H and W must be
@@ -225,7 +235,10 @@ class Conv2dLayer(Layer):
         self.positions = 3 if pool_relu else 1
         self.param_shapes = ((out_channels, in_channels, kernel_size, kernel_size),
                              (out_channels,))
-        self._cache = None
+
+    @property
+    def _cache(self):  # perfbench's conv backward span reads _cache[0]
+        return self._state
 
     def output_hw(self, h, w):
         """Spatial size of the conv product of an h x w input: the same,
@@ -244,13 +257,8 @@ class Conv2dLayer(Layer):
             raise ShapeError(
                 f"a pooled conv block needs even spatial dims, got {h}x{w}"
             )
-        c, k, f, p = self.in_channels, self.kernel_size, self.out_channels, self.padding
-        weights = filters.reshape(f, c * k * k)
-        self._cache = None  # free the last padded input before padding this one
-        # The zero-padded input, channel-major, filled by _patch_blocks:
-        # the whole batch for backward, or one reused block.
-        xp = np.zeros((c, n if train else min(n, IMAGE_BLOCK), h + 2 * p, w + 2 * p),
-                      dtype=DTYPE)
+        f = self.out_channels
+        weights = filters.reshape(f, -1)
         out_hw = (h // 2, w // 2) if self.pool_relu else (h, w)
         out = np.empty((n, f, *out_hw), dtype=DTYPE)
         pool_state = None
@@ -258,7 +266,7 @@ class Conv2dLayer(Layer):
             pool_state = (np.empty((f, n, *out_hw), dtype=np.uint8),
                           np.empty((f, n, *out_hw), dtype=bool))
         product = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
-        for images, cols in self._patch_blocks(xp, x):
+        for images, cols in self._patch_blocks(x):
             conv = product[: f * cols.shape[1]].reshape(f, -1)
             np.matmul(weights, cols, out=conv)
             conv += bias[:, None]
@@ -272,28 +280,30 @@ class Conv2dLayer(Layer):
             if train:
                 pool_state[0][:, images] = switches
                 np.greater(pooled, 0.0, out=pool_state[1][:, images])
-        if train:
-            self._cache = (xp, x.shape, pool_state)
-        return out
+        return self._keep(train, out, (x, pool_state))
 
-    def _patch_blocks(self, xp, x=None):
+    def _padded_block(self, n, h, w):
+        """A zeroed channel-major buffer [C, min(n, IMAGE_BLOCK), H+k-1,
+        W+k-1]: one image block's padded input or input gradient."""
+        hp, wp = h + 2 * self.padding, w + 2 * self.padding
+        return np.zeros((self.in_channels, min(n, IMAGE_BLOCK), hp, wp), dtype=DTYPE)
+
+    def _patch_blocks(self, x):
         """Yield ``(images, cols)`` for each block of ``IMAGE_BLOCK``
-        images of the channel-major padded input ``xp`` [C, N, H+k-1,
-        W+k-1], in ascending order: the block's slice of the batch and
-        its patch matrix [C*k*k, B*H*W].  A block of NCHW ``x``, if given,
-        is first padded into its slice of ``xp`` (or ``xp``'s first B
-        images, if ``xp`` holds one block).  Every block is refilled into
-        one reused buffer, so ``cols`` is valid until the next yield."""
-        c, n = xp.shape[0], xp.shape[1] if x is None else len(x)
+        images of the NCHW input ``x``, in ascending order: the block's
+        slice of the batch and its patch matrix [C*k*k, B*H*W].  Each
+        block is padded, channel-major, into one reused buffer whose
+        border stays zero, and its patches are refilled into another, so
+        ``cols`` is valid until the next yield."""
+        n, c, h, w = x.shape
         k, p = self.kernel_size, self.padding
-        h, w = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+        xp = self._padded_block(n, h, w)
         buffer = np.empty(c * k * k * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
         for start in range(0, n, IMAGE_BLOCK):
             images = slice(start, min(start + IMAGE_BLOCK, n))
             b = images.stop - start
-            block = xp[:, images] if xp.shape[1] == n else xp[:, :b]
-            if x is not None:
-                block[:, :, p : p + h, p : p + w] = x[images].transpose(1, 0, 2, 3)
+            block = xp[:, :b]
+            block[:, :, p : p + h, p : p + w] = x[images].transpose(1, 0, 2, 3)
             patches = buffer[: c * k * k * b * h * w].reshape(c, k, k, b, h, w)
             for a in range(k):
                 for j in range(k):
@@ -301,25 +311,18 @@ class Conv2dLayer(Layer):
             yield images, patches.reshape(c * k * k, b * h * w)
 
     def backward(self, d_out, params, grads, input_grad=True):
-        if self._cache is None:
-            raise LayerStateError("conv backward called before forward")
-        xp, x_shape, pool_state = self._cache
-        n, _, h, w = x_shape
-        c, f, k, p = self.in_channels, self.out_channels, self.kernel_size, self.padding
-        out_hw = (h, w) if pool_state is None else (h // 2, w // 2)
-        d_out = np.asarray(d_out, dtype=DTYPE)
-        if d_out.shape != (n, f, *out_hw):
-            raise ShapeError(
-                f"conv backward expects {(n, f, *out_hw)}, got {d_out.shape}"
-            )
-        self._cache = None
+        d_out, (x, pool_state) = self._take(d_out)
+        n, c, h, w = x.shape
+        f, k, p = self.out_channels, self.kernel_size, self.padding
         taps = np.ascontiguousarray(params[0].transpose(2, 3, 1, 0))
         d_filters, d_bias = grads
         d_filters = d_filters.reshape(f, c * k * k)  # a view: it is contiguous
         d_filters[...] = 0.0
         plane_sums = np.empty((n, f), dtype=DTYPE)
         buffer = np.empty(f * min(n, IMAGE_BLOCK) * h * w, dtype=DTYPE)
-        for images, cols in self._patch_blocks(xp):
+        d_input = np.empty((n, c, h, w), dtype=DTYPE) if input_grad else None
+        d_xp = self._padded_block(n, h, w) if input_grad else None
+        for images, cols in self._patch_blocks(x):
             b = images.stop - images.start
             d_conv = buffer[: f * b * h * w].reshape(f, b, h, w)
             d_block = d_out[images].transpose(1, 0, 2, 3)
@@ -333,19 +336,19 @@ class Conv2dLayer(Layer):
             d_filters += d2 @ cols.T
             if input_grad:
                 # col2im one kernel offset at a time: [C, F] @ [F, B*H*W]
-                # lands in the offset's slice of this block's padded input,
-                # which becomes its gradient.
-                d_xp = xp[:, images]
-                d_xp[...] = 0.0
+                # lands in the offset's slice of the block's padded input
+                # gradient, whose centre is the block's d_input.
+                d_padded = d_xp[:, :b]
+                d_padded[...] = 0.0
                 for a in range(k):
                     for j in range(k):
-                        d_xp[:, :, a : a + h, j : j + w] += (
+                        d_padded[:, :, a : a + h, j : j + w] += (
                             taps[a, j] @ d2
                         ).reshape(c, b, h, w)
+                centre = d_padded[:, :, p : p + h, p : p + w]
+                d_input[images] = centre.transpose(1, 0, 2, 3)
         np.sum(plane_sums, axis=0, out=d_bias)
-        if not input_grad:
-            return None
-        return xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+        return d_input
 
 
 def max_pool2x2(x, train=False):
@@ -411,9 +414,6 @@ class MaxPool2x2Layer(Layer):
     computes no switches and pools the same bytes.
     """
 
-    def __init__(self):
-        self._switches = None
-
     def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4:
@@ -421,19 +421,11 @@ class MaxPool2x2Layer(Layer):
         h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-        pooled, self._switches = max_pool2x2(x, train)
-        return pooled
+        pooled, switches = max_pool2x2(x, train)
+        return self._keep(train, pooled, switches)
 
     def backward(self, d_out, params=(), grads=()):
-        switches = self._switches
-        if switches is None:
-            raise LayerStateError("maxpool backward called before forward")
-        d_out = np.asarray(d_out, dtype=DTYPE)
-        if d_out.shape != switches.shape:
-            raise ShapeError(
-                f"maxpool backward shapes disagree: {d_out.shape} vs {switches.shape}"
-            )
-        self._switches = None
+        d_out, switches = self._take(d_out)
         n, c, ho, wo = d_out.shape
         return unpool2x2(d_out, switches,
                          np.empty((n, c, 2 * ho, 2 * wo), dtype=DTYPE))
@@ -442,20 +434,13 @@ class MaxPool2x2Layer(Layer):
 class FlattenLayer(Layer):
     """[N, ...] -> [N, prod(...)], undone on backward."""
 
-    def __init__(self):
-        self._shape = None
-
     def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
-        self._shape = x.shape if train else None
-        return x.reshape(x.shape[0], -1)
+        return self._keep(train, x.reshape(x.shape[0], -1), x.shape)
 
     def backward(self, d_out, params=(), grads=()):
-        if self._shape is None:
-            raise LayerStateError("flatten backward called before forward")
-        d_input = np.asarray(d_out, dtype=DTYPE).reshape(self._shape)
-        self._shape = None
-        return d_input
+        d_out, shape = self._take(d_out)
+        return d_out.reshape(shape)
 
 
 def dropout_mask(shape, rate, rng):
@@ -470,36 +455,26 @@ class DropoutLayer(Layer):
     inference forward is the identity.
 
     rate 0 and the inference forward return ``x`` unchanged (bitwise
-    identity).
+    identity); a training forward at rate 0 keeps no mask.
     """
 
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
             raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._mask = None
-        self._identity = False  # a training forward at rate 0
 
     def forward(self, x, params=(), train=False, rng=None):
         x = np.asarray(x, dtype=DTYPE)
-        self._identity = train and self.rate == 0.0
-        self._mask = None
-        if not train or self._identity:
-            return x
+        if not train or self.rate == 0.0:
+            return self._keep(train, x, None)
         if rng is None:
             raise DomainError("a training forward through dropout needs an rng")
-        self._mask = dropout_mask(x.shape, self.rate, rng)
-        return x * self._mask
+        mask = dropout_mask(x.shape, self.rate, rng)
+        return self._keep(train, x * mask, mask)
 
     def backward(self, d_out, params=(), grads=()):
-        if self._identity:
-            self._identity = False
-            return np.asarray(d_out, dtype=DTYPE)
-        if self._mask is None:
-            raise LayerStateError("dropout backward called before forward")
-        d_input = np.asarray(d_out, dtype=DTYPE) * self._mask
-        self._mask = None
-        return d_input
+        d_out, mask = self._take(d_out)
+        return d_out if mask is None else d_out * mask
 
 
 def gaussian_noise(x, std, rng):

@@ -36,22 +36,34 @@ def drawn(layer, rng, std=0.01):
     return layer, params
 
 
+def _arrays_in(value):
+    """The arrays in ``value``, looking inside tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays_in(v)]
+    return []
+
+
 def test_layers_hold_no_parameter_or_gradient_arrays():
     # A layer's parameters are a name and a shape each; the arrays are
-    # its caller's, passed to every forward and backward.
+    # its caller's, passed to every forward and backward.  Backward
+    # consumes what the training forward kept: no array is left on the
+    # layer, and the only attributes it adds are the base class's state.
     rng = np.random.default_rng(11)
-    for layer, x in ((DenseLayer(3, 2), rng.normal(size=(4, 3))),
-                     (Conv2dLayer(2, 3, 3), rng.normal(size=(2, 2, 4, 4)))):
+    for kind, (make, shape) in LAYER_TYPES.items():
+        layer = make(rng)[0]
         before = set(vars(layer))
         params, grads = zero_params(layer), zero_params(layer)
         assert [p.shape for p in params] == list(layer.param_shapes)
-        assert len(layer.param_shapes) == len(layer.param_names) == 2
-        layer.backward(layer.forward(x, params, train=True), params, grads)
-        assert set(vars(layer)) == before
-        arrays = [k for k, v in vars(layer).items() if isinstance(v, np.ndarray)]
-        assert arrays == []
-    for layer in (ReluLayer(), MaxPool2x2Layer(), FlattenLayer(), DropoutLayer(0.5)):
-        assert layer.param_names == layer.param_shapes == ()
+        assert len(layer.param_shapes) == len(layer.param_names)
+        assert len(layer.param_names) == (2 if kind in ("dense", "conv", "pooled_conv")
+                                          else 0)
+        out = layer.forward(rng.normal(size=shape), params, train=True,
+                            rng=np.random.default_rng(1))
+        layer.backward(out, params, grads)
+        assert set(vars(layer)) <= before | {"_state", "_out_shape"}, kind
+        assert _arrays_in(list(vars(layer).values())) == [], kind
 
 
 def test_init_gaussian_is_the_normal_draw_in_place():
@@ -216,12 +228,6 @@ class TestRelu:
         d = layer.backward(np.ones(3))
         npt.assert_array_equal(d, [0.0, 0.0, 1.0])
 
-    def test_backward_shape_mismatch_rejected(self):
-        layer = ReluLayer()
-        layer.forward(np.zeros((2, 3)), train=True)
-        with pytest.raises(ShapeError):
-            layer.backward(np.ones((3, 2)))
-
     def test_backward_matches_fd_away_from_kink(self):
         rng = np.random.default_rng(2)
         x = _kink_free_normal(rng, (6, 5))
@@ -372,17 +378,15 @@ class TestConvInferenceForward:
         _assert_matches_reference(free, trained)
 
     def test_caches_no_patch_matrix(self):
-        # The training forward keeps the channel-major padded input
-        # [C, N, H+k-1, W+k-1], smaller than the [C*k*k, N*H*W] patch
-        # matrix; the inference forward keeps nothing.
+        # The training forward keeps the input itself: no [C*k*k, N*H*W]
+        # patch matrix and no padded copy.  The inference forward keeps
+        # nothing.
         layer = Conv2dLayer(2, 3, 3)
         params = zero_params(layer)
         x = np.ones((9, 2, 5, 5))
         layer.forward(x, params, train=True)
-        kept = layer._cache[0]
-        assert kept.shape == (2, 9, 7, 7)
-        assert kept.transpose(1, 0, 2, 3)[:, :, 1:6, 1:6].tobytes() == x.tobytes()
-        assert kept.size < 18 * 9 * 25
+        kept = _arrays_in(layer._cache)
+        assert len(kept) == 1 and kept[0] is x
         layer.forward(x, params)
         assert layer._cache is None
 
@@ -409,10 +413,11 @@ class TestConvInferenceForward:
 
 
 def test_caching_forward_builds_no_product_temporary():
-    # conv-mnist's conv1 at batch 200: beyond the output and the kept
-    # padded input, only one image block's patches and product buffer are
-    # allowed.  A kept patch matrix adds 31 MB here, and a one-GEMM
-    # forward an output-sized [F, N*Ho*Wo] product (40 MB).
+    # conv-mnist's conv1 at batch 200: beyond the output, only one image
+    # block's patches and product buffer are allowed (its padded block,
+    # 66 kB, fits in the slack).  A kept patch matrix adds 31 MB here, a
+    # one-GEMM forward an output-sized [F, N*Ho*Wo] product (40 MB) and a
+    # kept padded copy of the input 1.6 MB.
     rng = np.random.default_rng(4)
     layer, params = drawn(Conv2dLayer(1, 32, 5), rng)
     x = rng.normal(size=(200, 1, 28, 28))
@@ -422,12 +427,11 @@ def test_caching_forward_builds_no_product_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    padded = layer._cache[0]
-    assert padded.shape == (1, 200, 32, 32)
+    assert layer._cache[0] is x
     block_patches = 25 * IMAGE_BLOCK * 28 * 28 * 8
     block_product = out.nbytes * IMAGE_BLOCK // 200
     slack = 1_000_000
-    assert peak < out.nbytes + padded.nbytes + block_patches + block_product + slack
+    assert peak < out.nbytes + block_patches + block_product + slack
 
 
 def test_training_step_builds_no_patch_matrix():
@@ -591,6 +595,8 @@ LAYER_TYPES = {
     "dense": (lambda rng: drawn(DenseLayer(4, 3), rng), (5, 4)),
     "relu": (lambda rng: (ReluLayer(), []), (5, 4)),
     "conv": (lambda rng: drawn(Conv2dLayer(2, 3, 3), rng), (2, 2, 4, 4)),
+    "pooled_conv": (lambda rng: drawn(Conv2dLayer(2, 3, 3, pool_relu=True), rng),
+                    (2, 2, 4, 6)),
     "maxpool": (lambda rng: (MaxPool2x2Layer(), []), (2, 2, 4, 4)),
     "flatten": (lambda rng: (FlattenLayer(), []), (2, 2, 4, 4)),
     "dropout": (lambda rng: (DropoutLayer(0.5), []), (5, 4)),
@@ -607,6 +613,26 @@ def test_second_backward_is_a_state_error(kind):
     layer.backward(np.ones_like(out), params, grads)
     with pytest.raises(LayerStateError):
         layer.backward(np.ones_like(out), params, grads)
+
+
+@pytest.mark.parametrize("kind", LAYER_TYPES)
+def test_gradient_of_another_shape_is_a_shape_error(kind):
+    # Only the forward output's shape is taken: not the input's, not a
+    # transpose, a broadcastable row, one more row, or the same number
+    # of elements flat.  The refused backward still consumes the state.
+    make, shape = LAYER_TYPES[kind]
+    rng = np.random.default_rng(28)
+    (layer, params), x = make(rng), rng.normal(size=shape)
+    grads = zero_params(layer)
+    out_shape = layer.forward(x, params).shape
+    wrong = {shape, out_shape[::-1], (1,) + out_shape[1:],
+             (out_shape[0] + 1,) + out_shape[1:], (int(np.prod(out_shape)),)}
+    for bad in sorted(wrong - {out_shape}):
+        layer.forward(x, params, train=True, rng=np.random.default_rng(1))
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones(bad), params, grads)
+        with pytest.raises(LayerStateError):
+            layer.backward(np.ones(out_shape), params, grads)
 
 
 class TestCacheFreeForward:
@@ -699,12 +725,6 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             MaxPool2x2Layer().forward(np.zeros((1, 1, 5, 4)))
 
-    def test_backward_shape_mismatch_rejected(self):
-        layer = MaxPool2x2Layer()
-        layer.forward(np.zeros((1, 1, 4, 4)), train=True)
-        with pytest.raises(ShapeError):
-            layer.backward(np.ones((1, 1, 4, 4)))
-
     @staticmethod
     def _assert_same_bytes_as_reference(x):
         pooled, routed = _pool(x)
@@ -784,8 +804,9 @@ class TestMaxPool:
     def test_switches_are_one_byte_each(self):
         layer = MaxPool2x2Layer()
         pooled = layer.forward(np.zeros((2, 3, 4, 6)), train=True)
-        assert layer._switches.dtype == np.uint8
-        assert layer._switches.nbytes == pooled.size
+        switches = layer._state
+        assert switches.dtype == np.uint8
+        assert switches.nbytes == pooled.size
 
     def test_empty_batch(self):
         pooled, routed = _pool(np.zeros((0, 2, 4, 4)))
@@ -828,6 +849,18 @@ class TestDropout:
         x = rng.normal(size=(5, 5))
         npt.assert_array_equal(DropoutLayer(0.0).forward(x, train=True, rng=rng), x)
 
+    def test_rate_zero_keeps_no_mask_and_checks_the_gradient_shape(self):
+        layer = DropoutLayer(0.0)
+        x = np.arange(20.0).reshape(4, 5)
+        layer.forward(x, train=True)
+        assert layer._state is None
+        assert layer.backward(x) is x  # passed through: no mask to apply
+        layer.forward(x, train=True)
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones(5))
+        with pytest.raises(LayerStateError):
+            layer.backward(x)
+
     def test_kept_units_scaled_by_inverse_keep_rate(self):
         rng = np.random.default_rng(9)
         x = np.ones((100, 100))
@@ -865,7 +898,7 @@ class TestDropout:
             layer = DropoutLayer(rate)
             from_layer = layer.forward(x, train=True, rng=np.random.default_rng(seed))
             helper = dropout_mask(x.shape, rate, np.random.default_rng(seed))
-            for got in (layer._mask, from_layer, helper):
+            for got in (layer._state, from_layer, helper):
                 assert got.tobytes() == want.tobytes()
 
     def test_layer_backward_reuses_forward_mask(self):

@@ -34,7 +34,10 @@ in order, gate by gate), so a renamed tensor shows even where its bytes
 do not change.  A last line, ``ensemble``, gives them for the
 ``member_scores`` bytes and the ``ensemble.json`` of three members on
 gate 7's data: gate 7's model, one at another ``pca_dims`` (same
-standardizer and PCA mean) and one under L1-SVM (same basis).
+standardizer and PCA mean) and one under L1-SVM (same basis).  The
+very last, ``layers``, gives them for each layer on its own at fixed
+seeded inputs (see ``layer_sha16s``), the references the trained
+gates build on: the plain conv and the standalone pool run in none.
 
 The bytes depend on the OpenBLAS kernel the CPU gets, so the hashes are
 compared between two checkouts on one machine, not against constants
@@ -64,6 +67,15 @@ from marginnet.cli import main as cli_main  # noqa: E402
 from marginnet.config import parse_config_text  # noqa: E402
 from marginnet.data import write_idx  # noqa: E402
 from marginnet.harness import load_model, load_split, member_scores, train  # noqa: E402
+from marginnet.layers import (  # noqa: E402
+    Conv2dLayer,
+    DenseLayer,
+    DropoutLayer,
+    FlattenLayer,
+    MaxPool2x2Layer,
+    ReluLayer,
+    zero_params,
+)
 from marginnet.serialize import read_manifest  # noqa: E402
 
 # Blobs, standardized and PCA-projected, under a 256-256 MLP.
@@ -235,6 +247,38 @@ def ensemble_sha16s(tmp):
             + file_sha16(os.path.join(tmp, "ensemble", "ensemble.json")))
 
 
+def layer_sha16s():
+    """sha16, layer by layer, of the training forward's output, the
+    input gradient and the parameter gradients at seeded inputs: dense,
+    ReLU, max-pool, flatten, dropout at rates 0.5 and 0, then the plain
+    and the pooled conv, each with and without ``input_grad``.  The conv
+    batch of 11 images ends in a short image block."""
+    rng = np.random.default_rng(29)
+    cases = [(DenseLayer(12, 7), (9, 12), True),
+             (ReluLayer(), (9, 12), True),
+             (MaxPool2x2Layer(), (4, 3, 6, 8), True),
+             (FlattenLayer(), (4, 3, 6, 8), True),
+             (DropoutLayer(0.5), (9, 12), True),
+             (DropoutLayer(0.0), (9, 12), True)]
+    for conv in (Conv2dLayer(3, 5, 3), Conv2dLayer(3, 5, 3, pool_relu=True)):
+        cases += [(conv, (11, 3, 6, 8), True), (conv, (11, 3, 6, 8), False)]
+    digests = []
+    for layer, shape, input_grad in cases:
+        params, grads = zero_params(layer), zero_params(layer)
+        for p in params:
+            p[...] = rng.normal(size=p.shape)
+        out = layer.forward(rng.normal(size=shape), params, train=True,
+                            rng=np.random.default_rng(3))
+        d_out = rng.normal(size=out.shape)
+        if input_grad:
+            d_input = layer.backward(d_out, params, grads)
+        else:
+            d_input = layer.backward(d_out, params, grads, input_grad=False)
+        arrays = [out] + ([] if d_input is None else [d_input]) + grads
+        digests.append(sha16(b"".join(a.tobytes() for a in arrays)))
+    return digests
+
+
 def write_idx_files(directory):
     """Seeded 12x12 IDX images of 4 classes for both splits: random bytes
     inside a zero border, as MNIST has, with 20 repeated images, so the
@@ -304,6 +348,7 @@ def main():
         print("gradcheck " + "/".join(digests))
         print("names " + sha16(json.dumps(tensor_lists).encode()))
         print("ensemble " + ensemble_sha16s(tmp))
+    print("layers " + "/".join(layer_sha16s()))
 
 
 if __name__ == "__main__":
