@@ -184,11 +184,24 @@ def load_idx(images_path, labels_path, split="train"):
                    IMAGE_CLASSES, split)
 
 
+def _as_bytes(values, what):
+    """``values`` as uint8, or :class:`DomainError` if one is not an
+    integer in 0-255."""
+    values = np.asarray(values)
+    if np.all((values >= 0) & (values <= 255)):
+        cast = values.astype(np.uint8)
+        if np.array_equal(cast, values):
+            return cast
+    raise DomainError(f"IDX {what} must be integers in 0-255")
+
+
 def write_idx(images_path, labels_path, images_u8, labels):
     """Write an IDX pair (images [N, H, W] uint8, labels [N]); the exact
-    inverse of :func:`load_idx` up to the flattening of each image."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
+    inverse of :func:`load_idx` up to the flattening of each image.  A
+    pixel or label that is not an integer in 0-255 is a
+    :class:`DomainError`, not wrapped into a byte."""
+    images_u8 = _as_bytes(images_u8, "pixels")
+    labels = _as_bytes(labels, "labels")
     if images_u8.ndim != 3:
         raise ShapeError(f"images must be [N, H, W], got {images_u8.shape}")
     if labels.shape != (images_u8.shape[0],):

@@ -43,8 +43,8 @@ from .heads import (
 from .layers import gaussian_noise
 from .network import Network, build_convnet, build_from_arch, build_mlp
 from .optim import LinearSchedule, SgdMomentum
-from .preprocess import (PcaModel, PixelStandardizer, _row_blocks, augment, check_jitter,
-                         pca_fit, pca_transform, to_float)
+from .preprocess import (PcaModel, PixelStandardizer, augment, check_jitter, pca_fit,
+                         pca_transform, to_float)
 from .serialize import (ManifestError, json_text, load_tensors, read_manifest,
                         save_tensors, write_text)
 from .tensor import PIXELS, DomainError, ShapeError
@@ -481,16 +481,25 @@ def write_metrics_csv(path, rows):
 
 
 def read_metrics_csv(path):
+    """The rows :func:`write_metrics_csv` wrote to ``path``.  An empty
+    file, other columns, or a row whose cell count is not the header's
+    is a :class:`DomainError` naming the file and the line."""
     with open(path) as f:
-        lines = f.read().strip().splitlines()
+        lines = f.read().rstrip().splitlines()
+    if not lines:
+        raise DomainError(f"{path}, line 1: empty file, no header")
     header = lines[0].split(",")
     if tuple(header) != CSV_COLUMNS:
-        raise DomainError(f"{path}: unexpected columns {header}")
-    return [
-        {col: int(cell) if col in INT_COLUMNS else float(cell)
-         for col, cell in zip(CSV_COLUMNS, line.split(","))}
-        for line in lines[1:]
-    ]
+        raise DomainError(f"{path}, line 1: unexpected columns {header}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise DomainError(f"{path}, line {number}: {len(cells)} cells "
+                              f"under {len(CSV_COLUMNS)} columns")
+        rows.append({col: int(cell) if col in INT_COLUMNS else float(cell)
+                     for col, cell in zip(CSV_COLUMNS, cells)})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +561,8 @@ def load_model(model_dir):
     """Rebuild the model saved in ``model_dir``, each parameter read
     straight into its view of ``Network.param``.  A manifest whose meta
     cannot rebuild it (a head, arch or preprocess entry of the wrong type,
-    value or shape) raises :class:`ManifestError`."""
+    value or shape), or whose saved transforms do not fit together,
+    raises :class:`ManifestError`."""
     meta = read_manifest(model_dir).get("meta", {})
     try:
         head, arch = meta["head"], meta["arch"]
@@ -589,7 +599,30 @@ def load_model(model_dir):
             f"{model_dir}: manifest meta.preprocess names a step whose "
             f"tensor {e} is missing"
         ) from None
+    _check_transform_shapes(model_dir, tensors)
     return LoadedModel(net, pca, standardizer, meta)
+
+
+# The axes of each saved transform tensor: D input columns, k components.
+TRANSFORM_AXES = {"standardizer.mean": "D", "standardizer.std": "D", "pca.mean": "D",
+                  "pca.components": "Dk", "pca.explained_variances": "k"}
+
+
+def _check_transform_shapes(model_dir, tensors):
+    """Raise :class:`ManifestError` unless the saved transform tensors
+    have the shapes of :data:`TRANSFORM_AXES`, with one D and one k."""
+    sizes = {}
+    for name, axes in TRANSFORM_AXES.items():
+        if name not in tensors:
+            continue
+        shape = tensors[name].shape
+        if len(shape) != len(axes) or any(sizes.setdefault(a, n) != n
+                                          for a, n in zip(axes, shape)):
+            where = ", ".join(f"{a} = {n}" for a, n in sizes.items())
+            raise ManifestError(
+                f"{model_dir}: saved transforms disagree: {name!r} has shape "
+                f"{list(shape)}, not [{', '.join(axes)}]" + (f" where {where}" if where else "")
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +646,18 @@ def member_scores(models, inputs):
     """Each LoadedModel's head scores [N, K] on raw ``inputs``, in order,
     with the bytes of scoring its :meth:`LoadedModel.scoring_rows`.
 
-    Members with a PCA whose saved standardizer, PCA mean and row
-    partition are byte-equal form a group: one :func:`pca_transform` pass
-    scales, standardizes and centers each row block once for the group
-    and projects it onto each member's basis (once per byte-equal basis).
-    A member without a PCA transforms each chunk as it is scored."""
-    groups = {}
-    for i, m in enumerate(models):
-        if m.pca is not None:
-            s = m.standardizer
-            blocks = _row_blocks(len(inputs), m.pca.components.shape[1], m.pca.mean.shape[0])
-            key = (None if s is None else (s.mean.tobytes(), s.std.tobytes()),
-                   m.pca.mean.tobytes(), tuple((b.start, b.stop) for b in blocks))
-            groups.setdefault(key, []).append(i)
+    The members with a PCA are projected by one :func:`pca_transform`
+    call on their ``(pca, standardizer)`` pairs, which scales,
+    standardizes and centers each row block once for each group of
+    members whose saved preprocessing agrees, as members trained on one
+    dataset's rows do.  A member without a PCA transforms each chunk as
+    it is scored."""
     rows = [m.scoring_rows(inputs) if m.pca is None else None for m in models]
-    for members in groups.values():
-        projected = pca_transform([models[i].pca for i in members], _flat(inputs),
-                                  models[members[0]].standardizer)
-        for i, p in zip(members, projected):
-            rows[i] = _shaped(p, models[i].network.arch.get("input_shape")), None
+    with_pca = [i for i, m in enumerate(models) if m.pca is not None]
+    projected = pca_transform([(models[i].pca, models[i].standardizer) for i in with_pca],
+                              _flat(inputs))
+    for i, p in zip(with_pca, projected):
+        rows[i] = _shaped(p, models[i].network.arch.get("input_shape")), None
     return [m.network.scores(*r) for m, r in zip(models, rows)]
 
 

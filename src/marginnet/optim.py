@@ -15,10 +15,7 @@ out like both.
 A step runs over each array in flat blocks of ``STEP_BLOCK`` elements,
 with ``lr * grad`` written into one reused scratch buffer, so no
 parameter-sized temporary is built.  Every operation is elementwise, so
-the bytes equal those of the whole-array update.  The first step writes
-each velocity as ``0.0 - lr * grad`` without reading it, the same bytes
-as ``momentum * 0.0 - lr * grad``: its zero pages are then touched once,
-by the write.
+the bytes equal those of the whole-array update.
 """
 
 import numpy as np
@@ -65,7 +62,6 @@ class SgdMomentum:
         # np.zeros leaves the pages unwritten until the first step: unlike
         # zeros_like, it adds nothing to a one-update run's backprop peak.
         self.velocities = [np.zeros(p.shape, dtype=DTYPE) for p in self.params]
-        self._stepped = False  # every velocity still holds its zeros
 
     def step(self, grads, lr):
         """One in-place update of every bound parameter array.
@@ -90,10 +86,6 @@ class SgdMomentum:
                 block = slice(start, start + STEP_BLOCK)
                 vb = v[block]
                 lr_g = np.multiply(g[block], lr, out=scratch[: vb.size])
-                if self._stepped:
-                    vb *= self.momentum
-                    vb -= lr_g
-                else:
-                    np.subtract(0.0, lr_g, out=vb)
+                vb *= self.momentum
+                vb -= lr_g
                 p[block] += vb
-        self._stepped = True

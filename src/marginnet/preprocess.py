@@ -227,50 +227,48 @@ def pca_transform(model, x, standardizer=None):
     which is the only full-size array allocated.  At a fixed BLAS thread
     count the bytes equal those of the unblocked formula.
 
-    ``model`` may also be a list of PcaModels that share one mean and
-    one row partition (``_row_blocks``); the result is then a list with
-    each model's projection, in order, and each block is scaled,
-    standardized and centered once for all of them.  Models whose
-    components are byte-equal share one product, and one result array.
-    Each projection has the bytes of its own single-model call.
+    ``model`` may also be a list of ``(PcaModel, standardizer)`` pairs;
+    the result is then a list with each pair's projection, in order.
+    Pairs whose standardizer (or its absence), PCA mean and row partition
+    (``_row_blocks``) are byte-equal form a group, and each block is
+    scaled, standardized and centered once for the group, then projected
+    onto each of its bases.  Each projection has the bytes of its own
+    single-pair call.
     """
-    models = model if isinstance(model, list) else [model]
-    first = models[0]
-    d = first.mean.shape[0]
+    if not isinstance(model, list):
+        return pca_transform([(model, standardizer)], x)[0]
     x = _rows(x)
-    if standardizer is not None:
-        standardizer.check_shape(x.shape)
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(
-            f"pca transform expects [N, {d}] data, got shape {x.shape}"
-        )
-    n, mean = x.shape[0], first.mean.tobytes()
-    blocks = _row_blocks(n, first.components.shape[1], d)
-    products, outs = {}, []
-    for m in models:
-        if m.mean.tobytes() != mean or _row_blocks(n, m.components.shape[1], d) != blocks:
-            raise DomainError("bases projected in one pass must share one "
-                              "mean and one row partition")
-        key = m.components.tobytes()
-        if key not in products:
-            out = np.empty((n, m.components.shape[1]), dtype=DTYPE)
-            products[key] = (m.components, out)
-        outs.append(products[key][1])
-    buf = np.empty((max(b.stop - b.start for b in blocks), d), dtype=DTYPE)
-    shift = first.mean if standardizer is None else standardizer.mean
-    for rows in blocks:
-        b = buf[: rows.stop - rows.start]
-        if x.dtype == PIXELS:
-            to_float(x[rows], out=b)
-            b -= shift
-        else:
-            np.subtract(x[rows], shift, out=b)
-        if standardizer is not None:
-            b /= standardizer.std
-            b -= first.mean
-        for components, out in products.values():
-            np.matmul(b, components, out=out[rows])
-    return outs if isinstance(model, list) else outs[0]
+    groups = {}
+    for i, (pca, s) in enumerate(model):
+        d = pca.mean.shape[0]
+        if s is not None:
+            s.check_shape(x.shape)
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ShapeError(
+                f"pca transform expects [N, {d}] data, got shape {x.shape}"
+            )
+        blocks = _row_blocks(x.shape[0], pca.components.shape[1], d)
+        key = (None if s is None else (s.mean.tobytes(), s.std.tobytes()),
+               pca.mean.tobytes(), tuple((b.start, b.stop) for b in blocks))
+        groups.setdefault(key, (s, pca.mean, blocks, []))[3].append(i)
+    outs = [np.empty((x.shape[0], pca.components.shape[1]), dtype=DTYPE)
+            for pca, _ in model]
+    for s, mean, blocks, members in groups.values():
+        buf = np.empty((max(b.stop - b.start for b in blocks), x.shape[1]), dtype=DTYPE)
+        shift = mean if s is None else s.mean
+        for rows in blocks:
+            b = buf[: rows.stop - rows.start]
+            if x.dtype == PIXELS:
+                to_float(x[rows], out=b)
+                b -= shift
+            else:
+                np.subtract(x[rows], shift, out=b)
+            if s is not None:
+                b /= s.std
+                b -= mean
+            for i in members:
+                np.matmul(b, model[i][0].components, out=outs[i][rows])
+    return outs
 
 
 # Floor of a fitted per-column std: constant pixels map to exactly 0

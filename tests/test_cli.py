@@ -389,6 +389,16 @@ def test_a_truncated_or_extended_blob_exits_2(pca_model, data):
     assert eval_copy(pca_model, manifest, blob) == 2
 
 
+def test_a_basis_one_row_short_exits_2(pca_model, tmp_path):
+    model = harness.load_model(pca_model)
+    model.pca.components = model.pca.components[:-1]
+    short = str(tmp_path / "short")
+    harness.save_model(short, model.network,
+                       harness.PreparedData(None, None, model.pca, model.standardizer))
+    manifest, blob = read_saved(short)
+    assert eval_copy(short, manifest, blob) == 2
+
+
 @pytest.mark.parametrize("preprocess", ["standardize = true", "pca_dims = 16"],
                          ids=["standardize", "pca"])
 def test_conv_model_evaluates_under_its_training_config(tmp_path, capsys,

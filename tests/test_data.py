@@ -140,6 +140,18 @@ class TestIdx:
         with pytest.raises(IdxCountMismatchError):
             load_idx(ip, lp6)
 
+    @pytest.mark.parametrize("images, labels", [
+        (np.zeros((3, 2, 2)), [0, 256, 300]),
+        (np.full((3, 2, 2), 300), [0, 1, 2]),
+        (np.full((3, 2, 2), -1), [0, 1, 2]),
+        (np.full((3, 2, 2), 0.5), [0, 1, 2]),
+        (np.zeros((3, 2, 2)), [0, 1, np.nan]),
+    ])
+    def test_values_that_are_not_bytes_are_rejected(self, tmp_path, images, labels):
+        # written as given, these would wrap: label 300 as 44
+        with pytest.raises(DomainError, match="integers in 0-255"):
+            write_idx(str(tmp_path / "i"), str(tmp_path / "l"), images, labels)
+
     def test_error_hierarchy(self):
         assert issubclass(IdxMagicError, IdxFormatError)
         assert issubclass(IdxTruncatedError, IdxFormatError)

@@ -19,6 +19,7 @@ from marginnet.data import make_blobs, num_batches, write_idx
 from marginnet.harness import (
     CSV_COLUMNS,
     LoadedModel,
+    PreparedData,
     TrainingDivergedError,
     TrainState,
     build_network,
@@ -40,9 +41,9 @@ from marginnet.harness import (
 )
 from marginnet.heads import HEAD_KINDS, HeadSpec
 from marginnet.network import Network, build_convnet, build_mlp
-from marginnet.preprocess import STD_FLOOR
+from marginnet.preprocess import STD_FLOOR, PcaModel, PixelStandardizer
 from marginnet.optim import SgdMomentum
-from marginnet.serialize import read_manifest
+from marginnet.serialize import ManifestError, read_manifest
 from marginnet.tensor import DomainError, ShapeError
 
 BLOBS_BASE = """
@@ -289,6 +290,19 @@ class TestArtifacts:
             rewritten = f.read()
         assert original == rewritten
 
+    @pytest.mark.parametrize("text, error", [
+        ("", "line 1: empty file"),
+        ("\n\n", "line 1: empty file"),
+        (",".join(CSV_COLUMNS) + "\n0,0,0.1\n", "line 2: 3 cells under 9 columns"),
+        (",".join(CSV_COLUMNS) + "\n" + ",".join(["0"] * 10) + "\n",
+         "line 2: 10 cells under 9 columns"),
+    ])
+    def test_unreadable_metrics_csv_names_file_and_line(self, tmp_path, text, error):
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=re.escape(f"{path}, {error}")):
+            read_metrics_csv(path)
+
     def test_runmeta_echoes_config_with_sources(self, l2svm_run):
         with open(os.path.join(l2svm_run.out_dir, "runmeta.json")) as f:
             meta = json.load(f)
@@ -357,6 +371,35 @@ class TestArtifacts:
         with open(path, "w") as f:
             json.dump(manifest, f)
         with pytest.raises(ShapeError, match=re.escape(error)):
+            load_model(model_dir)
+
+    @pytest.mark.parametrize("edit, error", [
+        ("components", "'pca.components' has shape [19, 3], not [D, k] where D = 20"),
+        ("variances", "'pca.explained_variances' has shape [2], not [k] where D = 20, k = 3"),
+        ("pca mean", "'pca.mean' has shape [1, 20], not [D] where D = 20"),
+        ("std", "'standardizer.std' has shape [21], not [D] where D = 20"),
+        ("standardizer", "'pca.mean' has shape [20], not [D] where D = 21"),
+    ])
+    def test_transforms_that_do_not_fit_together_are_rejected(
+            self, l2svm_run, tmp_path, edit, error):
+        # before this check, eval met the 19-row basis as a raw matmul error
+        rng = np.random.default_rng(0)
+        pca = PcaModel(rng.normal(size=20), rng.normal(size=(20, 3)), np.ones(3))
+        standardizer = PixelStandardizer().fit(rng.normal(size=(5, 20)))
+        if edit == "components":
+            pca.components = pca.components[:-1]
+        elif edit == "variances":
+            pca.explained_variances = pca.explained_variances[:-1]
+        elif edit == "pca mean":
+            pca.mean = pca.mean[None]
+        elif edit == "std":
+            standardizer.std = np.ones(21)
+        else:
+            standardizer = PixelStandardizer().fit(rng.normal(size=(5, 21)))
+        model_dir = str(tmp_path / "model")
+        save_model(model_dir, l2svm_run.network,
+                   PreparedData(None, None, pca, standardizer))
+        with pytest.raises(ManifestError, match=re.escape(error)):
             load_model(model_dir)
 
 

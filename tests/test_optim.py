@@ -148,9 +148,9 @@ class TestSgdMomentum:
             assert theta.tobytes() == expected.tobytes()
 
     def test_first_step_writes_the_two_pass_bytes(self):
-        # The first step writes 0.0 - lr * g into each velocity without
-        # reading it; the two-pass update of a zero velocity must give the
-        # same bytes, -0.0 gradients and lr = 0 included.
+        # The first step updates each zero velocity like every later one;
+        # its bytes must be those of 0.0 - lr * g, -0.0 gradients and
+        # lr = 0 included.
         rng = np.random.default_rng(5)
         shapes = [(3, 7), (2 * STEP_BLOCK + 5,)]
         for lrs in ((0.0, 0.1, 0.0), (0.05, 0.0, 0.3)):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from marginnet import preprocess as preprocess_mod
 from marginnet.preprocess import (
     ROW_ALIGN,
     ROW_BLOCK,
@@ -358,9 +359,10 @@ class TestRowBlockedTransform:
         assert peak < 0.25 * x.nbytes
 
     @pytest.mark.parametrize("n", [0, 700, 2600])
-    def test_bases_sharing_a_mean_project_in_one_pass(self, n):
-        # each basis gets the bytes of its own call; byte-equal bases
-        # share one product
+    def test_pairs_project_as_their_own_calls(self, n, monkeypatch):
+        # each pair gets the bytes of its own call; pairs that share a
+        # standardizer (or have none), a mean and a row partition form
+        # one group, whose blocks are scaled once
         rng = np.random.default_rng(n)
         pixels = rng.integers(0, 256, size=(n, 196), dtype=np.uint8)
         standardizer = PixelStandardizer().fit(rng.integers(0, 256, size=(300, 196)))
@@ -368,20 +370,25 @@ class TestRowBlockedTransform:
         bases = [PcaModel(mean, np.linalg.qr(rng.normal(size=(196, k)))[0].copy(),
                           np.ones(k)) for k in (30, 40)]
         bases.append(PcaModel(mean.copy(), bases[0].components.copy(), np.ones(30)))
-        for s in (None, standardizer):
-            got = pca_transform(bases, pixels, s)
-            assert [g.tobytes() for g in got] == [
-                pca_transform(b, pixels, s).tobytes() for b in bases]
-            assert got[2] is got[0]
+        bases.append(PcaModel(mean + 1.0, bases[1].components, np.ones(40)))
+        bases.append(PcaModel(mean, bases[0].components[:, :1].copy(), np.ones(1)))
+        pairs = [(b, s) for s in (None, standardizer) for b in bases]
+        want = [pca_transform(b, pixels, s).tobytes() for b, s in pairs]
+        scaled, real = [], preprocess_mod.to_float
 
-    def test_bases_in_one_pass_must_share_mean_and_partition(self):
-        rng = np.random.default_rng(5)
-        base = PcaModel(np.zeros(70), np.eye(70)[:, :8], np.ones(8))
-        x = rng.normal(size=(8000, 70))  # two blocks of 8 components, one of 1
-        for other in (PcaModel(np.ones(70), base.components, np.ones(8)),
-                      PcaModel(np.zeros(70), np.eye(70)[:, :1], np.ones(1))):
-            with pytest.raises(DomainError):
-                pca_transform([base, other], x)
+        def counting_to_float(x, out=None):
+            scaled.append(len(x))
+            return real(x, out)
+
+        monkeypatch.setattr(preprocess_mod, "to_float", counting_to_float)
+        got = pca_transform(pairs, pixels)
+        assert [g.tobytes() for g in got] == want
+        # with and without the standardizer: two means on the partition
+        # of 30 and 40 components, and one component, a group of its own
+        # where its single block is not that partition (n = 2600)
+        blocks = _row_blocks(n, 30, 196)
+        alone = _row_blocks(n, 1, 196) != blocks
+        assert len(scaled) == 4 * len(blocks) + 2 * alone
 
     def test_standardizer_checked_before_projection(self):
         pca = pca_fit(np.random.default_rng(4).normal(size=(20, 4)), 2)
