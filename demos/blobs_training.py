@@ -75,7 +75,7 @@ WARM = (BASE + "head = softmax\nseed = 0\n"
 src = load_model(results["l2svm"].model_dir)
 swapped = train(
     parse_config_text(WARM + f"epochs = 0\nout_dir = {workdir}/swap0\n"))
-test_inputs = swapped.prepared.test.inputs
+test_inputs = swapped.prepared.network_inputs(swapped.prepared.test.inputs)
 same = np.array_equal(
     swapped.network.predict(test_inputs), src.network.predict(test_inputs)
 )

@@ -259,9 +259,11 @@ def load_cifar10(batch_paths, split="train"):
 def make_blobs(n, num_classes, dim, separation, rng, split="train"):
     """Balanced Gaussian blobs with pairwise-separated centers.
 
-    Centers are rejection-sampled in a box until every pair is at least
-    ``separation`` apart; each class then gets unit-variance Gaussian
-    points around its center.  Class sizes differ by at most one.
+    Centers are rejection-sampled in a box ``2 * num_classes *
+    separation`` wide until every pair is at least ``separation`` apart;
+    each class then gets unit-variance Gaussian points around its
+    center.  Class sizes differ by at most one.  A box too wide for a
+    float is a :class:`DomainError`.
     """
     if num_classes < 2:
         raise DomainError(f"need at least 2 classes, got {num_classes}")
@@ -272,13 +274,17 @@ def make_blobs(n, num_classes, dim, separation, rng, split="train"):
     if separation <= 0:
         raise DomainError(f"separation must be positive, got {separation}")
     half_width = separation * num_classes
+    if not np.isfinite(2 * half_width):
+        raise DomainError(f"separation {separation} makes the box of class centres too wide")
     centers = np.empty((num_classes, dim), dtype=DTYPE)
     placed = 0
     while placed < num_classes:
         cand = rng.uniform(-half_width, half_width, size=dim)
+        # Distances in units of the separation: squares of tiny
+        # separations would underflow to 0 and reject every candidate.
         if placed and np.min(
-            np.linalg.norm(centers[:placed] - cand, axis=1)
-        ) < separation:
+            np.linalg.norm((centers[:placed] - cand) / separation, axis=1)
+        ) < 1.0:
             continue
         centers[placed] = cand
         placed += 1

@@ -6,14 +6,17 @@ procedures layered on trained models (cross-objective evaluation and
 ensembles).  A run is a function of its config alone; a warm start is
 its ``source_model`` key.
 
-Raw rows of any shape become network inputs on one path: each row is
-flattened, scaled to float64 (uint8 pixels by 1/255, see
-:func:`marginnet.preprocess.to_float`), standardized and projected by
-the fitted transforms, and a convnet's rows are then reshaped to its
-``arch["input_shape"]``.  Training and a saved model's
-:meth:`LoadedModel.transform` share it.  Loaded pixels stay bytes until
-that transform: without a PCA a run keeps its splits' bytes and
-transforms each minibatch and each evaluation chunk as it is gathered.
+Raw rows of any shape become network inputs through one
+:class:`InputPipeline`: each row is flattened, scaled to float64 (uint8
+pixels by 1/255, see :func:`marginnet.preprocess.to_float`),
+standardized and projected by the fitted transforms, and a convnet's
+rows are then reshaped to its input shape.  A run's
+:class:`PreparedData` and a saved :class:`LoadedModel` are both
+pipelines, and one rule, :meth:`InputPipeline.stored`, says how either
+keeps a split: projected whole with a PCA, otherwise as the raw rows,
+which :meth:`InputPipeline.network_inputs` transforms a minibatch or
+an evaluation chunk at a time, so loaded pixels stay bytes until then.
+The :data:`TRANSFORMS` table names each fitted step's saved tensors.
 
 Determinism: a run's seed feeds a SeedSequence that is split into three
 independent streams (data, init, train; :func:`seed_streams`), and every
@@ -47,7 +50,7 @@ from .preprocess import (PcaModel, PixelStandardizer, augment, check_jitter, pca
                          pca_transform, to_float)
 from .serialize import (ManifestError, json_text, load_tensors, read_manifest,
                         save_tensors, write_text)
-from .tensor import PIXELS, DomainError, ShapeError
+from .tensor import DomainError, ShapeError
 
 CSV_COLUMNS = (
     "epoch",
@@ -139,30 +142,80 @@ def evaluate_objectives(network, inputs, labels, transform=None):
 # dataset preparation
 
 
-@dataclass
-class PreparedData:
-    """A run's two splits and the transforms fitted on its training rows.
+# Each fitted step: its ``meta.preprocess`` flag, the pipeline attribute
+# that holds it, its type, and its tensors' axes (D input columns, k
+# components) by field; a tensor is saved as "<attribute>.<field>", in
+# this order.
+TRANSFORMS = (
+    ("standardize", "standardizer", PixelStandardizer, {"mean": "D", "std": "D"}),
+    ("pca", "pca", PcaModel, {"mean": "D", "components": "Dk", "explained_variances": "k"}),
+)
 
-    A split's inputs are network inputs, with one exception: uint8
-    pixels without a PCA stay the loaded bytes, and
-    :meth:`network_inputs` transforms rows of them as they are gathered.
-    ``shape`` is one network input row's shape.
-    """
+
+class InputPipeline:
+    """Raw rows to network inputs, through the fitted ``standardizer``
+    and ``pca`` (None when a run has none) to rows of ``shape`` (None
+    keeps them flat)."""
+
+    def transform(self, inputs):
+        """Raw ``inputs`` of any shape as network inputs: each row is
+        flattened, scaled to float64 (:func:`to_float`), standardized,
+        projected and reshaped (:meth:`shaped`).  With a PCA, scaling,
+        standardizing and projecting run as one row-blocked pass
+        (:func:`pca_transform`) that never builds the scaled or
+        standardized rows."""
+        x = _flat(inputs)
+        if self.pca is not None:
+            x = pca_transform(self.pca, x, self.standardizer)
+        else:
+            x = to_float(x)
+            if self.standardizer is not None:
+                x = self.standardizer.apply(x)
+        return self.shaped(x)
+
+    def shaped(self, x):
+        """Flat network rows ``x`` reshaped to ``shape`` per row."""
+        if self.shape is None:
+            return x
+        if x.shape[1] != math.prod(self.shape):
+            raise ShapeError(f"rows of width {x.shape[1]} are not {list(self.shape)} inputs")
+        return x.reshape(len(x), *self.shape)
+
+    def stored(self, inputs):
+        """A split of raw ``inputs`` as it is kept for training or
+        scoring.  With a PCA it is projected whole, because a short
+        chunk's product could round differently (see
+        ``preprocess.ROW_BLOCK``).  Otherwise the transform is
+        elementwise, so the raw rows are kept, and pixels stay bytes."""
+        return inputs if self.pca is None else self.transform(inputs)
+
+    def network_inputs(self, rows):
+        """Rows gathered from a :meth:`stored` split (a minibatch or a
+        scoring chunk) as network inputs."""
+        return rows if self.pca is not None else self.transform(rows)
+
+    def tensors(self):
+        """``(tensors, record)``: the fitted steps' tensors by saved
+        name, and the ``meta.preprocess`` record that flags the steps."""
+        tensors, record = {}, {}
+        for flag, attr, _, axes in TRANSFORMS:
+            step = getattr(self, attr)
+            if step is not None:
+                tensors.update((f"{attr}.{field}", getattr(step, field)) for field in axes)
+                record[flag] = True
+        return tensors, record
+
+
+@dataclass
+class PreparedData(InputPipeline):
+    """A run's two splits, each kept as :meth:`stored` returns it, and
+    the pipeline fitted on its training rows."""
 
     train: Dataset
     test: Dataset
     pca: PcaModel | None = None
     standardizer: PixelStandardizer | None = None
     shape: tuple | None = None
-
-    def network_inputs(self, rows):
-        """Gathered split ``rows`` as network inputs: uint8 pixels go
-        through :func:`_preprocess` (scale, standardize, reshape), which
-        is elementwise, so a row's bytes do not depend on the rows
-        gathered with it; any other rows already are network inputs."""
-        if rows.dtype != PIXELS:
-            return rows
-        return _preprocess(rows, self.standardizer, None, self.shape)
 
 
 def load_splits(cfg, splits):
@@ -215,59 +268,17 @@ def _flat(inputs):
     return inputs.reshape(len(inputs), math.prod(inputs.shape[1:]))
 
 
-def _preprocess(inputs, standardizer, pca, shape):
-    """Flatten each row, scale it to float64 (:func:`to_float`),
-    standardize, project, then (``shape``) reshape each row to
-    ``shape``; a None transform is skipped.  With a PCA, scaling,
-    standardizing and projecting run as one row-blocked pass
-    (:func:`pca_transform`) that never builds the scaled or standardized
-    rows."""
-    x = _flat(inputs)
-    if pca is not None:
-        x = pca_transform(pca, x, standardizer)
-    else:
-        x = to_float(x)
-        if standardizer is not None:
-            x = standardizer.apply(x)
-    return _shaped(x, shape)
-
-
-def _shaped(x, shape):
-    """Flat rows ``x`` reshaped to ``shape`` per row (None keeps them)."""
-    if shape is None:
-        return x
-    if x.shape[1] != math.prod(shape):
-        raise ShapeError(f"rows of width {x.shape[1]} are not {list(shape)} inputs")
-    return x.reshape(len(x), *shape)
-
-
-def _conv_input_shape(loaded, pca):
-    """A convnet's [C, H, W] input for ``loaded`` raw inputs: their own
-    shape for [N, C, H, W] images without PCA, otherwise a 1-channel
-    square of the flat (or projected) width."""
-    if loaded.ndim == 4 and pca is None:
-        return loaded.shape[1:]
-    width = math.prod(loaded.shape[1:]) if pca is None else pca.components.shape[1]
-    side = math.isqrt(width)
-    if side * side != width:
-        raise ShapeError(f"cannot reshape width {width} into square images")
-    return (1, side, side)
-
-
 def prepare_data(cfg):
-    """Load both splits (:func:`load_splits`) and preprocess them.
+    """Load both splits (:func:`load_splits`), fit the input pipeline,
+    and keep each split as :meth:`InputPipeline.stored` returns it.
 
     Standardization and PCA see flat rows of whatever was loaded, and
     the MLP takes those rows.  Both are fitted on training rows only:
     optional per-pixel standardization, then optional PCA of the
     standardized rows; uint8 pixels are fitted a block of rows at a
-    time, without a float copy of the split.  A convnet reshapes each
-    row to its :func:`_conv_input_shape`.  Both splits then go from raw
-    rows through one :func:`_preprocess` call, as in a saved model's
-    :meth:`LoadedModel.transform`, except uint8 pixels without a PCA:
-    those splits keep their bytes, and
-    :meth:`PreparedData.network_inputs` runs the same call on each
-    gathered minibatch and evaluation chunk.  A ``batch_size`` or
+    time, without a float copy of the split.  A convnet takes [N, C, H,
+    W] images as loaded when there is no PCA, otherwise a 1-channel
+    square of the flat (or projected) width.  A ``batch_size`` or
     ``max_jitter`` too large for the training split fails here, before
     any evaluation.
     """
@@ -277,18 +288,24 @@ def prepare_data(cfg):
     rows = _flat(train.inputs)
     standardizer = PixelStandardizer().fit(rows) if cfg.standardize else None
     pca = pca_fit(rows, cfg.pca_dims, standardizer) if cfg.pca_dims else None
-    if cfg.arch == "conv":
-        shape = _conv_input_shape(train.inputs, pca)
+    width = rows.shape[1] if pca is None else cfg.pca_dims
+    if cfg.arch != "conv":
+        shape = (width,)
+    elif train.inputs.ndim == 4 and pca is None:
+        shape = train.inputs.shape[1:]
     else:
-        shape = (rows.shape[1] if pca is None else cfg.pca_dims,)
+        side = math.isqrt(width)
+        if side * side != width:
+            raise ShapeError(f"cannot reshape width {width} into square images")
+        shape = (1, side, side)
     if cfg.epochs:
         check_batch_size(train.n, cfg.batch_size)
         if cfg.augment:
             check_jitter(cfg.max_jitter, *shape[1:])
-    if pca is not None or train.inputs.dtype != PIXELS:
-        train, test = (replace(s, inputs=_preprocess(s.inputs, standardizer, pca, shape))
-                       for s in (train, test))
-    return PreparedData(train, test, pca, standardizer, shape)
+    prepared = PreparedData(train, test, pca, standardizer, shape)
+    prepared.train, prepared.test = (replace(s, inputs=prepared.stored(s.inputs))
+                                     for s in (train, test))
+    return prepared
 
 
 def build_network(cfg, shape, head_spec, init_rng):
@@ -482,8 +499,9 @@ def write_metrics_csv(path, rows):
 
 def read_metrics_csv(path):
     """The rows :func:`write_metrics_csv` wrote to ``path``.  An empty
-    file, other columns, or a row whose cell count is not the header's
-    is a :class:`DomainError` naming the file and the line."""
+    file, other columns, a row whose cell count is not the header's, or
+    a cell that does not parse as its column's type is a
+    :class:`DomainError` naming the file and the line."""
     with open(path) as f:
         lines = f.read().rstrip().splitlines()
     if not lines:
@@ -497,8 +515,11 @@ def read_metrics_csv(path):
         if len(cells) != len(CSV_COLUMNS):
             raise DomainError(f"{path}, line {number}: {len(cells)} cells "
                               f"under {len(CSV_COLUMNS)} columns")
-        rows.append({col: int(cell) if col in INT_COLUMNS else float(cell)
-                     for col, cell in zip(CSV_COLUMNS, cells)})
+        try:
+            rows.append({col: int(cell) if col in INT_COLUMNS else float(cell)
+                         for col, cell in zip(CSV_COLUMNS, cells)})
+        except ValueError as e:
+            raise DomainError(f"{path}, line {number}: {e}") from None
     return rows
 
 
@@ -507,62 +528,46 @@ def read_metrics_csv(path):
 
 
 def save_model(model_dir, net, prepared=None, config_echo=None):
-    tensors = dict(net.named_tensors())
-    preprocess_meta = {}
-    if prepared is not None and prepared.standardizer is not None:
-        tensors["standardizer.mean"] = prepared.standardizer.mean
-        tensors["standardizer.std"] = prepared.standardizer.std
-        preprocess_meta["standardize"] = True
-    if prepared is not None and prepared.pca is not None:
-        tensors["pca.mean"] = prepared.pca.mean
-        tensors["pca.components"] = prepared.pca.components
-        tensors["pca.explained_variances"] = prepared.pca.explained_variances
-        preprocess_meta["pca"] = True
+    """Save ``net`` and the fitted steps of the input pipeline
+    ``prepared`` (:meth:`InputPipeline.tensors`) to ``model_dir``."""
+    transforms, record = ({}, {}) if prepared is None else prepared.tensors()
     meta = {
         "arch": net.arch,
         "head": asdict(net.head_spec),
-        "preprocess": preprocess_meta,
+        "preprocess": record,
     }
     if config_echo is not None:
         meta["config"] = config_echo
-    save_tensors(model_dir, tensors, meta)
+    save_tensors(model_dir, dict(net.named_tensors()) | transforms, meta)
 
 
 @dataclass
-class LoadedModel:
+class LoadedModel(InputPipeline):
+    """A saved network and the input pipeline it was trained behind,
+    whose ``shape`` is a convnet's saved ``arch["input_shape"]`` (an MLP
+    takes flat rows)."""
+
     network: Network
     pca: PcaModel | None
     standardizer: PixelStandardizer | None
     meta: dict
 
-    def transform(self, inputs):
-        """Apply the model's saved preprocessing to raw inputs of any
-        shape: each row is flattened, scaled, standardized and projected
-        by the saved transforms, then reshaped to a convnet's saved
-        ``arch["input_shape"]``; an MLP takes the flat rows."""
-        return _preprocess(inputs, self.standardizer, self.pca,
-                           self.network.arch.get("input_shape"))
+    # perfbench/spans.py times LoadedModel.__dict__["transform"].
+    transform = InputPipeline.transform
 
-    def scoring_rows(self, inputs):
-        """``(rows, transform)`` for :meth:`Network.scores` to score raw
-        ``inputs`` with.  Without a PCA the transform is elementwise, so
-        the raw rows go with :meth:`transform`, applied per chunk, and
-        pixels become float64 one chunk at a time.  A PCA projects every
-        row at once: a short chunk's product could round differently
-        (see ``preprocess.ROW_BLOCK``).  :func:`member_scores` projects
-        members that share their saved preprocessing in one pass, with
-        the bytes each member's rows have here."""
-        if self.pca is None:
-            return inputs, self.transform
-        return self.transform(inputs), None
+    @property
+    def shape(self):
+        return self.network.arch.get("input_shape")
 
 
 def load_model(model_dir):
     """Rebuild the model saved in ``model_dir``, each parameter read
     straight into its view of ``Network.param``.  A manifest whose meta
     cannot rebuild it (a head, arch or preprocess entry of the wrong type,
-    value or shape), or whose saved transforms do not fit together,
-    raises :class:`ManifestError`."""
+    value or shape), that flags a step of :data:`TRANSFORMS` whose
+    tensor is missing, or whose saved transform tensors, flagged or not,
+    do not have their axes with one D and one k, raises
+    :class:`ManifestError`."""
     meta = read_manifest(model_dir).get("meta", {})
     try:
         head, arch = meta["head"], meta["arch"]
@@ -585,44 +590,27 @@ def load_model(model_dir):
             f"{model_dir}: manifest meta.preprocess is {preprocess!r}, "
             f"not an object"
         )
-    pca = standardizer = None
-    try:
-        if preprocess.get("pca"):
-            pca = PcaModel(tensors["pca.mean"], tensors["pca.components"],
-                           tensors["pca.explained_variances"])
-        if preprocess.get("standardize"):
-            standardizer = PixelStandardizer()
-            standardizer.mean = tensors["standardizer.mean"]
-            standardizer.std = tensors["standardizer.std"]
-    except KeyError as e:
-        raise ManifestError(
-            f"{model_dir}: manifest meta.preprocess names a step whose "
-            f"tensor {e} is missing"
-        ) from None
-    _check_transform_shapes(model_dir, tensors)
-    return LoadedModel(net, pca, standardizer, meta)
-
-
-# The axes of each saved transform tensor: D input columns, k components.
-TRANSFORM_AXES = {"standardizer.mean": "D", "standardizer.std": "D", "pca.mean": "D",
-                  "pca.components": "Dk", "pca.explained_variances": "k"}
-
-
-def _check_transform_shapes(model_dir, tensors):
-    """Raise :class:`ManifestError` unless the saved transform tensors
-    have the shapes of :data:`TRANSFORM_AXES`, with one D and one k."""
-    sizes = {}
-    for name, axes in TRANSFORM_AXES.items():
-        if name not in tensors:
-            continue
-        shape = tensors[name].shape
-        if len(shape) != len(axes) or any(sizes.setdefault(a, n) != n
-                                          for a, n in zip(axes, shape)):
-            where = ", ".join(f"{a} = {n}" for a, n in sizes.items())
-            raise ManifestError(
-                f"{model_dir}: saved transforms disagree: {name!r} has shape "
-                f"{list(shape)}, not [{', '.join(axes)}]" + (f" where {where}" if where else "")
-            )
+    steps, sizes = {}, {}
+    for flag, attr, step_type, axes in TRANSFORMS:
+        for field, axis in axes.items():
+            name = f"{attr}.{field}"
+            if name not in tensors:
+                continue
+            shape = tensors[name].shape
+            if len(shape) != len(axis) or any(sizes.setdefault(a, n) != n
+                                              for a, n in zip(axis, shape)):
+                where = ", ".join(f"{a} = {n}" for a, n in sizes.items())
+                raise ManifestError(
+                    f"{model_dir}: saved transforms disagree: {name!r} has shape "
+                    f"{list(shape)}, not [{', '.join(axis)}]" + (f" where {where}" if where else "")
+                )
+        if preprocess.get(flag):
+            try:
+                steps[attr] = step_type(**{field: tensors[f"{attr}.{field}"] for field in axes})
+            except KeyError as e:
+                raise ManifestError(f"{model_dir}: manifest meta.preprocess names a step "
+                                    f"whose tensor {e} is missing") from None
+    return LoadedModel(net, steps.get("pca"), steps.get("standardizer"), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +626,13 @@ def cross_objective_eval(model, dataset):
     configs shared those constants.  A bare Network on prepared inputs
     goes to :func:`evaluate_objectives` directly.
     """
-    rows, transform = model.scoring_rows(dataset.inputs)
-    return evaluate_objectives(model.network, rows, dataset.labels, transform)
+    return evaluate_objectives(model.network, model.stored(dataset.inputs),
+                               dataset.labels, model.network_inputs)
 
 
 def member_scores(models, inputs):
     """Each LoadedModel's head scores [N, K] on raw ``inputs``, in order,
-    with the bytes of scoring its :meth:`LoadedModel.scoring_rows`.
+    with the bytes of scoring its :meth:`~InputPipeline.stored` rows.
 
     The members with a PCA are projected by one :func:`pca_transform`
     call on their ``(pca, standardizer)`` pairs, which scales,
@@ -652,13 +640,12 @@ def member_scores(models, inputs):
     members whose saved preprocessing agrees, as members trained on one
     dataset's rows do.  A member without a PCA transforms each chunk as
     it is scored."""
-    rows = [m.scoring_rows(inputs) if m.pca is None else None for m in models]
-    with_pca = [i for i, m in enumerate(models) if m.pca is not None]
-    projected = pca_transform([(models[i].pca, models[i].standardizer) for i in with_pca],
-                              _flat(inputs))
-    for i, p in zip(with_pca, projected):
-        rows[i] = _shaped(p, models[i].network.arch.get("input_shape")), None
-    return [m.network.scores(*r) for m, r in zip(models, rows)]
+    with_pca = [m for m in models if m.pca is not None]
+    projected = iter(pca_transform([(m.pca, m.standardizer) for m in with_pca],
+                                   _flat(inputs)))
+    return [m.network.scores(m.stored(inputs) if m.pca is None else m.shaped(next(projected)),
+                             m.network_inputs)
+            for m in models]
 
 
 def ensemble_vote(models, scores):

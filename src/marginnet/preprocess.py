@@ -280,11 +280,13 @@ class PixelStandardizer:
     """Per-column mean/std standardization fitted on training data.
 
     Uses the population std (divide by N), floored at ``STD_FLOOR``.
+    ``mean`` and ``std`` are the fitted state: None until :meth:`fit`,
+    or given, as a saved model's are when it is loaded.
     """
 
-    def __init__(self):
-        self.mean = None
-        self.std = None
+    def __init__(self, mean=None, std=None):
+        self.mean = mean
+        self.std = std
 
     def fit(self, x):
         """Fit the column means and stds of ``x`` [N, D], float rows or

@@ -151,7 +151,8 @@ def test_criterion_04_separable_oracle_training(tmp_path):
                     res = train(cfg)
                     ts = res.prepared.train
                     err = evaluate_objectives(
-                        res.network, ts.inputs, ts.labels
+                        res.network, ts.inputs, ts.labels,
+                        res.prepared.network_inputs,
                     ).error_pct
                     if err != 0.0:
                         failures.append((head, k, seed, err))

@@ -2,9 +2,11 @@ import contextlib
 import gzip
 import io
 import json
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -774,6 +776,32 @@ def test_every_artifact_is_written_atomically(tmp_path, capsys, monkeypatch):
                  if p.is_file() and p.suffix != ".cfg"]
     assert len(artifacts) == 10
     assert sorted(written) == sorted(artifacts)
+
+
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
+
+
+@pytest.mark.parametrize("separation, code", [
+    (1e-200, 0), (5e-324, 0), (1e300, 0), (1e308, 2),
+])
+def test_any_blobs_separation_trains_or_exits_2_in_bounded_time(
+        tmp_path, separation, code):
+    # In a child process with a wall-clock limit, so a hang fails the
+    # test.  The centre draw compared squared distances, which underflow
+    # to 0 below a separation of about 1e-160, and rejected every
+    # candidate forever; 1e308 put the centres in a box wider than the
+    # largest float.
+    cfg = write_cfg(tmp_path, "t.cfg", TINY_BLOBS + f"blobs_separation = {separation!r}\n"
+                    f"epochs = 1\nout_dir = {tmp_path}/run\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from marginnet.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "train", "--config", cfg],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("marginnet") is None,

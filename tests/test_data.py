@@ -319,6 +319,8 @@ class TestMakeBlobs:
             make_blobs(10, 1, 2, 5.0, rng)
         with pytest.raises(DomainError):
             make_blobs(10, 2, 2, 0.0, rng)
+        with pytest.raises(DomainError, match="box of class centres too wide"):
+            make_blobs(10, 3, 2, 1e308, rng)
 
 
 class TestDataset:

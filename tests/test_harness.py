@@ -82,7 +82,8 @@ class TestTrainLoop:
     def test_blobs_reach_zero_train_error(self, l2svm_run):
         train_set = l2svm_run.prepared.train
         rep = evaluate_objectives(
-            l2svm_run.network, train_set.inputs, train_set.labels
+            l2svm_run.network, train_set.inputs, train_set.labels,
+            l2svm_run.prepared.network_inputs,
         )
         assert rep.error_pct == 0.0
 
@@ -140,7 +141,9 @@ class TestTrainLoop:
         raw = load_split(cfg, "train"), load_split(cfg, "test")
         for split, prepared in zip(raw, (res.prepared.train, res.prepared.test)):
             assert prepared.inputs.shape[1:] == (pca_dims or 40,)
-            assert model.transform(split.inputs).tobytes() == prepared.inputs.tobytes()
+            want = res.prepared.network_inputs(prepared.inputs)
+            assert model.transform(split.inputs).tobytes() == want.tobytes()
+            assert model.network_inputs(model.stored(split.inputs)).tobytes() == want.tobytes()
 
     def test_random_init_cross_entropy_near_log_k(self, tmp_path):
         cfg = blobs_config(tmp_path, "lnk", epochs=0, blobs_classes=4)
@@ -262,13 +265,46 @@ class TestPairedHeads:
         runs = [train(blobs_config(tmp_path, head, head=head, epochs=0,
                                    **extra))
                 for head in ("softmax", "l1svm", "l2svm")]
-        scores = {run.network.scores(run.prepared.test.inputs).tobytes()
+        scores = {run.network.scores(run.prepared.test.inputs,
+                                     run.prepared.network_inputs).tobytes()
                   for run in runs}
         assert len(scores) == 1
         columns = ("test_error_pct", "avg_xent", "hinge_sq_sum",
                    "hinge_sq_mean")
         rows = [[run.metrics[0][c] for c in columns] for run in runs]
         assert rows[0] == rows[1] == rows[2]
+
+
+# Saved transforms that do not fit together: one edit of a [20, 3] PCA
+# and a 20-column standardizer, and the error that names it.
+MISFITS = [
+    ("components", "'pca.components' has shape [19, 3], not [D, k] where D = 20"),
+    ("variances", "'pca.explained_variances' has shape [2], not [k] where D = 20, k = 3"),
+    ("pca mean", "'pca.mean' has shape [1, 20], not [D] where D = 20"),
+    ("std", "'standardizer.std' has shape [21], not [D] where D = 20"),
+    ("standardizer", "'pca.mean' has shape [20], not [D] where D = 21"),
+]
+
+
+def save_misfit(run, tmp_path, edit):
+    """Save ``run``'s network with the transforms of one MISFITS edit;
+    returns the model directory."""
+    rng = np.random.default_rng(0)
+    pca = PcaModel(rng.normal(size=20), rng.normal(size=(20, 3)), np.ones(3))
+    standardizer = PixelStandardizer().fit(rng.normal(size=(5, 20)))
+    if edit == "components":
+        pca.components = pca.components[:-1]
+    elif edit == "variances":
+        pca.explained_variances = pca.explained_variances[:-1]
+    elif edit == "pca mean":
+        pca.mean = pca.mean[None]
+    elif edit == "std":
+        standardizer.std = np.ones(21)
+    else:
+        standardizer = PixelStandardizer().fit(rng.normal(size=(5, 21)))
+    model_dir = str(tmp_path / "model")
+    save_model(model_dir, run.network, PreparedData(None, None, pca, standardizer))
+    return model_dir
 
 
 class TestArtifacts:
@@ -296,6 +332,10 @@ class TestArtifacts:
         (",".join(CSV_COLUMNS) + "\n0,0,0.1\n", "line 2: 3 cells under 9 columns"),
         (",".join(CSV_COLUMNS) + "\n" + ",".join(["0"] * 10) + "\n",
          "line 2: 10 cells under 9 columns"),
+        (",".join(CSV_COLUMNS) + "\n" + ",".join(["0"] * 9) + "\n0,0," + ",".join(["x"] * 7)
+         + "\n", "line 3: could not convert string to float: 'x'"),
+        (",".join(CSV_COLUMNS) + "\n1.5," + ",".join(["0"] * 8) + "\n",
+         "line 2: invalid literal for int() with base 10: '1.5'"),
     ])
     def test_unreadable_metrics_csv_names_file_and_line(self, tmp_path, text, error):
         path = tmp_path / "metrics.csv"
@@ -373,33 +413,51 @@ class TestArtifacts:
         with pytest.raises(ShapeError, match=re.escape(error)):
             load_model(model_dir)
 
-    @pytest.mark.parametrize("edit, error", [
-        ("components", "'pca.components' has shape [19, 3], not [D, k] where D = 20"),
-        ("variances", "'pca.explained_variances' has shape [2], not [k] where D = 20, k = 3"),
-        ("pca mean", "'pca.mean' has shape [1, 20], not [D] where D = 20"),
-        ("std", "'standardizer.std' has shape [21], not [D] where D = 20"),
-        ("standardizer", "'pca.mean' has shape [20], not [D] where D = 21"),
-    ])
+    @pytest.mark.parametrize("edit, error", MISFITS)
     def test_transforms_that_do_not_fit_together_are_rejected(
             self, l2svm_run, tmp_path, edit, error):
         # before this check, eval met the 19-row basis as a raw matmul error
+        model_dir = save_misfit(l2svm_run, tmp_path, edit)
+        with pytest.raises(ManifestError, match=re.escape(error)):
+            load_model(model_dir)
+
+    @pytest.mark.parametrize("edit, error", MISFITS)
+    def test_unflagged_transforms_that_do_not_fit_together_are_rejected(
+            self, l2svm_run, tmp_path, edit, error):
+        # a saved transform tensor is checked even when meta.preprocess
+        # does not flag its step
+        model_dir = save_misfit(l2svm_run, tmp_path, edit)
+        path = os.path.join(model_dir, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        manifest["meta"]["preprocess"] = {}
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ManifestError, match=re.escape(error)):
+            load_model(model_dir)
+
+    @pytest.mark.parametrize("tensor", [
+        "standardizer.mean", "standardizer.std", "pca.mean", "pca.components",
+        "pca.explained_variances",
+    ])
+    def test_a_flagged_step_without_its_tensor_is_rejected(
+            self, l2svm_run, tmp_path, tensor):
         rng = np.random.default_rng(0)
-        pca = PcaModel(rng.normal(size=20), rng.normal(size=(20, 3)), np.ones(3))
-        standardizer = PixelStandardizer().fit(rng.normal(size=(5, 20)))
-        if edit == "components":
-            pca.components = pca.components[:-1]
-        elif edit == "variances":
-            pca.explained_variances = pca.explained_variances[:-1]
-        elif edit == "pca mean":
-            pca.mean = pca.mean[None]
-        elif edit == "std":
-            standardizer.std = np.ones(21)
-        else:
-            standardizer = PixelStandardizer().fit(rng.normal(size=(5, 21)))
+        pca = PcaModel(rng.normal(size=2), rng.normal(size=(2, 2)), np.ones(2))
         model_dir = str(tmp_path / "model")
         save_model(model_dir, l2svm_run.network,
-                   PreparedData(None, None, pca, standardizer))
-        with pytest.raises(ManifestError, match=re.escape(error)):
+                   PreparedData(None, None, pca, l2svm_run.prepared.standardizer))
+        path = os.path.join(model_dir, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        assert manifest["meta"]["preprocess"] == {"standardize": True, "pca": True}
+        # the tensor's entry is renamed, so the blob still matches the list
+        entry, = (e for e in manifest["tensors"] if e["name"] == tensor)
+        entry["name"] = "x" + tensor
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ManifestError, match=re.escape(
+                f"meta.preprocess names a step whose tensor {tensor!r} is missing")):
             load_model(model_dir)
 
 
@@ -514,7 +572,7 @@ class TestWarmStart:
         cfg = blobs_config(tmp_path, "warm0", head="softmax", epochs=0,
                            source_model=l2svm_run.model_dir)
         res = train(cfg)
-        x = l2svm_run.prepared.test.inputs
+        x = l2svm_run.prepared.network_inputs(l2svm_run.prepared.test.inputs)
         npt.assert_array_equal(
             res.network.predict(x), l2svm_run.network.predict(x)
         )
@@ -714,7 +772,7 @@ class TestSharedPreprocessing:
         assert shared == [True, True, True, False, True, True]
         assert models[2].pca.components.tobytes() == models[0].pca.components.tobytes()
         got = member_scores(models, test.inputs)
-        want = [m.network.scores(*m.scoring_rows(test.inputs)) for m in models]
+        want = [m.network.scores(m.stored(test.inputs), m.network_inputs) for m in models]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_one_scaling_pass_per_block_per_group(self, mixed_ensemble, monkeypatch):
@@ -890,3 +948,28 @@ def test_blobs_are_drawn_once_per_preparation(tmp_path, monkeypatch):
     assert prepared.train.inputs.tobytes() == full.inputs[:80].tobytes()
     assert prepared.test.inputs.tobytes() == full.inputs[80:].tobytes()
     npt.assert_array_equal(prepared.test.labels, full.labels[80:])
+
+
+@pytest.mark.parametrize("arch", ["mlp", "conv"])
+def test_float_rows_without_a_pca_are_kept_raw(tmp_path, arch):
+    # a standardized blobs split is kept as drawn; the rows of it that a
+    # minibatch or a scoring chunk gathers become the bytes of the whole
+    # split standardized and reshaped at once, which is how such a split
+    # used to be kept
+    extra = {} if arch == "mlp" else dict(
+        arch="conv", blobs_dim=64, conv_channels="2, 2", conv_kernel=3, conv_dense=8)
+    cfg = blobs_config(tmp_path, arch, epochs=0, **extra)
+    prepared = prepare_data(cfg)
+    raw = load_splits(cfg, ("train", "test"))
+    net = build_network(cfg, prepared.shape, head_spec_from_config(cfg),
+                        np.random.default_rng(0))
+    for split, kept in zip(raw, (prepared.train, prepared.test)):
+        assert kept.inputs.tobytes() == split.inputs.tobytes()
+        whole = prepared.standardizer.apply(split.inputs).reshape(
+            len(split.inputs), *prepared.shape)
+        idx = np.random.default_rng(1).permutation(split.n)[:17]
+        assert (prepared.network_inputs(kept.inputs[idx]).tobytes()
+                == whole[idx].tobytes())
+        chunked = evaluate_objectives(net, kept.inputs, kept.labels,
+                                      prepared.network_inputs)
+        assert chunked == evaluate_objectives(net, whole, kept.labels)
