@@ -218,6 +218,18 @@ class PreparedData(InputPipeline):
     shape: tuple | None = None
 
 
+# The config keys :func:`load_splits` reads for each dataset, beside
+# ``dataset`` and ``train_subset``: a blobs draw is fixed by its sizes,
+# its separation and the seed's data stream.
+DATA_KEYS = {
+    "blobs": ("blobs_train_n", "blobs_test_n", "blobs_classes", "blobs_dim",
+              "blobs_separation", "seed"),
+    "idx": ("data_dir", "train_images", "train_labels", "test_images",
+            "test_labels"),
+    "cifar10": ("data_dir", "cifar_train_batches", "cifar_test_batches"),
+}
+
+
 def load_splits(cfg, splits):
     """The configured ``splits`` (each "train" or "test") as loaded, one
     :class:`Dataset` each, with no fitted preprocessing: the raw inputs
@@ -420,8 +432,10 @@ def train(cfg):
     this run's network: a warm start.  Only the objective changes, so
     before the first update the warm-started network predicts exactly
     what the source model predicts.  A run whose ``standardize`` or
-    ``pca_dims`` differs from the source's saved preprocessing would
-    start from a different function, and is a :class:`ConfigError`.
+    ``pca_dims`` differs from the source's saved preprocessing, or whose
+    data keys differ from the source's saved config (see
+    :data:`DATA_KEYS`), would start from a different function, and is a
+    :class:`ConfigError`.
 
     ``cfg.out_dir`` is made after the epoch-0 row, before the first
     update, so a directory that cannot be made fails the run after one
@@ -433,6 +447,7 @@ def train(cfg):
     warm_start = None
     if source is not None:
         _check_source_preprocessing(cfg, source)
+        _check_source_data(cfg, source)
     _, init_rng, train_rng = seed_streams(cfg.seed)
     prepared = prepare_data(cfg)
     spec = head_spec_from_config(cfg)
@@ -486,6 +501,29 @@ def _check_source_preprocessing(cfg, source):
             f"trained with standardize = {str(saved[0]).lower()}, "
             f"pca_dims = {saved[1]}; this run has standardize = "
             f"{str(cfg.standardize).lower()}, pca_dims = {cfg.pca_dims}"
+        )
+
+
+def _check_source_data(cfg, source):
+    """Raise :class:`ConfigError` unless the warm-start source's saved
+    config names the data this run loads: the same ``dataset``,
+    ``train_subset`` and :data:`DATA_KEYS` values.  Fitted on other rows,
+    the run's standardizer and PCA would differ from the source's."""
+    saved = source.meta.get("config")
+    if not isinstance(saved, dict):
+        raise ConfigError(f"warm start: {cfg.source_model} has no config "
+                          "record, so its training data cannot be checked")
+    ours, theirs = [], []
+    for key in ("dataset", "train_subset", *DATA_KEYS[cfg.dataset]):
+        entry = saved.get(key)
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if value != cfg.values[key]:
+            theirs.append(f"{key} = {value!r}")
+            ours.append(f"{key} = {cfg.values[key]!r}")
+    if ours:
+        raise ConfigError(
+            f"warm start data mismatch: {cfg.source_model} was trained with "
+            f"{', '.join(theirs)}; this run has {', '.join(ours)}"
         )
 
 

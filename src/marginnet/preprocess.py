@@ -2,10 +2,13 @@
 and train-time augmentation.
 
 Loaded pixels are uint8 bytes; :func:`to_float` is the one conversion
-to float64 values.  ``PixelStandardizer.fit`` and :func:`pca_transform`
-convert byte rows a block at a time, and :func:`pca_fit` converts only
-the copy it gathers, so no other float copy of a byte split is made;
-each gives the bytes of the same call on ``to_float`` of the rows.
+to float64 values, and ``PixelStandardizer.apply`` is the one place the
+standardizing formula is written.  ``PixelStandardizer.fit`` and
+:func:`pca_transform` convert byte rows a block at a time, and
+:func:`pca_fit` converts only the copy it gathers, so no other float
+copy of a byte split is made; each gives the bytes of the same call on
+``to_float`` of the rows.  :func:`pca_fit` sums its rows in
+lexicographic order, found by one numpy sort of the rows as given.
 
 Everything here is deterministic given its inputs (and the rng handed
 to :func:`augment`); fitted transforms are plain dataclasses of arrays
@@ -64,11 +67,15 @@ def pca_fit(x, num_components, standardizer=None):
     fitted ``standardizer`` the fit is that of ``standardizer.apply`` of
     the rows, which is the standardized PCA :func:`pca_transform`
     replays.  Deterministic and exactly invariant to row order: rows are
-    put into lexicographic order of their scaled and standardized values
-    (column 0 first, equal rows kept in input order) before any
-    accumulation, so permuting the input permutes nothing downstream.
-    The order is found one column at a time, so the only full-size
-    float64 array built is the ordered, scaled and standardized copy.
+    put into lexicographic order (column 0 first, equal rows kept in
+    input order) before any accumulation, so permuting the input permutes
+    nothing downstream.  The order is that of the rows as given: uint8
+    pixels by one stable sort of each row's bytes, viewed as one
+    ``np.void`` item, and float rows by ``np.lexsort``.  Scaling and
+    standardizing are strictly increasing in each byte, so for pixels
+    this is also the order of the scaled and standardized rows.  The only
+    full-size float64 array built is the ordered, scaled and standardized
+    copy.
     Data holding a NaN or an infinity is rejected with
     :class:`DomainError`.  Each component's sign is fixed by making its
     largest-magnitude entry positive (lowest index on magnitude ties).
@@ -89,22 +96,18 @@ def pca_fit(x, num_components, standardizer=None):
             f"need more rows than components, got {n} rows for "
             f"{num_components} components"
         )
-    if standardizer is not None:
-        standardizer.check_shape(x.shape)
-
-    def key(col, values):
-        # Elementwise, so a column's keys are the bytes the whole
-        # transform gives in that column.
-        values = to_float(values)
-        if standardizer is None:
-            return values
-        return (values - standardizer.mean[col]) / standardizer.std[col]
-
     # Float summation is order-sensitive, so the rows are summed in
     # lexicographic order to make the fit permutation-invariant bit for
-    # bit.  The gather makes a fresh copy, which is transformed and
+    # bit.  A row of unsigned bytes, compared as raw memory, sorts in
+    # that order; one void item per row makes it one stable sort.  The
+    # gather makes a fresh copy, which is scaled, standardized and
     # centered in place.
-    xs = to_float(x[_lexicographic_row_order(x, key)])
+    if x.dtype == PIXELS:
+        x = np.ascontiguousarray(x)
+        order = np.argsort(x.view(np.dtype((np.void, d))).ravel(), kind="stable")
+    else:
+        order = np.lexsort(x.T[::-1])
+    xs = to_float(x[order])
     if standardizer is not None:
         standardizer.apply(xs, out=xs)
     if not np.isfinite(xs).all():
@@ -127,56 +130,6 @@ def pca_fit(x, num_components, standardizer=None):
             stacklevel=2,
         )
     return PcaModel(mean, comps, np.maximum(evals, 0.0))
-
-
-def _lexicographic_row_order(x, key=None):
-    """Permutation that sorts the rows of ``x`` [N, D] lexicographically,
-    column 0 first, with equal rows kept in input order: the permutation
-    ``np.lexsort(x.T[::-1])`` returns, for data without NaN.  With
-    ``key``, column ``col`` of the rows sorts by ``key(col, values)``
-    instead: the permutation for the elementwise map of ``x`` that
-    ``key`` computes one column at a time.  Columns on which ``x`` is
-    constant are skipped, so ``key`` must map equal values to equal keys.
-
-    Column by column, only the rows still tied with a neighbour are
-    re-sorted, and only within their tie group; a row that a column
-    separates from its group never moves again.  A column on which no
-    tie group differs costs one gather and one neighbour comparison.
-    Stable sorts keep every tie group in input order, which is where
-    lexsort leaves equal rows.  Ties are tested with ``==``, which puts
-    -0.0 with 0.0 as the sort does but never matches two NaNs.
-    """
-    n = x.shape[0]
-    order = np.empty(n, dtype=np.intp)
-    # The rows still tied, in their current order: their slots in
-    # ``order``, their row ids, and for each neighbouring pair whether
-    # both sit in one tie group.
-    slots = np.arange(n)
-    rows = np.arange(n)
-    same = np.ones(max(n - 1, 0), dtype=bool)
-    # A column on which all rows agree orders nothing.  Its max equals
-    # its min then; comparing the reductions needs no [N, D] temporary.
-    varying = np.flatnonzero(x.max(axis=0) != x.min(axis=0)) if n > 1 else []
-    for col in varying:
-        if rows.size < 2:
-            break
-        values = x[rows, col]
-        keys = values if key is None else key(col, values)
-        if not np.any(same & (keys[1:] != keys[:-1])):
-            continue
-        group = np.concatenate(([0], np.cumsum(~same)))
-        perm = np.lexsort((keys, group))
-        keys = keys[perm]
-        rows = rows[perm]
-        starts = np.ones(rows.size + 1, dtype=bool)
-        starts[1:-1] = ~same | (keys[1:] != keys[:-1])
-        alone = starts[:-1] & starts[1:]
-        order[slots[alone]] = rows[alone]
-        tied = ~alone
-        slots, rows = slots[tied], rows[tied]
-        same = ~starts[:-1][tied][1:]
-    order[slots] = rows
-    return order
 
 
 # Rows per block of :func:`pca_transform`: at least ``ROW_BLOCK``, and
@@ -255,17 +208,11 @@ def pca_transform(model, x, standardizer=None):
             for pca, _ in model]
     for s, mean, blocks, members in groups.values():
         buf = np.empty((max(b.stop - b.start for b in blocks), x.shape[1]), dtype=DTYPE)
-        shift = mean if s is None else s.mean
         for rows in blocks:
-            b = buf[: rows.stop - rows.start]
-            if x.dtype == PIXELS:
-                to_float(x[rows], out=b)
-                b -= shift
-            else:
-                np.subtract(x[rows], shift, out=b)
+            b = to_float(x[rows], out=buf[: rows.stop - rows.start])
             if s is not None:
-                b /= s.std
-                b -= mean
+                s.apply(b, out=b)
+            b -= mean
             for i in members:
                 np.matmul(b, model[i][0].components, out=outs[i][rows])
     return outs
@@ -342,19 +289,13 @@ class PixelStandardizer:
                 f"got shape {tuple(shape)}"
             )
 
-    def check(self, x):
-        """``x`` as float64 [N, D] rows this fitted standardizer takes;
-        uint8 pixels are a :class:`DomainError` (scale them with
-        :func:`to_float` first)."""
+    def apply(self, x, out=None):
+        """``(x - mean) / std`` of float64 [N, D] rows, into ``out`` when
+        given (``out=x`` works in place).  uint8 pixels are a
+        :class:`DomainError`: scale them with :func:`to_float` first."""
         reject_pixels(x, "PixelStandardizer")
         x = np.asarray(x, dtype=DTYPE)
         self.check_shape(x.shape)
-        return x
-
-    def apply(self, x, out=None):
-        """``(x - mean) / std``, into ``out`` when given (``out=x`` works
-        in place)."""
-        x = self.check(x)
         out = np.subtract(x, self.mean, out=out)
         out /= self.std
         return out

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from marginnet import harness, serialize
 from marginnet.cli import main
-from marginnet.config import parse_config
+from marginnet.config import SCHEMA, parse_config
 from marginnet.data import write_idx
 from marginnet.network import Network
 from marginnet.recipes import BLOBS
@@ -802,6 +802,152 @@ def test_any_blobs_separation_trains_or_exits_2_in_bounded_time(
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Edge values of every SCHEMA key, as config text: bounds, just past
+# them, subnormals, huge and non-finite floats, and bad names.  {data}
+# is a directory of seeded image files, {source} a model trained on the
+# base config below, and {tmp} the directory the draws run in, which
+# holds a regular file named "file".  Every run the draws start is
+# small: 60 rows at most, and layers a few units wide.
+FLOAT_EDGES = ("0", "5e-324", "1e-200", "0.5", "1", "1e300", "-1", "nan")
+CONFIG_EDGES = {
+    "dataset": ("blobs", "idx", "cifar10", "mnist"),
+    "data_dir": ("{data}", "{tmp}/nowhere", "{tmp}/file", ""),
+    "train_images": ("train-images", "test-images", "train-labels", "missing"),
+    "train_labels": ("train-labels", "test-labels", "train-images"),
+    "test_images": ("test-images", "train-images", "missing"),
+    "test_labels": ("test-labels", "train-labels", "test-images"),
+    "cifar_train_batches": ("train.bin", "train.bin, test.bin", "", "missing.bin"),
+    "cifar_test_batches": ("test.bin", "train.bin", ""),
+    "train_subset": ("0", "1", "2", "7", "1000000", "-1"),
+    "blobs_train_n": ("1", "2", "7", "60", "0"),
+    "blobs_test_n": ("1", "2", "30", "0"),
+    "blobs_classes": ("2", "3", "10", "1"),
+    "blobs_dim": ("1", "2", "16", "64", "0"),
+    "blobs_separation": FLOAT_EDGES + ("1e308",),
+    "pca_dims": ("0", "1", "3", "16", "1000000"),
+    "standardize": ("true", "false", "maybe"),
+    "augment": ("true", "false"),
+    "max_jitter": ("0", "1", "3", "100", "-1"),
+    "mirror": ("true", "false"),
+    "arch": ("mlp", "conv", "rnn"),
+    "hidden_dims": ("8", "", "1", "4, 4", "0"),
+    "conv_channels": ("2, 2", "1", "3, 3, 3", "", "0"),
+    "conv_kernel": ("1", "3", "5", "2", "0"),
+    "conv_dense": ("1", "8", "0"),
+    "conv_dropout": ("0", "0.5", "0.999", "1", "nan"),
+    "init_std": FLOAT_EDGES,
+    "head": ("softmax", "l1svm", "l2svm", "svm"),
+    "svm_c": FLOAT_EDGES,
+    "weight_decay": FLOAT_EDGES,
+    "lower_weight_decay": FLOAT_EDGES,
+    "epochs": ("0", "1", "2", "-1"),
+    "batch_size": ("1", "7", "50", "1000000", "0"),
+    "momentum": ("0", "0.5", "0.999", "1", "nan"),
+    "lr_start": FLOAT_EDGES,
+    "lr_end": FLOAT_EDGES,
+    "noise_start": FLOAT_EDGES,
+    "noise_end": FLOAT_EDGES,
+    "seed": ("0", "1", "4294967296", "-1"),
+    "out_dir": ("{tmp}/run", "{tmp}/a/b", "{tmp}/file"),
+    "eval_split": ("train", "test", "val"),
+    "model": ("", "{tmp}/nowhere"),
+    "source_model": ("", "{source}", "{tmp}/nowhere", "{tmp}/file"),
+    "models": ("", "{source}, {source}"),
+}
+
+# A tiny blobs run; the image keys point at the files in {data}, so a
+# drawn dataset finds them.
+DRAWN_BASE = """
+dataset = blobs
+blobs_train_n = 60
+blobs_test_n = 30
+blobs_classes = 3
+blobs_dim = 16
+data_dir = {data}
+train_images = train-images
+train_labels = train-labels
+test_images = test-images
+test_labels = test-labels
+cifar_train_batches = train.bin
+cifar_test_batches = test.bin
+hidden_dims = 8
+conv_channels = 2, 2
+conv_kernel = 3
+conv_dense = 8
+head = l2svm
+epochs = 1
+batch_size = 20
+lr_start = 0.01
+out_dir = {tmp}/run
+"""
+
+# Trains each config path read from stdin in turn, in-process, and
+# prints one JSON line as each draw starts and one as it ends, so the
+# lines up to a hang name the draw that hung.
+DRAW_RUNNER = """
+import contextlib, io, json, sys, traceback
+from marginnet.cli import main
+for i, path in enumerate(json.load(sys.stdin)):
+    print(json.dumps({"start": i}), flush=True)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", path])
+    except Exception:
+        code = traceback.format_exc()
+    print(json.dumps({"done": i, "code": code, "err": err.getvalue()}), flush=True)
+"""
+
+
+def test_every_drawn_config_trains_or_exits_2_in_bounded_time(tmp_path):
+    # Each draw sets 1-5 keys to edge values; the first draws cover every
+    # key.  All draws run in one child process with a wall-clock limit, so
+    # a hang fails the test instead of stalling the suite.
+    assert set(CONFIG_EDGES) == set(SCHEMA)
+    data, tmp = tmp_path / "data", tmp_path / "draws"
+    data.mkdir()
+    tmp.mkdir()
+    write_image_files(data, 40, 20)
+    (tmp / "file").write_text("not a directory\n")
+    fill = dict(data=data, tmp=tmp, source=tmp_path / "source" / "model")
+    base = DRAWN_BASE.format(**fill)
+    source_cfg = write_cfg(tmp_path, "source.cfg",
+                           base + f"out_dir = {tmp_path}/source\n")
+    assert main(["train", "--config", source_cfg]) == 0
+    rng = np.random.default_rng(24)
+    keys = sorted(CONFIG_EDGES)
+    texts, paths = [], []
+    for i in range(1000):
+        drawn = list(rng.choice(keys, size=rng.integers(1, 6), replace=False))
+        if i < len(keys):
+            drawn[0] = keys[i]
+        lines = [f"{key} = {rng.choice(CONFIG_EDGES[key])}\n".format(**fill)
+                 for key in dict.fromkeys(drawn)]
+        texts.append(base + "".join(lines))
+        paths.append(write_cfg(tmp_path, f"draw{i}.cfg", texts[-1]))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    try:
+        proc = subprocess.run([sys.executable, "-c", DRAW_RUNNER], input=json.dumps(paths),
+                              capture_output=True, text=True, timeout=90, env=env)
+        out, ended = proc.stdout, f"ended the runner ({proc.returncode}): {proc.stderr}"
+    except subprocess.TimeoutExpired as timeout:
+        out, ended = (timeout.stdout or b"").decode(), "did not end in time"
+    # a kill can cut the last line short
+    events = [json.loads(line) for line in out.splitlines(keepends=True)
+              if line.endswith("\n")]
+    done = [e for e in events if "done" in e]
+    if len(done) < len(paths):
+        started = events[-1].get("start", len(done)) if events else 0
+        pytest.fail(f"draw {started} {ended}\n{texts[started]}")
+    for e in done:
+        code, err = e["code"], e["err"]
+        assert code in (0, 2) and "Traceback" not in err, (texts[e["done"]], code, err)
+        if code == 2:
+            # numpy's overflow warnings may come first
+            assert err.splitlines()[-1].startswith("error: "), (texts[e["done"]], err)
 
 
 @pytest.mark.skipif(shutil.which("marginnet") is None,

@@ -15,7 +15,7 @@ import pytest
 from marginnet import harness as harness_mod
 from marginnet import preprocess as preprocess_mod
 from marginnet.config import ConfigError, head_spec_from_config, parse_config_text
-from marginnet.data import make_blobs, num_batches, write_idx
+from marginnet.data import Dataset, make_blobs, num_batches, write_idx
 from marginnet.harness import (
     CSV_COLUMNS,
     LoadedModel,
@@ -658,6 +658,40 @@ class TestWarmStart:
         assert msg.endswith(f"this run has {asked}")
         assert not (tmp_path / "warm").exists()
 
+    @pytest.mark.parametrize("run_keys, theirs, ours", [
+        ({"blobs_separation": 5}, "blobs_separation = 20.0",
+         "blobs_separation = 5.0"),
+        ({"seed": 4, "train_subset": 60}, "train_subset = 0, seed = 3",
+         "train_subset = 60, seed = 4"),
+        ({"dataset": "idx"}, "dataset = 'blobs'", "dataset = 'idx'"),
+    ], ids=["separation", "seed_and_subset", "dataset"])
+    def test_data_mismatch_is_a_config_error_before_any_data(
+        self, l2svm_run, tmp_path, monkeypatch, run_keys, theirs, ours
+    ):
+        # Other rows would fit another standardizer, so the run would not
+        # start from the source's function even with equal parameters.
+        monkeypatch.setattr(harness_mod, "load_splits", lambda *args: pytest.fail(
+            "data loaded before the source's config was checked"))
+        cfg = blobs_config(tmp_path, "warm", head="softmax", epochs=0,
+                           source_model=l2svm_run.model_dir, **run_keys)
+        with pytest.raises(ConfigError) as exc:
+            train(cfg)
+        assert str(exc.value) == (
+            f"warm start data mismatch: {l2svm_run.model_dir} was trained "
+            f"with {theirs}; this run has {ours}"
+        )
+        assert not (tmp_path / "warm").exists()
+
+    def test_source_without_a_config_record_is_a_config_error(
+        self, l2svm_run, tmp_path
+    ):
+        bare = str(tmp_path / "bare")
+        save_model(bare, l2svm_run.network, l2svm_run.prepared)
+        with pytest.raises(ConfigError, match="no config record"):
+            train(blobs_config(tmp_path, "warm", head="softmax", epochs=0,
+                               source_model=bare))
+        assert not (tmp_path / "warm").exists()
+
     def test_continued_training_moves_the_weights(self, l2svm_run, tmp_path):
         cfg = blobs_config(tmp_path, "warmgo", head="softmax", epochs=2,
                            source_model=l2svm_run.model_dir)
@@ -948,6 +982,28 @@ def test_blobs_are_drawn_once_per_preparation(tmp_path, monkeypatch):
     assert prepared.train.inputs.tobytes() == full.inputs[:80].tobytes()
     assert prepared.test.inputs.tobytes() == full.inputs[80:].tobytes()
     npt.assert_array_equal(prepared.test.labels, full.labels[80:])
+
+
+@pytest.mark.parametrize("dataset", sorted(harness_mod.DATA_KEYS))
+def test_data_keys_are_the_keys_load_splits_reads(tmp_path, monkeypatch, dataset):
+    # a warm start compares exactly these keys with its source's config
+    class Recording:
+        def __init__(self, cfg):
+            self.cfg, self.read = cfg, set()
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return getattr(self.cfg, name)
+
+    def loaded(*args, split):
+        return Dataset(np.zeros((4, 2), dtype=np.uint8), np.arange(4) % 2, 2, split)
+
+    monkeypatch.setattr(harness_mod, "load_idx", loaded)
+    monkeypatch.setattr(harness_mod, "load_cifar10", loaded)
+    cfg = Recording(blobs_config(tmp_path, "keys", dataset=dataset, train_subset=2,
+                                 cifar_train_batches="a.bin", cifar_test_batches="b.bin"))
+    load_splits(cfg, ("train", "test"))
+    assert cfg.read == {"dataset", "train_subset", *harness_mod.DATA_KEYS[dataset]}
 
 
 @pytest.mark.parametrize("arch", ["mlp", "conv"])
