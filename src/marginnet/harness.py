@@ -73,7 +73,8 @@ MODEL_DIRNAME = "model"
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss went non-finite; names the epoch and minibatch."""
+    """A step's loss or a metrics row went non-finite; names the epoch
+    (and the step's minibatch)."""
 
 
 def format_float(value):
@@ -373,23 +374,32 @@ def run_epochs(cfg, state):
     noise_sched = LinearSchedule(cfg.noise_start, cfg.noise_end, sched_span)
 
     def metrics_row():
-        train_rep = evaluate_objectives(net, train_set.inputs, train_set.labels,
-                                        prepared.network_inputs)
-        test_rep = evaluate_objectives(net, test_set.inputs, test_set.labels,
-                                       prepared.network_inputs)
-        state.metrics.append({
-            "epoch": state.epoch,
-            "updates": state.updates,
-            "lr": lr_sched.value(state.updates),
-            "noise_std": noise_sched.value(state.updates),
-            "train_loss": train_rep.own_loss(net.head_spec.kind)
-            + net.stack_penalty(cfg.lower_weight_decay),
-            "test_error_pct": test_rep.error_pct,
-            "avg_xent": test_rep.avg_xent,
-            "hinge_sq_sum": test_rep.hinge_sq_sum,
-            "hinge_sq_mean": test_rep.hinge_sq_mean,
-        })
-        return state.metrics[-1]
+        # Weights that a step left finite can still overflow the scores;
+        # as in the step, the isfinite check below reports that instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_rep = evaluate_objectives(net, train_set.inputs, train_set.labels,
+                                            prepared.network_inputs)
+            test_rep = evaluate_objectives(net, test_set.inputs, test_set.labels,
+                                           prepared.network_inputs)
+            row = {
+                "epoch": state.epoch,
+                "updates": state.updates,
+                "lr": lr_sched.value(state.updates),
+                "noise_std": noise_sched.value(state.updates),
+                "train_loss": train_rep.own_loss(net.head_spec.kind)
+                + net.stack_penalty(cfg.lower_weight_decay),
+                "test_error_pct": test_rep.error_pct,
+                "avg_xent": test_rep.avg_xent,
+                "hinge_sq_sum": test_rep.hinge_sq_sum,
+                "hinge_sq_mean": test_rep.hinge_sq_mean,
+            }
+        bad = [f"{col}={value}" for col, value in row.items() if not np.isfinite(value)]
+        if bad:
+            raise TrainingDivergedError(
+                f"non-finite metrics {', '.join(bad)} at epoch {state.epoch}"
+            )
+        state.metrics.append(row)
+        return row
 
     if not state.metrics:
         yield metrics_row()

@@ -109,16 +109,18 @@ def augment_ones(h):
     return np.hstack([h, np.ones((h.shape[0], 1), dtype=DTYPE)])
 
 
-def head_scores(w, h):
-    """Raw class scores augment(h) @ w for w [(D+1), K], h [N, D]."""
+def head_scores(w, h, out=None, augmented=False):
+    """Raw class scores augment(h) @ w for w [(D+1), K], h [N, D],
+    written into ``out`` [N, K] when given.  With ``augmented``, ``h``
+    is augment(h) [N, D+1] itself, and is multiplied with no copy."""
     w = np.asarray(w, dtype=DTYPE)
-    ha = augment_ones(h)
+    ha = np.asarray(h, dtype=DTYPE) if augmented else augment_ones(h)
     if w.ndim != 2 or w.shape[0] != ha.shape[1]:
         raise ShapeError(
             f"head weights {w.shape} do not match augmented activations "
             f"{ha.shape}: need [{ha.shape[1]}, K]"
         )
-    return ha @ w
+    return np.matmul(ha, w, out=out)
 
 
 def softmax_probs(scores):
@@ -190,9 +192,9 @@ def apply_head(spec, w, h, labels):
     """Evaluate ``spec``'s head on integer labels [N]: its own loss (see
     ``OWN_OBJECTIVE``), the scores and the module docstring's gradients."""
     one_hot = encode_targets(labels, spec.num_classes)
-    h = np.asarray(h, dtype=DTYPE)
+    ha = augment_ones(h)
     w = np.asarray(w, dtype=DTYPE)
-    scores = head_scores(w, h)
+    scores = head_scores(w, ha, augmented=True)
     n = scores.shape[0]
     if one_hot.shape != scores.shape:
         raise ShapeError(
@@ -216,7 +218,7 @@ def apply_head(spec, w, h, labels):
             d_scores = -spec.c * sign * (hinge > 0.0)
         d_w_penalty = w_nb
     # Chain d_scores back through scores = augment(h) @ w.
-    d_w = augment_ones(h).T @ d_scores + d_w_penalty
+    d_w = ha.T @ d_scores + d_w_penalty
     d_h = (d_scores @ w.T)[:, :-1]
     return HeadOutput(loss, scores, d_w, d_h)
 

@@ -27,6 +27,16 @@ Conventions:
       fixed BLAS thread count, and the layer keeps nothing.  It drops
       whatever an earlier training forward kept, so a following backward
       raises :class:`LayerStateError` instead of reusing stale state.
+    - ``forward(..., out=None)`` writes the output into ``out``, an
+      array of the output's shape, and returns it; the bytes are those
+      of the forward without it.  ``output_shape(shape)`` gives that
+      shape for an input of ``shape``, and raises the forward's
+      :class:`ShapeError` for an input it rejects.  A layer whose
+      ``in_place`` is True (ReLU, dropout and flatten: an elementwise
+      map or a reshape) may be given its own input's memory as ``out``.
+      :meth:`marginnet.network.Network.scores` uses ``out`` in the
+      inference forward, to run every chunk of rows through one set of
+      buffers.
     - Layers with parameters take ``backward(..., input_grad=False)``
       when no gradient is needed below them (the first layer of a
       stack): parameter gradients are computed as usual, ``d_input`` is
@@ -57,6 +67,8 @@ the standalone :class:`MaxPool2x2Layer` and :class:`ReluLayer` apply.
 No patch matrix outlives a call in either mode.
 """
 
+import math
+
 import numpy as np
 
 from .tensor import DTYPE, DomainError, ShapeError, matmul
@@ -74,8 +86,14 @@ class Layer:
     param_names = ()
     param_shapes = ()
     positions = 1
+    in_place = False  # may the forward's out be its input's memory?
     _state = None  # what the last training forward kept for backward
     _out_shape = None  # its output's shape; None when nothing is kept
+
+    def output_shape(self, shape):
+        """The forward output's shape for an input of ``shape``: the
+        same, by default."""
+        return tuple(shape)
 
     def _keep(self, train, out, state):
         """Return the forward output ``out``.  A training forward keeps
@@ -98,6 +116,15 @@ class Layer:
         if d_out.shape != shape:
             raise ShapeError(f"{name}.backward expects {shape}, got {d_out.shape}")
         return d_out, state
+
+
+def _into(out, y):
+    """``y``, or ``out`` holding its values when given (a no-op when
+    ``out`` is ``y``'s own memory)."""
+    if out is None:
+        return y
+    out[...] = y
+    return out
 
 
 def zero_params(layer):
@@ -129,14 +156,18 @@ class DenseLayer(Layer):
     def _cached_input(self):  # perfbench's dense backward span reads it
         return self._state
 
-    def forward(self, x, params, train=False, rng=None):
+    def output_shape(self, shape):
+        if len(shape) != 2 or shape[1] != self.n_in:
+            raise ShapeError(
+                f"dense layer expects [N, {self.n_in}] input, got {tuple(shape)}"
+            )
+        return shape[0], self.n_out
+
+    def forward(self, x, params, train=False, rng=None, out=None):
         weights, bias = params
         x = np.asarray(x, dtype=DTYPE)
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ShapeError(
-                f"dense layer expects [N, {self.n_in}] input, got {x.shape}"
-            )
-        out = matmul(x, weights)
+        self.output_shape(x.shape)
+        out = np.matmul(x, weights, out=out)
         out += bias
         return self._keep(train, out, x)
 
@@ -152,9 +183,11 @@ class ReluLayer(Layer):
     """max(x, 0), elementwise.  Backward passes d_out where the forward
     input was > 0; the subgradient at exactly 0 is taken as 0."""
 
-    def forward(self, x, params=(), train=False, rng=None):
+    in_place = True
+
+    def forward(self, x, params=(), train=False, rng=None, out=None):
         x = np.asarray(x, dtype=DTYPE)
-        return self._keep(train, np.maximum(x, 0.0), x)
+        return self._keep(train, np.maximum(x, 0.0, out=out), x)
 
     def backward(self, d_out, params=(), grads=()):
         d_out, x = self._take(d_out)
@@ -245,22 +278,26 @@ class Conv2dLayer(Layer):
         h x w (a pooled block then halves it)."""
         return h, w
 
-    def forward(self, x, params, train=False, rng=None):
-        filters, bias = params
-        x = np.asarray(x, dtype=DTYPE)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+    def output_shape(self, shape):
+        if len(shape) != 4 or shape[1] != self.in_channels:
             raise ShapeError(
-                f"conv expects [N, {self.in_channels}, H, W] input, got {x.shape}"
+                f"conv expects [N, {self.in_channels}, H, W] input, got {tuple(shape)}"
             )
-        n, _, h, w = x.shape
+        n, _, h, w = shape
         if self.pool_relu and (h % 2 or w % 2):
             raise ShapeError(
                 f"a pooled conv block needs even spatial dims, got {h}x{w}"
             )
-        f = self.out_channels
+        return (n, self.out_channels, *((h // 2, w // 2) if self.pool_relu else (h, w)))
+
+    def forward(self, x, params, train=False, rng=None, out=None):
+        filters, bias = params
+        x = np.asarray(x, dtype=DTYPE)
+        n, f, *out_hw = self.output_shape(x.shape)
+        h, w = x.shape[2:]
         weights = filters.reshape(f, -1)
-        out_hw = (h // 2, w // 2) if self.pool_relu else (h, w)
-        out = np.empty((n, f, *out_hw), dtype=DTYPE)
+        if out is None:
+            out = np.empty((n, f, *out_hw), dtype=DTYPE)
         pool_state = None
         if self.pool_relu and train:  # switches and ReLU mask, channel-major
             pool_state = (np.empty((f, n, *out_hw), dtype=np.uint8),
@@ -351,17 +388,18 @@ class Conv2dLayer(Layer):
         return d_input
 
 
-def max_pool2x2(x, train=False):
+def max_pool2x2(x, train=False, out=None):
     """Max over the non-overlapping 2x2 windows of the last two axes of
     ``x`` [..., H, W] (H and W even): ``(pooled, switches)``, with
-    ``switches`` None unless ``train``; see :class:`MaxPool2x2Layer`."""
+    ``switches`` None unless ``train``, and ``pooled`` written into
+    ``out`` when given; see :class:`MaxPool2x2Layer`."""
     # The max of the four strided window views.  np.maximum does not say
     # which operand a tie returns, so a window whose max is 0 takes the
     # sign of its first zero, the one argmax picks.
     views = [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
     top = np.maximum(views[0], views[1])
     bottom = np.maximum(views[2], views[3])
-    pooled = np.maximum(top, bottom)
+    pooled = np.maximum(top, bottom, out=out)
     zero = pooled == 0
     if zero.any():
         for view in reversed(views):
@@ -414,14 +452,18 @@ class MaxPool2x2Layer(Layer):
     computes no switches and pools the same bytes.
     """
 
-    def forward(self, x, params=(), train=False, rng=None):
-        x = np.asarray(x, dtype=DTYPE)
-        if x.ndim != 4:
-            raise ShapeError(f"maxpool expects NCHW input, got shape {x.shape}")
-        h, w = x.shape[2:]
+    def output_shape(self, shape):
+        if len(shape) != 4:
+            raise ShapeError(f"maxpool expects NCHW input, got shape {tuple(shape)}")
+        n, c, h, w = shape
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-        pooled, switches = max_pool2x2(x, train)
+        return n, c, h // 2, w // 2
+
+    def forward(self, x, params=(), train=False, rng=None, out=None):
+        x = np.asarray(x, dtype=DTYPE)
+        self.output_shape(x.shape)
+        pooled, switches = max_pool2x2(x, train, out)
         return self._keep(train, pooled, switches)
 
     def backward(self, d_out, params=(), grads=()):
@@ -434,9 +476,15 @@ class MaxPool2x2Layer(Layer):
 class FlattenLayer(Layer):
     """[N, ...] -> [N, prod(...)], undone on backward."""
 
-    def forward(self, x, params=(), train=False, rng=None):
+    in_place = True
+
+    def output_shape(self, shape):
+        return shape[0], math.prod(shape[1:])
+
+    def forward(self, x, params=(), train=False, rng=None, out=None):
         x = np.asarray(x, dtype=DTYPE)
-        return self._keep(train, x.reshape(x.shape[0], -1), x.shape)
+        return self._keep(train, _into(out, x.reshape(self.output_shape(x.shape))),
+                          x.shape)
 
     def backward(self, d_out, params=(), grads=()):
         d_out, shape = self._take(d_out)
@@ -458,19 +506,21 @@ class DropoutLayer(Layer):
     identity); a training forward at rate 0 keeps no mask.
     """
 
+    in_place = True
+
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
             raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
-    def forward(self, x, params=(), train=False, rng=None):
+    def forward(self, x, params=(), train=False, rng=None, out=None):
         x = np.asarray(x, dtype=DTYPE)
         if not train or self.rate == 0.0:
-            return self._keep(train, x, None)
+            return self._keep(train, _into(out, x), None)
         if rng is None:
             raise DomainError("a training forward through dropout needs an rng")
         mask = dropout_mask(x.shape, self.rate, rng)
-        return self._keep(train, x * mask, mask)
+        return self._keep(train, np.multiply(x, mask, out=out), mask)
 
     def backward(self, d_out, params=(), grads=()):
         d_out, mask = self._take(d_out)

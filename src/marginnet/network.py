@@ -82,19 +82,21 @@ class Network:
             init_gaussian(self.head_weights[:-1], rng, arch["init_std"])
         self.grad = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, out=None):
         """Run the stack to penultimate activations [N, D].
 
         ``train=True`` is the training forward: every layer keeps what
         its backward needs, and dropout draws its masks from ``rng``.
         The default is the inference forward: dropout is the identity
         and no layer keeps anything (see :mod:`marginnet.layers`).
-        Unscaled uint8 pixels are a :class:`DomainError`.
+        ``out``, one array per layer, gives each layer's ``out=`` (see
+        :meth:`scores`).  Unscaled uint8 pixels are a :class:`DomainError`.
         """
         reject_pixels(x, "Network.forward")
-        for layer, slots in zip(self.layers, self.layer_slots):
+        for layer, slots, buffer in zip(self.layers, self.layer_slots,
+                                        out or [None] * len(self.layers)):
             x = layer.forward(x, [slot.of(self.param) for slot in slots],
-                              train=train, rng=rng)
+                              train=train, rng=rng, out=buffer)
         return x
 
     def scores(self, x, transform=None):
@@ -103,6 +105,17 @@ class Network:
         consecutive ``SCORE_CHUNK``-row chunks (the last may be short).
         With ``transform``, each chunk of ``x`` goes through it first, so
         rows kept as bytes become network inputs one chunk at a time.
+
+        Every chunk runs through one set of buffers, sized for the first
+        chunk (:meth:`_chunk_buffers`); a short last chunk uses their
+        leading rows.  Each layer writes its output into its buffer
+        (``out=``, see :mod:`marginnet.layers`), the last ones into the
+        first D columns of the augmented penultimate buffer [rows, D+1],
+        whose last column is set to 1.0 after each forward, and the head
+        multiplies that buffer into the chunk's rows of the returned
+        scores.  The bytes are those of
+        :func:`~marginnet.heads.head_scores` on each chunk's
+        :meth:`forward`.
 
         Evaluation (every ``metrics.csv`` row, ``marginnet eval``),
         ``predict`` and the ensembles all score here, so they agree byte
@@ -115,11 +128,68 @@ class Network:
         x = np.asarray(x)
         n = x.shape[0]
         out = np.empty((n, self.head_weights.shape[1]), dtype=DTYPE)
+        buffers = None
         for start in range(0, max(n, 1), SCORE_CHUNK):  # empty x is shape-checked too
             rows = slice(start, start + SCORE_CHUNK)
-            h = self.forward(x[rows] if transform is None else transform(x[rows]))
-            out[rows] = heads_mod.head_scores(self.head_weights, h)
+            chunk = x[rows] if transform is None else transform(x[rows])
+            if buffers is None:
+                buffers, augmented = self._chunk_buffers(np.shape(chunk))
+            m = len(chunk)
+            h = self.forward(chunk, out=[b[:m] for b in buffers])
+            del chunk  # a transformed chunk is not kept beside the next one
+            if augmented is not None:
+                h = augmented[:m]  # the forward wrote h[:, :-1]
+                h[:, -1] = 1.0  # an earlier layer may have written there
+            heads_mod.head_scores(self.head_weights, h, out=out[rows],
+                                  augmented=augmented is not None)
         return out
+
+    def _chunk_buffers(self, shape):
+        """``(buffers, augmented)`` for inference forwards of chunks of
+        at most ``shape[0]`` rows of ``shape[1:]``: one output buffer per
+        layer, and the augmented penultimate buffer [rows, D+1] whose
+        first D columns the last layers write (None when they do not
+        output [rows, D]).  A layer's
+        :meth:`~marginnet.layers.Layer.output_shape` rejects a shape its
+        forward would.
+
+        Every buffer is a view of one of two arenas, so at most two
+        layers' outputs are held at once.  A layer writes the arena its
+        input is not in, or, when it is ``in_place`` and its input is one
+        of these buffers, its input's memory.  The in-place layers after
+        the last layer to change arenas (ReLU and dropout after a dense
+        layer) move to the other arena, into ``augmented``; with none,
+        that last layer writes ``augmented`` itself.
+        """
+        rows, width = shape[0], self.head_weights.shape[0]
+        shapes, arenas, last = [], [], 0
+        for i, layer in enumerate(self.layers):
+            shape = layer.output_shape(shape)
+            shapes.append(shape)
+            if layer.in_place and arenas:
+                arenas.append(arenas[-1])
+            else:
+                arenas.append(1 - arenas[-1] if arenas else 0)
+                last = i
+        # A dense layer's bias add and a ReLU in place run at about half
+        # speed over the augmented buffer's strided rows, so a ReLU after
+        # the last dense layer reads that layer's own buffer.
+        first = min(last + 1, len(shapes) - 1)
+        augment = bool(shapes) and all(s == (rows, width - 1) for s in shapes[first:])
+        if augment:
+            if first > last:
+                arenas[first:] = [1 - arenas[last]] * (len(shapes) - first)
+            shapes[first:] = [(rows, width)] * (len(shapes) - first)
+        sizes = [0, 0]
+        for s, a in zip(shapes, arenas):
+            sizes[a] = max(sizes[a], math.prod(s))
+        flats = [np.empty(size, dtype=DTYPE) for size in sizes]
+        buffers = [flats[a][: math.prod(s)].reshape(s) for s, a in zip(shapes, arenas)]
+        if not augment:
+            return buffers, None
+        augmented = buffers[first]
+        buffers[first:] = [augmented[:, :-1]] * (len(buffers) - first)
+        return buffers, augmented
 
     def predict(self, x):
         return heads_mod.predict(self.scores(x))

@@ -883,22 +883,51 @@ lr_start = 0.01
 out_dir = {tmp}/run
 """
 
-# Trains each config path read from stdin in turn, in-process, and
-# prints one JSON line as each draw starts and one as it ends, so the
-# lines up to a hang name the draw that hung.
+# Runs each argv read from stdin through main in turn, in-process, with
+# every warning shown, and prints one JSON line as each draw starts and
+# one as it ends, so the lines up to a hang name the draw that hung.
 DRAW_RUNNER = """
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, sys, traceback, warnings
 from marginnet.cli import main
-for i, path in enumerate(json.load(sys.stdin)):
+warnings.simplefilter("always")
+for i, argv in enumerate(json.load(sys.stdin)):
     print(json.dumps({"start": i}), flush=True)
     err = io.StringIO()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["train", "--config", path])
+            code = main(argv)
     except Exception:
         code = traceback.format_exc()
     print(json.dumps({"done": i, "code": code, "err": err.getvalue()}), flush=True)
 """
+
+
+def run_draws(argvs, texts, timeout=90):
+    """Run each argv through ``main`` in one child process with a
+    wall-clock limit.  Each must exit 0, or 2 with exactly one stderr
+    line, an ``error: `` line; ``texts[i]`` describes draw i in a
+    failure."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    try:
+        proc = subprocess.run([sys.executable, "-c", DRAW_RUNNER], input=json.dumps(argvs),
+                              capture_output=True, text=True, timeout=timeout, env=env)
+        out, ended = proc.stdout, f"ended the runner ({proc.returncode}): {proc.stderr}"
+    except subprocess.TimeoutExpired as expired:
+        out, ended = (expired.stdout or b"").decode(), "did not end in time"
+    # a kill can cut the last line short
+    events = [json.loads(line) for line in out.splitlines(keepends=True)
+              if line.endswith("\n")]
+    done = [e for e in events if "done" in e]
+    if len(done) < len(argvs):
+        started = events[-1].get("start", len(done)) if events else 0
+        pytest.fail(f"draw {started} {ended}\n{texts[started]}")
+    for e in done:
+        code, err = e["code"], e["err"]
+        assert code in (0, 2) and "Traceback" not in err, (texts[e["done"]], code, err)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (texts[e["done"]], err)
 
 
 def test_every_drawn_config_trains_or_exits_2_in_bounded_time(tmp_path):
@@ -918,7 +947,7 @@ def test_every_drawn_config_trains_or_exits_2_in_bounded_time(tmp_path):
     assert main(["train", "--config", source_cfg]) == 0
     rng = np.random.default_rng(24)
     keys = sorted(CONFIG_EDGES)
-    texts, paths = [], []
+    texts, argvs = [], []
     for i in range(1000):
         drawn = list(rng.choice(keys, size=rng.integers(1, 6), replace=False))
         if i < len(keys):
@@ -926,28 +955,98 @@ def test_every_drawn_config_trains_or_exits_2_in_bounded_time(tmp_path):
         lines = [f"{key} = {rng.choice(CONFIG_EDGES[key])}\n".format(**fill)
                  for key in dict.fromkeys(drawn)]
         texts.append(base + "".join(lines))
-        paths.append(write_cfg(tmp_path, f"draw{i}.cfg", texts[-1]))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
-    try:
-        proc = subprocess.run([sys.executable, "-c", DRAW_RUNNER], input=json.dumps(paths),
-                              capture_output=True, text=True, timeout=90, env=env)
-        out, ended = proc.stdout, f"ended the runner ({proc.returncode}): {proc.stderr}"
-    except subprocess.TimeoutExpired as timeout:
-        out, ended = (timeout.stdout or b"").decode(), "did not end in time"
-    # a kill can cut the last line short
-    events = [json.loads(line) for line in out.splitlines(keepends=True)
-              if line.endswith("\n")]
-    done = [e for e in events if "done" in e]
-    if len(done) < len(paths):
-        started = events[-1].get("start", len(done)) if events else 0
-        pytest.fail(f"draw {started} {ended}\n{texts[started]}")
-    for e in done:
-        code, err = e["code"], e["err"]
-        assert code in (0, 2) and "Traceback" not in err, (texts[e["done"]], code, err)
-        if code == 2:
-            # numpy's overflow warnings may come first
-            assert err.splitlines()[-1].startswith("error: "), (texts[e["done"]], err)
+        argvs.append(["train", "--config", write_cfg(tmp_path, f"draw{i}.cfg", texts[-1])])
+    run_draws(argvs, texts)
+
+
+# What a drawn manifest leaf becomes.  Dimensions stay small: building a
+# network from meta.arch allocates before any shape check.
+MANIFEST_LEAVES = (None, True, False, -1, 0, 1, 2, 3, 64, 2.5, "x", "", [], {})
+
+# Per dataset: model keys, and the test files that eval and ensemble read.
+ARTIFACT_RUNS = {
+    "idx": ("standardize = true\npca_dims = 3\nhidden_dims = 4\n",
+            ("test-images", "test-labels")),
+    "cifar10": ("standardize = true\narch = conv\nconv_channels = 2\nconv_kernel = 3\n"
+                "conv_dense = 4\n", ("test.bin",)),
+}
+
+
+def drawn_bytes(blob, rng):
+    """``blob`` with a few bytes replaced (half of them in a 16-byte
+    header), cut short, or extended."""
+    how = rng.integers(3)
+    if how == 0 and blob:
+        blob = bytearray(blob)
+        for _ in range(rng.integers(1, 5)):
+            end = min(len(blob), 16) if rng.integers(2) else len(blob)
+            blob[rng.integers(end)] = rng.integers(256)
+        return bytes(blob)
+    if how == 1 and blob:
+        return blob[: rng.integers(len(blob))]
+    return blob + rng.bytes(int(rng.integers(1, 17)))
+
+
+def test_every_drawn_artifact_evaluates_or_exits_2_in_bounded_time(tmp_path):
+    # Each draw corrupts one artifact, a saved model's manifest leaf or
+    # params.bin or an IDX or CIFAR-10 test file, and runs eval or
+    # ensemble on it; an ensemble's other member is intact.  All draws run
+    # in one child process with a wall-clock limit.
+    data = tmp_path / "data"
+    data.mkdir()
+    dataset_texts = write_image_files(data, 40, 20)
+    models = {}
+    for dataset, (keys, _) in ARTIFACT_RUNS.items():
+        cfg = write_cfg(tmp_path, f"{dataset}.cfg", dataset_texts[dataset] + keys
+                        + f"epochs = 1\nbatch_size = 20\nout_dir = {tmp_path}/{dataset}\n")
+        assert main(["train", "--config", cfg]) == 0
+        models[dataset] = tmp_path / dataset / "model"
+    rng = np.random.default_rng(33)
+    texts, argvs = [], []
+    for i in range(240):
+        dataset = ("idx", "cifar10")[i % 2]
+        target = ("manifest", "params.bin", "data")[i // 2 % 3]
+        keys, test_files = ARTIFACT_RUNS[dataset]
+        draw = tmp_path / f"draw{i}"
+        model, data_dir = models[dataset], data
+        if target == "data":
+            data_dir = draw / "data"
+            data_dir.mkdir(parents=True)
+            name = rng.choice(test_files)
+            for f in test_files:
+                shutil.copy(data / f, data_dir / f)
+            blob = (data / name).read_bytes()
+            (data_dir / name).write_bytes(drawn_bytes(blob, rng))
+            what = f"{name} of {len(blob)} bytes"
+        else:
+            model = draw / "model"
+            shutil.copytree(models[dataset], model)
+            if target == "params.bin":
+                blob = (model / serialize.BLOB_NAME).read_bytes()
+                (model / serialize.BLOB_NAME).write_bytes(drawn_bytes(blob, rng))
+                what = f"params.bin of {len(blob)} bytes"
+            else:
+                manifest = json.loads((model / serialize.MANIFEST_NAME).read_text())
+                paths = [p for p in key_paths(manifest) if p]
+                path = paths[rng.integers(len(paths))]
+                parent = manifest
+                for key in path[:-1]:
+                    parent = parent[key]
+                if rng.integers(4) == 0:
+                    del parent[path[-1]]
+                    what = f"manifest without {path}"
+                else:
+                    parent[path[-1]] = MANIFEST_LEAVES[rng.integers(len(MANIFEST_LEAVES))]
+                    what = f"manifest with {path} = {parent[path[-1]]!r}"
+                (model / serialize.MANIFEST_NAME).write_text(json.dumps(manifest))
+        command = ("eval", "ensemble")[rng.integers(2)]
+        text = (dataset_texts[dataset].replace(str(data), str(data_dir)) + keys
+                + f"out_dir = {draw}/out\n"
+                + (f"model = {model}\n" if command == "eval"
+                   else f"models = {model}, {models[dataset]}\n"))
+        texts.append(f"{command} with {what}:\n{text}")
+        argvs.append([command, "--config", write_cfg(tmp_path, f"draw{i}.cfg", text)])
+    run_draws(argvs, texts)
 
 
 @pytest.mark.skipif(shutil.which("marginnet") is None,

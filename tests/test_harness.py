@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -188,6 +189,22 @@ class TestTrainLoop:
         assert "epoch" in msg
         assert "minibatch" in msg
         assert "update" in msg
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_a_non_finite_metrics_row_aborts_without_warnings(self, tmp_path, epochs):
+        # The one update of epoch 1 leaves weights whose scores overflow.
+        # Unchecked, epochs = 1 wrote train_loss=inf and avg_xent=nan to
+        # metrics.csv, and the row's evaluation printed RuntimeWarnings.
+        text = (f"dataset = blobs\nblobs_classes = 3\nblobs_dim = 8\n"
+                f"blobs_train_n = 30\nblobs_test_n = 12\nhidden_dims = 4\n"
+                f"head = l2svm\nbatch_size = 30\nlr_start = 1e300\n"
+                f"epochs = {epochs}\nout_dir = {tmp_path}/run\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match=r"non-finite metrics .*"
+                               r"train_loss=inf.* at epoch 1$"):
+                train(parse_config_text(text))
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_same_config_is_bit_deterministic(self, tmp_path):
         cfg_a = blobs_config(tmp_path, "det_a", epochs=3)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginnet import gradcheck as gc
+from marginnet import heads as heads_mod
 from marginnet.heads import (
     HeadSpec,
     apply_head,
@@ -271,3 +272,26 @@ class TestHeadSpec:
     def test_augment_ones_appends_bias_column(self):
         h = np.array([[1.0, 2.0]])
         npt.assert_array_equal(augment_ones(h), [[1.0, 2.0, 1.0]])
+
+    def test_head_scores_of_augmented_activations_write_out(self):
+        # the same bytes from h, from augment_ones(h) and into out
+        rng = np.random.default_rng(4)
+        w, h = rng.normal(size=(4, 2)), rng.normal(size=(5, 3))
+        want = head_scores(w, h)
+        ha = augment_ones(h)
+        out = np.full((7, 2), np.nan)[1:6]
+        assert head_scores(w, ha, out=out, augmented=True) is out
+        assert out.tobytes() == want.tobytes()
+        assert head_scores(w, ha, augmented=True).tobytes() == want.tobytes()
+        with pytest.raises(ShapeError):
+            head_scores(w, h, augmented=True)
+
+    def test_apply_head_augments_once(self, monkeypatch):
+        hstack = np.hstack
+        calls = []
+        monkeypatch.setattr(heads_mod.np, "hstack",
+                            lambda *a: calls.append(a) or hstack(*a))
+        rng = np.random.default_rng(5)
+        apply_head(HeadSpec("l2svm", 3), rng.normal(size=(3, 3)), rng.normal(size=(7, 2)),
+                   np.arange(7) % 3)
+        assert len(calls) == 1

@@ -653,6 +653,37 @@ class TestCacheFreeForward:
         with pytest.raises(LayerStateError):
             layer.backward(np.ones_like(free), params, zero_params(layer))
 
+    @pytest.mark.parametrize("kind", LAYER_TYPES)
+    def test_out_holds_the_output_bytes(self, kind):
+        # Written into a buffer of output_shape, into a strided view of
+        # one, and, for an in-place layer, over a copy of the input.
+        make, shape = LAYER_TYPES[kind]
+        rng = np.random.default_rng(23)
+        (layer, params), x = make(rng), rng.normal(size=shape)
+        x[0, 0] = -0.0
+        want = layer.forward(x, params)
+        assert layer.output_shape(x.shape) == want.shape
+        wide = np.full((*want.shape[:-1], want.shape[-1] + 1), np.nan)
+        cases = [(x, np.full(want.shape, np.nan)), (x, wide[..., :-1])]
+        if layer.in_place:
+            own = x.copy()
+            cases.append((own, own.reshape(want.shape)))
+        for given, out in cases:
+            got = layer.forward(given, params, out=out)
+            assert got is out and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layer, shape", [
+        (DenseLayer(4, 3), (5, 3)), (DenseLayer(4, 3), (5, 4, 1)),
+        (Conv2dLayer(2, 3, 3), (2, 3, 4, 4)), (Conv2dLayer(2, 3, 3), (2, 16)),
+        (Conv2dLayer(2, 3, 3, pool_relu=True), (2, 2, 5, 4)),
+        (MaxPool2x2Layer(), (2, 2, 4, 3)), (MaxPool2x2Layer(), (2, 16)),
+    ])
+    def test_output_shape_rejects_what_forward_rejects(self, layer, shape):
+        for call in (lambda: layer.output_shape(shape),
+                     lambda: layer.forward(np.zeros(shape), zero_params(layer))):
+            with pytest.raises(ShapeError):
+                call()
+
     @pytest.mark.parametrize("make", [
         lambda rng: (drawn(DenseLayer(4, 3), rng, 0.5), (5, 4)),
         lambda rng: (drawn(Conv2dLayer(2, 3, 3), rng, 0.5), (3, 2, 7, 6)),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from marginnet import gradcheck as gc
-from marginnet import network
+from marginnet import heads, network
 from marginnet.harness import (
     LoadedModel,
     ensemble_predict,
@@ -223,6 +223,76 @@ def test_scores_transform_each_chunk():
 
     assert net.scores(pixels, scale).tobytes() == net.scores(pixels / 255.0).tobytes()
     assert chunks == [network.SCORE_CHUNK, network.SCORE_CHUNK, 500]
+
+
+def _scored_net(arch, kind, rng):
+    """A network of ``arch`` under a ``kind`` head and its input shape."""
+    spec = HeadSpec(kind, 4, c=0.3, weight_decay=0.01)
+    if arch == "mlp":
+        return build_mlp(6, [16, 8], spec, rng=rng, init_std=0.5), (6,)
+    if arch == "linear":  # no layer: the head takes the inputs themselves
+        return build_mlp(6, [], spec, rng=rng, init_std=0.5), (6,)
+    if arch == "conv":
+        return build_convnet((2, 8, 8), [3, 4], 3, 8, 0.5, spec, rng=rng,
+                             init_std=0.5), (2, 8, 8)
+    # Standalone layers.  With no in-place layer after the last dense
+    # layer, the dense layer writes the augmented buffer; a last flatten
+    # copies the pool's output there; a ReLU over images after the pool
+    # outputs no [N, D], so the head appends the ones column itself.
+    layers = {
+        "dense-last": [Conv2dLayer(2, 3, 3), ReluLayer(), MaxPool2x2Layer(), FlattenLayer(),
+                       DenseLayer(48, 5)],
+        "flatten-last": [Conv2dLayer(2, 3, 3), ReluLayer(), MaxPool2x2Layer(), FlattenLayer()],
+        "relu-flatten": [Conv2dLayer(2, 3, 3), MaxPool2x2Layer(), ReluLayer(), FlattenLayer()],
+    }[arch]
+    net = Network(layers, spec, 5 if arch == "dense-last" else 48, {"init_std": 0.5}, rng)
+    return net, (2, 8, 8)
+
+
+@pytest.mark.parametrize("n", [1, 1999, 2000, 2001, 4001])
+@pytest.mark.parametrize("arch, kind", [("mlp", kind) for kind in HEAD_KINDS] + [
+    ("conv", "l2svm"), ("linear", "l1svm"), ("dense-last", "softmax"),
+    ("flatten-last", "l2svm"), ("relu-flatten", "l1svm")])
+def test_scores_are_the_head_on_each_chunks_forward(arch, kind, n):
+    # Network.scores runs every chunk through one set of buffers, a short
+    # last one through their leading rows, and the head multiplies the
+    # augmented buffer the last layers wrote.
+    rng = np.random.default_rng(21)
+    net, shape = _scored_net(arch, kind, rng)
+    x = rng.normal(size=(n, *shape))
+    want = [heads.head_scores(net.head_weights, net.forward(x[s : s + network.SCORE_CHUNK]))
+            for s in range(0, n, network.SCORE_CHUNK)]
+    assert net.scores(x).tobytes() == np.concatenate(want).tobytes()
+
+
+@pytest.mark.parametrize("arch", ["mlp", "conv"])
+def test_scores_between_training_steps_change_no_step(arch):
+    # Scoring after a training forward drops what it kept, and the next
+    # step has the bytes of a step with no scoring before it.
+    rng = np.random.default_rng(22)
+    net, shape = _scored_net(arch, "l2svm", rng)
+    x, labels = rng.normal(size=(9, *shape)), np.arange(9) % 4
+    net.backprop(x, labels, rng=np.random.default_rng(1))
+    want = net.grad.copy()
+    net.forward(x, train=True, rng=np.random.default_rng(1))
+    net.scores(x)
+    for layer, slots in zip(net.layers, net.layer_slots):
+        views = [slot.of(net.param) for slot in slots]
+        with pytest.raises(LayerStateError):
+            layer.backward(np.zeros(1), views, [np.empty_like(v) for v in views])
+    net.backprop(x, labels, rng=np.random.default_rng(1))
+    assert net.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["mlp", "conv", "dense-last", "flatten-last"])
+def test_scores_make_no_augmented_copy(monkeypatch, arch):
+    # the head multiplies the buffer the last layers wrote
+    net, shape = _scored_net(arch, "l2svm", np.random.default_rng(23))
+    hstack = np.hstack
+    calls = []
+    monkeypatch.setattr(heads.np, "hstack", lambda *a: calls.append(a) or hstack(*a))
+    net.scores(np.zeros((2001, *shape)))
+    assert calls == []
 
 
 def test_scores_retain_no_activations():
